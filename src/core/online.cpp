@@ -10,15 +10,13 @@
 namespace reghd::core {
 
 OnlineRegHD::OnlineRegHD(OnlineConfig config, std::size_t num_features)
-    : config_(std::move(config)), feature_stats_(num_features) {
+    : config_(std::move(config)), model_(config_.reghd), feature_stats_(num_features) {
   REGHD_CHECK(num_features > 0, "online learner requires at least one feature");
   REGHD_CHECK(config_.decay > 0.0 && config_.decay <= 1.0,
               "decay must lie in (0,1], got " << config_.decay);
-  config_.reghd.validate();
   config_.encoder.input_dim = num_features;
   config_.encoder.dim = config_.reghd.dim;
   encoder_ = hdc::make_encoder(config_.encoder);
-  model_ = std::make_unique<MultiModelRegressor>(config_.reghd);
 }
 
 void OnlineRegHD::set_projection_storage(hdc::ProjectionStorage storage) {
@@ -63,35 +61,23 @@ OnlineRegHD OnlineRegHD::merge_replicas(std::span<const OnlineShardReplica> repl
                     r->learner->config().reghd.seed == first.config().reghd.seed,
                 "online merge requires replicas of one stream configuration");
   }
-
-  OnlineRegHD out(first.config(), nf);
   if (ordered.size() == 1) {
-    // Verbatim adoption: copying the replica's exact state (including
-    // snapshots that may be stale mid-requantize-interval) keeps S = 1
-    // bit-identical to an unsharded stream. Re-deriving anything here would
-    // not.
-    const OnlineRegHD& rep = first;
-    std::vector<RegressionModel>& models = out.model_->mutable_models();
-    std::vector<ClusterCenter>& clusters = out.model_->mutable_clusters();
-    for (std::size_t i = 0; i < k; ++i) {
-      models[i] = rep.model().model(i);
-      clusters[i] = rep.model().cluster(i);
-    }
-    out.model_->mutable_packed_bank() = rep.model().packed_bank();
-    out.restore_state(rep.feature_stats(), rep.target_stats(), rep.samples_seen(),
-                      rep.since_requantize());
-    return out;
+    // Verbatim adoption: a copy keeps the replica's exact state (including
+    // snapshots that may be stale mid-requantize-interval), so S = 1 stays
+    // bit-identical to an unsharded stream. Re-deriving anything would not.
+    return first;
   }
 
   // Every replica was constructed from the same config, so they share one
   // post-construction base state (zero models, seeded random clusters) —
   // which `out` is still in. Summing per-replica deltas against that base
   // bundles what each shard's training added.
+  OnlineRegHD out(first.config(), nf);
   const MultiModelRegressor base(first.config().reghd);
   for (const OnlineShardReplica* r : ordered) {
-    out.model_->merge_accumulate_delta(r->learner->model(), base);
+    out.model_.merge_accumulate_delta(r->learner->model(), base);
   }
-  out.model_->requantize();
+  out.model_.requantize();
 
   std::vector<util::RunningStats> feature_stats(nf);
   util::RunningStats target_stats;
@@ -175,7 +161,7 @@ double OnlineRegHD::predict_reusing(std::span<const double> features,
     return cold_prediction();
   }
   if (!config_.adaptive_scaling) {
-    return unscale_target(model_->predict_one(*encoder_, features));
+    return unscale_target(model_.predict_one(*encoder_, features));
   }
   // Standardize exactly like encode(), then hand the scaled reading to the
   // fused single-query path (bit-identical to predict(encode(features)),
@@ -185,7 +171,7 @@ double OnlineRegHD::predict_reusing(std::span<const double> features,
     const double sd = feature_stats_[k].stddev();
     scaled_scratch[k] = sd > 0.0 ? (features[k] - feature_stats_[k].mean()) / sd : 0.0;
   }
-  return unscale_target(model_->predict_one(*encoder_, scaled_scratch));
+  return unscale_target(model_.predict_one(*encoder_, scaled_scratch));
 }
 
 void OnlineRegHD::standardize_rows_into(std::span<const double> rows_flat,
@@ -237,7 +223,7 @@ double OnlineRegHD::update(std::span<const double> features, double target) {
 
   if (config_.decay < 1.0) {
     obs::count(obs::Counter::kOnlineDecays);
-    model_->decay_models(config_.decay);
+    model_.decay_models(config_.decay);
   }
   // Standardize with the post-consumption statistics (the transform encode()
   // applies) into the member scratch, then re-encode through the one-reading
@@ -246,9 +232,9 @@ double OnlineRegHD::update(std::span<const double> features, double target) {
   update_scratch_.resize(features.size());
   standardize_rows_into(features, 1, update_scratch_);
   update_arena_.assign_rows(*encoder_, {update_scratch_.data(), features.size()}, 1, 1);
-  model_->train_step(update_arena_.sample(0), scale_target(target));
+  model_.train_step(update_arena_.sample(0), scale_target(target));
   if (config_.requantize_every > 0 && ++since_requantize_ >= config_.requantize_every) {
-    model_->requantize();
+    model_.requantize();
     since_requantize_ = 0;
   }
   return prediction;
@@ -304,7 +290,7 @@ std::vector<double> OnlineRegHD::update_batch(std::span<const double> features_f
   if (config_.decay < 1.0) {
     obs::count(obs::Counter::kOnlineDecays, trained.size());
     for (std::size_t t = 0; t < trained.size(); ++t) {
-      model_->decay_models(config_.decay);
+      model_.decay_models(config_.decay);
     }
   }
   EncodedDataset block;
@@ -314,7 +300,7 @@ std::vector<double> OnlineRegHD::update_batch(std::span<const double> features_f
   std::vector<std::size_t> idx(block.size());
   std::iota(idx.begin(), idx.end(), 0);
   std::vector<double> frozen(block.size());
-  model_->train_batch(block, idx, frozen);
+  model_.train_batch(block, idx, frozen);
   if (config_.requantize_every > 0) {
     // The sequential protocol requantizes after every `requantize_every`-th
     // trained reading, i.e. ⌊(since + trained)/every⌋ times across this block,
@@ -325,7 +311,7 @@ std::vector<double> OnlineRegHD::update_batch(std::span<const double> features_f
     // follow-on updates requantize at the wrong step.
     const std::size_t total = since_requantize_ + trained.size();
     if (total >= config_.requantize_every) {
-      model_->requantize();
+      model_.requantize();
     }
     since_requantize_ = total % config_.requantize_every;
   }

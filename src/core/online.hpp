@@ -14,6 +14,10 @@
 //    concept drift instead of averaging over it.
 //
 // The underlying model is accessible for persistence or inspection.
+//
+// A value type: a copy duplicates all mutable state and shares the one
+// immutable encoder (a pure function of its seed, encoded through const
+// methods), so copies may encode concurrently from different threads.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +87,7 @@ class OnlineRegHD {
   ///  * accounting — samples_seen sums; since_requantize becomes the summed
   ///    counters modulo requantize_every (the merge itself requantized).
   ///
-  /// A single replica is adopted verbatim (stale snapshots and all), so S = 1
+  /// A single replica is copied verbatim (stale snapshots and all), so S = 1
   /// is bit-identical to the replica — and therefore to an unsharded stream.
   [[nodiscard]] static OnlineRegHD merge_replicas(
       std::span<const OnlineShardReplica> replicas);
@@ -142,20 +146,21 @@ class OnlineRegHD {
 
   /// Encoder access for callers that drive the regressor's batch/fused
   /// kernels directly on standardized readings (serving runtime, benches).
+  /// Copies of a learner return the same object.
   [[nodiscard]] const hdc::Encoder& encoder() const noexcept { return *encoder_; }
 
-  /// Re-applies a projection-storage deployment choice by rebuilding the
-  /// encoder from its own config. Storage is a runtime/footprint knob, not
-  /// model identity — it is deliberately not serialized, so every checkpoint
-  /// loads kResident; callers running rematerialized (the serving runtime
-  /// re-applies its configured mode to each snapshot roundtrip) switch back
-  /// here. Encodings are bit-identical in both modes.
+  /// Re-applies a projection-storage deployment choice by rebuilding this
+  /// learner's encoder from its own config (copies keep the one they share).
+  /// Storage is a runtime/footprint knob, not model identity — it is
+  /// deliberately not serialized, so every checkpoint loads kResident;
+  /// callers running rematerialized switch back here. Encodings are
+  /// bit-identical in both modes.
   void set_projection_storage(hdc::ProjectionStorage storage);
 
   [[nodiscard]] std::size_t samples_seen() const noexcept { return seen_; }
 
-  [[nodiscard]] const MultiModelRegressor& model() const noexcept { return *model_; }
-  [[nodiscard]] MultiModelRegressor& mutable_model() noexcept { return *model_; }
+  [[nodiscard]] const MultiModelRegressor& model() const noexcept { return model_; }
+  [[nodiscard]] MultiModelRegressor& mutable_model() noexcept { return model_; }
   [[nodiscard]] const OnlineConfig& config() const noexcept { return config_; }
 
   /// Streaming-state introspection (checkpointing, tests).
@@ -183,8 +188,8 @@ class OnlineRegHD {
   [[nodiscard]] double unscale_target(double y_scaled) const;
 
   OnlineConfig config_;
-  std::unique_ptr<hdc::Encoder> encoder_;
-  std::unique_ptr<MultiModelRegressor> model_;
+  std::shared_ptr<const hdc::Encoder> encoder_;  ///< immutable; shared by copies.
+  MultiModelRegressor model_;
   std::vector<util::RunningStats> feature_stats_;
   util::RunningStats target_stats_;
   std::size_t seen_ = 0;

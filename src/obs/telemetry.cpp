@@ -52,6 +52,8 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "tenant_evictions",
     "tenant_promotions",
     "tenant_spill_discards",
+    "serve_train_errors",
+    "tenant_reactivate_failures",
 };
 
 constexpr std::array<std::string_view, kNumHistos> kHistoNames = {

@@ -92,6 +92,8 @@ enum class Counter : std::size_t {
   kTenantEvictions,       ///< Resident tenants serialized out under budget pressure.
   kTenantPromotions,      ///< Tenants re-sized to a larger-D tier.
   kTenantSpillDiscards,   ///< Evicted checkpoints dropped by the spill budget.
+  kServeTrainErrors,      ///< Train samples or snapshot publishes that threw.
+  kTenantReactivateFailures, ///< Spilled tenants whose blob failed to load.
   kCount
 };
 
@@ -120,7 +122,7 @@ enum class Histo : std::size_t {
   kServeScanNs,       ///< Per admission batch: bank scan + unscale.
   kServePredictNs,    ///< Per request: enqueue → completion store (e2e).
   kServeBatchFill,    ///< Admission batch sizes (a count, not nanoseconds).
-  kServePublishNs,    ///< One snapshot publish (checkpoint round-trip + flip).
+  kServePublishNs,    ///< One snapshot publish (learner copy + flip).
   kServeStalenessNs,  ///< Snapshot publish instant → worker swap instant.
   kTenantEvictNs,     ///< One eviction (serialize + spill store).
   kTenantActivateNs,  ///< One activation (fresh construct or checkpoint load).

@@ -8,8 +8,8 @@
 //            with at least one update pending.
 //
 // The time trigger is anchored at the instant the previous publish finished,
-// not the instant it was decided: a publish costs milliseconds (checkpoint
-// roundtrip), and stamping the pre-publish clock made the interval timer
+// not the instant it was decided: a publish copies the whole learner, and
+// stamping the pre-publish clock made the interval timer
 // systematically fire early under load — each cycle's budget was silently
 // shortened by the previous publish's cost. published() therefore takes the
 // post-publish clock reading.

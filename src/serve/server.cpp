@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <sstream>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -32,13 +30,21 @@ namespace {
   return z ^ (z >> 31);
 }
 
+[[nodiscard]] core::CheckpointConfig shard_checkpoint(const ServeConfig& config,
+                                                      std::size_t shard) {
+  core::CheckpointConfig ck;
+  ck.dir = config.checkpoint_dir + "/shard_" + std::to_string(shard);
+  ck.keep_last = config.checkpoint_keep_last;
+  return ck;
+}
+
 }  // namespace
 
 Server::Shard::Shard(const ServeConfig& cfg, const core::OnlineConfig& online,
                      std::size_t num_features)
     : predict_ring(cfg.queue_capacity, num_features),
       train_ring(cfg.queue_capacity, num_features),
-      learner(std::make_unique<core::OnlineRegHD>(online, num_features)) {}
+      learner(online, num_features) {}
 
 Server::Server(ServeConfig config, core::OnlineConfig online, std::size_t num_features)
     : config_(std::move(config)), online_config_(std::move(online)), nf_(num_features) {
@@ -63,68 +69,52 @@ Server::Server(ServeConfig config, core::OnlineConfig online, std::size_t num_fe
 
 Server::~Server() { stop(); }
 
-std::string Server::shard_checkpoint_dir(std::size_t shard) const {
-  return config_.checkpoint_dir + "/shard_" + std::to_string(shard);
-}
-
 void Server::bootstrap(std::size_t shard, const core::OnlineRegHD& learner) {
   REGHD_CHECK(!started_, "bootstrap must happen before start()");
   REGHD_CHECK(shard < shards_.size(), "bootstrap shard " << shard << " out of range");
+  adopt(*shards_[shard], learner);
+}
+
+void Server::adopt(Shard& shard, core::OnlineRegHD learner) {
   REGHD_CHECK(learner.num_features() == nf_,
-              "bootstrap learner has " << learner.num_features()
-                                       << " features, server expects " << nf_);
-  // Checkpoint roundtrip = the snapshot copy mechanism: the shard adopts a
-  // bit-identical copy without sharing any mutable state with the caller.
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  core::save_online_checkpoint(buf, learner);
-  // Projection storage is a deployment knob the container deliberately does
-  // not carry; the load applies the server's configured mode at construction.
-  shards_[shard]->learner = std::make_unique<core::OnlineRegHD>(
-      core::load_online_checkpoint(buf, online_config_.encoder.projection_storage));
+              "adopted learner has " << learner.num_features()
+                                     << " features, server expects " << nf_);
+  // A bootstrapped copy shares only the immutable encoder with its source,
+  // and a recovered checkpoint loads resident; either way the shard then
+  // runs in the server's projection storage.
+  shard.learner = std::move(learner);
+  shard.learner.set_projection_storage(online_config_.encoder.projection_storage);
 }
 
 void Server::start() {
   REGHD_CHECK(!started_, "server already started");
-  if (tenant_mode()) {
-    // Tenant mode: no per-shard learner, no snapshots to publish — one
-    // combined thread per shard owns its TenantStore and both rings.
-    draining_.store(false, std::memory_order_seq_cst);
-    accepting_.store(true, std::memory_order_seq_cst);
-    for (auto& shard : shards_) {
-      Shard* s = shard.get();
-      s->worker = std::thread([this, s] { tenant_loop(*s); });
-    }
-    started_ = true;
-    return;
-  }
-  if (!config_.checkpoint_dir.empty()) {
+  if (!tenant_mode() && !config_.checkpoint_dir.empty()) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      core::CheckpointConfig ck;
-      ck.dir = shard_checkpoint_dir(i);
-      ck.keep_last = config_.checkpoint_keep_last;
-      const core::CheckpointManager mgr(ck);
+      const core::CheckpointManager mgr(shard_checkpoint(config_, i));
       if (std::optional<core::OnlineRegHD> recovered = mgr.recover()) {
-        REGHD_CHECK(recovered->num_features() == nf_,
-                    "recovered checkpoint has " << recovered->num_features()
-                                                << " features, server expects " << nf_);
-        shards_[i]->learner =
-            std::make_unique<core::OnlineRegHD>(std::move(*recovered));
-        shards_[i]->learner->set_projection_storage(
-            online_config_.encoder.projection_storage);
+        adopt(*shards_[i], std::move(*recovered));
       }
     }
   }
   draining_.store(false, std::memory_order_seq_cst);
   // Initial publication happens on this thread, before any worker exists:
-  // every worker observes a snapshot from its very first query.
-  for (auto& shard : shards_) {
-    publish_snapshot(*shard);
+  // every worker observes a snapshot from its very first query. Tenant mode
+  // publishes nothing: one combined thread per shard owns its TenantStore
+  // and both rings.
+  if (!tenant_mode()) {
+    for (auto& shard : shards_) {
+      publish_snapshot(*shard);
+    }
   }
   accepting_.store(true, std::memory_order_seq_cst);
   for (auto& shard : shards_) {
     Shard* s = shard.get();
-    s->worker = std::thread([this, s] { worker_loop(*s); });
-    s->trainer = std::thread([this, s] { trainer_loop(*s); });
+    if (tenant_mode()) {
+      s->worker = std::thread([this, s] { tenant_loop(*s); });
+    } else {
+      s->worker = std::thread([this, s] { worker_loop(*s); });
+      s->trainer = std::thread([this, s] { trainer_loop(*s); });
+    }
   }
   started_ = true;
 }
@@ -178,15 +168,12 @@ void Server::stop() {
   }
   if (!config_.checkpoint_dir.empty()) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      core::CheckpointConfig ck;
-      ck.dir = shard_checkpoint_dir(i);
-      ck.keep_last = config_.checkpoint_keep_last;
       try {
-        core::CheckpointManager mgr(ck);
+        core::CheckpointManager mgr(shard_checkpoint(config_, i));
         if (fault.mode != util::FaultMode::kNone) {
           mgr.set_fault_plan(fault);
         }
-        mgr.save(*shards_[i]->learner);
+        mgr.save(shards_[i]->learner);
       } catch (...) {
         obs::count(obs::Counter::kCkptSaveFailures);
       }
@@ -295,22 +282,14 @@ TenantStore& Server::tenant_store(std::size_t shard) const {
 
 void Server::publish_snapshot(Shard& shard) {
   const obs::StageTimer timer(obs::Histo::kServePublishNs);
-  // Serialize → deserialize through the checkpoint container: the snapshot
-  // is bit-identical to the trainer's state (the checkpoint suite's
-  // roundtrip guarantee) and shares nothing with it.
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  core::save_online_checkpoint(buf, *shard.learner);
-  // Load directly in the deployment's projection-storage mode: a plain load
-  // comes back resident, which would both re-materialize the F×D matrix in
-  // every published snapshot and burn milliseconds of trainer-thread time
-  // regenerating a matrix the rematerialized deployment throws away.
-  auto snap = std::make_shared<ModelSnapshot>(
-      core::load_online_checkpoint(buf, online_config_.encoder.projection_storage));
+  // A value copy: bit-identical to the trainer's state, sharing only the
+  // immutable encoder (so it already runs in the server's storage mode).
+  auto snap = std::make_shared<ModelSnapshot>(shard.learner);
   const std::uint64_t epoch = ++shard.epoch_counter;
   snap->epoch = epoch;
   snap->epoch_check = epoch;
   snap->published_ns = steady_ns();
-  snap->trained_updates = shard.learner->samples_seen();
+  snap->trained_updates = shard.learner.samples_seen();
   shard.cell.publish(std::move(snap));
   obs::count(obs::Counter::kServeSnapshotPublishes);
 }
@@ -353,30 +332,6 @@ void Server::worker_loop(Shard& shard) {
                     now > snap->published_ns ? now - snap->published_ns : 0);
   };
 
-  const auto idle_wait = [&] {
-    if (config_.idle_spin_us > 0) {
-      const std::uint64_t deadline = steady_ns() + config_.idle_spin_us * 1000;
-      while (steady_ns() < deadline) {
-        if (shard.predict_ring.can_pop() ||
-            draining_.load(std::memory_order_acquire)) {
-          return;
-        }
-        std::this_thread::yield();
-      }
-    }
-    // Eventcount sleep: announce, re-check the ring, then wait on the ticket
-    // counter. A producer that missed the announcement raised the ticket
-    // first, so wait(seen) returns immediately; one that saw it notifies.
-    const std::uint64_t seen = shard.tickets.load(std::memory_order_acquire);
-    shard.sleeping.store(true, std::memory_order_seq_cst);
-    if (shard.predict_ring.can_pop() || draining_.load(std::memory_order_seq_cst)) {
-      shard.sleeping.store(false, std::memory_order_relaxed);
-      return;
-    }
-    shard.tickets.wait(seen, std::memory_order_acquire);
-    shard.sleeping.store(false, std::memory_order_relaxed);
-  };
-
   maybe_swap();  // the initial snapshot was published before this thread ran
   obs::count(obs::Counter::kServeRequests, 0);  // register this thread's shard
   if (config_.prewarm && snap) {
@@ -394,28 +349,14 @@ void Server::worker_loop(Shard& shard) {
 
   for (;;) {
     maybe_swap();
-    const std::uint64_t drain_start = steady_ns();
-    std::size_t n = 0;
-    while (n < cap && shard.predict_ring.try_pop(headers[n], raw.data() + n * nf)) {
-      ++n;
-    }
+    const std::size_t n = drain_predicts(shard, headers, raw.data());
     if (n == 0) {
       if (draining_.load(std::memory_order_acquire) && !shard.predict_ring.can_pop()) {
         return;  // admission closed, producers gone, ring verified empty
       }
-      idle_wait();
+      idle_wait(shard);
       continue;
     }
-
-    const std::uint64_t assembled = steady_ns();
-    obs::observe_ns(obs::Histo::kServeAssembleNs, assembled - drain_start);
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::observe_ns(obs::Histo::kServeQueueWaitNs,
-                      assembled > headers[i].enqueue_ns
-                          ? assembled - headers[i].enqueue_ns
-                          : 0);
-    }
-    obs::observe_ns(obs::Histo::kServeBatchFill, n);  // admission occupancy
 
     const PredictPathProbe probe = predict_path_probe();
     if (probe != nullptr) {
@@ -466,61 +407,55 @@ void Server::worker_loop(Shard& shard) {
 
     const std::uint64_t done = steady_ns();
     for (std::size_t i = 0; i < n; ++i) {
-      RequestSlot* slot = headers[i].slot;
-      slot->result = failed ? 0.0 : out[i];
-      slot->error = failed ? 1U : 0U;
-      obs::observe_ns(obs::Histo::kServePredictNs,
-                      done > headers[i].enqueue_ns ? done - headers[i].enqueue_ns
-                                                   : 0);
-      slot->done_ns.store(done, std::memory_order_seq_cst);
-      if (slot->waited.load(std::memory_order_seq_cst)) {
-        slot->done_ns.notify_all();  // someone is (or is about to be) parked
-      }
+      complete(headers[i], out[i], failed, done);
     }
   }
 }
 
 void Server::trainer_loop(Shard& shard) {
-  core::OnlineRegHD& learner = *shard.learner;
+  core::OnlineRegHD& learner = shard.learner;
   std::vector<double> row(nf_, 0.0);
-  TrainHeader header;
   PublishCadence cadence;
   cadence.every = config_.publish_every_updates;
   cadence.interval_ns = static_cast<std::uint64_t>(
       std::max(0.0, config_.publish_interval_ms) * 1e6);
   cadence.last_ns = steady_ns();
-  constexpr std::size_t kDrainQuantum = 256;
+
+  // A failed publish is counted and skipped like a failed update: the shard
+  // keeps serving from its last snapshot.
+  const auto publish = [&] {
+    try {
+      publish_snapshot(shard);
+    } catch (...) {
+      obs::count(obs::Counter::kServeTrainErrors);
+    }
+  };
 
   for (;;) {
     // The drain is bracketed by the no-alloc probe: update() runs once per
     // sample right here, so its steady state must stay off the allocator
     // just like the predict paths (publishes happen outside the brackets —
-    // the checkpoint roundtrip allocates by design).
+    // the snapshot copy allocates by design).
     const PredictPathProbe probe = predict_path_probe();
     if (probe != nullptr) {
       probe(true);
     }
-    std::size_t applied = 0;
-    while (applied < kDrainQuantum && shard.train_ring.try_pop(header, row.data())) {
-      learner.update({row.data(), nf_}, header.target);
-      ++applied;
-    }
+    const std::size_t popped =
+        drain_train(shard, row, [&](const TrainHeader& header, std::span<const double> x) {
+          learner.update(x, header.target);
+          cadence.applied(1);
+        });
     if (probe != nullptr) {
       probe(false);
     }
-    if (applied > 0) {
-      obs::count(obs::Counter::kServeTrainApplied, applied);
-      shard.train_applied.fetch_add(applied, std::memory_order_release);
-      cadence.applied(applied);
-    }
     if (cadence.due(steady_ns())) {
-      publish_snapshot(shard);
-      // Re-stamp from the clock AFTER the publish returned: a publish costs
-      // milliseconds, and anchoring the interval at the pre-publish reading
-      // made the timer fire systematically early under load (see cadence.hpp).
+      publish();
+      // Re-stamp from the clock AFTER the publish returned: anchoring the
+      // interval at the pre-publish reading made the timer fire
+      // systematically early under load (see cadence.hpp).
       cadence.published(steady_ns());
     }
-    if (applied == 0) {
+    if (popped == 0) {
       if (draining_.load(std::memory_order_acquire) && !shard.train_ring.can_pop()) {
         break;
       }
@@ -530,7 +465,7 @@ void Server::trainer_loop(Shard& shard) {
     }
   }
   if (cadence.dirty > 0) {
-    publish_snapshot(shard);  // final state visible to late readers
+    publish();  // final state visible to late readers
   }
 }
 
@@ -542,57 +477,22 @@ void Server::tenant_loop(Shard& shard) {
   std::vector<PredictHeader> headers(cap);
   util::AlignedVector<double> raw(cap * nf, 0.0);
   std::vector<double> train_row(nf, 0.0);
-  TrainHeader train_header;
-  constexpr std::size_t kTrainQuantum = 256;
 
   obs::count(obs::Counter::kServeRequests, 0);  // register this thread's shard
   if (config_.prewarm) {
     // Grow the fused path's thread_local scratch to the *base* (largest)
     // dimension before any probe can arm: tiered tenants step D upward, and
     // the first full-D tenant on this thread would otherwise regrow it.
-    (void)shard.learner->model().predict_one(shard.learner->encoder(),
-                                             {train_row.data(), nf});
+    (void)shard.learner.model().predict_one(shard.learner.encoder(),
+                                            {train_row.data(), nf});
   }
-
-  const auto idle_wait = [&] {
-    if (config_.idle_spin_us > 0) {
-      const std::uint64_t deadline = steady_ns() + config_.idle_spin_us * 1000;
-      while (steady_ns() < deadline) {
-        if (shard.predict_ring.can_pop() || shard.train_ring.can_pop() ||
-            draining_.load(std::memory_order_acquire)) {
-          return;
-        }
-        std::this_thread::yield();
-      }
-    }
-    const std::uint64_t seen = shard.tickets.load(std::memory_order_acquire);
-    shard.sleeping.store(true, std::memory_order_seq_cst);
-    if (shard.predict_ring.can_pop() || shard.train_ring.can_pop() ||
-        draining_.load(std::memory_order_seq_cst)) {
-      shard.sleeping.store(false, std::memory_order_relaxed);
-      return;
-    }
-    shard.tickets.wait(seen, std::memory_order_acquire);
-    shard.sleeping.store(false, std::memory_order_relaxed);
-  };
 
   for (;;) {
     // Predicts first — they are latency-sensitive; training is deferrable.
-    const std::uint64_t drain_start = steady_ns();
-    std::size_t n = 0;
-    while (n < cap && shard.predict_ring.try_pop(headers[n], raw.data() + n * nf)) {
-      ++n;
-    }
+    const std::size_t n = drain_predicts(shard, headers, raw.data());
     if (n > 0) {
-      const std::uint64_t assembled = steady_ns();
-      obs::observe_ns(obs::Histo::kServeAssembleNs, assembled - drain_start);
-      obs::observe_ns(obs::Histo::kServeBatchFill, n);
       const PredictPathProbe probe = predict_path_probe();
       for (std::size_t i = 0; i < n; ++i) {
-        obs::observe_ns(obs::Histo::kServeQueueWaitNs,
-                        assembled > headers[i].enqueue_ns
-                            ? assembled - headers[i].enqueue_ns
-                            : 0);
         bool failed = false;
         double result = 0.0;
         try {
@@ -613,41 +513,110 @@ void Server::tenant_loop(Shard& shard) {
           }
           failed = true;
         }
-        RequestSlot* slot = headers[i].slot;
-        const std::uint64_t done = steady_ns();
-        slot->result = failed ? 0.0 : result;
-        slot->error = failed ? 1U : 0U;
-        obs::observe_ns(obs::Histo::kServePredictNs,
-                        done > headers[i].enqueue_ns ? done - headers[i].enqueue_ns
-                                                     : 0);
-        slot->done_ns.store(done, std::memory_order_seq_cst);
-        if (slot->waited.load(std::memory_order_seq_cst)) {
-          slot->done_ns.notify_all();
-        }
+        complete(headers[i], result, failed, steady_ns());
       }
       obs::count(obs::Counter::kServeSingleRows, n);
     }
 
-    std::size_t applied = 0;
-    while (applied < kTrainQuantum &&
-           shard.train_ring.try_pop(train_header, train_row.data())) {
-      (void)store.update(train_header.key, {train_row.data(), nf},
-                         train_header.target);
-      ++applied;
-    }
-    if (applied > 0) {
-      obs::count(obs::Counter::kServeTrainApplied, applied);
-      shard.train_applied.fetch_add(applied, std::memory_order_release);
-    }
-
-    if (n == 0 && applied == 0) {
+    const std::size_t popped = drain_train(
+        shard, train_row, [&](const TrainHeader& header, std::span<const double> x) {
+          (void)store.update(header.key, x, header.target);
+        });
+    if (n == 0 && popped == 0) {
       if (draining_.load(std::memory_order_acquire) && !shard.predict_ring.can_pop() &&
           !shard.train_ring.can_pop()) {
         return;  // admission closed, producers gone, both rings verified empty
       }
-      idle_wait();
+      idle_wait(shard);
     }
   }
+}
+
+template <typename Apply>
+std::size_t Server::drain_train(Shard& shard, std::vector<double>& row, Apply apply) {
+  constexpr std::size_t kTrainQuantum = 256;
+  TrainHeader header;
+  std::size_t popped = 0;
+  std::size_t applied = 0;
+  while (popped < kTrainQuantum && shard.train_ring.try_pop(header, row.data())) {
+    ++popped;
+    try {
+      apply(header, std::span<const double>(row));
+      ++applied;
+    } catch (...) {
+      // E.g. an activation whose eviction could not write its spill file:
+      // count it and move on, the thread keeps serving.
+      obs::count(obs::Counter::kServeTrainErrors);
+    }
+  }
+  if (applied > 0) {
+    obs::count(obs::Counter::kServeTrainApplied, applied);
+    shard.train_applied.fetch_add(applied, std::memory_order_release);
+  }
+  return popped;
+}
+
+std::size_t Server::drain_predicts(Shard& shard, std::span<PredictHeader> headers,
+                                   double* raw) {
+  const std::uint64_t drain_start = steady_ns();
+  std::size_t n = 0;
+  while (n < headers.size() && shard.predict_ring.try_pop(headers[n], raw + n * nf_)) {
+    ++n;
+  }
+  if (n == 0) {
+    return 0;
+  }
+  const std::uint64_t assembled = steady_ns();
+  obs::observe_ns(obs::Histo::kServeAssembleNs, assembled - drain_start);
+  for (std::size_t i = 0; i < n; ++i) {
+    obs::observe_ns(obs::Histo::kServeQueueWaitNs,
+                    assembled > headers[i].enqueue_ns ? assembled - headers[i].enqueue_ns
+                                                      : 0);
+  }
+  obs::observe_ns(obs::Histo::kServeBatchFill, n);  // admission occupancy
+  return n;
+}
+
+void Server::complete(const PredictHeader& header, double result, bool failed,
+                      std::uint64_t done) {
+  RequestSlot* slot = header.slot;
+  slot->result = failed ? 0.0 : result;
+  slot->error = failed ? 1U : 0U;
+  obs::observe_ns(obs::Histo::kServePredictNs,
+                  done > header.enqueue_ns ? done - header.enqueue_ns : 0);
+  if (slot->done_ns.exchange(done, std::memory_order_acq_rel) == RequestSlot::kWaiting) {
+    slot->done_ns.notify_all();  // a client is parked in wait()
+  }
+}
+
+void Server::idle_wait(Shard& shard) {
+  // Tenant mode's combined thread also consumes the train ring, so train
+  // arrivals must wake it; the snapshot worker watches predicts only.
+  const bool watch_train = tenant_mode();
+  const auto has_work = [&](std::memory_order order) {
+    return shard.predict_ring.can_pop() || (watch_train && shard.train_ring.can_pop()) ||
+           draining_.load(order);
+  };
+  if (config_.idle_spin_us > 0) {
+    const std::uint64_t deadline = steady_ns() + config_.idle_spin_us * 1000;
+    while (steady_ns() < deadline) {
+      if (has_work(std::memory_order_acquire)) {
+        return;
+      }
+      std::this_thread::yield();
+    }
+  }
+  // Eventcount sleep: announce, re-check the rings, then wait on the ticket
+  // counter. A producer that missed the announcement raised the ticket
+  // first, so wait(seen) returns immediately; one that saw it notifies.
+  const std::uint64_t seen = shard.tickets.load(std::memory_order_acquire);
+  shard.sleeping.store(true, std::memory_order_seq_cst);
+  if (has_work(std::memory_order_seq_cst)) {
+    shard.sleeping.store(false, std::memory_order_relaxed);
+    return;
+  }
+  shard.tickets.wait(seen, std::memory_order_acquire);
+  shard.sleeping.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace reghd::serve

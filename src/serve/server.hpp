@@ -16,10 +16,12 @@
 //
 //   trainer          drains the train ring, applies OnlineRegHD::update on
 //                    the shard's only mutable learner, and periodically
-//                    publishes an immutable snapshot (checkpoint-container
-//                    roundtrip) through the shard's SnapshotCell. Workers
-//                    hot-swap by polling the cell's epoch hint — one relaxed
-//                    load per drain group, an acquire only when it moved.
+//                    publishes an immutable snapshot (a value copy sharing
+//                    the learner's immutable encoder) through the shard's
+//                    SnapshotCell. Workers hot-swap by polling the cell's
+//                    epoch hint — one relaxed load per drain group, an
+//                    acquire only when it moved. Failed updates and
+//                    publishes are counted (serve_train_errors), not fatal.
 //
 // Keys route to shards by a splitmix64 hash, so one tenant/key always lands
 // on the same shard (its updates and reads are totally ordered by that
@@ -85,9 +87,9 @@ struct ServeConfig {
   bool prewarm = true;
 
   /// When nonempty: recover each shard from `<dir>/shard_<i>` at start()
-  /// and persist its final state there at stop() — the snapshot format and
-  /// the persistence format are the same checkpoint container. (Ignored in
-  /// tenant mode, whose persistence is the store's spill_dir.)
+  /// and persist its final state there at stop() through the checkpoint
+  /// container. (Ignored in tenant mode, whose persistence is the store's
+  /// spill_dir.)
   std::string checkpoint_dir;
   std::size_t checkpoint_keep_last = 2;
 
@@ -102,36 +104,37 @@ struct ServeConfig {
 /// steady-clock completion timestamp — the coordinated-omission-safe
 /// latency recorders subtract their own scheduled time from it.
 struct RequestSlot {
+  /// done_ns while a client is blocked in wait() and no completion has
+  /// landed. The worker completes with one exchange and pays the futex-wake
+  /// syscall only when it replaced this marker; a polling client (the common
+  /// closed-loop harvest pattern) may reuse the slot the instant done_ns
+  /// turns nonzero, so the worker must not touch the slot after that store.
+  static constexpr std::uint64_t kWaiting = ~std::uint64_t{0};
+
   std::atomic<std::uint64_t> done_ns{0};
-  /// Set by a client entering wait(); the worker only pays the futex-wake
-  /// syscall for slots someone is actually blocked on. Clients that poll
-  /// ready() (the common closed-loop harvest pattern) never set it, so
-  /// their completions cost one relaxed load instead of a syscall each.
-  std::atomic<bool> waited{false};
   double result = 0.0;
   std::uint32_t error = 0;  ///< 0 = ok; nonzero = worker-side failure.
 
   void reset() noexcept {
     result = 0.0;
     error = 0;
-    waited.store(false, std::memory_order_relaxed);
     done_ns.store(0, std::memory_order_relaxed);
   }
   [[nodiscard]] bool ready() const noexcept {
-    return done_ns.load(std::memory_order_acquire) != 0;
+    const std::uint64_t v = done_ns.load(std::memory_order_acquire);
+    return v != 0 && v != kWaiting;
   }
   /// Blocks until completion (futex wait on done_ns).
   void wait() noexcept {
-    if (ready()) {
-      return;
+    // Announce the waiter in the completion word itself (0 → kWaiting), so
+    // the announcement and the worker's exchange are ordered on one atomic.
+    // A failed exchange loads the completion that already landed.
+    std::uint64_t v = 0;
+    if (done_ns.compare_exchange_strong(v, kWaiting, std::memory_order_acquire)) {
+      v = kWaiting;
     }
-    // seq_cst on both sides closes the flag/completion race: after this
-    // store, either the worker's done_ns store is visible to the re-check
-    // below, or the worker sees waited == true and notifies.
-    waited.store(true, std::memory_order_seq_cst);
-    std::uint64_t v = done_ns.load(std::memory_order_seq_cst);
-    while (v == 0) {
-      done_ns.wait(0, std::memory_order_acquire);
+    while (v == kWaiting) {
+      done_ns.wait(kWaiting, std::memory_order_acquire);
       v = done_ns.load(std::memory_order_acquire);
     }
   }
@@ -147,8 +150,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Replaces shard `shard`'s learner with a checkpoint-roundtrip copy of
-  /// `learner` (e.g. one pre-trained offline). Only before start().
+  /// Replaces shard `shard`'s learner with a copy of `learner` (e.g. one
+  /// pre-trained offline) in the server's projection storage. Only before
+  /// start().
   void bootstrap(std::size_t shard, const core::OnlineRegHD& learner);
 
   /// Recovers checkpoints (if configured), publishes every shard's initial
@@ -232,9 +236,9 @@ class Server {
     IngestRing<PredictHeader> predict_ring;
     IngestRing<TrainHeader> train_ring;
     SnapshotCell cell;
-    std::unique_ptr<core::OnlineRegHD> learner;  ///< trainer-owned after start.
-    std::unique_ptr<TenantStore> tenants;        ///< tenant mode only; shard-thread-owned.
-    std::uint64_t epoch_counter = 0;             ///< trainer-only.
+    core::OnlineRegHD learner;             ///< trainer-owned after start.
+    std::unique_ptr<TenantStore> tenants;  ///< tenant mode only; shard-thread-owned.
+    std::uint64_t epoch_counter = 0;       ///< trainer-only.
     std::atomic<std::uint64_t> train_applied{0};
 
     // Predict-ring doorbell (eventcount): producers bump tickets and wake
@@ -250,9 +254,25 @@ class Server {
   void worker_loop(Shard& shard);
   void trainer_loop(Shard& shard);
   void tenant_loop(Shard& shard);  ///< combined drain loop, tenant mode.
+
+  // The drain/complete/idle skeleton the loops share.
+  /// Pops up to one quantum of train samples and applies each through
+  /// `apply(header, row)`; throws count as serve_train_errors. Returns pops.
+  template <typename Apply>
+  std::size_t drain_train(Shard& shard, std::vector<double>& row, Apply apply);
+  /// Pops up to headers.size() predicts (rows into `raw`), observing assemble,
+  /// queue wait and batch fill. Returns the count.
+  std::size_t drain_predicts(Shard& shard, std::span<PredictHeader> headers, double* raw);
+  /// Writes one request's outcome into its slot and wakes a parked waiter.
+  static void complete(const PredictHeader& header, double result, bool failed,
+                       std::uint64_t done);
+  /// Spins, then sleeps on the shard's eventcount until there is work.
+  void idle_wait(Shard& shard);
+
   void publish_snapshot(Shard& shard);
+  /// Installs `learner` as the shard's learner in the server's storage mode.
+  void adopt(Shard& shard, core::OnlineRegHD learner);
   void ring_doorbell(Shard& shard);
-  [[nodiscard]] std::string shard_checkpoint_dir(std::size_t shard) const;
 
   ServeConfig config_;
   core::OnlineConfig online_config_;

@@ -4,22 +4,21 @@
 // periodically publishes an immutable copy; predict workers score every
 // query against the snapshot they last acquired and pick up new epochs by
 // polling a relaxed epoch hint — the steady-state predict path takes no
-// lock and copies no model state. Publication is one release store of a
-// shared_ptr (plus the hint bump); retirement is automatic when the last
-// worker drops its reference.
+// lock and copies no model state. Publication swaps a shared_ptr under a
+// mutex that only publishers and epoch-changing acquires take (plus the hint
+// bump); retirement is automatic when the last worker drops its reference.
 //
-// The copy itself rides the PR 2 checkpoint container: a snapshot is a
-// save_online_checkpoint → load_online_checkpoint roundtrip, which is
-// bit-identical to the trainer's state by the checkpoint suite's own
-// guarantee and doubles as the on-disk persistence format (Server::stop
-// writes the same bytes through CheckpointManager).
+// The snapshot is a plain value copy of the trainer's OnlineRegHD: every
+// mutable array is duplicated, so it is bit-identical to the trainer's state
+// at publish and never changes afterwards, while the immutable encoder is
+// shared (encoding is const, so worker and trainer use it concurrently).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
-#include <version>
 
 #include "core/online.hpp"
 
@@ -42,31 +41,29 @@ struct ModelSnapshot {
 
 /// Single-writer / multi-reader publication slot.
 ///
-/// publish() stores the pointer (release) and then bumps the epoch hint
+/// publish() swaps the pointer under the mutex and then bumps the epoch hint
 /// (release), so a reader that sees the new hint and acquires is guaranteed
 /// the fully constructed snapshot. Readers poll epoch_hint() — one relaxed
-/// load — per query and only pay the acquire (a reference-count bump) when
-/// the hint moved. Epochs are published in increasing order by the single
-/// trainer, so every reader observes a non-decreasing epoch sequence.
+/// load — per query and only pay the acquire (a lock and a reference-count
+/// bump) when the hint moved. Epochs are published in increasing order by
+/// the single trainer, so every reader observes a non-decreasing epoch
+/// sequence. A mutex rather than std::atomic<shared_ptr>: libstdc++ locks
+/// inside that type too, with a pointer-bit spinlock ThreadSanitizer cannot
+/// see.
 class SnapshotCell {
  public:
   void publish(std::shared_ptr<const ModelSnapshot> snap) {
     const std::uint64_t epoch = snap->epoch;
-#if defined(__cpp_lib_atomic_shared_ptr)
-    slot_.store(std::move(snap), std::memory_order_release);
-#else
-    std::atomic_store_explicit(&slot_, std::shared_ptr<const ModelSnapshot>(std::move(snap)),
-                               std::memory_order_release);
-#endif
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      slot_.swap(snap);  // the previous snapshot is released after unlocking
+    }
     epoch_.store(epoch, std::memory_order_release);
   }
 
   [[nodiscard]] std::shared_ptr<const ModelSnapshot> acquire() const {
-#if defined(__cpp_lib_atomic_shared_ptr)
-    return slot_.load(std::memory_order_acquire);
-#else
-    return std::atomic_load_explicit(&slot_, std::memory_order_acquire);
-#endif
+    const std::lock_guard<std::mutex> lock(mu_);
+    return slot_;
   }
 
   /// Latest published epoch (0 before the first publish). Relaxed: the cheap
@@ -76,11 +73,8 @@ class SnapshotCell {
   }
 
  private:
-#if defined(__cpp_lib_atomic_shared_ptr)
-  std::atomic<std::shared_ptr<const ModelSnapshot>> slot_;
-#else
-  std::shared_ptr<const ModelSnapshot> slot_;  // std::atomic_load/store free functions
-#endif
+  mutable std::mutex mu_;
+  std::shared_ptr<const ModelSnapshot> slot_;  ///< guarded by mu_.
   std::atomic<std::uint64_t> epoch_{0};
 };
 

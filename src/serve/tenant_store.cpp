@@ -215,58 +215,63 @@ TenantStore::Entry& TenantStore::entry_of(std::uint64_t key) {
   if (free_.empty()) {
     evict_lru_tail();
   }
+  // The slot leaves free_ only once its learner exists: a blob that fails to
+  // load fails this one request and never leaks a slot.
   const std::uint32_t slot = free_.back();
-  free_.pop_back();
   Entry& e = entries_[slot];
   e.key = key;
 
-  if (const auto sp = spilled_.find(key); sp != spilled_.end()) {
+  const bool on_disk = !config_.spill_dir.empty();
+  const auto sp = spilled_.find(key);
+  const bool indexed = sp != spilled_.end();
+  if (indexed || (on_disk && std::filesystem::exists(spill_path(key)))) {
     // Reactivation: load the exact serialized state back — the tenant
-    // resumes bit-identically to one that was never evicted.
-    std::istringstream in(
-        config_.spill_dir.empty() ? std::move(sp->second.blob)
-                                  : util::read_file_bytes(spill_path(key),
-                                                          kMaxSpillFileBytes),
-        std::ios::binary);
-    e.learner = std::make_unique<core::OnlineRegHD>(
-        core::load_online_checkpoint(in, online_.encoder.projection_storage));
-    e.updates = sp->second.updates;
-    e.tier = sp->second.tier;
-    spill_bytes_ -= sp->second.bytes;
-    if (!config_.spill_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(spill_path(key), ec);
+    // resumes bit-identically to one that was never evicted. An unindexed
+    // file was flushed by an earlier store instance (e.g. before a restart).
+    std::string blob;
+    if (indexed) {
+      blob = std::move(sp->second.blob);
+      e.updates = sp->second.updates;
+      e.tier = sp->second.tier;
+      spill_bytes_ -= sp->second.bytes;
+      spilled_.erase(sp);
     }
-    spilled_.erase(sp);
-    reactivations_.fetch_add(1, std::memory_order_relaxed);
-    obs::count(obs::Counter::kTenantReactivations);
-  } else if (!config_.spill_dir.empty() &&
-             std::filesystem::exists(spill_path(key))) {
-    // Cold-index reactivation: a previous store instance (typically before a
-    // process restart) flushed this tenant to disk, so the blob exists but
-    // this instance's spill index has never seen it. The sidecar metadata is
-    // recoverable from the checkpoint itself: samples_seen counts exactly
-    // this tenant's updates, and the serialized dimension names its tier.
-    std::istringstream in(
-        util::read_file_bytes(spill_path(key), kMaxSpillFileBytes),
-        std::ios::binary);
-    e.learner = std::make_unique<core::OnlineRegHD>(
-        core::load_online_checkpoint(in, online_.encoder.projection_storage));
-    e.updates = e.learner->samples_seen();
-    e.tier = tier_of(e.updates);
-    // The clamp can collapse neighbouring tiers to one dimension; trust the
-    // serialized D over the update count when they disagree.
-    const std::size_t loaded_dim = e.learner->config().reghd.dim;
-    if (tier_dims_[e.tier] != loaded_dim) {
-      for (std::size_t t = 0; t < tier_dims_.size(); ++t) {
-        if (tier_dims_[t] == loaded_dim) {
-          e.tier = t;
-          break;
+    try {
+      if (on_disk) {
+        blob = util::read_file_bytes(spill_path(key), kMaxSpillFileBytes);
+      }
+      std::istringstream in(std::move(blob), std::ios::binary);
+      e.learner = std::make_unique<core::OnlineRegHD>(
+          core::load_online_checkpoint(in, online_.encoder.projection_storage));
+    } catch (...) {
+      // Unloadable blob: its index entry is already gone and a file moves
+      // aside, so the key restarts cold on its next request.
+      if (on_disk) {
+        std::error_code ec;
+        std::filesystem::rename(spill_path(key), spill_path(key) + ".corrupt", ec);
+      }
+      reactivate_failures_.fetch_add(1, std::memory_order_relaxed);
+      obs::count(obs::Counter::kTenantReactivateFailures);
+      throw;
+    }
+    if (!indexed) {
+      // Recover the sidecar metadata from the checkpoint: samples_seen counts
+      // this tenant's updates and the serialized D names its tier (the clamp
+      // can collapse neighbouring tiers to one D, so D wins a disagreement).
+      e.updates = e.learner->samples_seen();
+      e.tier = tier_of(e.updates);
+      const std::size_t loaded_dim = e.learner->config().reghd.dim;
+      if (tier_dims_[e.tier] != loaded_dim) {
+        const auto t = std::find(tier_dims_.begin(), tier_dims_.end(), loaded_dim);
+        if (t != tier_dims_.end()) {
+          e.tier = static_cast<std::size_t>(t - tier_dims_.begin());
         }
       }
     }
-    std::error_code ec;
-    std::filesystem::remove(spill_path(key), ec);
+    if (on_disk) {
+      std::error_code ec;
+      std::filesystem::remove(spill_path(key), ec);
+    }
     reactivations_.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::Counter::kTenantReactivations);
   } else {
@@ -278,6 +283,7 @@ TenantStore::Entry& TenantStore::entry_of(std::uint64_t key) {
     activations_.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::Counter::kTenantActivations);
   }
+  free_.pop_back();
   resident_bytes_.fetch_add(approx_learner_bytes(e.tier), std::memory_order_relaxed);
   resident_index_.emplace(key, slot);
   lru_push_front(slot);
@@ -343,6 +349,7 @@ TenantStoreStats TenantStore::stats() const {
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.promotions = promotions_.load(std::memory_order_relaxed);
   s.spill_discards = spill_discards_.load(std::memory_order_relaxed);
+  s.reactivate_failures = reactivate_failures_.load(std::memory_order_relaxed);
   s.resident = resident_index_.size();
   s.spilled = spilled_.size();
   s.resident_bytes =

@@ -11,6 +11,8 @@
 //    through the checkpoint container into a spill entry (in-memory blob, or
 //    an atomic file under `spill_dir`). Reactivation loads the blob back —
 //    the tenant resumes bit-identically, as if it had never been evicted.
+//    A blob that fails to load fails only that request; it is dropped (a
+//    file moves to `<path>.corrupt`) and the key restarts cold.
 //
 //  * **Tier-sized dimensionality.** The capacity model (paper §2.3,
 //    Eqs. 3–4) lower-bounds the dimension D needed to superpose P patterns
@@ -91,6 +93,9 @@ struct TenantStoreStats {
   std::uint64_t evictions = 0;      ///< LRU evictions serialized out.
   std::uint64_t promotions = 0;     ///< tier promotions (D grew).
   std::uint64_t spill_discards = 0; ///< spilled blobs dropped by the budget.
+  /// Blobs that failed to load. activations + reactivations +
+  /// reactivate_failures = misses, barring a failed eviction.
+  std::uint64_t reactivate_failures = 0;
   std::size_t resident = 0;         ///< tenants currently resident.
   std::size_t spilled = 0;          ///< tenants currently spilled.
   std::size_t resident_bytes = 0;   ///< approx. live-learner footprint.
@@ -211,6 +216,7 @@ class TenantStore {
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> spill_discards_{0};
+  std::atomic<std::uint64_t> reactivate_failures_{0};
   std::atomic<std::uint64_t> resident_bytes_{0};
 };
 

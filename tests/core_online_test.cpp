@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
+#include "core/checkpoint.hpp"
 #include "core/online.hpp"
 #include "data/synthetic.hpp"
 #include "util/random.hpp"
@@ -119,6 +122,66 @@ TEST(OnlineRegHDTest, ValidatesConfigurationAndInput) {
 
   OnlineRegHD learner(small_config(), 3);
   EXPECT_THROW((void)learner.update(std::vector<double>{1.0}, 2.0), std::invalid_argument);
+}
+
+std::string checkpoint_bytes(const OnlineRegHD& learner) {
+  std::ostringstream out(std::ios::binary);
+  save_online_checkpoint(out, learner);
+  return std::move(out).str();
+}
+
+TEST(OnlineRegHDTest, CopyIsBitIdenticalAndSharesTheEncoder) {
+  const data::Dataset stream = data::make_friedman1(300, 37);
+  auto cfg = small_config(512);
+  cfg.requantize_every = 64;
+  OnlineRegHD orig(cfg, stream.num_features());
+  for (std::size_t i = 0; i < 200; ++i) {
+    (void)orig.update(stream.row(i), stream.target(i));
+  }
+
+  const OnlineRegHD copy = orig;
+  EXPECT_EQ(&copy.encoder(), &orig.encoder());
+  EXPECT_EQ(checkpoint_bytes(copy), checkpoint_bytes(orig));
+  for (std::size_t i = 200; i < 260; ++i) {
+    EXPECT_EQ(copy.predict(stream.row(i)), orig.predict(stream.row(i))) << "row " << i;
+  }
+}
+
+TEST(OnlineRegHDTest, UpdatingACopyLeavesTheOriginalUntouched) {
+  const data::Dataset stream = data::make_friedman1(300, 41);
+  OnlineRegHD orig(small_config(512), stream.num_features());
+  for (std::size_t i = 0; i < 100; ++i) {
+    (void)orig.update(stream.row(i), stream.target(i));
+  }
+  const std::string before = checkpoint_bytes(orig);
+
+  OnlineRegHD copy = orig;
+  for (std::size_t i = 100; i < 200; ++i) {
+    (void)copy.update(stream.row(i), stream.target(i));
+  }
+  EXPECT_NE(checkpoint_bytes(copy), before);
+  EXPECT_EQ(checkpoint_bytes(orig), before);
+}
+
+TEST(OnlineRegHDTest, ProjectionStorageOnACopyLeavesTheOriginalAlone) {
+  const data::Dataset stream = data::make_friedman1(200, 43);
+  auto cfg = small_config(512);
+  cfg.encoder.projection_storage = hdc::ProjectionStorage::kResident;
+  OnlineRegHD orig(cfg, stream.num_features());
+  for (std::size_t i = 0; i < 100; ++i) {
+    (void)orig.update(stream.row(i), stream.target(i));
+  }
+
+  OnlineRegHD copy = orig;
+  copy.set_projection_storage(hdc::ProjectionStorage::kRematerialized);
+  EXPECT_NE(&copy.encoder(), &orig.encoder());
+  EXPECT_EQ(copy.encoder().config().projection_storage,
+            hdc::ProjectionStorage::kRematerialized);
+  EXPECT_EQ(orig.encoder().config().projection_storage, hdc::ProjectionStorage::kResident);
+  EXPECT_EQ(orig.config().encoder.projection_storage, hdc::ProjectionStorage::kResident);
+  for (std::size_t i = 100; i < 140; ++i) {
+    EXPECT_EQ(copy.predict(stream.row(i)), orig.predict(stream.row(i))) << "row " << i;
+  }
 }
 
 TEST(OnlineRegHDTest, DeterministicForFixedSeed) {

@@ -226,10 +226,11 @@ TEST(ServeRuntimeTest, AdmissionClosedBeforeStartAndAfterStop) {
 
 TEST(ServeRuntimeTest, SnapshotsPreserveRematerializedProjectionStorage) {
   // Projection storage is deliberately absent from the checkpoint container,
-  // so every serialize → deserialize hop (bootstrap, publish, recovery) would
-  // silently come back resident — re-materializing the F×D matrix in every
-  // published snapshot. The server must pin its configured mode through all
-  // of them, with predictions bit-identical to the offline learner.
+  // so a recovered learner comes back resident, and a bootstrapped learner
+  // arrives in whatever mode its caller built it with. The server must pin
+  // its configured mode at every hop (bootstrap, each publish's copy,
+  // recovery) — a resident encoder would re-materialize the F×D matrix —
+  // with predictions bit-identical to the offline learner.
   const data::Dataset d = data::make_friedman1(300, 9);
   core::OnlineConfig cfg = online_config();
   cfg.encoder.projection_storage = hdc::ProjectionStorage::kRematerialized;
@@ -241,8 +242,8 @@ TEST(ServeRuntimeTest, SnapshotsPreserveRematerializedProjectionStorage) {
   sc.publish_every_updates = 16;
   sc.publish_interval_ms = 1.0;
   Server server(sc, cfg, d.num_features());
-  server.bootstrap(0, learner);  // roundtrip #1
-  server.start();                // roundtrip #2 (initial publish)
+  server.bootstrap(0, learner);  // copy #1, then the server's storage mode
+  server.start();                // copy #2 (initial publish) shares that encoder
   for (std::size_t i = 0; i < 64; ++i) {
     while (!server.try_train(0, d.row(i), d.target(i))) {
       std::this_thread::yield();

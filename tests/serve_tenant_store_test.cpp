@@ -8,11 +8,13 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
 #include "core/online.hpp"
 #include "data/synthetic.hpp"
+#include "obs/telemetry.hpp"
 #include "serve/server.hpp"
 
 namespace reghd::serve {
@@ -207,6 +209,51 @@ TEST(ServeTenantStoreTest, DiskSpillPersistsAndReactivatesBitIdentically) {
   fs::remove_all(dir);
 }
 
+TEST(ServeTenantStoreTest, CorruptSpillFailsOneRequestAndLeaksNoSlot) {
+  namespace fs = std::filesystem;
+  const data::Dataset d = data::make_friedman1(64, 6);
+  const fs::path dir = fs::temp_directory_path() / "reghd_tenant_corrupt_spill";
+  fs::remove_all(dir);
+
+  TenantStoreConfig tc = flat_config(2);
+  tc.spill_dir = dir.string();
+  TenantStore store(tc, base_online(), d.num_features());
+  for (std::size_t i = 0; i < 20; ++i) {
+    (void)store.update(1, d.row(i), d.target(i));
+  }
+  (void)store.predict(2, d.row(0));
+  (void)store.predict(3, d.row(1));  // evicts tenant 1 to disk
+  ASSERT_FALSE(store.is_resident(1));
+  {
+    std::ofstream clobber(dir / "tenant_1.reghd", std::ios::binary | std::ios::trunc);
+    clobber << "not a checkpoint";
+  }
+
+  // Retry the damaged tenant more often than there are slots. Only the first
+  // request meets the damaged blob; it is quarantined and the key restarts
+  // cold instead of failing (and leaking a slot) on every retry.
+  std::size_t failures = 0;
+  for (std::size_t r = 0; r < 2 * tc.resident_budget + 1; ++r) {
+    try {
+      (void)store.predict(1, d.row(r));
+    } catch (const std::exception&) {
+      ++failures;
+    }
+  }
+  EXPECT_EQ(failures, 1U);
+  EXPECT_TRUE(fs::exists(dir / "tenant_1.reghd.corrupt"));
+  EXPECT_EQ(store.activate(1).samples_seen(), 0U);
+
+  for (std::uint64_t key = 2; key < 8; ++key) {
+    EXPECT_NO_THROW((void)store.predict(key, d.row(key))) << "key " << key;
+  }
+  EXPECT_EQ(store.resident_count(), tc.resident_budget);
+  const TenantStoreStats s = store.stats();
+  EXPECT_EQ(s.reactivate_failures, 1U);
+  EXPECT_EQ(s.activations + s.reactivations + s.reactivate_failures, s.misses);
+  fs::remove_all(dir);
+}
+
 TEST(ServeTenantStoreTest, ServerTenantModeLearnsPerTenantModels) {
   const std::size_t nf = 6;
   ServeConfig sc;
@@ -332,6 +379,53 @@ TEST(ServeTenantStoreTest, StopFlushesTenantsToSpillDirAndTheyRecover) {
         << "revived tenant prediction " << i;
   }
   revived.stop();
+  fs::remove_all(dir);
+}
+
+TEST(ServeTenantStoreTest, FailedSpillWritesAreCountedAndTheShardThreadSurvives) {
+  // Budget 1 with two alternating keys: every switch evicts, and with the
+  // spill directory removed under the running server every eviction's spill
+  // write throws. The shard thread must count those failures, keep
+  // completing predicts, and shut down normally.
+  namespace fs = std::filesystem;
+  const data::Dataset d = data::make_friedman1(64, 6);
+  const fs::path dir = fs::temp_directory_path() / "reghd_tenant_spill_removed";
+  fs::remove_all(dir);
+
+  obs::set_enabled(true);
+  obs::reset();
+  TenantStoreConfig tc = flat_config(1);
+  tc.spill_dir = dir.string();
+  ServeConfig sc;
+  sc.shards = 1;
+  sc.tenant = tc;
+  constexpr std::size_t kSamples = 32;
+  {
+    Server server(sc, base_online(128), d.num_features());
+    server.start();
+    fs::remove_all(dir);
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      while (!server.try_train(1 + i % 2, d.row(i), d.target(i))) {
+        std::this_thread::yield();
+      }
+    }
+    RequestSlot slot;
+    for (std::size_t r = 0; r < 8; ++r) {
+      const std::uint64_t key = 1 + r % 2;
+      while (!server.try_predict(key, d.row(r), &slot)) {
+        std::this_thread::yield();
+      }
+      slot.wait();
+      if (key == 1) {
+        EXPECT_EQ(slot.error, 0U) << "resident tenant predict " << r;
+      }
+    }
+    server.stop();
+    // Tenant 1 took the only slot and kept it; every tenant-2 sample failed.
+    EXPECT_EQ(server.train_applied(0), kSamples / 2);
+  }
+  EXPECT_EQ(obs::snapshot().counter(obs::Counter::kServeTrainErrors), kSamples / 2);
+  obs::set_enabled(false);
   fs::remove_all(dir);
 }
 
