@@ -514,6 +514,55 @@ int run_kernel_json(const std::string& path) {
     report_backend(kernels["rff_rematerialize"], b.c_str(),
                    kRematTile * kFeatures * 8.0, ns);
 
+    // The rematerialized batch-encode shape serving runs (F = 32, D = 2048,
+    // B = 64): gemm_remat_tile is the GEMM alone, 64 rows through D/16
+    // weight tiles 16 columns wide; remat_encode_batch is encode_batch_into's
+    // whole single-worker remat sequence on this table (regenerate each tile
+    // once, multiply it into all 64 rows, then the trig map per row).
+    {
+      constexpr std::size_t kServeF = 32;
+      constexpr std::size_t kServeD = 2048;
+      constexpr std::size_t kServeB = 64;
+      std::vector<double> tile_a(kServeB * kServeF);
+      std::vector<double> tile_b(kServeF * kRematTile);
+      std::vector<double> tile_c(kServeB * kServeD, 0.0);
+      for (double& x : tile_a) {
+        x = rng.normal();
+      }
+      kb->rff_rematerialize(0x5EED, 0.177, 0, kRematTile, kServeF, tile_b.data(),
+                            kRematTile);
+      ns = time_ns([&] {
+        for (std::size_t j0 = 0; j0 < kServeD; j0 += kRematTile) {
+          kb->gemm_accumulate(tile_a.data(), kServeF, tile_b.data(), kRematTile,
+                              tile_c.data() + j0, kServeD, kServeB, kServeF, kRematTile);
+        }
+      });
+      report_backend(kernels["gemm_remat_tile"], b.c_str(),
+                     (kServeB * kServeF + 2.0 * kServeB * kServeD) * 8, ns);
+
+      std::vector<double> serve_phase(kServeD);
+      std::vector<double> serve_sinp(kServeD);
+      for (std::size_t j = 0; j < kServeD; ++j) {
+        serve_phase[j] = rng.phase();
+        serve_sinp[j] = util::fast_sin(serve_phase[j]);
+      }
+      ns = time_ns([&] {
+        std::fill(tile_c.begin(), tile_c.end(), 0.0);
+        for (std::size_t j0 = 0; j0 < kServeD; j0 += kRematTile) {
+          kb->rff_rematerialize(0x5EED, 0.177, j0, kRematTile, kServeF, tile_b.data(),
+                                kRematTile);
+          kb->gemm_accumulate(tile_a.data(), kServeF, tile_b.data(), kRematTile,
+                              tile_c.data() + j0, kServeD, kServeB, kServeF, kRematTile);
+        }
+        for (std::size_t r = 0; r < kServeB; ++r) {
+          kb->rff_trig_map(tile_c.data() + r * kServeD, serve_phase.data(),
+                           serve_sinp.data(), kServeD);
+        }
+      });
+      report_backend(kernels["remat_encode_batch"], b.c_str(),
+                     (kServeB * kServeF + 2.0 * kServeB * kServeD) * 8, ns);
+    }
+
     // Fused sign binarization of one encoded row.
     ns = time_ns(
         [&] { kb->sign_encode(pra, sign_bipolar.data(), sign_bits.data(), kDim); });
@@ -559,6 +608,25 @@ int run_kernel_json(const std::string& path) {
   const auto remat_encoder = hdc::make_encoder(remat_cfg);
   const double remat_encode_ns =
       time_ns([&] { benchmark::DoNotOptimize(remat_encoder->encode_real(features)); });
+  // The real encode_batch_into on the active table, one worker, B = 64 at
+  // the serving shape (the per-table replay is kernels.remat_encode_batch).
+  double remat_batch64_ns = 0.0;
+  {
+    constexpr std::size_t kServeF = 32;
+    constexpr std::size_t kServeB = 64;
+    hdc::EncoderConfig serve_cfg = remat_cfg;
+    serve_cfg.input_dim = kServeF;
+    serve_cfg.dim = 2048;
+    const auto serve_encoder = hdc::make_encoder(serve_cfg);
+    std::vector<double> batch(kServeB * kServeF);
+    for (double& x : batch) {
+      x = rng.normal();
+    }
+    core::EncodedDataset arena;
+    remat_batch64_ns = time_ns([&] {
+      arena.assign_rows(*serve_encoder, batch, kServeB, 1);
+    }) / kServeB;
+  }
   {
     constexpr std::size_t kRematTile = 16;
     bench::JsonValue& ps = root["projection_storage"];
@@ -566,6 +634,8 @@ int run_kernel_json(const std::string& path) {
     ps["resident"]["projection_resident_bytes"] =
         bench::JsonValue::integer(static_cast<std::int64_t>(kDim * kFeatures * 8));
     ps["rematerialized"]["encode_ns_per_row"] = bench::JsonValue::number(remat_encode_ns);
+    ps["rematerialized"]["batch64_f32_d2048_encode_ns_per_row"] =
+        bench::JsonValue::number(remat_batch64_ns);
     // O(tile) scratch instead of the O(F·D) matrix; nothing else is resident.
     ps["rematerialized"]["projection_resident_bytes"] = bench::JsonValue::integer(0);
     ps["rematerialized"]["scratch_bytes"] =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "obs/telemetry.hpp"
 #include "util/check.hpp"
@@ -199,7 +200,23 @@ void OnlineRegHD::standardize_rows_into(std::span<const double> rows_flat,
   }
 }
 
+namespace {
+
+/// Rejects a labelled block holding a NaN or infinity before the learner
+/// consumes any of it: one such value would otherwise enter the Welford
+/// statistics and, through standardization, every later encoding.
+void require_finite(std::span<const double> features, std::span<const double> targets) {
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!std::ranges::all_of(features, finite) || !std::ranges::all_of(targets, finite)) {
+    obs::count(obs::Counter::kOnlineNonfiniteRejects);
+    throw std::invalid_argument("online update: non-finite feature or target");
+  }
+}
+
+}  // namespace
+
 double OnlineRegHD::update(std::span<const double> features, double target) {
+  require_finite(features, {&target, 1});
   const obs::StageTimer timer(obs::Histo::kOnlineUpdateNs);
   obs::count(obs::Counter::kOnlineUpdates);
   // Member scratch, not predict(): identical math, but steady-state updates
@@ -251,6 +268,7 @@ std::vector<double> OnlineRegHD::update_batch(std::span<const double> features_f
   if (n == 0) {
     return predictions;
   }
+  require_finite(features_flat, targets);
   const obs::StageTimer timer(obs::Histo::kOnlineBatchNs);
   obs::count(obs::Counter::kOnlineUpdates, n);
 

@@ -94,7 +94,9 @@ class OnlineRegHD {
 
   /// Predict-then-train on one labelled reading. Returns the prediction
   /// made *before* the label was used (original units) — the prequential
-  /// protocol.
+  /// protocol. A NaN or infinite feature or target throws
+  /// std::invalid_argument (counted as online_nonfinite_rejects) before
+  /// anything — statistics, model, reading count — changes.
   double update(std::span<const double> features, double target);
 
   /// Predict-then-train on a block of labelled readings (row-major
@@ -104,7 +106,8 @@ class OnlineRegHD {
   /// warmup accounting) and the post-warmup readings are trained as one
   /// deterministic mini-batch (MultiModelRegressor::train_batch) with decay
   /// applied once per trained reading. Results never depend on thread count,
-  /// and a one-reading block is bit-identical to update().
+  /// and a one-reading block is bit-identical to update(). A non-finite
+  /// value anywhere in the block rejects the whole block, as in update().
   std::vector<double> update_batch(std::span<const double> features_flat,
                                    std::span<const double> targets);
 

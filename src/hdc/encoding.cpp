@@ -356,15 +356,21 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
   // of once per row, cutting projection memory traffic ~16×.
   const bool remat = config_.projection_storage == ProjectionStorage::kRematerialized;
   // Rematerialized mode regenerates all F×D weights once per sample block,
-  // so it uses a 4× taller block to amortize that fixed cost — legal because
-  // gemm_accumulate's per-element rounding sequence (feature index
-  // ascending, mul then add) is invariant to both the sample blocking and
-  // the hyperspace tiling; every row stays bit-identical to the per-row
-  // path, and to the resident path, for any thread count.
+  // so each worker takes one block of ⌈rows / workers⌉ rows (at least 64):
+  // every weight tile is regenerated once per worker per batch, and the
+  // serving runtime's single-worker batches regenerate the projection
+  // exactly once. Legal because gemm_accumulate's per-element rounding
+  // sequence (feature index ascending, mul then add) is invariant to both
+  // the sample blocking and the hyperspace tiling; every row stays
+  // bit-identical to the per-row path, and to the resident path, for any
+  // thread count.
   constexpr std::size_t kResidentRowBlock = 16;
-  constexpr std::size_t kRematRowBlock = 64;
+  constexpr std::size_t kMinRematRowBlock = 64;
   constexpr std::size_t kRematTile = 16;  // hyperspace rows per scratch tile
-  const std::size_t row_block = remat ? kRematRowBlock : kResidentRowBlock;
+  const std::size_t workers = threads != 0 ? threads : util::default_thread_count();
+  const std::size_t row_block =
+      remat ? std::max(kMinRematRowBlock, (num_rows + workers - 1) / workers)
+            : kResidentRowBlock;
   const std::size_t blocks = (num_rows + row_block - 1) / row_block;
   const KernelBackend& kb = active_backend();
   util::parallel_for(
@@ -375,7 +381,8 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
         if (remat) {
           // F×16 weight tiles live in a worker-local scratch (L1/L2-resident;
           // e.g. 100 KB at F = 784) that the GEMM consumes in place — the
-          // projection matrix never exists in memory all at once. The scratch
+          // projection matrix never exists in memory all at once. Each tile
+          // is multiplied into every row of the block. The scratch
           // persists per thread so steady-state batches (the serving
           // runtime's admission path) never touch the allocator.
           thread_local std::vector<double> scratch;

@@ -13,10 +13,11 @@
 //             Integer kernels are bit-exact with scalar; real kernels use
 //             multiple accumulators and therefore differ only by summation
 //             order (≤ a few ULP).
-//  * avx512 — AVX-512F/BW widening of the avx2 table (512-bit reductions and
-//             per-component kernels; VPOPCNTDQ-vectorized popcount family
-//             when the CPU reports avx512_vpopcntdq). Kernels the wider ISA
-//             does not improve are inherited from the avx2 table.
+//  * avx512 — AVX-512F/BW widening of the avx2 table (512-bit reductions,
+//             per-component kernels and the 8-lane RFF regenerators;
+//             VPOPCNTDQ-vectorized popcount family when the CPU reports
+//             avx512_vpopcntdq). Kernels the wider ISA does not improve are
+//             inherited from the avx2 table.
 //  * neon   — aarch64 NEON (baseline on that architecture); the x86 tables
 //             are compiled out there and vice versa.
 //
@@ -117,9 +118,9 @@ struct KernelBackend {
   ///   w[2p] = (√(−2·ln u₁)·cos(2π·u₂))·stddev,
   ///   w[2p+1] = (√(−2·ln u₁)·sin(2π·u₂))·stddev.
   /// Every operation is branch-free with a fixed order; sqrt is IEEE
-  /// correctly rounded in both backends, so the AVX2 lane-parallel replay is
-  /// bit-identical to scalar — and any tiling of (row0, rows) produces the
-  /// identical weights.
+  /// correctly rounded in every backend, so the AVX2 (4-lane) and AVX-512
+  /// (8-lane) replays are bit-identical to scalar — and any tiling of
+  /// (row0, rows) produces the identical weights.
   void (*rff_rematerialize)(std::uint64_t seed, double stddev, std::size_t row0,
                             std::size_t rows, std::size_t n_features, double* out,
                             std::size_t ld);
@@ -143,7 +144,11 @@ struct KernelBackend {
   /// and each contribution rounded as a separate multiply then add (no FMA),
   /// so the per-element rounding sequence is identical to a chain of
   /// add_scaled_real axpys — bit-identical across backends; only the cache
-  /// blocking differs.
+  /// and register blocking differ. SIMD tables register-block C at their
+  /// natural width (NEON 8, AVX2 16, AVX-512 32 columns), and the AVX-512
+  /// table also vectorizes the 16- and 8-column remainders, so the
+  /// rematerialized encoder's 16-column weight tiles (ldb = 16, ldc = D) run
+  /// in vector code on every SIMD table.
   void (*gemm_accumulate)(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                           std::size_t k, std::size_t n);

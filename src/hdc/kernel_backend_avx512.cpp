@@ -13,12 +13,13 @@
 // sign_encode, and — when the CPU additionally reports avx512_vpopcntdq —
 // VPOPCNTDQ-vectorized popcount kernels for the packed bank scans (AVX2 has
 // no vector popcount; these are the popcount-throughput-bound kernels the
-// quantized path lives on), and the 8-lane fused rff_remat_dot — the
-// Box–Muller pipeline is the whole cost of a rematerialized single query,
-// so doubling its lane count is what moves predict_one's latency.
-// Everything else (the bit-sign dot family, the tile-writing RFF
-// rematerializer) is inherited from the AVX2 table unchanged: those kernels
-// are bound by shifts/blends, not by vector width.
+// quantized path lives on), and the two 8-lane RFF regenerators (the fused
+// rff_remat_dot and the tile-writing rff_rematerialize) — the Box–Muller
+// pipeline is the whole cost of a rematerialized single query and the fixed
+// cost of every rematerialized batch, so doubling its lane count moves both.
+// Everything else (the bit-sign dot family, the trig map) is inherited from
+// the AVX2 table unchanged: those kernels are bound by shifts/blends, not by
+// vector width.
 #include "hdc/kernel_backend.hpp"
 
 #ifdef REGHD_HAVE_AVX512
@@ -234,44 +235,82 @@ void avx512_scale_real(double* a, double c, std::size_t n) {
   }
 }
 
+/// C[0..R) × [0..8·V) += A[0..R) × B over k, the R·V accumulators held in
+/// registers across the whole k loop. Per element: ascending k, mul then add
+/// — the scalar kernel's rounding sequence — so the block shape never shows.
+template <std::size_t R, std::size_t V>
+inline void gemm_block(const double* a, std::size_t lda, const double* b,
+                       std::size_t ldb, double* c, std::size_t ldc, std::size_t k) {
+  __m512d acc[R][V];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_loadu_pd(c + r * ldc + 8 * v);
+    }
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m512d bv = _mm512_loadu_pd(b + kk * ldb + 8 * v);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r][v] = _mm512_add_pd(acc[r][v],
+                                  _mm512_mul_pd(_mm512_set1_pd(a[r * lda + kk]), bv));
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      _mm512_storeu_pd(c + r * ldc + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+/// Columns [j, jn) of R rows after the 32-wide loop: 16- and 8-wide register
+/// blocks, then the scalar tail.
+template <std::size_t R>
+inline void gemm_remainder(const double* a, std::size_t lda, const double* b,
+                           std::size_t ldb, double* c, std::size_t ldc, std::size_t k,
+                           std::size_t j, std::size_t jn) {
+  for (; j + 16 <= jn; j += 16) {
+    gemm_block<R, 2>(a, lda, b + j, ldb, c + j, ldc, k);
+  }
+  for (; j + 8 <= jn; j += 8) {
+    gemm_block<R, 1>(a, lda, b + j, ldb, c + j, ldc, k);
+  }
+  for (; j < jn; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      double acc = c[r * ldc + j];
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc += a[r * lda + kk] * b[kk * ldb + j];
+      }
+      c[r * ldc + j] = acc;
+    }
+  }
+}
+
 void avx512_gemm_accumulate(const double* a, std::size_t lda, const double* b,
                             std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                             std::size_t k, std::size_t n) {
   // Same traversal as the scalar kernel (column tile = 512 doubles), C
-  // register-blocked 32 wide. mul + add (no FMA) and ascending k keep every
-  // element's rounding sequence identical to scalar.
+  // register-blocked 32 wide. The columns that 32 does not divide — all of
+  // them for the rematerialized encoder's 16-column weight tiles — run in
+  // 16- and 8-wide blocks over row pairs, so they keep four (or two)
+  // independent add chains in flight like the main loop. mul + add (no FMA)
+  // and ascending k keep every element's rounding sequence identical to
+  // scalar.
   constexpr std::size_t kColTile = 512;
   for (std::size_t j0 = 0; j0 < n; j0 += kColTile) {
     const std::size_t jn = std::min(n, j0 + kColTile);
+    const std::size_t j32 = j0 + (jn - j0) / 32 * 32;
     for (std::size_t r = 0; r < m; ++r) {
-      const double* arow = a + r * lda;
-      double* crow = c + r * ldc;
-      std::size_t j = j0;
-      for (; j + 32 <= jn; j += 32) {
-        __m512d c0 = _mm512_loadu_pd(crow + j);
-        __m512d c1 = _mm512_loadu_pd(crow + j + 8);
-        __m512d c2 = _mm512_loadu_pd(crow + j + 16);
-        __m512d c3 = _mm512_loadu_pd(crow + j + 24);
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const __m512d av = _mm512_set1_pd(arow[kk]);
-          const double* bp = b + kk * ldb + j;
-          c0 = _mm512_add_pd(c0, _mm512_mul_pd(av, _mm512_loadu_pd(bp)));
-          c1 = _mm512_add_pd(c1, _mm512_mul_pd(av, _mm512_loadu_pd(bp + 8)));
-          c2 = _mm512_add_pd(c2, _mm512_mul_pd(av, _mm512_loadu_pd(bp + 16)));
-          c3 = _mm512_add_pd(c3, _mm512_mul_pd(av, _mm512_loadu_pd(bp + 24)));
-        }
-        _mm512_storeu_pd(crow + j, c0);
-        _mm512_storeu_pd(crow + j + 8, c1);
-        _mm512_storeu_pd(crow + j + 16, c2);
-        _mm512_storeu_pd(crow + j + 24, c3);
+      for (std::size_t j = j0; j < j32; j += 32) {
+        gemm_block<1, 4>(a + r * lda, lda, b + j, ldb, c + r * ldc + j, ldc, k);
       }
-      for (; j < jn; ++j) {
-        double acc = crow[j];
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          acc += arow[kk] * b[kk * ldb + j];
-        }
-        crow[j] = acc;
-      }
+    }
+    std::size_t r = 0;
+    for (; r + 2 <= m; r += 2) {
+      gemm_remainder<2>(a + r * lda, lda, b, ldb, c + r * ldc, ldc, k, j32, jn);
+    }
+    if (r < m) {
+      gemm_remainder<1>(a + r * lda, lda, b, ldb, c + r * ldc, ldc, k, j32, jn);
     }
   }
 }
@@ -542,56 +581,90 @@ inline SinCos8 fast_sincos8(__m512d x) {
   return out;
 }
 
-void avx512_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
-                          std::size_t rows, const double* x, std::size_t n_features,
-                          double* out) {
-  // Eight consecutive rows per vector, weights consumed in registers the
-  // moment they exist: z ← z + x_k·w with k ascending, mul then add — the
-  // gemm_accumulate per-element chain — so the single-query path neither
-  // stores nor reloads a weight tile. Every lane replays the scalar
-  // reference operation for operation; row tails fall back to it directly.
-  constexpr double kTwoPi = 2.0 * std::numbers::pi;
-  constexpr double kInv53 = 0x1.0p-53;
-  const __m512d stddev_v = _mm512_set1_pd(stddev);
-  const __m512d two_pi = _mm512_set1_pd(kTwoPi);
-  const __m512d inv53 = _mm512_set1_pd(kInv53);
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d neg_two = _mm512_set1_pd(-2.0);
+/// Seeds of the eight rows [row, row + 8): lane l is mix(seed + (row + l +
+/// 1)·γ) — exactly detail::splitmix_at(seed, row + l).
+inline __m512i row_seeds8(std::uint64_t seed, std::size_t row) {
   constexpr std::uint64_t kG = detail::kSmGamma;
   const __m512i lane_gamma = _mm512_setr_epi64(
       0, static_cast<long long>(kG), static_cast<long long>(2 * kG),
       static_cast<long long>(3 * kG), static_cast<long long>(4 * kG),
       static_cast<long long>(5 * kG), static_cast<long long>(6 * kG),
       static_cast<long long>(7 * kG));
+  const std::uint64_t base = seed + (static_cast<std::uint64_t>(row) + 1) * kG;
+  return splitmix_mix8(
+      _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(base)), lane_gamma));
+}
 
+struct WeightPair8 {
+  __m512d even;  ///< w[k]: the cosine half of the Box–Muller pair.
+  __m512d odd;   ///< w[k+1]: the sine half (unused when k + 1 == n_features).
+};
+
+/// Weights k and k + 1 (k even) of the eight rows seeded by `row_seed`: two
+/// counter-seeked draws, exact u64 → double, then Box–Muller — lane for lane
+/// the operation sequence of detail::rff_rematerialize_rows.
+inline WeightPair8 box_muller8(__m512i row_seed, std::size_t k, __m512d stddev) {
+  constexpr std::uint64_t kG = detail::kSmGamma;
+  const __m512i draw_a = splitmix_mix8(_mm512_add_epi64(
+      row_seed,
+      _mm512_set1_epi64(static_cast<long long>((static_cast<std::uint64_t>(k) + 1) * kG))));
+  const __m512i draw_b = splitmix_mix8(_mm512_add_epi64(
+      row_seed,
+      _mm512_set1_epi64(static_cast<long long>((static_cast<std::uint64_t>(k) + 2) * kG))));
+  const __m512d a = u64_to_double_53_512(_mm512_srli_epi64(draw_a, 11));
+  const __m512d b = u64_to_double_53_512(_mm512_srli_epi64(draw_b, 11));
+  const __m512d inv53 = _mm512_set1_pd(0x1.0p-53);
+  const __m512d u1 = _mm512_mul_pd(_mm512_add_pd(a, _mm512_set1_pd(1.0)), inv53);
+  const __m512d u2 = _mm512_mul_pd(b, inv53);
+  const __m512d radius =
+      _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(-2.0), fast_log8(u1)));
+  const SinCos8 sc = fast_sincos8(_mm512_mul_pd(_mm512_set1_pd(2.0 * std::numbers::pi), u2));
+  return {_mm512_mul_pd(_mm512_mul_pd(radius, sc.cos), stddev),
+          _mm512_mul_pd(_mm512_mul_pd(radius, sc.sin), stddev)};
+}
+
+void avx512_rff_rematerialize(std::uint64_t seed, double stddev, std::size_t row0,
+                              std::size_t rows, std::size_t n_features, double* out,
+                              std::size_t ld) {
+  // Eight consecutive rows per vector: the lanes of weight pair (k, k+1)
+  // land in out[k·ld + r .. r+7], unit-stride in the feature-major layout
+  // gemm_accumulate streams. Row tails replay the scalar reference.
+  const __m512d stddev_v = _mm512_set1_pd(stddev);
   std::size_t r = 0;
   for (; r + 8 <= rows; r += 8) {
-    // Lane l's row seed is mix(seed + (row0 + r + l + 1)·γ) — exactly
-    // detail::splitmix_at.
-    const std::uint64_t base =
-        seed + (static_cast<std::uint64_t>(row0 + r) + 1) * kG;
-    const __m512i row_seed = splitmix_mix8(
-        _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(base)), lane_gamma));
+    const __m512i row_seed = row_seeds8(seed, row0 + r);
+    double* out_r = out + r;
+    for (std::size_t k = 0; k < n_features; k += 2) {
+      const WeightPair8 w = box_muller8(row_seed, k, stddev_v);
+      _mm512_storeu_pd(out_r + k * ld, w.even);
+      if (k + 1 < n_features) {
+        _mm512_storeu_pd(out_r + (k + 1) * ld, w.odd);
+      }
+    }
+  }
+  if (r < rows) {
+    detail::rff_rematerialize_rows(seed, stddev, row0 + r, rows - r, n_features,
+                                   out + r, ld);
+  }
+}
+
+void avx512_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
+                          std::size_t rows, const double* x, std::size_t n_features,
+                          double* out) {
+  // The weight walk of avx512_rff_rematerialize, consumed in registers the
+  // moment each pair exists: z ← z + x_k·w with k ascending, mul then add —
+  // the gemm_accumulate per-element chain — so the single-query path neither
+  // stores nor reloads a weight tile. Row tails replay the scalar reference.
+  const __m512d stddev_v = _mm512_set1_pd(stddev);
+  std::size_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    const __m512i row_seed = row_seeds8(seed, row0 + r);
     __m512d z = _mm512_setzero_pd();
     for (std::size_t k = 0; k < n_features; k += 2) {
-      const __m512i draw_a = splitmix_mix8(_mm512_add_epi64(
-          row_seed, _mm512_set1_epi64(static_cast<long long>(
-                        (static_cast<std::uint64_t>(k) + 1) * kG))));
-      const __m512i draw_b = splitmix_mix8(_mm512_add_epi64(
-          row_seed, _mm512_set1_epi64(static_cast<long long>(
-                        (static_cast<std::uint64_t>(k) + 2) * kG))));
-      const __m512d a = u64_to_double_53_512(_mm512_srli_epi64(draw_a, 11));
-      const __m512d b = u64_to_double_53_512(_mm512_srli_epi64(draw_b, 11));
-      const __m512d u1 = _mm512_mul_pd(_mm512_add_pd(a, one), inv53);
-      const __m512d u2 = _mm512_mul_pd(b, inv53);
-      const __m512d radius = _mm512_sqrt_pd(_mm512_mul_pd(neg_two, fast_log8(u1)));
-      const __m512d angle = _mm512_mul_pd(two_pi, u2);
-      const SinCos8 sc = fast_sincos8(angle);
-      const __m512d w_cos = _mm512_mul_pd(_mm512_mul_pd(radius, sc.cos), stddev_v);
-      z = _mm512_add_pd(z, _mm512_mul_pd(_mm512_set1_pd(x[k]), w_cos));
+      const WeightPair8 w = box_muller8(row_seed, k, stddev_v);
+      z = _mm512_add_pd(z, _mm512_mul_pd(_mm512_set1_pd(x[k]), w.even));
       if (k + 1 < n_features) {
-        const __m512d w_sin = _mm512_mul_pd(_mm512_mul_pd(radius, sc.sin), stddev_v);
-        z = _mm512_add_pd(z, _mm512_mul_pd(_mm512_set1_pd(x[k + 1]), w_sin));
+        z = _mm512_add_pd(z, _mm512_mul_pd(_mm512_set1_pd(x[k + 1]), w.odd));
       }
     }
     _mm512_storeu_pd(out + r, z);
@@ -611,6 +684,7 @@ KernelBackend make_avx512_table(bool vpopcntdq) {
   table.merge_accumulate = avx512_merge_accumulate;
   table.scale_real = avx512_scale_real;
   table.gemm_accumulate = avx512_gemm_accumulate;
+  table.rff_rematerialize = avx512_rff_rematerialize;
   table.rff_remat_dot = avx512_rff_remat_dot;
   table.dot_rows = avx512_dot_rows;
   table.dot_rows_block = avx512_dot_rows_block;

@@ -1,16 +1,16 @@
 // Shared scalar core of the RFF projection rematerialization kernel.
 //
-// Both kernel-backend translation units include this header: the scalar
-// table uses it as the whole kernel, the AVX2 table uses it for row tails
-// (rows % 4) around its lane-parallel main loop. Keeping the reference
-// operation sequence in one place is what makes the bit-exactness contract
-// in kernel_backend.hpp auditable — there is exactly one definition of how a
-// weight is derived from (seed, row, feature), and the AVX2 main loop
-// replays it operation for operation.
+// Every kernel-backend translation unit includes this header: the scalar
+// and NEON tables use it as the whole kernel, the AVX2 and AVX-512 tables use
+// it for row tails (rows % 4, rows % 8) around their lane-parallel main
+// loops. Keeping the reference operation sequence in one place is what makes
+// the bit-exactness contract in kernel_backend.hpp auditable — there is
+// exactly one definition of how a weight is derived from (seed, row,
+// feature), and the SIMD main loops replay it operation for operation.
 //
-// Neither TU may let the compiler contract the arithmetic into FMAs: the
-// scalar TU targets baseline x86-64 (no FMA instructions exist), the AVX2 TU
-// is compiled with -ffp-contract=off. fast_log / fast_cos / fast_sin are
+// No TU may let the compiler contract the arithmetic into FMAs: the scalar
+// TU targets baseline x86-64 (no FMA instructions exist), the SIMD TUs are
+// compiled with -ffp-contract=off. fast_log / fast_cos / fast_sin are
 // branch-free on the domains used here (u₁ ∈ [2⁻⁵³, 1], angle ∈ [0, 2π)).
 #pragma once
 

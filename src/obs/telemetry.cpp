@@ -24,6 +24,7 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "online_warmup_skips",
     "online_cold_predicts",
     "online_decays",
+    "online_nonfinite_rejects",
     "pool_jobs",
     "pool_inline_jobs",
     "pool_blocks",

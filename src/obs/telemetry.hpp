@@ -60,6 +60,7 @@ enum class Counter : std::size_t {
   kOnlineWarmupSkips,     ///< Readings consumed during warmup (no model update).
   kOnlineColdPredicts,    ///< predict() calls answered by the cold-start mean.
   kOnlineDecays,          ///< Exponential-forgetting applications.
+  kOnlineNonfiniteRejects,///< Labelled readings/blocks rejected for NaN or ±Inf.
   kPoolJobs,              ///< ThreadPool jobs dispatched to workers.
   kPoolInlineJobs,        ///< run_blocks calls executed serially inline.
   kPoolBlocks,            ///< Blocks executed across all jobs.

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "core/checkpoint.hpp"
 #include "core/online.hpp"
 #include "data/synthetic.hpp"
+#include "obs/telemetry.hpp"
 #include "util/random.hpp"
 
 namespace reghd::core {
@@ -182,6 +184,48 @@ TEST(OnlineRegHDTest, ProjectionStorageOnACopyLeavesTheOriginalAlone) {
   for (std::size_t i = 100; i < 140; ++i) {
     EXPECT_EQ(copy.predict(stream.row(i)), orig.predict(stream.row(i))) << "row " << i;
   }
+}
+
+TEST(OnlineRegHDTest, NonFiniteSamplesAreRejectedBeforeAnythingChanges) {
+  // A NaN or infinite reading must not reach the Welford statistics, the
+  // reading count or the model: each is rejected up front and counted, and
+  // the checkpoint bytes — the learner's whole state — stay put. Checked
+  // both during warmup and after it.
+  const data::Dataset stream = data::make_friedman1(200, 47);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::set_enabled(true);
+  obs::reset();
+  OnlineRegHD learner(small_config(512), stream.num_features());
+  OnlineRegHD clean = learner;
+  std::uint64_t rejects = 0;
+  for (const std::size_t trained : {0u, 100u}) {
+    for (std::size_t i = learner.samples_seen(); i < trained; ++i) {
+      (void)learner.update(stream.row(i), stream.target(i));
+      (void)clean.update(stream.row(i), stream.target(i));
+    }
+    const std::string before = checkpoint_bytes(learner);
+    std::vector<double> row(stream.row(trained).begin(), stream.row(trained).end());
+    EXPECT_THROW((void)learner.update(row, nan), std::invalid_argument);
+    row[3] = inf;
+    EXPECT_THROW((void)learner.update(row, 1.0), std::invalid_argument);
+    row[3] = -inf;
+    EXPECT_THROW((void)learner.update_batch(row, std::vector<double>{1.0}),
+                 std::invalid_argument);
+    rejects += 3;
+    EXPECT_EQ(checkpoint_bytes(learner), before) << "after " << trained << " updates";
+  }
+  EXPECT_EQ(obs::snapshot().counter(obs::Counter::kOnlineNonfiniteRejects), rejects);
+  obs::set_enabled(false);
+
+  // The rejected readings left no trace: the stream continues exactly as on
+  // a learner that never saw them.
+  for (std::size_t i = 100; i < 140; ++i) {
+    EXPECT_EQ(learner.update(stream.row(i), stream.target(i)),
+              clean.update(stream.row(i), stream.target(i)))
+        << "row " << i;
+  }
+  EXPECT_EQ(checkpoint_bytes(learner), checkpoint_bytes(clean));
 }
 
 TEST(OnlineRegHDTest, DeterministicForFixedSeed) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "hdc/encoding.hpp"
@@ -262,51 +263,56 @@ TEST(RffEncoderTest, RematerializedEncodingIsBitIdenticalToResident) {
 
 TEST(RffEncoderTest, RematerializedBatchEncodeIsBitIdenticalAcrossThreads) {
   // The batch GEMM path tiles the hyperspace axis and regenerates each tile
-  // per row block; neither the tiling nor the worker count may perturb a
-  // single bit relative to the resident path.
+  // once per worker's row block (at least 64 rows, else ⌈rows / threads⌉);
+  // neither the tiling nor the worker count may perturb a single bit
+  // relative to the resident path. Row counts straddle the 64-row minimum
+  // and the odd row the GEMM's row pairs leave over.
   constexpr std::size_t kInput = 7;
   constexpr std::size_t kDim = 1000;
-  constexpr std::size_t kRows = 33;
+  constexpr std::size_t kWords = (kDim + 63) / 64;
   auto cfg = base_config(EncoderKind::kRffProjection, kInput, kDim);
   const auto resident = make_encoder(cfg);
   cfg.projection_storage = ProjectionStorage::kRematerialized;
   const auto remat = make_encoder(cfg);
 
-  util::Rng rng(0xBA7C);
-  std::vector<double> rows(kRows * kInput);
-  for (double& v : rows) {
-    v = rng.normal();
-  }
-
-  constexpr std::size_t kWords = (kDim + 63) / 64;
-  std::vector<double> want_real(kRows * kDim);
-  std::vector<std::int8_t> want_bipolar(kRows * kDim);
-  std::vector<std::uint64_t> want_bits(kRows * kWords);
-  std::vector<double> want_norm(kRows);
-  std::vector<double> want_norm2(kRows);
-  resident->encode_batch_into(
-      rows, kRows,
-      {want_real.data(), want_bipolar.data(), want_bits.data(), want_norm.data(),
-       want_norm2.data(), kDim, kWords},
-      1);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    // The arena contract: the real plane is zero-initialized (encoders
-    // accumulate into it); the bit plane may hold garbage (fully overwritten).
-    std::vector<double> got_real(kRows * kDim, 0.0);
-    std::vector<std::int8_t> got_bipolar(kRows * kDim, 0);
-    std::vector<std::uint64_t> got_bits(kRows * kWords, ~0ULL);
-    std::vector<double> got_norm(kRows);
-    std::vector<double> got_norm2(kRows);
-    remat->encode_batch_into(
-        rows, kRows,
-        {got_real.data(), got_bipolar.data(), got_bits.data(), got_norm.data(),
-         got_norm2.data(), kDim, kWords},
-        threads);
-    EXPECT_EQ(got_real, want_real) << "threads " << threads;
-    EXPECT_EQ(got_bipolar, want_bipolar) << "threads " << threads;
-    EXPECT_EQ(got_bits, want_bits) << "threads " << threads;
-    EXPECT_EQ(got_norm, want_norm) << "threads " << threads;
-    EXPECT_EQ(got_norm2, want_norm2) << "threads " << threads;
+  for (const std::size_t num_rows : {1u, 33u, 64u, 65u, 130u}) {
+    util::Rng rng(0xBA7C + num_rows);
+    std::vector<double> rows(num_rows * kInput);
+    for (double& v : rows) {
+      v = rng.normal();
+    }
+    std::vector<double> want_real(num_rows * kDim);
+    std::vector<std::int8_t> want_bipolar(num_rows * kDim);
+    std::vector<std::uint64_t> want_bits(num_rows * kWords);
+    std::vector<double> want_norm(num_rows);
+    std::vector<double> want_norm2(num_rows);
+    resident->encode_batch_into(
+        rows, num_rows,
+        {want_real.data(), want_bipolar.data(), want_bits.data(), want_norm.data(),
+         want_norm2.data(), kDim, kWords},
+        1);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      // The arena contract: the real plane is zero-initialized (encoders
+      // accumulate into it); the bit plane may hold garbage (fully
+      // overwritten).
+      std::vector<double> got_real(num_rows * kDim, 0.0);
+      std::vector<std::int8_t> got_bipolar(num_rows * kDim, 0);
+      std::vector<std::uint64_t> got_bits(num_rows * kWords, ~0ULL);
+      std::vector<double> got_norm(num_rows);
+      std::vector<double> got_norm2(num_rows);
+      remat->encode_batch_into(
+          rows, num_rows,
+          {got_real.data(), got_bipolar.data(), got_bits.data(), got_norm.data(),
+           got_norm2.data(), kDim, kWords},
+          threads);
+      const std::string where =
+          "rows " + std::to_string(num_rows) + " threads " + std::to_string(threads);
+      EXPECT_EQ(got_real, want_real) << where;
+      EXPECT_EQ(got_bipolar, want_bipolar) << where;
+      EXPECT_EQ(got_bits, want_bits) << where;
+      EXPECT_EQ(got_norm, want_norm) << where;
+      EXPECT_EQ(got_norm2, want_norm2) << where;
+    }
   }
 }
 

@@ -298,6 +298,47 @@ TEST_P(KernelBackendTest, GemmAccumulateMatchesAxpyChainBitExact) {
   }
 }
 
+TEST(GemmAccumulateTest, RematTileShapesMatchAxpyChainBitExact) {
+  // The rematerialized encoder's shape: B rows of F features against a
+  // feature-major weight tile a few vectors wide (ldb = n), accumulated into
+  // a slice of a wider arena row (ldc = 2048). Widths below and between the
+  // SIMD register blocks (8, 16, 24, 40, 48) and row counts 1, 3 and 130
+  // cover every remainder loop and the odd row left over from row pairs;
+  // the columns beyond n must stay untouched.
+  constexpr std::size_t kLdc = 2048;
+  for (const std::size_t k : {5u, 32u}) {
+    for (const std::size_t m : {1u, 3u, 130u}) {
+      for (const std::size_t n : {8u, 16u, 24u, 40u, 48u}) {
+        util::Rng rng(0x71E5 + 131 * m + n + k);
+        std::vector<double> a(m * k);
+        std::vector<double> b(k * n);
+        std::vector<double> c0(m * kLdc);
+        for (double& x : a) {
+          x = rng.normal(0.0, 1.0);
+        }
+        for (double& x : b) {
+          x = rng.normal(0.0, 1.0);
+        }
+        for (double& x : c0) {
+          x = rng.normal(0.0, 1.0);
+        }
+        std::vector<double> ref = c0;
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            scalar_backend().add_scaled_real(ref.data() + r * kLdc, b.data() + kk * n,
+                                             a[r * k + kk], n);
+          }
+        }
+        for (const KernelBackend* kb : all_available()) {
+          std::vector<double> got = c0;
+          kb->gemm_accumulate(a.data(), k, b.data(), n, got.data(), kLdc, m, k, n);
+          ASSERT_EQ(got, ref) << kb->name << " k " << k << " m " << m << " n " << n;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(KernelBackendTest, DotRowsMatchesPerRowDotExactly) {
   // Each dot_rows output must be reduced in exactly its backend's
   // dot_real_real order (the batch-vs-per-row EXPECT_EQ tests in core/ rely
@@ -558,21 +599,25 @@ TEST_P(KernelBackendTest, RffRematerializeMatchesScalarBitExact) {
   // Counter-based projection regeneration must be bit-identical across
   // backends — the encoder's bit-exactness contract (resident and
   // rematerialized storage produce the same encodings on any backend) rests
-  // on this. Odd feature counts exercise the unpaired Box–Muller draw.
+  // on this. Odd feature counts exercise the unpaired Box–Muller draw, 32 is
+  // the serving F, and the fixed row counts leave every 4- and 8-lane tail.
   if (simd_backends().empty()) {
     GTEST_SKIP() << "no SIMD backend available on this host/build";
   }
-  const std::size_t rows = std::min<std::size_t>(GetParam(), 200);
   for (const KernelBackend* kb : simd_backends()) {
-    for (const std::size_t n_features : {1u, 2u, 7u, 10u}) {
-      std::vector<double> want(n_features * rows, -7.0);
-      std::vector<double> got(n_features * rows, 7.0);
-      scalar_backend().rff_rematerialize(0x5EED, 0.316, 3, rows, n_features,
-                                         want.data(), rows);
-      kb->rff_rematerialize(0x5EED, 0.316, 3, rows, n_features, got.data(), rows);
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(want[i], got[i])
-            << kb->name << " n_features " << n_features << " elem " << i;
+    for (const std::size_t rows :
+         {std::min<std::size_t>(GetParam(), 200), std::size_t{1}, std::size_t{7},
+          std::size_t{9}, std::size_t{15}, std::size_t{17}}) {
+      for (const std::size_t n_features : {1u, 2u, 7u, 10u, 32u}) {
+        std::vector<double> want(n_features * rows, -7.0);
+        std::vector<double> got(n_features * rows, 7.0);
+        scalar_backend().rff_rematerialize(0x5EED, 0.316, 3, rows, n_features,
+                                           want.data(), rows);
+        kb->rff_rematerialize(0x5EED, 0.316, 3, rows, n_features, got.data(), rows);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(want[i], got[i]) << kb->name << " rows " << rows << " n_features "
+                                     << n_features << " elem " << i;
+        }
       }
     }
   }

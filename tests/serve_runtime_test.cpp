@@ -10,9 +10,11 @@
 #include <fstream>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/online.hpp"
 #include "data/synthetic.hpp"
 #include "obs/telemetry.hpp"
@@ -147,6 +149,54 @@ TEST(ServeRuntimeTest, TrainingThroughServerReplaysOfflineSequenceExactly) {
     EXPECT_EQ(snap->learner.predict(d.row(i)), offline.predict(d.row(i)))
         << "post-training prediction " << i;
   }
+}
+
+TEST(ServeRuntimeTest, NonFiniteTrainSampleIsCountedAndLeavesNoTrace) {
+  // One NaN target in the middle of a live training stream: the trainer
+  // counts the rejected update as a serve_train_errors, keeps going, and the
+  // published snapshot equals a learner that never saw that sample.
+  const data::Dataset d = data::make_friedman1(160, 9);
+  const core::OnlineConfig cfg = online_config();
+  constexpr std::size_t kPoisoned = 80;
+  core::OnlineRegHD offline(cfg, d.num_features());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    offline.update(d.row(i), d.target(i));
+  }
+
+  obs::set_enabled(true);
+  obs::reset();
+  ServeConfig sc;
+  sc.shards = 1;
+  sc.publish_every_updates = 50;
+  sc.publish_interval_ms = 5.0;
+  Server server(sc, cfg, d.num_features());
+  server.start();
+  for (std::size_t i = 0; i <= d.size(); ++i) {
+    const bool poisoned = i == kPoisoned;
+    const std::size_t row = i < kPoisoned ? i : i - 1;
+    const double target =
+        poisoned ? std::numeric_limits<double>::quiet_NaN() : d.target(row);
+    while (!server.try_train(0, d.row(row), target)) {
+      std::this_thread::yield();
+    }
+  }
+  while (server.train_applied(0) < d.size()) {
+    std::this_thread::yield();
+  }
+  server.stop();
+  const obs::TelemetrySnapshot telemetry = obs::snapshot();
+  obs::set_enabled(false);
+
+  EXPECT_EQ(telemetry.counter(obs::Counter::kServeTrainErrors), 1U);
+  EXPECT_EQ(telemetry.counter(obs::Counter::kOnlineNonfiniteRejects), 1U);
+  const std::shared_ptr<const ModelSnapshot> snap = server.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->learner.samples_seen(), offline.samples_seen());
+  std::ostringstream want(std::ios::binary);
+  std::ostringstream got(std::ios::binary);
+  core::save_online_checkpoint(want, offline);
+  core::save_online_checkpoint(got, snap->learner);
+  EXPECT_EQ(got.str(), want.str());
 }
 
 TEST(ServeRuntimeTest, TrainingAdvancesSnapshotEpochWhilePredictsKeepFlowing) {
