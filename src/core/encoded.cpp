@@ -9,13 +9,19 @@ void EncodedDataset::assign_rows(const hdc::Encoder& encoder,
                                  std::size_t num_rows, std::size_t threads) {
   dim_ = encoder.dim();
   words_ = (dim_ + 63) / 64;
-  // assign() reuses existing plane capacity: steady-state re-encoding of
-  // admission batches (num_rows bounded by the batcher's cap) never touches
-  // the allocator after the first full-size batch.
+  // clear() + resize() reuses existing plane capacity (steady-state
+  // re-encoding of admission batches, num_rows bounded by the batcher's cap,
+  // never touches the allocator after the first full-size batch), never
+  // copies stale rows on regrowth, and writes nothing: the planes are left
+  // uninitialized and the encoder zeroes and fills each row in the worker
+  // that encodes it (see EncodedArenaRef).
   targets_.assign(num_rows, 0.0);
-  real_.assign(num_rows * dim_, 0.0);  // encoders accumulate in place
-  bipolar_.assign(num_rows * dim_, 0);
-  binary_.assign(num_rows * words_, 0);
+  real_.clear();
+  real_.resize(num_rows * dim_);
+  bipolar_.clear();
+  bipolar_.resize(num_rows * dim_);
+  binary_.clear();
+  binary_.resize(num_rows * words_);
   norm_.assign(num_rows, 0.0);
   norm2_.assign(num_rows, 0.0);
   const hdc::EncodedArenaRef arena{real_.data(), bipolar_.data(), binary_.data(),

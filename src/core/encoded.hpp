@@ -85,8 +85,9 @@ class EncodedDataset {
 
   /// New arena holding the listed rows, in list order (plane rows are copied
   /// verbatim, so subset(i).sample(j) views the exact bytes of sample(rows[j])).
-  /// The shard partitioner materializes each shard's training set through
-  /// this. Throws if any index is out of range.
+  /// Training never needs the copy — the learners take a row list into one
+  /// arena instead (MultiModelRegressor::fit) — but it is the reference the
+  /// row-list paths are tested against. Throws if any index is out of range.
   [[nodiscard]] EncodedDataset subset(std::span<const std::size_t> rows) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return targets_.size(); }
@@ -134,9 +135,9 @@ class EncodedDataset {
 
   std::size_t dim_ = 0;
   std::size_t words_ = 0;
-  util::AlignedVector<double> real_;
-  util::AlignedVector<std::int8_t> bipolar_;
-  util::AlignedVector<std::uint64_t> binary_;
+  util::UninitAlignedVector<double> real_;
+  util::UninitAlignedVector<std::int8_t> bipolar_;
+  util::UninitAlignedVector<std::uint64_t> binary_;
   std::vector<double> norm_;
   std::vector<double> norm2_;
   std::vector<double> targets_;

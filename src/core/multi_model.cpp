@@ -19,6 +19,29 @@
 
 namespace reghd::core {
 
+namespace {
+
+/// Every row of `train`, in order: the row list of the whole-arena forms of
+/// fit() and init_clusters().
+std::vector<std::size_t> all_rows(const EncodedDataset& train) {
+  std::vector<std::size_t> rows(train.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
+}
+
+void check_training_rows(const EncodedDataset& train, std::span<const std::size_t> rows,
+                         std::size_t dim) {
+  REGHD_CHECK(!rows.empty(), "cannot fit on an empty training set");
+  REGHD_CHECK(train.dim() == dim,
+              "training data dim " << train.dim() << " != configured dim " << dim);
+  for (const std::size_t r : rows) {
+    REGHD_CHECK(r < train.size(), "training row " << r << " out of range for "
+                                                  << train.size() << " samples");
+  }
+}
+
+}  // namespace
+
 MultiModelRegressor::MultiModelRegressor(const RegHDConfig& config) : config_(config) {
   config_.validate();
   reset();
@@ -991,21 +1014,25 @@ void MultiModelRegressor::decay_models(double factor) {
   }
 }
 
-void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train) {
+void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train,
+                                                     std::span<const std::size_t> rows) {
   // Farthest-point sampling on bipolar encodings: the first center is a
   // seeded-random sample; each next center is the sample with the smallest
   // maximum similarity to the centers chosen so far. O(k·N) Hamming passes.
+  // Positions index the row list, so a row list picks exactly the centers a
+  // subset arena of the same rows would.
   util::Rng rng(config_.seed ^ 0x494E4954ULL);  // "INIT"
-  const std::size_t n = train.size();
+  const std::size_t n = rows.size();
   std::vector<std::size_t> chosen;
   chosen.reserve(config_.models);
   chosen.push_back(static_cast<std::size_t>(rng.uniform_index(n)));
 
   std::vector<double> max_sim(n, -2.0);
   while (chosen.size() < config_.models) {
-    const hdc::BinaryHVView last = train.sample(chosen.back()).binary;
+    const hdc::BinaryHVView last = train.sample(rows[chosen.back()]).binary;
     for (std::size_t i = 0; i < n; ++i) {
-      max_sim[i] = std::max(max_sim[i], hdc::hamming_similarity(train.sample(i).binary, last));
+      max_sim[i] = std::max(max_sim[i],
+                            hdc::hamming_similarity(train.sample(rows[i]).binary, last));
     }
     std::size_t best = 0;
     double best_score = 2.0;
@@ -1020,7 +1047,7 @@ void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train
 
   for (std::size_t c = 0; c < config_.models; ++c) {
     ClusterCenter& center = clusters_[c];
-    center.accumulator = train.sample(chosen[c]).bipolar.to_real();
+    center.accumulator = train.sample(rows[chosen[c]]).bipolar.to_real();
     center.norm2 = static_cast<double>(config_.dim);
     center.requantize();
   }
@@ -1028,11 +1055,14 @@ void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train
 }
 
 void MultiModelRegressor::init_clusters(const EncodedDataset& train) {
-  REGHD_CHECK(!train.empty(), "cluster initialization requires training samples");
-  REGHD_CHECK(train.dim() == config_.dim,
-              "training data dim " << train.dim() << " != configured dim " << config_.dim);
+  init_clusters(train, all_rows(train));
+}
+
+void MultiModelRegressor::init_clusters(const EncodedDataset& train,
+                                        std::span<const std::size_t> rows) {
+  check_training_rows(train, rows, config_.dim);
   if (config_.cluster_init == ClusterInit::kFarthestPoint && config_.models > 1) {
-    init_clusters_from_samples(train);
+    init_clusters_from_samples(train, rows);
   }
 }
 
@@ -1085,18 +1115,24 @@ void MultiModelRegressor::requantize() {
 TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,
                                         const EncodedDataset& val,
                                         const TrainingHooks* hooks) {
-  REGHD_CHECK(!train.empty(), "cannot fit on an empty training set");
+  return fit(train, all_rows(train), val, hooks);
+}
+
+TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,
+                                        std::span<const std::size_t> rows,
+                                        const EncodedDataset& val,
+                                        const TrainingHooks* hooks) {
+  check_training_rows(train, rows, config_.dim);
   REGHD_CHECK(!val.empty(), "multi-model fit requires a validation set for early stopping");
-  REGHD_CHECK(train.dim() == config_.dim,
-              "training data dim " << train.dim() << " != configured dim " << config_.dim);
 
   reset();
   if (config_.cluster_init == ClusterInit::kFarthestPoint && config_.models > 1) {
-    init_clusters_from_samples(train);
+    init_clusters_from_samples(train, rows);
   }
+  // The epoch shuffle permutes positions of the row list, so it draws the
+  // same permutation as it would over a subset arena holding these rows.
   util::Rng rng(config_.seed ^ 0x45504F4348ULL);  // "EPOCH"
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::size_t> order(rows.begin(), rows.end());
 
   TrainingReport report;
   EarlyStopper stopper(config_.tolerance, config_.patience);
@@ -1153,7 +1189,7 @@ TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,
 
     EpochRecord record;
     record.epoch = epoch;
-    record.train_mse = online_sq_err / static_cast<double>(train.size());
+    record.train_mse = online_sq_err / static_cast<double>(rows.size());
     record.val_mse = evaluate_mse(val);
     report.history.push_back(record);
     report.epochs_run = epoch + 1;

@@ -70,6 +70,15 @@ class MultiModelRegressor {
   TrainingReport fit(const EncodedDataset& train, const EncodedDataset& val,
                      const TrainingHooks* hooks = nullptr);
 
+  /// fit() on the listed rows of `train`, in list order, read in place: the
+  /// model bytes and report equal fit(train.subset(rows), val, hooks) — the
+  /// shuffle, seeding and per-epoch MSE run over list positions — without
+  /// copying a row. The sharded trainer hands each shard its row list into
+  /// the one training arena through this. Throws if `rows` is empty or holds
+  /// an index out of range.
+  TrainingReport fit(const EncodedDataset& train, std::span<const std::size_t> rows,
+                     const EncodedDataset& val, const TrainingHooks* hooks = nullptr);
+
   /// One online training step (used by fit and by the streaming example).
   /// Returns the pre-update prediction for the sample.
   double train_step(const hdc::EncodedSampleView& sample, double target);
@@ -211,6 +220,10 @@ class MultiModelRegressor {
   /// to seed the merged model from the full training set.
   void init_clusters(const EncodedDataset& train);
 
+  /// init_clusters() on the listed rows of `train` (the row-list fit()'s
+  /// seeding rule; equal to init_clusters(train.subset(rows))).
+  void init_clusters(const EncodedDataset& train, std::span<const std::size_t> rows);
+
   /// Shard-merge accumulation (see core/sharded_training): adds one trained
   /// replica's training delta into this model. For every cluster and model
   /// accumulator component,
@@ -254,9 +267,10 @@ class MultiModelRegressor {
   /// allocation-free core of confidences_from(). Thread-safe.
   void confidences_into(std::span<double> sims) const;
 
-  /// Farthest-point cluster seeding from the training data (ClusterInit::
-  /// kFarthestPoint).
-  void init_clusters_from_samples(const EncodedDataset& train);
+  /// Farthest-point cluster seeding from the listed training rows
+  /// (ClusterInit::kFarthestPoint).
+  void init_clusters_from_samples(const EncodedDataset& train,
+                                  std::span<const std::size_t> rows);
 
   /// Fills `bank` from the current snapshots at the configured model
   /// precision (the allocation-reusing core of rebuild_packed_bank; also

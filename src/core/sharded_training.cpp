@@ -101,15 +101,16 @@ ShardedTrainReport ShardedTrainer::fit(const EncodedDataset& train,
         [&](std::size_t s) {
           const obs::StageTimer timer(obs::Histo::kShardFitNs);
           obs::count(obs::Counter::kShardFits);
-          const EncodedDataset shard_data = train.subset(parts[s]);
+          // The shard is a row list into the one training arena, read in
+          // place: no per-shard copy of the encoded rows.
           auto replica = std::make_unique<MultiModelRegressor>(config_);
-          TrainingReport tr = replica->fit(shard_data, val);
+          TrainingReport tr = replica->fit(train, parts[s], val);
           // Re-derive the replica's reproducible post-initialization state:
           // fresh construction replays reset(), init_clusters replays fit()'s
           // seeding rule on the same shard. The delta (replica − base) is
           // then exactly what this shard's training added.
           auto base = std::make_unique<MultiModelRegressor>(config_);
-          base->init_clusters(shard_data);
+          base->init_clusters(train, parts[s]);
           report.shard_reports[s] = ShardReport{s, parts[s].size(), std::move(tr)};
           replicas[s] = std::move(replica);
           bases[s] = std::move(base);

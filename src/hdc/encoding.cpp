@@ -147,7 +147,9 @@ void Encoder::encode_batch_into(std::span<const double> rows_flat, std::size_t n
   util::parallel_for(
       num_rows,
       [&](std::size_t i) {
-        encode_real_into(rows_flat.subspan(i * n, n), out.real + i * config_.dim);
+        double* row = out.real + i * config_.dim;
+        std::fill(row, row + config_.dim, 0.0);  // the arena hands over raw planes
+        encode_real_into(rows_flat.subspan(i * n, n), row);
         finalize_encoded_row(out, i);
       },
       threads);
@@ -378,6 +380,10 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
       [&](std::size_t block) {
         const std::size_t r0 = block * row_block;
         const std::size_t rn = std::min(num_rows, r0 + row_block);
+        // The arena hands over raw planes: zero this block's real rows here,
+        // in the worker that accumulates into them, so first-touch and
+        // zeroing run in parallel and leave the rows cache-hot for the GEMM.
+        std::fill(out.real + r0 * d, out.real + rn * d, 0.0);
         if (remat) {
           // F×16 weight tiles live in a worker-local scratch (L1/L2-resident;
           // e.g. 100 KB at F = 784) that the GEMM consumes in place — the

@@ -81,8 +81,11 @@ struct EncodedSampleView {
 /// Destination planes for arena batch encoding (all non-owning; the arena in
 /// core/encoded owns the storage). Row r of the batch occupies real
 /// components [r·dim, (r+1)·dim), packed words [r·words_per_row,
-/// (r+1)·words_per_row), and norm/norm² slot r. The real plane must be
-/// zero-initialized: encoders accumulate into it.
+/// (r+1)·words_per_row), and norm/norm² slot r. Every plane may hold
+/// uninitialized or stale bytes on entry: encode_batch_into zeroes each real
+/// row inside the worker that encodes it, right before accumulating into it,
+/// and then writes every bipolar byte, every packed word (padding bits
+/// included) and both norm slots of the row.
 struct EncodedArenaRef {
   double* real = nullptr;
   std::int8_t* bipolar = nullptr;
@@ -191,7 +194,9 @@ class Encoder {
   /// zero per-sample allocations, fused sign/pack, and — for encoders with a
   /// batched projection stage (RFF) — a cache-blocked GEMM that preserves the
   /// per-component accumulation order. Row r of the arena is bit-identical to
-  /// encode(row r) for any thread count or kernel backend.
+  /// encode(row r) for any thread count or kernel backend, whatever the
+  /// planes held before: overrides must zero each real row themselves before
+  /// accumulating into it, in the worker that owns the row.
   virtual void encode_batch_into(std::span<const double> rows_flat,
                                  std::size_t num_rows, const EncodedArenaRef& out,
                                  std::size_t threads = 0) const;

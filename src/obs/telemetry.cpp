@@ -55,6 +55,7 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "tenant_spill_discards",
     "serve_train_errors",
     "tenant_reactivate_failures",
+    "serve_nonfinite_rejects",
 };
 
 constexpr std::array<std::string_view, kNumHistos> kHistoNames = {

@@ -95,6 +95,7 @@ enum class Counter : std::size_t {
   kTenantSpillDiscards,   ///< Evicted checkpoints dropped by the spill budget.
   kServeTrainErrors,      ///< Train samples or snapshot publishes that threw.
   kTenantReactivateFailures, ///< Spilled tenants whose blob failed to load.
+  kServeNonfiniteRejects, ///< Serve submissions rejected for a NaN or ±Inf value.
   kCount
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -36,6 +37,20 @@ namespace {
   ck.dir = config.checkpoint_dir + "/shard_" + std::to_string(shard);
   ck.keep_last = config.checkpoint_keep_last;
   return ck;
+}
+
+[[nodiscard]] bool all_finite(std::span<const double> values) noexcept {
+  return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
+}
+
+/// Admission gate for NaN / ±Inf inputs: counts the rejection, then throws
+/// std::invalid_argument like a wrong feature count, before anything is
+/// enqueued or any tenant activated.
+void check_finite(bool finite, const char* what) {
+  if (!finite) {
+    obs::count(obs::Counter::kServeNonfiniteRejects);
+  }
+  REGHD_CHECK(finite, what << " has a NaN or ±Inf value");
 }
 
 }  // namespace
@@ -200,6 +215,7 @@ bool Server::try_predict(std::uint64_t key, std::span<const double> features,
   REGHD_CHECK(slot != nullptr, "try_predict requires a completion slot");
   REGHD_CHECK(features.size() == nf_,
               "query has " << features.size() << " features, server expects " << nf_);
+  check_finite(all_finite(features), "query");
   in_flight_.fetch_add(1, std::memory_order_seq_cst);
   bool ok = false;
   if (accepting_.load(std::memory_order_seq_cst)) {
@@ -233,6 +249,7 @@ bool Server::try_train(std::uint64_t key, std::span<const double> features,
                        double target) {
   REGHD_CHECK(features.size() == nf_,
               "sample has " << features.size() << " features, server expects " << nf_);
+  check_finite(all_finite(features) && std::isfinite(target), "sample");
   in_flight_.fetch_add(1, std::memory_order_seq_cst);
   bool ok = false;
   if (accepting_.load(std::memory_order_seq_cst)) {

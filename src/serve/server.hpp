@@ -178,6 +178,9 @@ class Server {
   /// worker will complete `slot` exactly once; `slot` and `features` must
   /// stay valid until then (features are copied at enqueue, the slot is
   /// written at completion). Wait-free for producers, no allocation.
+  /// Throws std::invalid_argument, enqueuing nothing, on a wrong feature
+  /// count or a NaN / ±Inf feature (the latter counted in
+  /// serve_nonfinite_rejects).
   bool try_predict(std::uint64_t key, std::span<const double> features,
                    RequestSlot* slot);
 
@@ -188,6 +191,9 @@ class Server {
 
   /// Fire-and-forget online training sample. False when the train ring is
   /// full (the sample is dropped and counted) or admission is closed.
+  /// Throws std::invalid_argument on a wrong feature count or a NaN / ±Inf
+  /// feature or target — counted in serve_nonfinite_rejects, before anything
+  /// is enqueued or any tenant is activated.
   bool try_train(std::uint64_t key, std::span<const double> features, double target);
 
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace reghd::util {
@@ -38,8 +39,35 @@ struct AlignedAllocator {
   }
 };
 
+/// AlignedAllocator whose value-less construct() default-initializes, so
+/// resize(n) on a vector of scalars allocates without writing a byte. For
+/// planes that a parallel writer fills completely: the first touch (page
+/// fault and all) then happens in the worker that writes each row, not
+/// serially in resize(). Construction with arguments (insert, push_back,
+/// assign with a value) is unchanged.
+template <typename T>
+struct UninitAlignedAllocator : AlignedAllocator<T> {
+  UninitAlignedAllocator() noexcept = default;
+  template <typename U>
+  UninitAlignedAllocator(  // NOLINT(google-explicit-constructor)
+      const UninitAlignedAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 /// std::vector with cache-line-aligned storage.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedVector whose resize() leaves new scalar elements uninitialized.
+template <typename T>
+using UninitAlignedVector = std::vector<T, UninitAlignedAllocator<T>>;
 
 }  // namespace reghd::util

@@ -1,10 +1,13 @@
 // Property tests for sharded data-parallel training (core/sharded_training):
 // the merge is order-invariant and associative bit for bit, S = 1 degenerates
-// to a plain fit() bit-identically (batch and online), thread count never
-// changes results, and the merged model actually learned something.
+// to a plain fit() bit-identically (batch and online), shards that read the
+// one training arena by row id equal fits on copied-out subsets, thread count
+// never changes results, and the merged model actually learned something.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -129,7 +132,8 @@ struct TrainedShards {
   std::vector<MultiModelRegressor> bases;
 };
 
-/// Trains S independent replicas exactly the way ShardedTrainer does, but
+/// Trains S independent replicas on subset() copies of ShardedTrainer's
+/// shards — the reference replay its in-place row lists must match — and
 /// hands the pieces back so tests can assemble merge sets in arbitrary
 /// orders and groupings.
 TrainedShards train_shards(const RegHDConfig& cfg, const EncodedDataset& train,
@@ -287,6 +291,103 @@ TEST(ShardedTrainerTest, ShardCountIsClampedToRows) {
   scfg.shards = 1000;  // far more shards than the 120 training rows
   const ShardedTrainReport report = trainer.fit(task.train, task.val, scfg);
   EXPECT_EQ(report.shards, task.train.size());
+}
+
+// --------------------------------------------------------------------------
+// row views: shards read the one training arena in place, by row id
+// --------------------------------------------------------------------------
+
+/// Odd rows of [0, n) visited in stride-37 order: an unsorted,
+/// non-contiguous row list (37 is coprime to the 120-row training set).
+std::vector<std::size_t> scattered_rows(std::size_t n) {
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = (i * 37) % n;
+    if (r % 2 == 1) {
+      rows.push_back(r);
+    }
+  }
+  return rows;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_report(const TrainingReport& a, const TrainingReport& b) {
+  EXPECT_EQ(a.epochs_run, b.epochs_run);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.stop_reason, b.stop_reason);
+  EXPECT_EQ(bits(a.best_val_mse), bits(b.best_val_mse));
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (std::size_t e = 0; e < a.history.size(); ++e) {
+    EXPECT_EQ(a.history[e].epoch, b.history[e].epoch);
+    EXPECT_EQ(bits(a.history[e].train_mse), bits(b.history[e].train_mse)) << "epoch " << e;
+    EXPECT_EQ(bits(a.history[e].val_mse), bits(b.history[e].val_mse)) << "epoch " << e;
+  }
+}
+
+TEST(ShardedTrainerTest, RowViewShardsMatchSubsetCopyReplay) {
+  const EncodedTask task = make_encoded_task(256);
+  for (const std::size_t batch_size : {std::size_t{0}, std::size_t{16}}) {
+    for (const Mode mode : {Mode::kReal, Mode::kQuantizedBinary, Mode::kTernaryBank}) {
+      SCOPED_TRACE(std::string(mode_name(mode)) + " batch_size=" +
+                   std::to_string(batch_size));
+      RegHDConfig cfg = make_config(mode);
+      cfg.batch_size = batch_size;
+
+      // Reference: every shard copied out of the arena with subset().
+      const TrainedShards shards = train_shards(cfg, task.train, task.val, 3);
+      ShardMergeSet set;
+      for (std::size_t s = 0; s < 3; ++s) {
+        set.add(s, shards.replicas[s], shards.bases[s]);
+      }
+      const std::string reference = fingerprint(apply_set(cfg, task.train, set));
+
+      ShardedTrainer trainer(cfg);
+      ShardedTrainConfig scfg;
+      scfg.shards = 3;
+      trainer.fit(task.train, task.val, scfg);
+      EXPECT_EQ(fingerprint(trainer.regressor()), reference);
+    }
+  }
+}
+
+TEST(ShardedTrainerTest, RowListFitMatchesSubsetFit) {
+  const EncodedTask task = make_encoded_task(256);
+  const std::vector<std::size_t> rows = scattered_rows(task.train.size());
+  ASSERT_FALSE(std::is_sorted(rows.begin(), rows.end()));
+  const EncodedDataset copy = task.train.subset(rows);
+  for (const std::size_t batch_size : {std::size_t{0}, std::size_t{16}}) {
+    for (const Mode mode : {Mode::kReal, Mode::kQuantizedBinary, Mode::kTernaryBank}) {
+      SCOPED_TRACE(std::string(mode_name(mode)) + " batch_size=" +
+                   std::to_string(batch_size));
+      RegHDConfig cfg = make_config(mode);
+      cfg.batch_size = batch_size;
+
+      MultiModelRegressor from_copy(cfg);
+      const TrainingReport copy_report = from_copy.fit(copy, task.val);
+      MultiModelRegressor from_rows(cfg);
+      const TrainingReport rows_report = from_rows.fit(task.train, rows, task.val);
+      EXPECT_EQ(fingerprint(from_rows), fingerprint(from_copy));
+      // train_mse averages over the listed rows, not over the whole arena.
+      expect_same_report(rows_report, copy_report);
+
+      MultiModelRegressor seeded_copy(cfg);
+      seeded_copy.init_clusters(copy);
+      MultiModelRegressor seeded_rows(cfg);
+      seeded_rows.init_clusters(task.train, rows);
+      EXPECT_EQ(fingerprint(seeded_rows), fingerprint(seeded_copy));
+    }
+  }
+}
+
+TEST(ShardedTrainerTest, RowListFitRejectsEmptyAndOutOfRangeRows) {
+  const EncodedTask task = make_encoded_task(256);
+  MultiModelRegressor reg(make_config(Mode::kReal));
+  const std::vector<std::size_t> none;
+  EXPECT_THROW((void)reg.fit(task.train, none, task.val), std::invalid_argument);
+  const std::vector<std::size_t> past_end = {0, task.train.size()};
+  EXPECT_THROW((void)reg.fit(task.train, past_end, task.val), std::invalid_argument);
+  EXPECT_THROW(reg.init_clusters(task.train, past_end), std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------

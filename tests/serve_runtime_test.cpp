@@ -152,9 +152,10 @@ TEST(ServeRuntimeTest, TrainingThroughServerReplaysOfflineSequenceExactly) {
 }
 
 TEST(ServeRuntimeTest, NonFiniteTrainSampleIsCountedAndLeavesNoTrace) {
-  // One NaN target in the middle of a live training stream: the trainer
-  // counts the rejected update as a serve_train_errors, keeps going, and the
-  // published snapshot equals a learner that never saw that sample.
+  // One NaN target in the middle of a live training stream: admission
+  // rejects it with std::invalid_argument before it is enqueued, counts it
+  // as serve_nonfinite_rejects, and the published snapshot equals a learner
+  // that never saw that sample.
   const data::Dataset d = data::make_friedman1(160, 9);
   const core::OnlineConfig cfg = online_config();
   constexpr std::size_t kPoisoned = 80;
@@ -171,12 +172,13 @@ TEST(ServeRuntimeTest, NonFiniteTrainSampleIsCountedAndLeavesNoTrace) {
   sc.publish_interval_ms = 5.0;
   Server server(sc, cfg, d.num_features());
   server.start();
-  for (std::size_t i = 0; i <= d.size(); ++i) {
-    const bool poisoned = i == kPoisoned;
-    const std::size_t row = i < kPoisoned ? i : i - 1;
-    const double target =
-        poisoned ? std::numeric_limits<double>::quiet_NaN() : d.target(row);
-    while (!server.try_train(0, d.row(row), target)) {
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    if (i == kPoisoned) {
+      EXPECT_THROW((void)server.try_train(0, d.row(i),
+                                          std::numeric_limits<double>::quiet_NaN()),
+                   std::invalid_argument);
+    }
+    while (!server.try_train(0, d.row(i), d.target(i))) {
       std::this_thread::yield();
     }
   }
@@ -187,8 +189,10 @@ TEST(ServeRuntimeTest, NonFiniteTrainSampleIsCountedAndLeavesNoTrace) {
   const obs::TelemetrySnapshot telemetry = obs::snapshot();
   obs::set_enabled(false);
 
-  EXPECT_EQ(telemetry.counter(obs::Counter::kServeTrainErrors), 1U);
-  EXPECT_EQ(telemetry.counter(obs::Counter::kOnlineNonfiniteRejects), 1U);
+  EXPECT_EQ(telemetry.counter(obs::Counter::kServeNonfiniteRejects), 1U);
+  EXPECT_EQ(telemetry.counter(obs::Counter::kServeTrainErrors), 0U);
+  EXPECT_EQ(telemetry.counter(obs::Counter::kOnlineNonfiniteRejects), 0U);
+  EXPECT_EQ(server.train_applied(0), d.size());
   const std::shared_ptr<const ModelSnapshot> snap = server.snapshot(0);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->learner.samples_seen(), offline.samples_seen());
@@ -197,6 +201,47 @@ TEST(ServeRuntimeTest, NonFiniteTrainSampleIsCountedAndLeavesNoTrace) {
   core::save_online_checkpoint(want, offline);
   core::save_online_checkpoint(got, snap->learner);
   EXPECT_EQ(got.str(), want.str());
+}
+
+TEST(ServeRuntimeTest, NonFiniteQueriesAreRejectedAtAdmission) {
+  // NaN and ±Inf features (and targets) are refused by try_predict /
+  // try_train like a wrong feature count: std::invalid_argument, nothing
+  // enqueued, one serve_nonfinite_rejects per refusal. A finite query after
+  // them is still served, bit-identical to the offline learner.
+  const data::Dataset d = data::make_friedman1(200, 9);
+  const core::OnlineConfig cfg = online_config();
+  const core::OnlineRegHD learner = trained_learner(cfg, d, 150);
+
+  obs::set_enabled(true);
+  obs::reset();
+  ServeConfig sc;
+  sc.shards = 1;
+  Server server(sc, cfg, d.num_features());
+  server.bootstrap(0, learner);
+  server.start();
+
+  std::uint64_t refused = 0;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> row(d.row(3).begin(), d.row(3).end());
+    row[2] = bad;
+    RequestSlot slot;
+    EXPECT_THROW((void)server.try_predict(3, row, &slot), std::invalid_argument);
+    EXPECT_THROW((void)server.predict(3, row), std::invalid_argument);
+    EXPECT_THROW((void)server.try_train(3, row, 1.0), std::invalid_argument);
+    EXPECT_THROW((void)server.try_train(3, d.row(3), bad), std::invalid_argument);
+    refused += 4;
+  }
+  const double served = server.predict(4, d.row(4));
+  server.stop();
+  const obs::TelemetrySnapshot telemetry = obs::snapshot();
+  obs::set_enabled(false);
+
+  EXPECT_EQ(served, learner.predict(d.row(4)));
+  EXPECT_EQ(telemetry.counter(obs::Counter::kServeNonfiniteRejects), refused);
+  EXPECT_EQ(telemetry.counter(obs::Counter::kServeRequests), 1U);
+  EXPECT_EQ(server.train_applied(0), 0U);
 }
 
 TEST(ServeRuntimeTest, TrainingAdvancesSnapshotEpochWhilePredictsKeepFlowing) {

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -340,6 +342,60 @@ TEST(ServeTenantStoreTest, ServerTenantModeMatchesStandaloneStoreBitForBit) {
     }
   }
   server.stop();
+}
+
+TEST(ServeTenantStoreTest, NonFiniteSubmissionsActivateNoTenant) {
+  // A NaN / ±Inf feature or target is refused at admission, before the
+  // shard thread could look its key up: no tenant activates, the store's
+  // hit and miss counts do not move, and serve_nonfinite_rejects counts
+  // every refusal.
+  const data::Dataset d = data::make_friedman1(32, 6);
+  ServeConfig sc;
+  sc.shards = 1;
+  sc.tenant = flat_config(4);
+  obs::set_enabled(true);
+  obs::reset();
+  Server server(sc, base_online(128), d.num_features());
+  server.start();
+  while (!server.try_train(1, d.row(0), d.target(0))) {
+    std::this_thread::yield();
+  }
+  while (server.train_applied(0) < 1) {
+    std::this_thread::yield();
+  }
+  const TenantStoreStats before = server.tenant_stats(0);
+
+  std::vector<double> bad_row(d.row(1).begin(), d.row(1).end());
+  bad_row[0] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inf_row(d.row(1).begin(), d.row(1).end());
+  inf_row[5] = -std::numeric_limits<double>::infinity();
+  RequestSlot slot;
+  EXPECT_THROW((void)server.try_train(2, bad_row, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)server.try_train(2, d.row(1), std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW((void)server.try_train(1, d.row(1), std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)server.try_predict(3, bad_row, &slot), std::invalid_argument);
+  EXPECT_THROW((void)server.predict(3, inf_row), std::invalid_argument);
+
+  // One more finite sample for tenant 1: once it is applied, anything
+  // queued ahead of it on the train ring has been consumed too.
+  while (!server.try_train(1, d.row(1), d.target(1))) {
+    std::this_thread::yield();
+  }
+  while (server.train_applied(0) < 2) {
+    std::this_thread::yield();
+  }
+  const TenantStoreStats after = server.tenant_stats(0);
+  server.stop();
+  const obs::TelemetrySnapshot telemetry = obs::snapshot();
+  obs::set_enabled(false);
+
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits + 1);  // the finite tenant-1 sample only
+  EXPECT_EQ(after.activations, 1U);
+  EXPECT_EQ(server.train_applied(0), 2U);
+  EXPECT_EQ(telemetry.counter(obs::Counter::kServeNonfiniteRejects), 5U);
 }
 
 TEST(ServeTenantStoreTest, StopFlushesTenantsToSpillDirAndTheyRecover) {
