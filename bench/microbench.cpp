@@ -270,7 +270,7 @@ double seed_predict(const core::MultiModelRegressor& reg, const hdc::EncodedSamp
   const std::size_t d = s.real.dim();
   std::vector<double> sims(k);
   for (std::size_t i = 0; i < k; ++i) {
-    const auto c = reg.cluster(i).accumulator.values();
+    const auto c = reg.cluster_accumulator(i);
     double acc = 0.0;
     for (std::size_t j = 0; j < d; ++j) {
       acc += c[j] * s.real[j];
@@ -281,7 +281,7 @@ double seed_predict(const core::MultiModelRegressor& reg, const hdc::EncodedSamp
   util::softmax_inplace(sims, reg.config().softmax_temperature);
   double y = 0.0;
   for (std::size_t i = 0; i < k; ++i) {
-    const auto m = reg.model(i).accumulator.values();
+    const auto m = reg.model_accumulator(i);
     double acc = 0.0;
     for (std::size_t j = 0; j < d; ++j) {
       acc += m[j] * s.real[j];

@@ -23,27 +23,23 @@ HdClustering::HdClustering(HdClusteringConfig config) : config_(config) {
 }
 
 void HdClustering::requantize() {
-  for (auto& c : centers_) {
-    c.requantize();
-    double norm2 = 0.0;
-    for (const double v : c.accumulator.values()) {
-      norm2 += v * v;
-    }
-    c.norm2 = norm2;
+  for (std::size_t i = 0; i < centers_.size(); ++i) {
+    centers_[i].requantize(accumulator(i));
   }
 }
 
 void HdClustering::init_centers(const EncodedDataset& data, std::uint64_t seed) {
+  arena_.assign(config_.clusters * config_.dim, 0.0);
   centers_.assign(config_.clusters, ClusterCenter{});
   util::Rng rng(seed);
 
   if (config_.init == ClusterInit::kRandom || config_.clusters == 1 ||
       data.size() < config_.clusters) {
-    for (auto& c : centers_) {
-      c.accumulator = hdc::random_bipolar(config_.dim, rng).to_real();
-      c.norm2 = static_cast<double>(config_.dim);
-      c.requantize();
+    for (std::size_t c = 0; c < config_.clusters; ++c) {
+      const hdc::BipolarHV init = hdc::random_bipolar(config_.dim, rng);
+      std::copy(init.values().begin(), init.values().end(), accumulator(c).begin());
     }
+    requantize();
     return;
   }
 
@@ -80,10 +76,10 @@ void HdClustering::init_centers(const EncodedDataset& data, std::uint64_t seed) 
     chosen.push_back(pick);
   }
   for (std::size_t c = 0; c < config_.clusters; ++c) {
-    centers_[c].accumulator = data.sample(chosen[c]).bipolar.to_real();
-    centers_[c].norm2 = static_cast<double>(config_.dim);
-    centers_[c].requantize();
+    const std::span<const std::int8_t> init = data.sample(chosen[c]).bipolar.values();
+    std::copy(init.begin(), init.end(), accumulator(c).begin());
   }
+  requantize();
 }
 
 std::vector<double> HdClustering::similarities(const hdc::EncodedSampleView& sample) const {
@@ -97,7 +93,7 @@ std::vector<double> HdClustering::similarities(const hdc::EncodedSampleView& sam
       const double cn = std::sqrt(centers_[i].norm2);
       sims[i] = (cn == 0.0 || qn == 0.0)
                     ? 0.0
-                    : hdc::dot(centers_[i].accumulator, sample.real) / (cn * qn);
+                    : hdc::dot(hdc::RealHVView(center_accumulator(i)), sample.real) / (cn * qn);
     }
   } else {
     for (std::size_t i = 0; i < centers_.size(); ++i) {
@@ -120,6 +116,7 @@ HdClusteringReport HdClustering::fit(const EncodedDataset& data) {
   REGHD_CHECK(config_.restarts >= 1, "clustering requires at least one restart");
 
   HdClusteringReport best_report;
+  util::AlignedVector<double> best_arena;
   std::vector<ClusterCenter> best_centers;
   double best_cohesion = -2.0;
   for (std::size_t r = 0; r < config_.restarts; ++r) {
@@ -127,9 +124,11 @@ HdClusteringReport HdClustering::fit(const EncodedDataset& data) {
     if (report.cohesion > best_cohesion) {
       best_cohesion = report.cohesion;
       best_report = std::move(report);
+      best_arena = arena_;
       best_centers = centers_;
     }
   }
+  arena_ = std::move(best_arena);
   centers_ = std::move(best_centers);
   return best_report;
 }
@@ -153,13 +152,13 @@ HdClusteringReport HdClustering::fit_once(const EncodedDataset& data, std::uint6
         report.assignments[i] = winner;
       }
       // Eq. 8/9: saturation-aware center update on the integer accumulator.
-      ClusterCenter& c = centers_[winner];
       const double weight = 1.0 - sims[winner];
       if (weight != 0.0) {
-        const double dot_cs = hdc::dot(c.accumulator, s.real);
-        hdc::add_scaled(c.accumulator, s.real, weight);
-        c.norm2 += 2.0 * weight * dot_cs + weight * weight * s.real_norm2;
-        c.norm2 = std::max(c.norm2, 0.0);
+        double& norm2 = centers_[winner].norm2;
+        const double dot_cs = hdc::dot(hdc::RealHVView(accumulator(winner)), s.real);
+        hdc::add_scaled(accumulator(winner), s.real, weight);
+        norm2 += 2.0 * weight * dot_cs + weight * weight * s.real_norm2;
+        norm2 = std::max(norm2, 0.0);
       }
     }
     requantize();

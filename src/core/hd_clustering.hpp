@@ -10,11 +10,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/encoded.hpp"
-#include "core/multi_model.hpp"  // ClusterCenter
+#include "core/kernels.hpp"  // ClusterCenter
+#include "util/aligned.hpp"
 
 namespace reghd::core {
 
@@ -59,7 +61,11 @@ class HdClustering {
   [[nodiscard]] std::vector<double> similarities(const hdc::EncodedSampleView& sample) const;
 
   [[nodiscard]] std::size_t num_clusters() const noexcept { return config_.clusters; }
+  /// Snapshots (C^b, ‖C‖²) and accumulator row of center i.
   [[nodiscard]] const ClusterCenter& center(std::size_t i) const { return centers_[i]; }
+  [[nodiscard]] std::span<const double> center_accumulator(std::size_t i) const {
+    return {arena_.data() + i * config_.dim, config_.dim};
+  }
   [[nodiscard]] const HdClusteringConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
 
@@ -68,7 +74,14 @@ class HdClustering {
   HdClusteringReport fit_once(const EncodedDataset& data, std::uint64_t seed);
   void requantize();
 
+  [[nodiscard]] std::span<double> accumulator(std::size_t i) {
+    return {arena_.data() + i * config_.dim, config_.dim};
+  }
+
   HdClusteringConfig config_;
+  /// k×D center accumulators, one row per center (the same bank layout as
+  /// MultiModelRegressor's cluster half); centers_ holds their snapshots.
+  util::AlignedVector<double> arena_;
   std::vector<ClusterCenter> centers_;
   bool fitted_ = false;
 };

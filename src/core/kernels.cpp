@@ -4,13 +4,13 @@
 
 namespace reghd::core {
 
-void RegressionModel::requantize() {
-  binary = accumulator.sign_packed();
+void RegressionModel::requantize(std::span<const double> accumulator) {
+  binary = hdc::RealHVView(accumulator).sign_packed();
   double abs_sum = 0.0;
-  for (const double v : accumulator.values()) {
+  for (const double v : accumulator) {
     abs_sum += std::abs(v);
   }
-  const std::size_t dim = accumulator.dim();
+  const std::size_t dim = accumulator.size();
   gamma = dim > 0 ? abs_sum / static_cast<double>(dim) : 0.0;
 
   // Ternary snapshot: dead-zone components below kTernaryThreshold·γ.
@@ -29,15 +29,20 @@ void RegressionModel::requantize() {
   gamma_ternary = kept > 0 ? kept_sum / static_cast<double>(kept) : 0.0;
 }
 
-double predict_dot(const RegressionModel& model, const hdc::EncodedSampleView& query,
-                   PredictionMode mode) {
-  const auto d = static_cast<double>(model.accumulator.dim());
+void ClusterCenter::requantize(std::span<const double> accumulator) {
+  binary = hdc::RealHVView(accumulator).sign_packed();
+  norm2 = 0.0;
+  for (const double v : accumulator) {
+    norm2 += v * v;
+  }
+}
+
+double predict_dot(std::span<const double> accumulator, const RegressionModel& model,
+                   const hdc::EncodedSampleView& query, PredictionMode mode) {
+  const auto d = static_cast<double>(accumulator.size());
   REGHD_CHECK(d > 0, "predict_dot on an empty model");
   if (mode.model == ModelPrecision::kReal) {
-    if (mode.query == QueryPrecision::kReal) {
-      return hdc::dot(model.accumulator, query.real) / d;  // full precision
-    }
-    return hdc::dot(model.accumulator, query.binary) / d;  // binary query, multiply-free
+    return raw_query_dot(accumulator, query, mode.query) / d;
   }
   if (mode.model == ModelPrecision::kTernary) {
     // Ternary model: dead-zone components contribute nothing; survivors
@@ -58,7 +63,7 @@ double predict_dot(const RegressionModel& model, const hdc::EncodedSampleView& q
   return model.gamma * static_cast<double>(hdc::bipolar_dot(model.binary, query.binary)) / d;
 }
 
-void update_accumulator(hdc::RealHV& accumulator, const hdc::EncodedSampleView& sample,
+void update_accumulator(std::span<double> accumulator, const hdc::EncodedSampleView& sample,
                         double coeff, QueryPrecision precision) {
   if (precision == QueryPrecision::kReal) {
     hdc::add_scaled(accumulator, sample.real, coeff);
@@ -67,12 +72,13 @@ void update_accumulator(hdc::RealHV& accumulator, const hdc::EncodedSampleView& 
   }
 }
 
-double raw_query_dot(const hdc::RealHV& accumulator, const hdc::EncodedSampleView& query,
+double raw_query_dot(std::span<const double> accumulator, const hdc::EncodedSampleView& query,
                      QueryPrecision precision) {
+  const hdc::RealHVView acc(accumulator);
   if (precision == QueryPrecision::kReal) {
-    return hdc::dot(accumulator, query.real);
+    return hdc::dot(acc, query.real);
   }
-  return hdc::dot(accumulator, query.binary);
+  return hdc::dot(acc, query.binary);
 }
 
 double update_normalizer(const hdc::EncodedSampleView& sample, QueryPrecision precision) {

@@ -8,18 +8,20 @@
 // nominal α values stable across the Table 2 dimensionality sweep.
 #pragma once
 
+#include <span>
+
 #include "core/config.hpp"
 #include "hdc/encoding.hpp"
 #include "hdc/ops.hpp"
 
 namespace reghd::core {
 
-/// State of one regression model: the integer accumulator M, its binary
-/// snapshot M^b, the ternary mask (QuantHD extension), and the calibration
-/// scales fitted at quantization time (§3.2; map popcount scores back to
-/// accumulator units).
+/// Snapshot state of one regression model: the binary snapshot M^b, the
+/// ternary mask (QuantHD extension), and the calibration scales fitted at
+/// quantization time (§3.2; map popcount scores back to accumulator units).
+/// The integer accumulator M itself lives with the owning regressor (a row
+/// of MultiModelRegressor's bank arena, SingleModelRegressor's one vector).
 struct RegressionModel {
-  hdc::RealHV accumulator;
   hdc::BinaryHV binary;
   double gamma = 0.0;  ///< mean_j |M_j| — the binary-snapshot scale.
 
@@ -33,23 +35,36 @@ struct RegressionModel {
   /// ternary snapshot (QuantHD's dead-zone width).
   static constexpr double kTernaryThreshold = 0.6;
 
-  explicit RegressionModel(std::size_t dim)
-      : accumulator(dim), binary(dim), ternary_mask(dim) {}
+  explicit RegressionModel(std::size_t dim) : binary(dim), ternary_mask(dim) {}
   RegressionModel() = default;
 
   /// Refreshes binary + ternary snapshots and both scales from the
-  /// accumulator.
-  void requantize();
+  /// accumulator M.
+  void requantize(std::span<const double> accumulator);
 };
 
-/// Normalized prediction dot of one model against one encoded query, at the
-/// configured precision (the four §3.2 kernels).
-[[nodiscard]] double predict_dot(const RegressionModel& model, const hdc::EncodedSampleView& query,
-                                 PredictionMode mode);
+/// Snapshot state of one cluster center: the binary snapshot C^b and the
+/// cached squared norm ‖C‖² for O(1) cosine updates. The integer
+/// accumulator C lives with the owner (a bank-arena row).
+struct ClusterCenter {
+  hdc::BinaryHV binary;
+  double norm2 = 0.0;
+
+  /// Refreshes C^b from the accumulator and recomputes ‖C‖² exactly
+  /// (nulling the incremental updates' drift).
+  void requantize(std::span<const double> accumulator);
+};
+
+/// Normalized prediction dot of one model (accumulator M plus its
+/// snapshots) against one encoded query, at the configured precision (the
+/// four §3.2 kernels).
+[[nodiscard]] double predict_dot(std::span<const double> accumulator,
+                                 const RegressionModel& model,
+                                 const hdc::EncodedSampleView& query, PredictionMode mode);
 
 /// Accumulator update M += coeff·S with the sample taken at the given query
 /// precision (real encoder output vs bipolar sign vector).
-void update_accumulator(hdc::RealHV& accumulator, const hdc::EncodedSampleView& sample,
+void update_accumulator(std::span<double> accumulator, const hdc::EncodedSampleView& sample,
                         double coeff, QueryPrecision precision);
 
 /// Normalization factor D/‖S‖² that turns the LMS update into normalized
@@ -62,7 +77,7 @@ void update_accumulator(hdc::RealHV& accumulator, const hdc::EncodedSampleView& 
 
 /// Raw (unnormalized) dot of a real accumulator against the query at the
 /// given precision; used where the caller owns normalization (cosine).
-[[nodiscard]] double raw_query_dot(const hdc::RealHV& accumulator,
+[[nodiscard]] double raw_query_dot(std::span<const double> accumulator,
                                    const hdc::EncodedSampleView& query, QueryPrecision precision);
 
 /// Squared norm of the query at the given precision (bipolar: exactly D).

@@ -1,5 +1,6 @@
 #include "core/model_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -183,8 +184,8 @@ RegHDConfig read_reghd_config(std::istream& in) {
 void write_model_section(std::ostream& out, const MultiModelRegressor& regressor) {
   util::write_scalar<std::uint64_t>(out, regressor.num_models());
   for (std::size_t i = 0; i < regressor.num_models(); ++i) {
-    util::write_vector<double>(out, regressor.cluster(i).accumulator.values());
-    util::write_vector<double>(out, regressor.model(i).accumulator.values());
+    util::write_vector<double>(out, regressor.cluster_accumulator(i));
+    util::write_vector<double>(out, regressor.model_accumulator(i));
   }
 }
 
@@ -195,13 +196,15 @@ void read_model_section(std::istream& in, MultiModelRegressor& regressor) {
     throw std::runtime_error("model_io: stored model count does not match configuration");
   }
   for (std::size_t i = 0; i < k; ++i) {
-    auto cluster_values = util::read_vector<double>(in);
-    auto model_values = util::read_vector<double>(in);
+    const auto cluster_values = util::read_vector<double>(in);
+    const auto model_values = util::read_vector<double>(in);
     if (cluster_values.size() != cfg.dim || model_values.size() != cfg.dim) {
       throw std::runtime_error("model_io: stored hypervector dimensionality mismatch");
     }
-    regressor.mutable_clusters()[i].accumulator = hdc::RealHV(std::move(cluster_values));
-    regressor.mutable_models()[i].accumulator = hdc::RealHV(std::move(model_values));
+    std::copy(cluster_values.begin(), cluster_values.end(),
+              regressor.mutable_cluster_accumulator(i).begin());
+    std::copy(model_values.begin(), model_values.end(),
+              regressor.mutable_model_accumulator(i).begin());
   }
 }
 

@@ -50,21 +50,25 @@ MultiModelRegressor::MultiModelRegressor(const RegHDConfig& config) : config_(co
 void MultiModelRegressor::reset() {
   util::Rng rng(config_.seed);
   util::Rng cluster_rng = rng.split();
+  const std::size_t k = config_.models;
 
-  models_.assign(config_.models, RegressionModel(config_.dim));
-  clusters_.clear();
-  clusters_.reserve(config_.models);
-  for (std::size_t i = 0; i < config_.models; ++i) {
-    ClusterCenter c;
+  arena_.assign(2 * k * config_.dim, 0.0);
+  clusters_.assign(k, ClusterCenter{});
+  models_.assign(k, RegressionModel(config_.dim));
+  for (std::size_t i = 0; i < k; ++i) {
     // Paper §2.4: cluster hypervectors initialized to random binary values.
-    c.accumulator = hdc::random_bipolar(config_.dim, cluster_rng).to_real();
-    c.norm2 = static_cast<double>(config_.dim);
-    c.requantize();
-    clusters_.push_back(std::move(c));
+    const hdc::BipolarHV init = hdc::random_bipolar(config_.dim, cluster_rng);
+    std::copy(init.values().begin(), init.values().end(), arena_row(i).begin());
+    clusters_[i].requantize(arena_row(i));
+    models_[i].requantize(arena_row(k + i));
   }
-  for (auto& m : models_) {
-    m.requantize();
-  }
+  rebuild_packed_bank();
+}
+
+void MultiModelRegressor::restore(State state) {
+  arena_ = std::move(state.arena);
+  clusters_ = std::move(state.clusters);
+  models_ = std::move(state.models);
   rebuild_packed_bank();
 }
 
@@ -145,8 +149,7 @@ void MultiModelRegressor::similarities_into(const hdc::EncodedSampleView& sample
           sims[i] = 0.0;
           continue;
         }
-        sims[i] =
-            raw_query_dot(clusters_[i].accumulator, sample, config_.query_precision) / (cn * qn);
+        sims[i] = raw_query_dot(arena_row(i), sample, config_.query_precision) / (cn * qn);
       }
       break;
     }
@@ -200,7 +203,7 @@ double MultiModelRegressor::predict(const hdc::EncodedSampleView& sample) const 
   const PredictionMode mode = config_.prediction_mode();
   double y = 0.0;
   for (std::size_t i = 0; i < models_.size(); ++i) {
-    y += conf[i] * predict_dot(models_[i], sample, mode);
+    y += conf[i] * predict_dot(model_accumulator(i), models_[i], sample, mode);
   }
   return y;
 }
@@ -216,7 +219,7 @@ PredictionDetail MultiModelRegressor::predict_detail(const hdc::EncodedSampleVie
   detail.model_outputs.resize(models_.size());
   detail.prediction = 0.0;
   for (std::size_t i = 0; i < models_.size(); ++i) {
-    detail.model_outputs[i] = predict_dot(models_[i], sample, mode);
+    detail.model_outputs[i] = predict_dot(model_accumulator(i), models_[i], sample, mode);
     detail.prediction += detail.confidences[i] * detail.model_outputs[i];
   }
   return detail;
@@ -272,7 +275,7 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   sims.resize(k_c);
 
   if (real_fusable) {
-    // Replays predict_batch's full-precision bank scan, one block at a time:
+    // Replays the full-precision arena scan, one block at a time:
     // dot_rows_block carries each row's lane-accumulator state across blocks
     // and finishes bit-identical to its backend's dot_real_real, so the
     // scores equal raw_query_dot / predict_dot exactly. The query's own
@@ -289,11 +292,8 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
       const std::size_t len = std::min(kFusedBlock, d - j0);
       const bool last = j0 + len == d;
       encoder.encode_real_block(features, j0, len, block.data());
-      for (std::size_t c = 0; c < k_c; ++c) {
-        row_ptrs[c] = clusters_[c].accumulator.values().data() + j0;
-      }
-      for (std::size_t m = 0; m < k_m; ++m) {
-        row_ptrs[k_c + m] = models_[m].accumulator.values().data() + j0;
+      for (std::size_t r = 0; r < k_c + k_m; ++r) {
+        row_ptrs[r] = arena_.data() + r * d + j0;
       }
       row_ptrs[k_c + k_m] = block.data();
       kb.dot_rows_block(block.data(), row_ptrs.data(), rows, len, last,
@@ -349,7 +349,7 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
       totals[r] += block_scores[r];
     }
   }
-  // Replay of predict_batch's quantized replay of hamming_similarity /
+  // Replay of the quantized bank scan's replay of hamming_similarity /
   // predict_dot / predict(): exact integer distance, then the same float
   // expressions.
   for (std::size_t c = 0; c < k_c; ++c) {
@@ -366,72 +366,51 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   return y;
 }
 
-std::vector<double> MultiModelRegressor::predict_batch(const EncodedDataset& dataset,
-                                                       std::size_t threads) const {
-  const obs::StageTimer timer(obs::Histo::kPredictBatchNs);
-  obs::count(obs::Counter::kPredictBatchRows, dataset.size());
-  std::vector<double> out(dataset.size());
-  const std::size_t use_threads = threads != 0 ? threads : config_.threads;
+void MultiModelRegressor::scan_real_row(const double* query, double query_norm2,
+                                        double* scores, double* sims) const {
+  const std::size_t d = config_.dim;
+  const std::size_t k = models_.size();
+  hdc::active_backend().dot_rows(query, arena_.data(), d, 2 * k, d, scores);
+  const double qn = std::sqrt(query_norm2);
+  for (std::size_t c = 0; c < k; ++c) {
+    const double cn = std::sqrt(clusters_[c].norm2);
+    sims[c] = (cn == 0.0 || qn == 0.0) ? 0.0 : scores[c] / (cn * qn);
+  }
+}
+
+void MultiModelRegressor::scan_rows(const EncodedDataset& dataset, std::size_t r0,
+                                    std::size_t rn, std::span<double> out,
+                                    PredictScratch& scratch) const {
+  REGHD_CHECK(r0 == rn || dataset.dim() == config_.dim,
+              "sample dim " << dataset.dim() << " != configured dim " << config_.dim);
   const PredictionMode mode = config_.prediction_mode();
+  const std::size_t d = config_.dim;
+  const double dd = static_cast<double>(d);
+  const std::size_t k = models_.size();
   if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal &&
-      !dataset.empty() && dataset.dim() == config_.dim) {
-    // Full-precision fast path: pack all cluster and model accumulators into
-    // one contiguous (k_c + k_m)×D bank so every query row is scored against
-    // the whole bank with a single dot_rows sweep (the bank stays hot in
-    // cache across rows). dot_rows reduces each bank row exactly like the
-    // dot_real_real calls behind raw_query_dot / predict_dot, and the
-    // sims → confidences → Eq. 6 arithmetic below replays predict()'s
-    // operation sequence, so out[i] is bit-identical to predict(sample(i)).
-    const hdc::KernelBackend& kb = hdc::active_backend();
-    const std::size_t d = config_.dim;
-    const double dd = static_cast<double>(d);
-    const std::size_t k_c = clusters_.size();
-    const std::size_t k_m = models_.size();
-    util::AlignedVector<double> bank((k_c + k_m) * d);
-    std::vector<double> cluster_norm(k_c);
-    for (std::size_t c = 0; c < k_c; ++c) {
-      std::memcpy(bank.data() + c * d, clusters_[c].accumulator.values().data(),
-                  d * sizeof(double));
-      cluster_norm[c] = std::sqrt(clusters_[c].norm2);
-    }
-    for (std::size_t m = 0; m < k_m; ++m) {
-      std::memcpy(bank.data() + (k_c + m) * d, models_[m].accumulator.values().data(),
-                  d * sizeof(double));
-    }
+      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal) {
+    // Full-precision bank scan: each query row is scored against all 2k
+    // arena rows with one dot_rows sweep (the arena stays hot in cache across
+    // rows). dot_rows reduces each row exactly like the dot_real_real calls
+    // behind raw_query_dot / predict_dot, and the sims → confidences → Eq. 6
+    // arithmetic replays predict()'s operation sequence, so out[i] is
+    // bit-identical to predict(sample(i)).
     const double* rows = dataset.real_plane().data();
-    constexpr std::size_t kChunk = 64;
-    const std::size_t chunks = (dataset.size() + kChunk - 1) / kChunk;
-    util::parallel_for(
-        chunks,
-        [&](std::size_t chunk) {
-          const std::size_t r0 = chunk * kChunk;
-          const std::size_t rn = std::min(dataset.size(), r0 + kChunk);
-          std::vector<double> scores(k_c + k_m);
-          std::vector<double> sims(k_c);
-          for (std::size_t i = r0; i < rn; ++i) {
-            kb.dot_rows(rows + i * d, bank.data(), d, k_c + k_m, d, scores.data());
-            const double qn = std::sqrt(dataset.norms2()[i]);
-            for (std::size_t c = 0; c < k_c; ++c) {
-              sims[c] = (cluster_norm[c] == 0.0 || qn == 0.0)
-                            ? 0.0
-                            : scores[c] / (cluster_norm[c] * qn);
-            }
-            const std::vector<double> conf = confidences_from(sims);
-            double y = 0.0;
-            for (std::size_t m = 0; m < k_m; ++m) {
-              y += conf[m] * (scores[k_c + m] / dd);
-            }
-            out[i] = y;
-          }
-        },
-        use_threads);
-    return out;
+    for (std::size_t i = r0; i < rn; ++i) {
+      scan_real_row(rows + i * d, dataset.norms2()[i], scratch.scores.data(),
+                    scratch.sims.data());
+      confidences_into(scratch.sims);
+      double y = 0.0;
+      for (std::size_t m = 0; m < k; ++m) {
+        y += scratch.sims[m] * (scratch.scores[k + m] / dd);
+      }
+      out[i] = y;
+    }
+    return;
   }
   if ((config_.cluster_mode == ClusterMode::kQuantized ||
        config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-      mode.query == QueryPrecision::kBinary && !dataset.empty() &&
-      dataset.dim() == config_.dim) {
+      mode.query == QueryPrecision::kBinary) {
     // Quantized bank scan (§3.1 + §3.2): the Hamming similarities of every
     // query against all cluster snapshots come from one dot_rows_ternary
     // popcount sweep over the packed 2-bit-plane bank; with a binary or
@@ -441,112 +420,85 @@ std::vector<double> MultiModelRegressor::predict_batch(const EncodedDataset& dat
     // full-mask rows reduce to the same d − 2·Hamming the binary scan
     // produced — and the float arithmetic below replays hamming_similarity /
     // predict_dot / predict() operation-for-operation, so out[i] is
-    // bit-identical to predict(sample(i)).
-    const hdc::KernelBackend& kb = hdc::active_backend();
-    const std::size_t d = config_.dim;
-    const double dd = static_cast<double>(d);
+    // bit-identical to predict(sample(i)). The model's bank tracks the
+    // snapshots (rebuilt on requantize); after raw snapshot access it is
+    // stale, so the scan reads the scratch's re-packed copy instead — same
+    // bytes, same results.
     const std::size_t words = dataset.words_per_row();
-    const std::size_t k_c = clusters_.size();
-    const std::size_t k_m = models_.size();
     const bool bank_models = mode.model == ModelPrecision::kBinary ||
                              mode.model == ModelPrecision::kTernary;
-    // The persistent bank tracks the snapshots (rebuilt on requantize);
-    // after raw mutable-state access it is stale, so score through a
-    // per-call bank instead — same bytes, same results.
-    PackedTernaryBank local;
-    if (!packed_bank_.valid) {
-      build_packed_bank_into(local);
-    }
-    const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : local;
-    REGHD_INTERNAL_CHECK(bank.rows == k_c + (bank_models ? k_m : 0) &&
-                             bank.words == words,
+    const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : scratch.packed;
+    REGHD_INTERNAL_CHECK(bank.rows == k + (bank_models ? k : 0) && bank.words == words &&
+                             scratch.qscores.size() >= bank.rows,
                          "packed bank geometry " << bank.rows << "×" << bank.words
                                                  << " does not match predict shape");
+    const hdc::KernelBackend& kb = hdc::active_backend();
     const std::uint64_t* bits = dataset.binary_plane().data();
-    constexpr std::size_t kChunk = 64;
-    const std::size_t chunks = (dataset.size() + kChunk - 1) / kChunk;
-    util::parallel_for(
-        chunks,
-        [&](std::size_t chunk) {
-          const std::size_t r0 = chunk * kChunk;
-          const std::size_t rn = std::min(dataset.size(), r0 + kChunk);
-          std::vector<std::int64_t> scores(bank.rows);
-          std::vector<double> sims(k_c);
-          for (std::size_t i = r0; i < rn; ++i) {
-            kb.dot_rows_ternary(bits + i * words, bank.signs.data(),
-                                bank.masks.data(), words, bank.rows, d,
-                                scores.data());
-            for (std::size_t c = 0; c < k_c; ++c) {
-              // hamming_similarity replayed from the exact integer distance
-              // h = (d − dot) / 2.
-              const auto h = static_cast<double>(
-                  (static_cast<std::int64_t>(d) - scores[c]) / 2);
-              sims[c] = 1.0 - 2.0 * h / dd;
-            }
-            const std::vector<double> conf = confidences_from(sims);
-            double y = 0.0;
-            if (bank_models) {
-              // γ·score/D (binary) or γ_ternary·score/D (ternary) — the
-              // bank's per-row scale is exactly that γ, so one expression
-              // replays both predict_dot forms.
-              for (std::size_t m = 0; m < k_m; ++m) {
-                y += conf[m] * (bank.scale[k_c + m] *
-                                static_cast<double>(scores[k_c + m]) / dd);
-              }
-            } else {
-              // Integer (real-precision) model term: not a popcount shape;
-              // reuse the per-sample kernel (still banked sims above).
-              const hdc::EncodedSampleView s = dataset.sample(i);
-              for (std::size_t m = 0; m < k_m; ++m) {
-                y += conf[m] * predict_dot(models_[m], s, mode);
-              }
-            }
-            out[i] = y;
-          }
-        },
-        use_threads);
-    return out;
+    for (std::size_t i = r0; i < rn; ++i) {
+      kb.dot_rows_ternary(bits + i * words, bank.signs.data(), bank.masks.data(), words,
+                          bank.rows, d, scratch.qscores.data());
+      for (std::size_t c = 0; c < k; ++c) {
+        // hamming_similarity replayed from the exact integer distance
+        // h = (d − dot) / 2.
+        const auto h = static_cast<double>(
+            (static_cast<std::int64_t>(d) - scratch.qscores[c]) / 2);
+        scratch.sims[c] = 1.0 - 2.0 * h / dd;
+      }
+      confidences_into(scratch.sims);
+      double y = 0.0;
+      if (bank_models) {
+        // γ·score/D (binary) or γ_ternary·score/D (ternary) — the bank's
+        // per-row scale is exactly that γ, so one expression replays both
+        // predict_dot forms.
+        for (std::size_t m = 0; m < k; ++m) {
+          y += scratch.sims[m] *
+               (bank.scale[k + m] * static_cast<double>(scratch.qscores[k + m]) / dd);
+        }
+      } else {
+        // Integer (real-precision) model term: not a popcount shape; reuse
+        // the per-sample kernel (still banked sims above).
+        const hdc::EncodedSampleView s = dataset.sample(i);
+        for (std::size_t m = 0; m < k; ++m) {
+          y += scratch.sims[m] * predict_dot(model_accumulator(m), models_[m], s, mode);
+        }
+      }
+      out[i] = y;
+    }
+    return;
   }
+  // Generic modes: per-row predict() (this path allocates; the serving
+  // no-alloc guarantee covers the two bank fast paths above).
+  for (std::size_t i = r0; i < rn; ++i) {
+    out[i] = predict(dataset.sample(i));
+  }
+}
+
+std::vector<double> MultiModelRegressor::predict_batch(const EncodedDataset& dataset,
+                                                       std::size_t threads) const {
+  const obs::StageTimer timer(obs::Histo::kPredictBatchNs);
+  obs::count(obs::Counter::kPredictBatchRows, dataset.size());
+  std::vector<double> out(dataset.size());
+  constexpr std::size_t kChunk = 64;
   util::parallel_for(
-      dataset.size(), [&](std::size_t i) { out[i] = predict(dataset.sample(i)); },
-      use_threads);
+      (dataset.size() + kChunk - 1) / kChunk,
+      [&](std::size_t chunk) {
+        PredictScratch scratch;
+        prepare_predict_scratch(scratch);
+        scan_rows(dataset, chunk * kChunk, std::min(dataset.size(), (chunk + 1) * kChunk),
+                  out, scratch);
+      },
+      threads != 0 ? threads : config_.threads);
   return out;
 }
 
 void MultiModelRegressor::prepare_predict_scratch(PredictScratch& scratch) const {
-  const PredictionMode mode = config_.prediction_mode();
-  const std::size_t d = config_.dim;
-  const std::size_t k_c = clusters_.size();
-  const std::size_t k_m = models_.size();
-  scratch.sims.assign(k_c, 0.0);
-  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal) {
-    // Same bank layout predict_batch builds per call: clusters then models,
-    // one contiguous (k_c + k_m)×D block, with the √‖C‖² cache alongside.
-    scratch.bank.assign((k_c + k_m) * d, 0.0);
-    scratch.cluster_norm.assign(k_c, 0.0);
-    for (std::size_t c = 0; c < k_c; ++c) {
-      std::memcpy(scratch.bank.data() + c * d,
-                  clusters_[c].accumulator.values().data(), d * sizeof(double));
-      scratch.cluster_norm[c] = std::sqrt(clusters_[c].norm2);
-    }
-    for (std::size_t m = 0; m < k_m; ++m) {
-      std::memcpy(scratch.bank.data() + (k_c + m) * d,
-                  models_[m].accumulator.values().data(), d * sizeof(double));
-    }
-    scratch.scores.assign(k_c + k_m, 0.0);
-  } else if ((config_.cluster_mode == ClusterMode::kQuantized ||
-              config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-             mode.query == QueryPrecision::kBinary) {
-    // Build the fallback packed bank only when the persistent one is stale —
-    // predict time picks whichever is current, exactly like predict_batch.
-    if (!packed_bank_.valid) {
-      build_packed_bank_into(scratch.packed);
-    }
-    const std::size_t bank_rows =
-        packed_bank_.valid ? packed_bank_.rows : scratch.packed.rows;
-    scratch.qscores.assign(bank_rows, 0);
+  const std::size_t k = models_.size();
+  if (!packed_bank_.valid) {
+    build_packed_bank_into(scratch.packed);
   }
+  scratch.scores.assign(2 * k, 0.0);
+  scratch.qscores.assign(2 * k, 0);
+  scratch.sims.assign(k, 0.0);
   scratch.prepared = true;
 }
 
@@ -560,88 +512,7 @@ void MultiModelRegressor::predict_batch_into(const EncodedDataset& dataset,
   REGHD_CHECK(scratch.prepared, "predict scratch was never prepared");
   const obs::StageTimer timer(obs::Histo::kPredictBatchNs);
   obs::count(obs::Counter::kPredictBatchRows, dataset.size());
-  if (dataset.empty()) {
-    return;
-  }
-  const PredictionMode mode = config_.prediction_mode();
-  const hdc::KernelBackend& kb = hdc::active_backend();
-  const std::size_t d = config_.dim;
-  const double dd = static_cast<double>(d);
-  const std::size_t k_c = clusters_.size();
-  const std::size_t k_m = models_.size();
-  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal &&
-      dataset.dim() == config_.dim) {
-    // Serial replay of predict_batch's full-precision bank sweep. The
-    // parallel form is row-independent, so running rows in order through the
-    // prepared bank produces the identical bit pattern — only the thread
-    // fan-out and the per-call bank/score allocations are gone.
-    const double* rows = dataset.real_plane().data();
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-      kb.dot_rows(rows + i * d, scratch.bank.data(), d, k_c + k_m, d,
-                  scratch.scores.data());
-      const double qn = std::sqrt(dataset.norms2()[i]);
-      for (std::size_t c = 0; c < k_c; ++c) {
-        scratch.sims[c] = (scratch.cluster_norm[c] == 0.0 || qn == 0.0)
-                              ? 0.0
-                              : scratch.scores[c] / (scratch.cluster_norm[c] * qn);
-      }
-      confidences_into(scratch.sims);
-      double y = 0.0;
-      for (std::size_t m = 0; m < k_m; ++m) {
-        y += scratch.sims[m] * (scratch.scores[k_c + m] / dd);
-      }
-      out[i] = y;
-    }
-    return;
-  }
-  if ((config_.cluster_mode == ClusterMode::kQuantized ||
-       config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-      mode.query == QueryPrecision::kBinary && dataset.dim() == config_.dim) {
-    // Serial replay of the quantized popcount sweep, scoring through the
-    // persistent bank when current and the prepared fallback otherwise.
-    const std::size_t words = dataset.words_per_row();
-    const bool bank_models = mode.model == ModelPrecision::kBinary ||
-                             mode.model == ModelPrecision::kTernary;
-    const PackedTernaryBank& bank =
-        packed_bank_.valid ? packed_bank_ : scratch.packed;
-    REGHD_INTERNAL_CHECK(bank.rows == k_c + (bank_models ? k_m : 0) &&
-                             bank.words == words &&
-                             scratch.qscores.size() >= bank.rows,
-                         "packed bank geometry " << bank.rows << "×" << bank.words
-                                                 << " does not match predict shape");
-    const std::uint64_t* bits = dataset.binary_plane().data();
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-      kb.dot_rows_ternary(bits + i * words, bank.signs.data(), bank.masks.data(),
-                          words, bank.rows, d, scratch.qscores.data());
-      for (std::size_t c = 0; c < k_c; ++c) {
-        const auto h = static_cast<double>(
-            (static_cast<std::int64_t>(d) - scratch.qscores[c]) / 2);
-        scratch.sims[c] = 1.0 - 2.0 * h / dd;
-      }
-      confidences_into(scratch.sims);
-      double y = 0.0;
-      if (bank_models) {
-        for (std::size_t m = 0; m < k_m; ++m) {
-          y += scratch.sims[m] * (bank.scale[k_c + m] *
-                                  static_cast<double>(scratch.qscores[k_c + m]) / dd);
-        }
-      } else {
-        const hdc::EncodedSampleView s = dataset.sample(i);
-        for (std::size_t m = 0; m < k_m; ++m) {
-          y += scratch.sims[m] * predict_dot(models_[m], s, mode);
-        }
-      }
-      out[i] = y;
-    }
-    return;
-  }
-  // Generic modes: per-row predict(), same as predict_batch's last resort
-  // (this path allocates; the serving no-alloc guarantee covers the two bank
-  // fast paths above).
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    out[i] = predict(dataset.sample(i));
-  }
+  scan_rows(dataset, 0, dataset.size(), out, scratch);
 }
 
 double MultiModelRegressor::evaluate_mse(const EncodedDataset& dataset) const {
@@ -678,7 +549,7 @@ double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, dou
   // Eq. 6: confidence-weighted prediction.
   double prediction = 0.0;
   for (std::size_t i = 0; i < models_.size(); ++i) {
-    prediction += conf[i] * predict_dot(models_[i], sample, mode);
+    prediction += conf[i] * predict_dot(model_accumulator(i), models_[i], sample, mode);
   }
   double error = target - prediction;
   if (config_.error_clip > 0.0) {
@@ -702,11 +573,12 @@ double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, dou
     for (std::size_t i = 0; i < models_.size(); ++i) {
       const double coeff = config_.learning_rate * error * conf[i] * normalizer * mix_norm;
       if (coeff != 0.0) {
-        update_accumulator(models_[i].accumulator, sample, coeff, config_.query_precision);
+        update_accumulator(mutable_model_accumulator(i), sample, coeff,
+                           config_.query_precision);
       }
     }
   } else {
-    update_accumulator(models_[winner].accumulator, sample,
+    update_accumulator(mutable_model_accumulator(winner), sample,
                        config_.learning_rate * error * normalizer, config_.query_precision);
   }
 
@@ -716,15 +588,15 @@ double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, dou
   // the naive-binarization foil.
   obs::count_cluster_hit(winner);
   if (config_.cluster_mode != ClusterMode::kNaiveBinary) {
-    ClusterCenter& c = clusters_[winner];
     const double weight = 1.0 - sims[winner];
     if (weight != 0.0) {
       obs::count(obs::Counter::kClusterUpdates);
       // Maintain ‖C‖² incrementally: ‖C + w·S‖² = ‖C‖² + 2w·(C·S) + w²·‖S‖².
-      const double dot_cs = hdc::dot(c.accumulator, sample.real);
-      hdc::add_scaled(c.accumulator, sample.real, weight);
-      c.norm2 += 2.0 * weight * dot_cs + weight * weight * sample.real_norm2;
-      c.norm2 = std::max(c.norm2, 0.0);
+      double& norm2 = clusters_[winner].norm2;
+      const double dot_cs = hdc::dot(hdc::RealHVView(arena_row(winner)), sample.real);
+      hdc::add_scaled(arena_row(winner), sample.real, weight);
+      norm2 += 2.0 * weight * dot_cs + weight * weight * sample.real_norm2;
+      norm2 = std::max(norm2, 0.0);
     }
   }
   return prediction;
@@ -739,8 +611,9 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   if (indices.empty()) {
     return;
   }
-  REGHD_CHECK(data.dim() == config_.dim,
-              "batch data dim " << data.dim() << " != configured dim " << config_.dim);
+  // Every row is read raw (target, real plane, norms), so bad ids are
+  // refused up front, before any state changes.
+  check_training_rows(data, indices, config_.dim);
   const obs::StageTimer timer(obs::Histo::kTrainBatchNs);
   obs::count(obs::Counter::kTrainBatches);
   obs::count(obs::Counter::kTrainBatchSamples, indices.size());
@@ -797,32 +670,15 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   };
 
   // Phase 1 — per-sample Eq. 5/6 quantities against the entry (batch-start)
-  // state, parallel over samples. The bank fast path pays a 2k·D bank copy
-  // per call, which only amortizes once a few samples share it; tiny batches
-  // (B = 1 above all) take the per-sample kernels directly. Both branches
-  // are bit-identical, so the constant threshold only moves cost around.
-  constexpr std::size_t kBankMinBatch = 8;
+  // state, parallel over samples; nothing is written to the model until
+  // phase 2, so every sample reads the same state.
   if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      config_.query_precision == QueryPrecision::kReal && b >= kBankMinBatch) {
-    // Bank fast path (the default training configuration): one dot_rows
-    // sweep of each sample row against a contiguous batch-start bank of the
-    // k cluster + k model accumulators. dot_rows reduces each bank row in
-    // the operand order of raw_query_dot / predict_dot, so the sims and
-    // model dots are bit-identical to the per-sample kernel calls.
-    const hdc::KernelBackend& kb = hdc::active_backend();
+      config_.query_precision == QueryPrecision::kReal) {
+    // Bank path (the default training configuration), at every batch size:
+    // one dot_rows sweep of each sample row against the arena in place —
+    // the same scan as predict, bit-identical to train_step's per-sample
+    // kernel calls.
     const std::size_t d = config_.dim;
-    batch_bank_.resize(2 * k * d);
-    batch_cnorm_.resize(k);
-    std::vector<double>& cluster_norm = batch_cnorm_;
-    for (std::size_t c = 0; c < k; ++c) {
-      std::memcpy(batch_bank_.data() + c * d, clusters_[c].accumulator.values().data(),
-                  d * sizeof(double));
-      cluster_norm[c] = std::sqrt(clusters_[c].norm2);
-    }
-    for (std::size_t m = 0; m < k; ++m) {
-      std::memcpy(batch_bank_.data() + (k + m) * d, models_[m].accumulator.values().data(),
-                  d * sizeof(double));
-    }
     batch_scores_.resize(b * 2 * k);
     const double* rows = data.real_plane().data();
     util::parallel_for(
@@ -830,14 +686,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
         [&](std::size_t j) {
           const std::size_t row = indices[j];
           double* scores = batch_scores_.data() + j * 2 * k;
-          kb.dot_rows(rows + row * d, batch_bank_.data(), d, 2 * k, d, scores);
-          const double qn = std::sqrt(data.norms2()[row]);
           double* sims = batch_sims_.data() + j * k;
-          for (std::size_t c = 0; c < k; ++c) {
-            sims[c] = (cluster_norm[c] == 0.0 || qn == 0.0)
-                          ? 0.0
-                          : scores[c] / (cluster_norm[c] * qn);
-          }
+          scan_real_row(rows + row * d, data.norms2()[row], scores, sims);
           double* conf = batch_conf_.data() + j * k;
           std::copy(sims, sims + k, conf);
           confidences_into(std::span<double>(conf, k));
@@ -862,7 +712,7 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
           confidences_into(std::span<double>(conf, k));
           double prediction = 0.0;
           for (std::size_t i = 0; i < k; ++i) {
-            prediction += conf[i] * predict_dot(models_[i], s, train_mode);
+            prediction += conf[i] * predict_dot(model_accumulator(i), models_[i], s, train_mode);
           }
           finish_sample(j, prediction);
         },
@@ -909,7 +759,7 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
                 if (coeff[m] == 0.0) {
                   continue;  // train_step's skip: keep −0 components intact
                 }
-                double* acc = models_[m].accumulator.values().data() + d0;
+                double* acc = arena_row(k + m).data() + d0;
                 if (real_updates) {
                   kb.add_scaled_real(acc, real_rows + row * d + d0, coeff[m], len);
                 } else {
@@ -917,7 +767,7 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
                 }
               }
             } else {
-              double* acc = models_[batch_winner_[j]].accumulator.values().data() + d0;
+              double* acc = arena_row(k + batch_winner_[j]).data() + d0;
               if (real_updates) {
                 kb.add_scaled_real(acc, real_rows + row * d + d0, batch_wcoeff_[j], len);
               } else {
@@ -940,7 +790,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
     util::parallel_for(
         k,
         [&](std::size_t c_idx) {
-          ClusterCenter& c = clusters_[c_idx];
+          const std::span<double> acc = arena_row(c_idx);
+          double& norm2 = clusters_[c_idx].norm2;
           for (std::size_t j = 0; j < b; ++j) {
             if (batch_winner_[j] != c_idx) {
               continue;
@@ -954,10 +805,10 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
             // against the accumulator with this cluster's earlier in-batch
             // updates applied, exactly as a serial sample-order replay would.
             const hdc::EncodedSampleView s = data.sample(indices[j]);
-            const double dot_cs = hdc::dot(c.accumulator, s.real);
-            hdc::add_scaled(c.accumulator, s.real, weight);
-            c.norm2 += 2.0 * weight * dot_cs + weight * weight * s.real_norm2;
-            c.norm2 = std::max(c.norm2, 0.0);
+            const double dot_cs = hdc::dot(hdc::RealHVView(acc), s.real);
+            hdc::add_scaled(acc, s.real, weight);
+            norm2 += 2.0 * weight * dot_cs + weight * weight * s.real_norm2;
+            norm2 = std::max(norm2, 0.0);
           }
         },
         use_threads);
@@ -973,9 +824,10 @@ void MultiModelRegressor::sparsify(double fraction) {
   const auto keep_from = static_cast<std::size_t>(
       fraction * static_cast<double>(config_.dim));
   std::vector<double> magnitudes(config_.dim);
-  for (auto& m : models_) {
+  for (std::size_t i = 0; i < models_.size(); ++i) {
+    const std::span<double> acc = mutable_model_accumulator(i);
     for (std::size_t j = 0; j < config_.dim; ++j) {
-      magnitudes[j] = std::abs(m.accumulator[j]);
+      magnitudes[j] = std::abs(acc[j]);
     }
     // Threshold at the `fraction` quantile of |M_j| for this model.
     std::nth_element(magnitudes.begin(),
@@ -983,24 +835,20 @@ void MultiModelRegressor::sparsify(double fraction) {
                      magnitudes.end());
     const double threshold = magnitudes[keep_from];
     for (std::size_t j = 0; j < config_.dim; ++j) {
-      if (std::abs(m.accumulator[j]) < threshold) {
-        m.accumulator[j] = 0.0;
+      if (std::abs(acc[j]) < threshold) {
+        acc[j] = 0.0;
       }
     }
-    m.requantize();
+    models_[i].requantize(acc);
   }
   rebuild_packed_bank();
 }
 
 double MultiModelRegressor::model_sparsity() const {
-  std::size_t zeros = 0;
-  for (const auto& m : models_) {
-    for (const double v : m.accumulator.values()) {
-      zeros += v == 0.0 ? 1 : 0;
-    }
-  }
-  return static_cast<double>(zeros) /
-         static_cast<double>(models_.size() * config_.dim);
+  const std::size_t model_half = models_.size() * config_.dim;
+  const auto zeros = std::count(arena_.end() - static_cast<std::ptrdiff_t>(model_half),
+                                arena_.end(), 0.0);
+  return static_cast<double>(zeros) / static_cast<double>(model_half);
 }
 
 void MultiModelRegressor::decay_models(double factor) {
@@ -1009,9 +857,10 @@ void MultiModelRegressor::decay_models(double factor) {
   if (factor == 1.0) {
     return;
   }
-  for (auto& m : models_) {
-    hdc::scale(m.accumulator, factor);
-  }
+  // The model half of the arena is one contiguous block; scaling is
+  // elementwise, so one call equals k per-model calls bit for bit.
+  const std::size_t model_half = models_.size() * config_.dim;
+  hdc::scale(std::span<double>(arena_).last(model_half), factor);
 }
 
 void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train,
@@ -1046,10 +895,9 @@ void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train
   }
 
   for (std::size_t c = 0; c < config_.models; ++c) {
-    ClusterCenter& center = clusters_[c];
-    center.accumulator = train.sample(rows[chosen[c]]).bipolar.to_real();
-    center.norm2 = static_cast<double>(config_.dim);
-    center.requantize();
+    const std::span<const std::int8_t> init = train.sample(rows[chosen[c]]).bipolar.values();
+    std::copy(init.begin(), init.end(), arena_row(c).begin());
+    clusters_[c].requantize(arena_row(c));
   }
   rebuild_packed_bank();
 }
@@ -1077,16 +925,10 @@ void MultiModelRegressor::merge_accumulate_delta(const MultiModelRegressor& repl
               "shard merge requires matching model counts, got "
                   << replica.models_.size() << "/" << base.models_.size() << " vs "
                   << models_.size());
-  const hdc::KernelBackend& kb = hdc::active_backend();
-  const std::size_t d = config_.dim;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    kb.merge_accumulate(models_[i].accumulator.values().data(),
-                        replica.models_[i].accumulator.values().data(),
-                        base.models_[i].accumulator.values().data(), d);
-    kb.merge_accumulate(clusters_[i].accumulator.values().data(),
-                        replica.clusters_[i].accumulator.values().data(),
-                        base.clusters_[i].accumulator.values().data(), d);
-  }
+  // One elementwise pass over the whole arena: each component rounds the
+  // same way whichever row it belongs to.
+  hdc::active_backend().merge_accumulate(arena_.data(), replica.arena_.data(),
+                                         base.arena_.data(), arena_.size());
   // Snapshots, ‖C‖² and the packed bank are now stale relative to the merged
   // accumulators; requantize() (the caller's finalization step) recomputes
   // all three exactly.
@@ -1095,21 +937,63 @@ void MultiModelRegressor::merge_accumulate_delta(const MultiModelRegressor& repl
 
 void MultiModelRegressor::requantize() {
   obs::count(obs::Counter::kRequantizes);
-  for (auto& m : models_) {
-    m.requantize();
+  const std::size_t k = models_.size();
+  for (std::size_t i = 0; i < k; ++i) {
+    models_[i].requantize(arena_row(k + i));
   }
-  for (auto& c : clusters_) {
-    c.requantize();
-    // Recompute the cached norm exactly to null incremental drift.
-    double norm2 = 0.0;
-    for (const double v : c.accumulator.values()) {
-      norm2 += v * v;
-    }
-    c.norm2 = norm2;
+  for (std::size_t i = 0; i < k; ++i) {
+    clusters_[i].requantize(arena_row(i));
   }
   // Requantize-on-update policy: every snapshot refresh re-packs the scan
   // bank, so the online path never scores through stale packed rows.
   rebuild_packed_bank();
+}
+
+double MultiModelRegressor::train_epoch(const EncodedDataset& train,
+                                        std::span<const std::size_t> order,
+                                        std::size_t epoch, const TrainingHooks* hooks) {
+  double sq_err = 0.0;
+  std::size_t since_requantize = 0;
+  if (config_.batch_size == 0) {
+    for (const std::size_t i : order) {
+      const double y = train.target(i);
+      const double before = train_step(train.sample(i), y);  // pre-update prediction
+      sq_err += (y - before) * (y - before);
+      if (config_.requantize_interval > 0 &&
+          ++since_requantize >= config_.requantize_interval) {
+        requantize();
+        since_requantize = 0;
+      }
+    }
+  } else {
+    // Batch-frozen mini-batches over the same order. The per-sample loop
+    // above checks the requantize counter after every sample; here the
+    // counter advances a whole batch at a time, which coincides exactly at
+    // B = 1 (the tested bit-identity anchor).
+    const std::size_t bsize = config_.batch_size;
+    std::vector<double> predictions(std::min(bsize, order.size()));
+    std::size_t batch = 0;
+    for (std::size_t b0 = 0; b0 < order.size(); b0 += bsize, ++batch) {
+      const std::span<const std::size_t> idx =
+          order.subspan(b0, std::min(bsize, order.size() - b0));
+      train_batch(train, idx, std::span<double>(predictions.data(), idx.size()));
+      for (std::size_t j = 0; j < idx.size(); ++j) {
+        const double y = train.target(idx[j]);
+        sq_err += (y - predictions[j]) * (y - predictions[j]);
+      }
+      since_requantize += idx.size();
+      if (config_.requantize_interval > 0 &&
+          since_requantize >= config_.requantize_interval) {
+        requantize();
+        since_requantize = 0;
+      }
+      if (hooks != nullptr && hooks->on_batch) {
+        hooks->on_batch(epoch, batch, b0 + idx.size());
+      }
+    }
+  }
+  requantize();
+  return sq_err;
 }
 
 TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,
@@ -1136,56 +1020,12 @@ TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,
 
   TrainingReport report;
   EarlyStopper stopper(config_.tolerance, config_.patience);
-  std::vector<RegressionModel> best_models = models_;
-  std::vector<ClusterCenter> best_clusters = clusters_;
+  State best = state();
   double best_val = std::numeric_limits<double>::infinity();
 
-  std::vector<double> batch_predictions;
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
     rng.shuffle(order);
-    double online_sq_err = 0.0;
-    std::size_t since_requantize = 0;
-    if (config_.batch_size == 0) {
-      for (const std::size_t i : order) {
-        const hdc::EncodedSampleView s = train.sample(i);
-        const double y = train.target(i);
-        const double before = train_step(s, y);  // returns the pre-update prediction
-        online_sq_err += (y - before) * (y - before);
-        if (config_.requantize_interval > 0 &&
-            ++since_requantize >= config_.requantize_interval) {
-          requantize();
-          since_requantize = 0;
-        }
-      }
-    } else {
-      // Batch-frozen mini-batches over the same shuffled order. The
-      // per-sample loop above checks the requantize counter after every
-      // sample; here the counter advances a whole batch at a time, which
-      // coincides exactly at B = 1 (the tested bit-identity anchor).
-      const std::size_t bsize = config_.batch_size;
-      batch_predictions.resize(std::min(bsize, order.size()));
-      std::size_t batch = 0;
-      for (std::size_t b0 = 0; b0 < order.size(); b0 += bsize, ++batch) {
-        const std::size_t bn = std::min(order.size(), b0 + bsize);
-        const std::span<const std::size_t> idx(order.data() + b0, bn - b0);
-        train_batch(train, idx, std::span<double>(batch_predictions.data(), idx.size()));
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          const double y = train.target(idx[j]);
-          const double before = batch_predictions[j];
-          online_sq_err += (y - before) * (y - before);
-        }
-        since_requantize += idx.size();
-        if (config_.requantize_interval > 0 &&
-            since_requantize >= config_.requantize_interval) {
-          requantize();
-          since_requantize = 0;
-        }
-        if (hooks != nullptr && hooks->on_batch) {
-          hooks->on_batch(epoch, batch, bn);
-        }
-      }
-    }
-    requantize();
+    const double online_sq_err = train_epoch(train, order, epoch, hooks);
 
     EpochRecord record;
     record.epoch = epoch;
@@ -1196,8 +1036,7 @@ TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,
 
     if (record.val_mse < best_val) {
       best_val = record.val_mse;
-      best_models = models_;
-      best_clusters = clusters_;
+      best = state();
     }
     if (hooks != nullptr && hooks->on_telemetry) {
       hooks->on_telemetry(epoch, obs::snapshot());
@@ -1215,12 +1054,9 @@ TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,
   if (!report.converged) {
     report.stop_reason = "reached max_epochs";
   }
-  // Keep the best validation-epoch state, not the last one. The packed bank
-  // was built from the final epoch's snapshots, so re-pack from the restored
-  // ones.
-  models_ = std::move(best_models);
-  clusters_ = std::move(best_clusters);
-  rebuild_packed_bank();
+  // Keep the best validation-epoch state, not the last one (restore re-packs
+  // the bank from its snapshots).
+  restore(std::move(best));
   report.best_val_mse = stopper.best();
   return report;
 }

@@ -19,6 +19,13 @@
 // End of each epoch re-binarizes the quantized snapshots (C^b from C, M^b
 // and γ from M). Training iterates until validation MSE stabilizes.
 // Prediction (Eq. 6) runs steps 1–3 with the configured §3.2 kernel.
+//
+// Storage: the 2k accumulators are one (2k)×D arena — rows 0…k−1 hold C_i,
+// rows k…2k−1 hold M_i — the bank layout the dot_rows kernels take. Every
+// full-precision predict path and batch training's phase 1 score a query
+// against all 2k rows with one sweep over that arena in place; the per-row
+// ClusterCenter / RegressionModel structs hold only the snapshots. The
+// quantized modes scan the PackedTernaryBank derived from those snapshots.
 #pragma once
 
 #include <span>
@@ -36,17 +43,6 @@ class Encoder;
 }
 
 namespace reghd::core {
-
-/// State of one cluster center: the integer accumulator C, its binary
-/// snapshot C^b, and the cached squared norm for O(1) cosine updates.
-struct ClusterCenter {
-  hdc::RealHV accumulator;
-  hdc::BinaryHV binary;
-  double norm2 = 0.0;
-
-  /// Refreshes the binary snapshot from the accumulator.
-  void requantize() { binary = accumulator.sign_packed(); }
-};
 
 /// Per-sample introspection of a prediction (the paper highlights model
 /// interpretability; this exposes it).
@@ -96,6 +92,15 @@ class MultiModelRegressor {
   void train_batch(const EncodedDataset& data, std::span<const std::size_t> indices,
                    std::span<double> predictions, std::size_t threads = 0);
 
+  /// One training epoch over `order` (row ids of `train`, visited in list
+  /// order): per-sample train_step when batch_size = 0, else batch_size
+  /// mini-batches through train_batch (firing hooks->on_batch after each),
+  /// requantizing every requantize_interval samples and once at the end.
+  /// Returns the summed squared error of the pre-update predictions. The
+  /// epoch body of fit() and of ShardedTrainer::refine.
+  double train_epoch(const EncodedDataset& train, std::span<const std::size_t> order,
+                     std::size_t epoch, const TrainingHooks* hooks = nullptr);
+
   /// End-of-epoch snapshot refresh; called automatically inside fit().
   void requantize();
 
@@ -111,13 +116,13 @@ class MultiModelRegressor {
   /// pipeline. Instead of materializing the full D-dimensional encoding and
   /// then re-streaming it against every cluster/model row, each 1024-
   /// component block is encoded (encoder.encode_real_block) and immediately
-  /// scored against the (k_c + k_m)-row bank while it is still in cache —
+  /// scored against the 2k-row arena slice while it is still in cache —
   /// dot_rows_block carries per-row reduction state across blocks in the
   /// real/real mode, and the quantized modes sign-encode the block and
   /// accumulate exact integer popcount scores. Bit-identical to
   /// predict(encoder.encode(features)) in every mode: the supported
   /// cluster/query/model combinations fuse (same kernels, same rounding
-  /// sequence — see the predict_batch fast paths this replays), all others
+  /// sequence — see the bank-scan fast paths this replays), all others
   /// fall back to exactly that materializing expression. config().
   /// fused_predict = false forces the fallback. Thread-safe (thread_local
   /// scratch).
@@ -130,37 +135,34 @@ class MultiModelRegressor {
   [[nodiscard]] std::vector<double> predict_batch(const EncodedDataset& dataset,
                                                   std::size_t threads = 0) const;
 
-  /// Caller-owned scratch for predict_batch_into: the contiguous
-  /// (k_c + k_m)×D bank (or its packed 2-bit-plane form in quantized modes)
-  /// plus the per-row score/similarity buffers. prepare_predict_scratch
-  /// sizes everything once; after that, predict_batch_into touches no
-  /// allocator — the invariant the serving runtime's admission batcher
-  /// asserts on its predict path. Reusable across calls and across
-  /// re-preparations (storage capacity is retained).
+  /// Caller-owned scratch for predict_batch_into: the per-row score and
+  /// similarity buffers, plus the packed bank rebuilt from the snapshots
+  /// when the model's own one is stale. Nothing in it mirrors the
+  /// accumulators: the full-precision scan reads the model's arena in
+  /// place. prepare_predict_scratch sizes everything once; after that,
+  /// predict_batch_into touches no allocator — the invariant the serving
+  /// runtime's admission batcher asserts on its predict path. Reusable
+  /// across calls and across re-preparations (capacity is retained).
   struct PredictScratch {
-    util::AlignedVector<double> bank;  ///< Full-precision cluster+model rows.
-    std::vector<double> cluster_norm;  ///< √‖C‖² per cluster.
-    PackedTernaryBank packed;          ///< Quantized-mode fallback bank.
-    std::vector<double> scores;        ///< Per-row real dot scores.
+    PackedTernaryBank packed;          ///< Stale-bank fallback (quantized modes).
+    std::vector<double> scores;        ///< Per-row real dot scores (2k).
     std::vector<std::int64_t> qscores; ///< Per-row popcount scores.
-    std::vector<double> sims;          ///< δ_i scratch (k_c).
+    std::vector<double> sims;          ///< δ_i scratch (k).
     bool prepared = false;
   };
 
-  /// Builds `scratch` from the current model state (bank copy / packed-bank
-  /// build, norm cache, buffer sizing). Must be re-run whenever the model
-  /// state changes — the serving worker re-prepares once per snapshot swap,
-  /// off the per-query path.
+  /// Sizes `scratch` for the current model (and packs the fallback bank if
+  /// the model's own is stale). Must be re-run whenever the model changes
+  /// shape or its packed bank goes stale; the serving worker re-prepares
+  /// once per snapshot swap, which copies nothing of the accumulators.
   void prepare_predict_scratch(PredictScratch& scratch) const;
 
   /// Serial, allocation-free predict_batch: writes predict(sample(i)) into
-  /// out[i] for every row, scoring through `scratch`'s bank. Bit-identical
-  /// to predict_batch(dataset) in every mode (same kernels, same float
-  /// expression sequence; the parallel form is row-independent, so the
-  /// serial order changes nothing). `scratch` must have been prepared
-  /// against this exact model state. The one caveat: mode combinations
-  /// outside the two bank fast paths fall back to per-row predict(), which
-  /// allocates — same as predict_batch's own generic path.
+  /// out[i] for every row. predict_batch runs this same row-range scan over
+  /// 64-row chunks, so the two are bit-identical in every mode (the scan is
+  /// row-independent). `scratch` must have been prepared against this
+  /// model. The one caveat: mode combinations outside the two bank fast
+  /// paths fall back to per-row predict(), which allocates.
   void predict_batch_into(const EncodedDataset& dataset, std::span<double> out,
                           PredictScratch& scratch) const;
 
@@ -174,12 +176,30 @@ class MultiModelRegressor {
 
   [[nodiscard]] const RegHDConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t num_models() const noexcept { return models_.size(); }
+  /// Snapshots of M_i (binary, ternary mask, γ scales).
   [[nodiscard]] const RegressionModel& model(std::size_t i) const { return models_[i]; }
+  /// Snapshots of C_i (binary, ‖C‖²).
   [[nodiscard]] const ClusterCenter& cluster(std::size_t i) const { return clusters_[i]; }
+  /// The accumulators, as rows of the (2k)×D arena: C_i is row i, M_i row k + i.
+  [[nodiscard]] std::span<const double> cluster_accumulator(std::size_t i) const {
+    return arena_row(i);
+  }
+  [[nodiscard]] std::span<const double> model_accumulator(std::size_t i) const {
+    return arena_row(models_.size() + i);
+  }
 
-  /// Mutable access for deserialization (model_io) and white-box tests.
-  /// Handing out mutable state invalidates the packed bank — the caller may
-  /// rewrite the snapshots it was built from (requantize() or
+  /// Mutable accumulator rows, for deserialization (model_io) and white-box
+  /// tests. The snapshots are not refreshed; requantize() re-derives them.
+  [[nodiscard]] std::span<double> mutable_cluster_accumulator(std::size_t i) {
+    return arena_row(i);
+  }
+  [[nodiscard]] std::span<double> mutable_model_accumulator(std::size_t i) {
+    return arena_row(models_.size() + i);
+  }
+
+  /// Mutable snapshot access for checkpoint restore and white-box tests.
+  /// Handing out mutable snapshots invalidates the packed bank — the caller
+  /// may rewrite the snapshots it was built from (requantize() or
   /// rebuild_packed_bank() restores it).
   [[nodiscard]] std::vector<RegressionModel>& mutable_models() noexcept {
     packed_bank_.valid = false;
@@ -190,10 +210,24 @@ class MultiModelRegressor {
     return clusters_;
   }
 
+  /// The whole trainable state by value: the accumulator arena plus the
+  /// per-row snapshots. fit() and ShardedTrainer::refine keep their best
+  /// epoch as one of these.
+  struct State {
+    util::AlignedVector<double> arena;  ///< (2k)×D: C_0…C_{k−1}, M_0…M_{k−1}.
+    std::vector<ClusterCenter> clusters;
+    std::vector<RegressionModel> models;
+  };
+  [[nodiscard]] State state() const { return {arena_, clusters_, models_}; }
+
+  /// Adopts a state() copy of this model and re-packs the scan bank from
+  /// its snapshots.
+  void restore(State state);
+
   /// The packed ternary/binary scan bank derived from the current snapshots
-  /// (see PackedTernaryBank). Invalid after mutable state access until the
-  /// next requantize()/rebuild; predict_batch then falls back to building a
-  /// per-call bank, so results never depend on validity.
+  /// (see PackedTernaryBank). Invalid after mutable snapshot access until
+  /// the next requantize()/rebuild; the predict paths then score through a
+  /// bank packed into their scratch, so results never depend on validity.
   [[nodiscard]] const PackedTernaryBank& packed_bank() const noexcept {
     return packed_bank_;
   }
@@ -225,8 +259,8 @@ class MultiModelRegressor {
   void init_clusters(const EncodedDataset& train, std::span<const std::size_t> rows);
 
   /// Shard-merge accumulation (see core/sharded_training): adds one trained
-  /// replica's training delta into this model. For every cluster and model
-  /// accumulator component,
+  /// replica's training delta into this model. For every arena component
+  /// (cluster and model accumulators alike),
   ///   this += (replica − base)
   /// with each component rounded as one subtract then one add
   /// (KernelBackend::merge_accumulate — bit-identical across backends).
@@ -274,12 +308,34 @@ class MultiModelRegressor {
 
   /// Fills `bank` from the current snapshots at the configured model
   /// precision (the allocation-reusing core of rebuild_packed_bank; also
-  /// builds predict_batch's per-call fallback bank). Thread-safe.
+  /// builds the scratch's stale-bank fallback). Thread-safe.
   void build_packed_bank_into(PackedTernaryBank& bank) const;
 
+  /// The one bank scan behind predict_batch and predict_batch_into: writes
+  /// predict(sample(i)) into out[i] for rows [r0, rn) of `dataset` through
+  /// the mode's fast path (full-precision dot_rows over the arena, or the
+  /// quantized popcount sweep over the packed bank), else per-row predict().
+  void scan_rows(const EncodedDataset& dataset, std::size_t r0, std::size_t rn,
+                 std::span<double> out, PredictScratch& scratch) const;
+
+  /// Full-precision scan of one real query against the arena: scores[r] for
+  /// all 2k rows from one dot_rows sweep (each equal to the dot_real_real
+  /// behind raw_query_dot / predict_dot), and the Eq. 5 cosines δ_i into
+  /// sims, replaying similarities_into's expression.
+  void scan_real_row(const double* query, double query_norm2, double* scores,
+                     double* sims) const;
+
+  [[nodiscard]] std::span<const double> arena_row(std::size_t r) const {
+    return {arena_.data() + r * config_.dim, config_.dim};
+  }
+  [[nodiscard]] std::span<double> arena_row(std::size_t r) {
+    return {arena_.data() + r * config_.dim, config_.dim};
+  }
+
   RegHDConfig config_;
-  std::vector<RegressionModel> models_;
+  util::AlignedVector<double> arena_;  ///< (2k)×D accumulators: C_i rows, then M_i rows.
   std::vector<ClusterCenter> clusters_;
+  std::vector<RegressionModel> models_;
   PackedTernaryBank packed_bank_;
 
   // Reusable train_step scratch, hoisted out of the per-sample hot loop
@@ -290,9 +346,8 @@ class MultiModelRegressor {
   std::vector<double> step_conf_;
 
   // train_batch phase-1 scratch, reused across batches of an epoch. Laid out
-  // per batch sample j: sims/conf/coeff rows of k, scalar winner/weight.
-  util::AlignedVector<double> batch_bank_;  ///< batch-start cluster+model bank.
-  std::vector<double> batch_cnorm_;         ///< batch-start cluster norms √‖C‖².
+  // per batch sample j: scores row of 2k, sims/conf/coeff rows of k, scalar
+  // winner/weight.
   std::vector<double> batch_scores_;
   std::vector<double> batch_sims_;
   std::vector<double> batch_conf_;

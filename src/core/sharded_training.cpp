@@ -144,65 +144,23 @@ void ShardedTrainer::refine(const EncodedDataset& train, const EncodedDataset& v
 
   // The merged state competes in the keep-best rule: refining can only ship
   // a model at least as good (on validation) as the merge produced.
-  std::vector<RegressionModel> best_models = regressor_->mutable_models();
-  std::vector<ClusterCenter> best_clusters = regressor_->mutable_clusters();
+  MultiModelRegressor::State best = regressor_->state();
   double best_val = report.merged_val_mse;
-
-  std::vector<double> batch_predictions;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     obs::count(obs::Counter::kShardRefineEpochs);
     rng.shuffle(order);
-    double online_sq_err = 0.0;
-    std::size_t since_requantize = 0;
-    if (config_.batch_size == 0) {
-      for (const std::size_t i : order) {
-        const hdc::EncodedSampleView s = train.sample(i);
-        const double y = train.target(i);
-        const double before = regressor_->train_step(s, y);
-        online_sq_err += (y - before) * (y - before);
-        if (config_.requantize_interval > 0 &&
-            ++since_requantize >= config_.requantize_interval) {
-          regressor_->requantize();
-          since_requantize = 0;
-        }
-      }
-    } else {
-      const std::size_t bsize = config_.batch_size;
-      batch_predictions.resize(std::min(bsize, order.size()));
-      for (std::size_t b0 = 0; b0 < order.size(); b0 += bsize) {
-        const std::size_t bn = std::min(order.size(), b0 + bsize);
-        const std::span<const std::size_t> idx(order.data() + b0, bn - b0);
-        regressor_->train_batch(train, idx,
-                                std::span<double>(batch_predictions.data(), idx.size()));
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          const double y = train.target(idx[j]);
-          const double before = batch_predictions[j];
-          online_sq_err += (y - before) * (y - before);
-        }
-        since_requantize += idx.size();
-        if (config_.requantize_interval > 0 &&
-            since_requantize >= config_.requantize_interval) {
-          regressor_->requantize();
-          since_requantize = 0;
-        }
-      }
-    }
-    regressor_->requantize();
-
     EpochRecord record;
     record.epoch = epoch;
-    record.train_mse = online_sq_err / static_cast<double>(train.size());
+    record.train_mse = regressor_->train_epoch(train, order, epoch) /
+                       static_cast<double>(train.size());
     record.val_mse = regressor_->evaluate_mse(val);
     report.refine_history.push_back(record);
     if (record.val_mse < best_val) {
       best_val = record.val_mse;
-      best_models = regressor_->mutable_models();
-      best_clusters = regressor_->mutable_clusters();
+      best = regressor_->state();
     }
   }
-  regressor_->mutable_models() = std::move(best_models);
-  regressor_->mutable_clusters() = std::move(best_clusters);
-  regressor_->rebuild_packed_bank();
+  regressor_->restore(std::move(best));
   report.final_val_mse = best_val;
 }
 

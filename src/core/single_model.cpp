@@ -16,10 +16,13 @@ namespace reghd::core {
 
 SingleModelRegressor::SingleModelRegressor(const RegHDConfig& config) : config_(config) {
   config_.validate();
-  model_ = RegressionModel(config_.dim);
+  reset();
 }
 
-void SingleModelRegressor::reset() { model_ = RegressionModel(config_.dim); }
+void SingleModelRegressor::reset() {
+  accumulator_ = hdc::RealHV(config_.dim);
+  model_ = RegressionModel(config_.dim);
+}
 
 void SingleModelRegressor::train_step(const hdc::EncodedSampleView& sample, double target) {
   const obs::StageTimer timer(obs::Histo::kTrainStepNs);
@@ -32,12 +35,12 @@ void SingleModelRegressor::train_step(const hdc::EncodedSampleView& sample, doub
   // snapshot for ŷ here would hold the error constant across an epoch and
   // destabilize the accumulation.
   const PredictionMode train_mode{config_.query_precision, ModelPrecision::kReal};
-  const double prediction = predict_dot(model_, sample, train_mode);
+  const double prediction = predict_dot(accumulator_.values(), model_, sample, train_mode);
   double error = target - prediction;
   if (config_.error_clip > 0.0) {
     error = std::clamp(error, -config_.error_clip, config_.error_clip);
   }
-  update_accumulator(model_.accumulator, sample,
+  update_accumulator(accumulator_.values(), sample,
                      config_.learning_rate * error * update_normalizer(sample, config_.query_precision),
                      config_.query_precision);
 }
@@ -64,7 +67,8 @@ void SingleModelRegressor::train_batch(const EncodedDataset& data,
   util::parallel_for(
       indices.size(),
       [&](std::size_t j) {
-        predictions[j] = predict_dot(model_, data.sample(indices[j]), train_mode);
+        predictions[j] =
+            predict_dot(accumulator_.values(), model_, data.sample(indices[j]), train_mode);
       },
       use_threads);
   // Coefficients for phase 2, in list order (cheap scalar work, serial).
@@ -100,7 +104,7 @@ void SingleModelRegressor::train_batch(const EncodedDataset& data,
         if (d0 >= d1) {
           return;
         }
-        double* acc = model_.accumulator.values().data() + d0;
+        double* acc = accumulator_.values().data() + d0;
         for (std::size_t j = 0; j < indices.size(); ++j) {
           const std::size_t row = indices[j];
           if (real_updates) {
@@ -117,7 +121,7 @@ void SingleModelRegressor::train_batch(const EncodedDataset& data,
 double SingleModelRegressor::predict(const hdc::EncodedSampleView& sample) const {
   const obs::StageTimer timer(obs::Histo::kPredictNs);
   obs::count(obs::Counter::kPredicts);
-  return predict_dot(model_, sample, config_.prediction_mode());
+  return predict_dot(accumulator_.values(), model_, sample, config_.prediction_mode());
 }
 
 std::vector<double> SingleModelRegressor::predict_batch(const EncodedDataset& dataset,
@@ -135,7 +139,7 @@ std::vector<double> SingleModelRegressor::predict_batch(const EncodedDataset& da
     // bit-identical to predict(sample(i)).
     const hdc::KernelBackend& kb = hdc::active_backend();
     const double* rows = dataset.real_plane().data();
-    const double* m = model_.accumulator.values().data();
+    const double* m = accumulator_.values().data();
     const std::size_t d = config_.dim;
     const double dd = static_cast<double>(d);
     constexpr std::size_t kChunk = 64;
@@ -218,6 +222,7 @@ TrainingReport SingleModelRegressor::fit(const EncodedDataset& train,
   EarlyStopper stopper(config_.tolerance, config_.patience);
 
   const PredictionMode train_mode{config_.query_precision, ModelPrecision::kReal};
+  hdc::RealHV best_accumulator = accumulator_;
   RegressionModel best_model = model_;
   double best_val = std::numeric_limits<double>::infinity();
 
@@ -229,13 +234,13 @@ TrainingReport SingleModelRegressor::fit(const EncodedDataset& train,
       for (const std::size_t i : order) {
         const hdc::EncodedSampleView s = train.sample(i);
         const double y = train.target(i);
-        const double prediction = predict_dot(model_, s, train_mode);
+        const double prediction = predict_dot(accumulator_.values(), model_, s, train_mode);
         double error = y - prediction;
         online_sq_err += error * error;
         if (config_.error_clip > 0.0) {
           error = std::clamp(error, -config_.error_clip, config_.error_clip);
         }
-        update_accumulator(model_.accumulator, s,
+        update_accumulator(accumulator_.values(), s,
                            config_.learning_rate * error *
                                update_normalizer(s, config_.query_precision),
                            config_.query_precision);
@@ -262,7 +267,7 @@ TrainingReport SingleModelRegressor::fit(const EncodedDataset& train,
     }
     // End-of-epoch binary snapshot refresh (a no-op cost-wise for the
     // full-precision mode, but keeps binary prediction modes current).
-    model_.requantize();
+    model_.requantize(accumulator_.values());
 
     EpochRecord record;
     record.epoch = epoch;
@@ -273,6 +278,7 @@ TrainingReport SingleModelRegressor::fit(const EncodedDataset& train,
 
     if (record.val_mse < best_val) {
       best_val = record.val_mse;
+      best_accumulator = accumulator_;
       best_model = model_;
     }
     if (hooks != nullptr && hooks->on_telemetry) {
@@ -288,6 +294,7 @@ TrainingReport SingleModelRegressor::fit(const EncodedDataset& train,
     report.stop_reason = "reached max_epochs";
   }
   // Keep the best validation-epoch model, not the last one.
+  accumulator_ = std::move(best_accumulator);
   model_ = std::move(best_model);
   report.best_val_mse = stopper.best();
   return report;

@@ -59,14 +59,19 @@ class SingleModelRegressor {
   /// Mean squared error over an encoded dataset.
   [[nodiscard]] double evaluate_mse(const EncodedDataset& dataset) const;
 
+  /// The snapshots of M (binary, ternary, γ scales).
   [[nodiscard]] const RegressionModel& model() const noexcept { return model_; }
+  /// The integer accumulator M.
+  [[nodiscard]] std::span<const double> accumulator() const noexcept {
+    return accumulator_.values();
+  }
   [[nodiscard]] const RegHDConfig& config() const noexcept { return config_; }
 
   /// Re-derives the binary snapshot from the accumulator (done automatically
   /// at each epoch boundary during fit()).
   void requantize() {
     obs::count(obs::Counter::kRequantizes);
-    model_.requantize();
+    model_.requantize(accumulator_.values());
   }
 
   /// Resets M to zero.
@@ -74,6 +79,7 @@ class SingleModelRegressor {
 
  private:
   RegHDConfig config_;
+  hdc::RealHV accumulator_;
   RegressionModel model_;
 
   // train_batch phase-2 coefficient scratch, reused across batches.

@@ -16,7 +16,9 @@ BipolarHV RealHV::sign() const {
   return out;
 }
 
-BinaryHV RealHV::sign_packed() const {
+BinaryHV RealHV::sign_packed() const { return RealHVView(*this).sign_packed(); }
+
+BinaryHV RealHVView::sign_packed() const {
   BinaryHV out(data_.size());
   for (std::size_t i = 0; i < data_.size(); ++i) {
     if (data_[i] >= 0.0) {

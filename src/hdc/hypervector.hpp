@@ -156,7 +156,7 @@ class BinaryHV {
   bool operator==(const BinaryHV&) const = default;
 
  private:
-  friend class RealHV;
+  friend class RealHVView;  // sign_packed() sets bits word-directly.
   friend class BipolarHV;
 
   std::size_t dim_ = 0;
@@ -187,6 +187,9 @@ class RealHVView {
 
   /// Copies the viewed components into an owning hypervector.
   [[nodiscard]] RealHV to_owning() const { return RealHV({data_.begin(), data_.end()}); }
+
+  /// Sign binarization straight to the packed form (zero maps to +1).
+  [[nodiscard]] BinaryHV sign_packed() const;
 
   friend bool operator==(const RealHVView& a, const RealHVView& b) noexcept {
     return a.data_.size() == b.data_.size() &&

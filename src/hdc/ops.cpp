@@ -122,23 +122,23 @@ double cosine(RealHVView a, BinaryHVView b) {
   return dot(a, b) / (na * std::sqrt(static_cast<double>(a.dim())));
 }
 
-void add_scaled(RealHV& a, RealHVView b, double c) {
-  check_dims(a.dim(), b.dim(), "add_scaled(real,real)");
-  active_backend().add_scaled_real(a.values().data(), b.values().data(), c, a.dim());
+void add_scaled(std::span<double> a, RealHVView b, double c) {
+  check_dims(a.size(), b.dim(), "add_scaled(real,real)");
+  active_backend().add_scaled_real(a.data(), b.values().data(), c, a.size());
 }
 
-void add_scaled(RealHV& a, BipolarHVView b, double c) {
-  check_dims(a.dim(), b.dim(), "add_scaled(real,bipolar)");
-  active_backend().add_scaled_bipolar(a.values().data(), b.values().data(), c, a.dim());
+void add_scaled(std::span<double> a, BipolarHVView b, double c) {
+  check_dims(a.size(), b.dim(), "add_scaled(real,bipolar)");
+  active_backend().add_scaled_bipolar(a.data(), b.values().data(), c, a.size());
 }
 
-void add_scaled(RealHV& a, BinaryHVView b, double c) {
-  check_dims(a.dim(), b.dim(), "add_scaled(real,binary)");
-  active_backend().add_scaled_binary(a.values().data(), b.words().data(), c, a.dim());
+void add_scaled(std::span<double> a, BinaryHVView b, double c) {
+  check_dims(a.size(), b.dim(), "add_scaled(real,binary)");
+  active_backend().add_scaled_binary(a.data(), b.words().data(), c, a.size());
 }
 
-void scale(RealHV& a, double c) {
-  active_backend().scale_real(a.values().data(), c, a.dim());
+void scale(std::span<double> a, double c) {
+  active_backend().scale_real(a.data(), c, a.size());
 }
 
 BinaryHV xor_bind(const BinaryHV& a, const BinaryHV& b) {

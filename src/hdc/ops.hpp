@@ -83,13 +83,18 @@ namespace reghd::hdc {
 // ---------------------------------------------------------------------------
 
 /// a += c · b for each of the sample representations. These implement the
-/// paper's update rules (Eqs. 2, 7, 8, 9).
-void add_scaled(RealHV& a, RealHVView b, double c);
-void add_scaled(RealHV& a, BipolarHVView b, double c);
-void add_scaled(RealHV& a, BinaryHVView b, double c);
+/// paper's update rules (Eqs. 2, 7, 8, 9). `a` may be any accumulator row —
+/// an owning RealHV or a row of a regressor's bank arena.
+void add_scaled(std::span<double> a, RealHVView b, double c);
+void add_scaled(std::span<double> a, BipolarHVView b, double c);
+void add_scaled(std::span<double> a, BinaryHVView b, double c);
+inline void add_scaled(RealHV& a, RealHVView b, double c) { add_scaled(a.values(), b, c); }
+inline void add_scaled(RealHV& a, BipolarHVView b, double c) { add_scaled(a.values(), b, c); }
+inline void add_scaled(RealHV& a, BinaryHVView b, double c) { add_scaled(a.values(), b, c); }
 
 /// a *= c.
-void scale(RealHV& a, double c);
+void scale(std::span<double> a, double c);
+inline void scale(RealHV& a, double c) { scale(a.values(), c); }
 
 // ---------------------------------------------------------------------------
 // Classic HDC structure operations (used by the ID-level encoder and the

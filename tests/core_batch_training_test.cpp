@@ -74,7 +74,7 @@ void expect_same_state(const MultiModelRegressor& a, const MultiModelRegressor& 
     const RegressionModel& ma = a.model(i);
     const RegressionModel& mb = b.model(i);
     const std::string tag = "model " + std::to_string(i);
-    expect_spans_eq(ma.accumulator.values(), mb.accumulator.values(), tag + " accumulator");
+    expect_spans_eq(a.model_accumulator(i), b.model_accumulator(i), tag + " accumulator");
     expect_spans_eq(ma.binary.words(), mb.binary.words(), tag + " binary");
     expect_spans_eq(ma.ternary_mask.words(), mb.ternary_mask.words(), tag + " ternary mask");
     EXPECT_EQ(ma.gamma, mb.gamma) << tag;
@@ -83,7 +83,7 @@ void expect_same_state(const MultiModelRegressor& a, const MultiModelRegressor& 
     const ClusterCenter& ca = a.cluster(i);
     const ClusterCenter& cb = b.cluster(i);
     const std::string ctag = "cluster " + std::to_string(i);
-    expect_spans_eq(ca.accumulator.values(), cb.accumulator.values(), ctag + " accumulator");
+    expect_spans_eq(a.cluster_accumulator(i), b.cluster_accumulator(i), ctag + " accumulator");
     expect_spans_eq(ca.binary.words(), cb.binary.words(), ctag + " binary");
     EXPECT_EQ(ca.norm2, cb.norm2) << ctag;
   }
@@ -182,8 +182,7 @@ TEST(BatchTrainingTest, SingleModelBatchSizeOneBitIdenticalToSequentialFit) {
     const TrainingReport batch_report = batched.fit(train, val);
 
     expect_same_report(seq_report, batch_report);
-    expect_spans_eq(sequential.model().accumulator.values(),
-                    batched.model().accumulator.values(), "accumulator");
+    expect_spans_eq(sequential.accumulator(), batched.accumulator(), "accumulator");
     expect_spans_eq(sequential.model().binary.words(), batched.model().binary.words(),
                     "binary snapshot");
     EXPECT_EQ(sequential.model().gamma, batched.model().gamma);
@@ -243,8 +242,7 @@ TEST(BatchTrainingTest, SingleModelFixedBatchIsThreadInvariant) {
     SingleModelRegressor candidate(cfg);
     const TrainingReport report = candidate.fit(train, val);
     expect_same_report(ref_report, report);
-    expect_spans_eq(reference.model().accumulator.values(),
-                    candidate.model().accumulator.values(), "accumulator");
+    expect_spans_eq(reference.accumulator(), candidate.accumulator(), "accumulator");
   }
 }
 

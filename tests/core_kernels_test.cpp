@@ -31,12 +31,13 @@ hdc::EncodedSample random_sample(std::size_t dim, std::uint64_t seed) {
 }
 
 TEST(RegressionModelTest, RequantizeDerivesSnapshotAndGamma) {
+  hdc::RealHV acc(4);
   RegressionModel m(4);
-  m.accumulator[0] = 2.0;
-  m.accumulator[1] = -4.0;
-  m.accumulator[2] = 1.0;
-  m.accumulator[3] = -1.0;
-  m.requantize();
+  acc[0] = 2.0;
+  acc[1] = -4.0;
+  acc[2] = 1.0;
+  acc[3] = -1.0;
+  m.requantize(acc.values());
   EXPECT_TRUE(m.binary.bit(0));
   EXPECT_FALSE(m.binary.bit(1));
   EXPECT_DOUBLE_EQ(m.gamma, 2.0);  // mean |M_j| = (2+4+1+1)/4
@@ -45,44 +46,48 @@ TEST(RegressionModelTest, RequantizeDerivesSnapshotAndGamma) {
 TEST(PredictDotTest, FullPrecisionIsNormalizedDot) {
   const std::size_t dim = 256;
   const hdc::EncodedSample s = random_sample(dim, 1);
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
   util::Rng rng(2);
   for (std::size_t j = 0; j < dim; ++j) {
-    m.accumulator[j] = rng.normal();
+    acc[j] = rng.normal();
   }
-  m.requantize();
-  const double expected = hdc::dot(m.accumulator, s.real) / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(m, s, PredictionMode::full_precision()), expected, 1e-12);
+  m.requantize(acc.values());
+  const double expected = hdc::dot(acc, s.real) / static_cast<double>(dim);
+  EXPECT_NEAR(predict_dot(acc.values(), m, s, PredictionMode::full_precision()), expected, 1e-12);
 }
 
 TEST(PredictDotTest, BinaryQueryMatchesBipolarDot) {
   const std::size_t dim = 256;
   const hdc::EncodedSample s = random_sample(dim, 3);
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
   util::Rng rng(4);
   for (std::size_t j = 0; j < dim; ++j) {
-    m.accumulator[j] = rng.normal();
+    acc[j] = rng.normal();
   }
-  m.requantize();
-  const double expected = hdc::dot(m.accumulator, s.bipolar) / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(m, s, PredictionMode::binary_query_integer_model()), expected,
-              1e-12);
+  m.requantize(acc.values());
+  const double expected = hdc::dot(acc, s.bipolar) / static_cast<double>(dim);
+  EXPECT_NEAR(predict_dot(acc.values(), m, s, PredictionMode::binary_query_integer_model()),
+              expected, 1e-12);
 }
 
 TEST(PredictDotTest, BinaryModelModesUseGammaScale) {
   const std::size_t dim = 128;
   const hdc::EncodedSample s = random_sample(dim, 5);
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
   util::Rng rng(6);
   for (std::size_t j = 0; j < dim; ++j) {
-    m.accumulator[j] = rng.normal();
+    acc[j] = rng.normal();
   }
-  m.requantize();
+  m.requantize(acc.values());
 
-  const double iq_bm = predict_dot(m, s, PredictionMode::integer_query_binary_model());
+  const double iq_bm =
+      predict_dot(acc.values(), m, s, PredictionMode::integer_query_binary_model());
   EXPECT_NEAR(iq_bm, m.gamma * hdc::dot(s.real, m.binary) / static_cast<double>(dim), 1e-12);
 
-  const double bq_bm = predict_dot(m, s, PredictionMode::binary_query_binary_model());
+  const double bq_bm = predict_dot(acc.values(), m, s, PredictionMode::binary_query_binary_model());
   EXPECT_NEAR(bq_bm,
               m.gamma * static_cast<double>(hdc::bipolar_dot(m.binary, s.binary)) /
                   static_cast<double>(dim),
@@ -94,14 +99,16 @@ TEST(PredictDotTest, GammaCalibrationApproximatesFullPrecision) {
   // binary model tracks the real model's prediction closely at high D.
   const std::size_t dim = 8192;
   const hdc::EncodedSample s = random_sample(dim, 7);
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
   util::Rng rng(8);
   for (std::size_t j = 0; j < dim; ++j) {
-    m.accumulator[j] = rng.normal(0.0, 2.0);
+    acc[j] = rng.normal(0.0, 2.0);
   }
-  m.requantize();
-  const double full = predict_dot(m, s, PredictionMode::full_precision());
-  const double approx = predict_dot(m, s, PredictionMode::integer_query_binary_model());
+  m.requantize(acc.values());
+  const double full = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
+  const double approx =
+      predict_dot(acc.values(), m, s, PredictionMode::integer_query_binary_model());
   // Both are ~N(0, σ/√D)-scale quantities; they must agree in sign and
   // order of magnitude for the calibration to be useful.
   EXPECT_NEAR(approx, full, 0.2 * std::abs(full) + 0.05);
@@ -114,30 +121,32 @@ TEST(PredictDotTest, AllModesAgreeWhenQueryIsBipolarAndModelUniform) {
   util::Rng rng(9);
   const hdc::BipolarHV q = hdc::random_bipolar(dim, rng);
   hdc::EncodedSample s = sample_from_real(q.to_real());
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
   const double c = 1.5;
   for (std::size_t j = 0; j < dim; ++j) {
-    m.accumulator[j] = (rng.bits() & 1) ? c : -c;
+    acc[j] = (rng.bits() & 1) ? c : -c;
   }
-  m.requantize();
+  m.requantize(acc.values());
   EXPECT_NEAR(m.gamma, c, 1e-12);
 
-  const double full = predict_dot(m, s, PredictionMode::full_precision());
+  const double full = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
   for (const auto mode :
        {PredictionMode::binary_query_integer_model(),
         PredictionMode::integer_query_binary_model(),
         PredictionMode::binary_query_binary_model()}) {
-    EXPECT_NEAR(predict_dot(m, s, mode), full, 1e-9) << mode.to_string();
+    EXPECT_NEAR(predict_dot(acc.values(), m, s, mode), full, 1e-9) << mode.to_string();
   }
 }
 
 TEST(RegressionModelTest, TernarySnapshotMasksSmallComponents) {
+  hdc::RealHV acc(8);
   RegressionModel m(8);
   // Magnitudes 1..8: mean 4.5, threshold 0.6·4.5 = 2.7 → keep |M| ≥ 2.7.
   for (std::size_t j = 0; j < 8; ++j) {
-    m.accumulator[j] = (j % 2 == 0 ? 1.0 : -1.0) * static_cast<double>(j + 1);
+    acc[j] = (j % 2 == 0 ? 1.0 : -1.0) * static_cast<double>(j + 1);
   }
-  m.requantize();
+  m.requantize(acc.values());
   for (std::size_t j = 0; j < 8; ++j) {
     EXPECT_EQ(m.ternary_mask.bit(j), j + 1 >= 3) << "component " << j;
   }
@@ -147,12 +156,13 @@ TEST(RegressionModelTest, TernarySnapshotMasksSmallComponents) {
 
 TEST(PredictDotTest, TernaryModelZeroesDeadZoneContributions) {
   const std::size_t dim = 128;
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
   util::Rng rng(21);
   for (std::size_t j = 0; j < dim; ++j) {
-    m.accumulator[j] = rng.normal();
+    acc[j] = rng.normal();
   }
-  m.requantize();
+  m.requantize(acc.values());
   const hdc::EncodedSample s = random_sample(dim, 22);
 
   const PredictionMode ternary{QueryPrecision::kReal, ModelPrecision::kTernary};
@@ -163,7 +173,7 @@ TEST(PredictDotTest, TernaryModelZeroesDeadZoneContributions) {
     }
   }
   expected *= m.gamma_ternary / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(m, s, ternary), expected, 1e-9);
+  EXPECT_NEAR(predict_dot(acc.values(), m, s, ternary), expected, 1e-9);
 
   const PredictionMode ternary_bq{QueryPrecision::kBinary, ModelPrecision::kTernary};
   double expected_bq = 0.0;
@@ -173,7 +183,7 @@ TEST(PredictDotTest, TernaryModelZeroesDeadZoneContributions) {
     }
   }
   expected_bq *= m.gamma_ternary / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(m, s, ternary_bq), expected_bq, 1e-9);
+  EXPECT_NEAR(predict_dot(acc.values(), m, s, ternary_bq), expected_bq, 1e-9);
 }
 
 TEST(PredictDotTest, TernaryApproximatesFullPrecisionBetterThanBinaryOnSpreadMagnitudes) {
@@ -181,22 +191,23 @@ TEST(PredictDotTest, TernaryApproximatesFullPrecisionBetterThanBinaryOnSpreadMag
   // rounding of many near-zero components; the ternary dead zone removes
   // them. Compare approximation error to the full-precision dot.
   const std::size_t dim = 8192;
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
   util::Rng rng(23);
   for (std::size_t j = 0; j < dim; ++j) {
     const double z = rng.normal();
-    m.accumulator[j] = z * z * z;  // cubed normal: heavy tails, many tiny values
+    acc[j] = z * z * z;  // cubed normal: heavy tails, many tiny values
   }
-  m.requantize();
+  m.requantize(acc.values());
   double err_binary = 0.0;
   double err_ternary = 0.0;
   for (int trial = 0; trial < 10; ++trial) {
     const hdc::EncodedSample s = random_sample(dim, 100 + static_cast<std::uint64_t>(trial));
-    const double full = predict_dot(m, s, PredictionMode::full_precision());
+    const double full = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
     const double bin =
-        predict_dot(m, s, {QueryPrecision::kReal, ModelPrecision::kBinary});
+        predict_dot(acc.values(), m, s, {QueryPrecision::kReal, ModelPrecision::kBinary});
     const double ter =
-        predict_dot(m, s, {QueryPrecision::kReal, ModelPrecision::kTernary});
+        predict_dot(acc.values(), m, s, {QueryPrecision::kReal, ModelPrecision::kTernary});
     err_binary += (bin - full) * (bin - full);
     err_ternary += (ter - full) * (ter - full);
   }
@@ -208,8 +219,8 @@ TEST(UpdateAccumulatorTest, RealAndBinaryPrecisions) {
   const hdc::EncodedSample s = random_sample(dim, 10);
   hdc::RealHV acc_real(dim);
   hdc::RealHV acc_bin(dim);
-  update_accumulator(acc_real, s, 0.5, QueryPrecision::kReal);
-  update_accumulator(acc_bin, s, 0.5, QueryPrecision::kBinary);
+  update_accumulator(acc_real.values(), s, 0.5, QueryPrecision::kReal);
+  update_accumulator(acc_bin.values(), s, 0.5, QueryPrecision::kBinary);
   for (std::size_t j = 0; j < dim; ++j) {
     EXPECT_DOUBLE_EQ(acc_real[j], 0.5 * s.real[j]);
     EXPECT_DOUBLE_EQ(acc_bin[j], s.bipolar[j] > 0 ? 0.5 : -0.5);
@@ -226,16 +237,17 @@ TEST(UpdateNormalizerTest, SelfCorrectionIsExactlyAlpha) {
   // itself moves by exactly α·err.
   const std::size_t dim = 512;
   const hdc::EncodedSample s = random_sample(dim, 12);
+  hdc::RealHV acc(dim);
   RegressionModel m(dim);
-  m.requantize();
+  m.requantize(acc.values());
   const double target = 3.0;
   const double alpha = 0.25;
-  const double before = predict_dot(m, s, PredictionMode::full_precision());
+  const double before = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
   const double err = target - before;
-  update_accumulator(m.accumulator, s,
+  update_accumulator(acc.values(), s,
                      alpha * err * update_normalizer(s, QueryPrecision::kReal),
                      QueryPrecision::kReal);
-  const double after = predict_dot(m, s, PredictionMode::full_precision());
+  const double after = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
   EXPECT_NEAR(after - before, alpha * err, 1e-9);
 }
 

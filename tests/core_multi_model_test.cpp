@@ -291,15 +291,10 @@ TEST(MultiModelTest, SimilarityNormalizationSharpensCompressedSimilarities) {
     util::Rng base_rng(5);
     const hdc::RealHV base = hdc::random_bipolar(512, base_rng).to_real();
     for (std::size_t i = 0; i < 4; ++i) {
-      auto& c = model.mutable_clusters()[i];
-      c.accumulator = base;
-      hdc::add_scaled(c.accumulator, query.real, 0.03 * static_cast<double>(i));
-      double n2 = 0.0;
-      for (const double v : c.accumulator.values()) {
-        n2 += v * v;
-      }
-      c.norm2 = n2;
-      c.requantize();
+      const std::span<double> acc = model.mutable_cluster_accumulator(i);
+      std::copy(base.values().begin(), base.values().end(), acc.begin());
+      hdc::add_scaled(acc, query.real, 0.03 * static_cast<double>(i));
+      model.mutable_clusters()[i].requantize(acc);  // binary snapshot + exact ‖C‖²
     }
     return model;
   };
@@ -330,7 +325,7 @@ TEST(MultiModelTest, ClusterNormCacheStaysAccurate) {
   }
   for (std::size_t c = 0; c < model.num_models(); ++c) {
     double exact = 0.0;
-    for (const double v : model.cluster(c).accumulator.values()) {
+    for (const double v : model.cluster_accumulator(c)) {
       exact += v * v;
     }
     EXPECT_NEAR(model.cluster(c).norm2, exact, 1e-6 * std::max(exact, 1.0));

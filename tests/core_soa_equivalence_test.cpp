@@ -6,7 +6,9 @@
 //  * SingleModelRegressor/MultiModelRegressor::predict_batch must equal the
 //    per-row predict() for every cluster mode × prediction mode, at any
 //    thread count (the full-precision bank fast path claims bit-identity;
-//    the remaining modes share the per-row code outright).
+//    the remaining modes share the per-row code outright) — also after
+//    sparsify, decay, a shard merge and a model-section restore rewrite the
+//    accumulator arena the bank scan reads in place.
 //  * The committed golden checkpoints must load and predict identically
 //    through the new SoA layout.
 //
@@ -198,6 +200,77 @@ TEST_P(BatchPredictModeTest, SingleModelBatchMatchesPerRowPredict) {
       EXPECT_DOUBLE_EQ(batched[i], model.predict(enc.sample(i)))
           << "row " << i << " threads " << threads;
     }
+  }
+}
+
+// Both batch paths scan the regressor's accumulator arena (and the packed
+// bank) in place, so every operation that rewrites that state must leave
+// them equal to per-row predict(): serial predict_batch_into with a freshly
+// prepared scratch, and the chunked parallel predict_batch.
+void expect_batch_paths_match_predict(const MultiModelRegressor& model,
+                                      const EncodedDataset& enc, const std::string& step) {
+  MultiModelRegressor::PredictScratch scratch;
+  model.prepare_predict_scratch(scratch);
+  std::vector<double> into(enc.size());
+  model.predict_batch_into(enc, into, scratch);
+  for (const std::size_t threads : kThreadCounts) {
+    const std::vector<double> batched = model.predict_batch(enc, threads);
+    ASSERT_EQ(batched.size(), enc.size()) << step;
+    for (std::size_t i = 0; i < enc.size(); ++i) {
+      const double want = model.predict(enc.sample(i));
+      EXPECT_EQ(batched[i], want) << step << " row " << i << " threads " << threads;
+      EXPECT_EQ(into[i], want) << step << " row " << i << " (predict_batch_into)";
+    }
+  }
+}
+
+TEST_P(BatchPredictModeTest, MultiModelBatchPathsTrackInPlaceStateChanges) {
+  const ModeCase mode = GetParam();
+  RegHDConfig cfg;
+  cfg.dim = 200;  // not a multiple of 64: ragged final word and row stride
+  cfg.models = 3;
+  cfg.cluster_mode = mode.cluster;
+  cfg.query_precision = mode.query;
+  cfg.model_precision = mode.model;
+
+  hdc::EncoderConfig enc_cfg;
+  enc_cfg.input_dim = 6;
+  enc_cfg.dim = cfg.dim;
+  const auto encoder = hdc::make_encoder(enc_cfg);
+  const EncodedDataset enc =
+      EncodedDataset::from(*encoder, make_dataset(70, enc_cfg.input_dim, 0x1A9CE), 1);
+
+  const MultiModelRegressor base(cfg);
+  MultiModelRegressor model = base;
+  for (std::size_t i = 0; i < 40; ++i) {
+    model.train_step(enc.sample(i), enc.target(i));
+  }
+  model.requantize();
+  expect_batch_paths_match_predict(model, enc, "trained");
+
+  model.sparsify(0.3);
+  expect_batch_paths_match_predict(model, enc, "sparsify");
+
+  model.decay_models(0.5);  // accumulators scaled, snapshots left as they were
+  expect_batch_paths_match_predict(model, enc, "decay_models");
+
+  MultiModelRegressor replica = base;
+  for (std::size_t i = 40; i < enc.size(); ++i) {
+    replica.train_step(enc.sample(i), enc.target(i));
+  }
+  model.merge_accumulate_delta(replica, base);  // packed bank stale until requantize
+  expect_batch_paths_match_predict(model, enc, "merge_accumulate_delta");
+  model.requantize();
+  expect_batch_paths_match_predict(model, enc, "merge + requantize");
+
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  io::write_model_section(bytes, model);
+  MultiModelRegressor restored(cfg);
+  io::read_model_section(bytes, restored);
+  restored.requantize();
+  expect_batch_paths_match_predict(restored, enc, "read_model_section");
+  for (std::size_t i = 0; i < enc.size(); ++i) {
+    EXPECT_EQ(restored.predict(enc.sample(i)), model.predict(enc.sample(i))) << "row " << i;
   }
 }
 

@@ -105,10 +105,11 @@ TEST(SparsifyTest, RefreshesBinarySnapshots) {
   for (std::size_t i = 0; i < t.model->num_models(); ++i) {
     const auto& m = t.model->model(i);
     double abs_sum = 0.0;
-    for (const double v : m.accumulator.values()) {
+    for (const double v : t.model->model_accumulator(i)) {
       abs_sum += std::abs(v);
     }
-    EXPECT_NEAR(m.gamma, abs_sum / static_cast<double>(m.accumulator.dim()), 1e-12);
+    EXPECT_NEAR(m.gamma, abs_sum / static_cast<double>(t.model->model_accumulator(i).size()),
+                1e-12);
   }
 }
 
@@ -126,8 +127,8 @@ TEST(SparsifyTest, TernaryQuantizationExcludesPrunedComponents) {
   for (std::size_t i = 0; i < t.model->num_models(); ++i) {
     const auto& m = t.model->model(i);
     ASSERT_GT(m.gamma, 0.0) << "model " << i;
-    for (std::size_t j = 0; j < m.accumulator.dim(); ++j) {
-      if (m.accumulator[j] == 0.0) {
+    for (std::size_t j = 0; j < t.model->model_accumulator(i).size(); ++j) {
+      if (t.model->model_accumulator(i)[j] == 0.0) {
         EXPECT_FALSE(m.ternary_mask.bit(j)) << "model " << i << " component " << j;
       }
     }
@@ -173,18 +174,18 @@ TEST(SparsifyTest, AllMaskedEdgeCaseContributesExactlyZero) {
 
 TEST(DecayTest, ScalesAllModelAccumulators) {
   Trained t = train_on_friedman(base_config());
-  const double before = t.model->model(0).accumulator[0];
+  const double before = t.model->model_accumulator(0)[0];
   t.model->decay_models(0.5);
-  EXPECT_DOUBLE_EQ(t.model->model(0).accumulator[0], 0.5 * before);
+  EXPECT_DOUBLE_EQ(t.model->model_accumulator(0)[0], 0.5 * before);
   EXPECT_THROW(t.model->decay_models(0.0), std::invalid_argument);
   EXPECT_THROW(t.model->decay_models(1.5), std::invalid_argument);
 }
 
 TEST(DecayTest, FactorOneIsNoOp) {
   Trained t = train_on_friedman(base_config());
-  const double before = t.model->model(0).accumulator[0];
+  const double before = t.model->model_accumulator(0)[0];
   t.model->decay_models(1.0);
-  EXPECT_DOUBLE_EQ(t.model->model(0).accumulator[0], before);
+  EXPECT_DOUBLE_EQ(t.model->model_accumulator(0)[0], before);
 }
 
 TEST(RequantizeIntervalTest, BatchLevelRefreshStillLearns) {

@@ -134,13 +134,14 @@ TEST(RobustnessTest, ModelComponentFaultsToleratedBetterAtHigherDimension) {
     Fixture fx = make_trained_fixture(dim, QueryPrecision::kReal);
     const double clean = fx.model->evaluate_mse(fx.test);
     util::Rng rng(dim);
-    for (auto& m : fx.model->mutable_models()) {
+    for (std::size_t i = 0; i < fx.model->num_models(); ++i) {
+      const std::span<double> acc = fx.model->mutable_model_accumulator(i);
       for (std::size_t j = 0; j < dim; ++j) {
         if (rng.bernoulli(0.1)) {
-          m.accumulator[j] = 0.0;  // stuck-at-zero fault
+          acc[j] = 0.0;  // stuck-at-zero fault
         }
       }
-      m.requantize();
+      fx.model->mutable_models()[i].requantize(acc);
     }
     const double faulty = fx.model->evaluate_mse(fx.test);
     return faulty - clean;
