@@ -8,7 +8,9 @@
 //  * --json[=PATH]       — hand-rolled kernel timing that emits
 //                          BENCH_kernels.json: ns/op and GB/s for every
 //                          kernel in every runtime-available backend
-//                          (scalar, avx2, avx512, neon), the seed's pre-SIMD
+//                          (scalar, avx2, avx512, neon) — a column whose
+//                          table copies a narrower table's entry is tagged
+//                          "inherits" — the seed's pre-SIMD
 //                          reference loops for speedup accounting, fused
 //                          single-query predict_one latency (p50/p99 vs the
 //                          materializing path), end-to-end batch
@@ -291,6 +293,13 @@ double seed_predict(const core::MultiModelRegressor& reg, const hdc::EncodedSamp
   return y;
 }
 
+/// True when tables a and b hold the very same function for every listed
+/// entry.
+template <auto... Entries>
+bool same_entries(const hdc::KernelBackend& a, const hdc::KernelBackend& b) {
+  return ((a.*Entries == b.*Entries) && ...);
+}
+
 void report_backend(bench::JsonValue& node, const char* field, double bytes_per_op,
                     double ns) {
   node[field]["ns_per_op"] = bench::JsonValue::number(ns);
@@ -568,6 +577,50 @@ int run_kernel_json(const std::string& path) {
         [&] { kb->sign_encode(pra, sign_bipolar.data(), sign_bits.data(), kDim); });
     report_backend(kernels["sign_encode"], b.c_str(), kDim * 8.0 + kDim + kWords * 8.0,
                    ns);
+  }
+
+  // A wider table that copies a narrower one's entry (the same function
+  // pointer) times that narrower code a second time: its ratio to the
+  // narrower column is run-to-run spread, not an override winning or losing.
+  // Each such column is tagged "inherits": <narrower table>.
+  using KB = hdc::KernelBackend;
+  const struct {
+    const char* node;
+    bool (*same)(const KB&, const KB&);
+  } node_entries[] = {
+      {"dot_real_real", same_entries<&KB::dot_real_real>},
+      {"dot_real_bipolar", same_entries<&KB::dot_real_bipolar>},
+      {"dot_real_binary", same_entries<&KB::dot_real_binary>},
+      {"masked_dot", same_entries<&KB::masked_dot>},
+      {"hamming", same_entries<&KB::hamming>},
+      {"masked_bipolar_dot", same_entries<&KB::masked_bipolar_dot>},
+      {"bipolar_dot_dense", same_entries<&KB::bipolar_dot_dense>},
+      {"add_scaled_real", same_entries<&KB::add_scaled_real>},
+      {"add_scaled_bipolar", same_entries<&KB::add_scaled_bipolar>},
+      {"add_scaled_binary", same_entries<&KB::add_scaled_binary>},
+      {"scale_real", same_entries<&KB::scale_real>},
+      {"rff_trig_map", same_entries<&KB::rff_trig_map>},
+      {"gemm_encode", same_entries<&KB::gemm_accumulate>},
+      {"gemm_predict_bank", same_entries<&KB::dot_rows>},
+      {"dot_rows_block", same_entries<&KB::dot_rows_block>},
+      {"dot_rows_binary", same_entries<&KB::dot_rows_binary>},
+      {"dot_rows_ternary", same_entries<&KB::dot_rows_ternary>},
+      {"rff_rematerialize", same_entries<&KB::rff_rematerialize>},
+      {"gemm_remat_tile", same_entries<&KB::gemm_accumulate>},
+      {"remat_encode_batch",
+       same_entries<&KB::rff_rematerialize, &KB::gemm_accumulate, &KB::rff_trig_map>},
+      {"sign_encode", same_entries<&KB::sign_encode>},
+  };
+  for (const auto& e : node_entries) {
+    for (std::size_t wide = 1; wide < backends.size(); ++wide) {
+      for (std::size_t narrow = 0; narrow < wide; ++narrow) {
+        if (e.same(*backends[narrow], *backends[wide])) {
+          kernels[e.node][backends[wide]->name]["inherits"] =
+              bench::JsonValue::string(backends[narrow]->name);
+          break;
+        }
+      }
+    }
   }
 
   kernels["dot_real_binary"]["seed"]["ns_per_op"] = bench::JsonValue::number(seed_drb);

@@ -78,8 +78,8 @@ void MultiModelRegressor::build_packed_bank_into(PackedTernaryBank& bank) const 
   const std::size_t words = (d + 63) / 64;
   const std::size_t k_c = clusters_.size();
   // Model rows ride in the bank whenever the model term is a popcount shape
-  // (binary or ternary snapshots); real-precision models stay out (their
-  // term is a float dot, handled per sample by predict_batch).
+  // (binary or ternary snapshots); real-precision models stay out (the
+  // scorer reads them from the arena).
   const bool bank_models = mode.model == ModelPrecision::kBinary ||
                            mode.model == ModelPrecision::kTernary;
   const std::size_t rows = k_c + (bank_models ? models_.size() : 0);
@@ -125,55 +125,142 @@ void MultiModelRegressor::rebuild_packed_bank() {
   build_packed_bank_into(packed_bank_);
 }
 
-std::vector<double> MultiModelRegressor::similarities(
-    const hdc::EncodedSampleView& sample) const {
-  std::vector<double> sims(clusters_.size());
-  similarities_into(sample, sims);
-  return sims;
+std::size_t MultiModelRegressor::packed_rows_read(PredictionMode mode) const {
+  const std::size_t k = models_.size();
+  if (mode.query == QueryPrecision::kBinary && mode.model != ModelPrecision::kReal) {
+    return 2 * k;
+  }
+  return config_.cluster_mode == ClusterMode::kFullPrecision ? 0 : k;
 }
 
-void MultiModelRegressor::similarities_into(const hdc::EncodedSampleView& sample,
-                                            std::span<double> sims) const {
-  REGHD_CHECK(sample.real.dim() == config_.dim,
-              "sample dim " << sample.real.dim() << " != configured dim " << config_.dim);
-  switch (config_.cluster_mode) {
-    case ClusterMode::kFullPrecision: {
-      // Eq. 5 cosine over the integer centers, query at its configured
-      // precision. Query norm is cached; cluster norms are maintained
-      // incrementally.
-      const double qn2 = query_norm2(sample, config_.query_precision);
-      const double qn = std::sqrt(qn2);
-      for (std::size_t i = 0; i < clusters_.size(); ++i) {
-        const double cn = std::sqrt(clusters_[i].norm2);
-        if (cn == 0.0 || qn == 0.0) {
-          sims[i] = 0.0;
-          continue;
-        }
-        sims[i] = raw_query_dot(arena_row(i), sample, config_.query_precision) / (cn * qn);
-      }
-      break;
-    }
-    case ClusterMode::kQuantized:
-    case ClusterMode::kNaiveBinary: {
-      // §3.1: Hamming similarity of binary snapshots against the binary
-      // query; range [−1, 1] matches the cosine scale.
-      for (std::size_t i = 0; i < clusters_.size(); ++i) {
-        sims[i] = hdc::hamming_similarity(clusters_[i].binary, sample.binary);
-      }
-      break;
+void MultiModelRegressor::size_scratch(PredictScratch& s) const {
+  const std::size_t k = models_.size();
+  s.scores.resize(2 * k);
+  s.qscores.resize(2 * k);
+  s.sims.resize(k);
+  s.conf.resize(k);
+}
+
+MultiModelRegressor::PredictScratch& MultiModelRegressor::row_scratch(
+    PredictionMode mode) const {
+  thread_local PredictScratch s;
+  size_scratch(s);
+  if (!packed_bank_.valid && packed_rows_read(mode) > 0) {
+    build_packed_bank_into(s.packed);
+  }
+  return s;
+}
+
+const PackedTernaryBank& MultiModelRegressor::scan_bank(PredictionMode mode,
+                                                        const PredictScratch& s) const {
+  const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : s.packed;
+  const std::size_t rows = packed_rows_read(mode);
+  REGHD_CHECK(rows == 0 || (bank.rows >= rows && bank.words == (config_.dim + 63) / 64),
+              "packed bank " << bank.rows << "×" << bank.words << " does not cover the "
+                             << rows << " rows this mode scans (stale predict scratch?)");
+  return bank;
+}
+
+double MultiModelRegressor::score_row(const hdc::EncodedSampleView& q, PredictionMode mode,
+                                      const PackedTernaryBank& bank,
+                                      PredictScratch& s) const {
+  REGHD_CHECK(q.real.dim() == config_.dim,
+              "sample dim " << q.real.dim() << " != configured dim " << config_.dim);
+  const hdc::KernelBackend& kb = hdc::active_backend();
+  const std::size_t d = config_.dim;
+  const std::size_t k = models_.size();
+  const bool real_query = mode.query == QueryPrecision::kReal;
+  const bool real_clusters = config_.cluster_mode == ClusterMode::kFullPrecision;
+  const bool real_models = mode.model == ModelPrecision::kReal;
+  // Real rows against a real query: one dot_rows sweep over their contiguous
+  // range of the arena, in place (per row exactly dot_real_real).
+  const std::size_t real_lo = real_clusters && real_query ? 0 : k;
+  const std::size_t real_hi = real_models && real_query ? 2 * k : k;
+  if (real_lo < real_hi) {
+    kb.dot_rows(q.real.values().data(), arena_.data() + real_lo * d, d, real_hi - real_lo, d,
+                s.scores.data() + real_lo);
+  }
+  // Packed rows — the quantized clusters' C^b, and binary/ternary models
+  // against a binary query — one dot_rows_ternary sweep over their range of
+  // the bank: per row exactly masked_bipolar_dot, which a full-mask row
+  // reduces to d − 2·Hamming.
+  const std::size_t packed_lo = real_clusters ? k : 0;
+  const std::size_t packed_hi = packed_rows_read(mode);
+  if (packed_lo < packed_hi) {
+    const std::size_t w = bank.words;
+    kb.dot_rows_ternary(q.binary.words().data(), bank.signs.data() + packed_lo * w,
+                        bank.masks.data() + packed_lo * w, w, packed_hi - packed_lo, d,
+                        s.qscores.data() + packed_lo);
+    for (std::size_t r = packed_lo; r < packed_hi; ++r) {
+      s.scores[r] = static_cast<double>(s.qscores[r]);
     }
   }
+  // Every other combination scores row by row with the §3.2 kernels.
+  if (real_clusters && !real_query) {
+    for (std::size_t c = 0; c < k; ++c) {
+      s.scores[c] = raw_query_dot(arena_row(c), q, mode.query);
+    }
+  }
+  if (real_models && !real_query) {
+    for (std::size_t m = 0; m < k; ++m) {
+      s.scores[k + m] = raw_query_dot(arena_row(k + m), q, mode.query);
+    }
+  } else if (!real_models && real_query) {
+    for (std::size_t m = 0; m < k; ++m) {
+      const RegressionModel& model = models_[m];
+      s.scores[k + m] = mode.model == ModelPrecision::kTernary
+                            ? hdc::masked_dot(q.real, model.binary, model.ternary_mask)
+                            : hdc::dot(q.real, model.binary);
+    }
+  }
+  return finish_row(mode, query_norm2(q, mode.query), s);
+}
+
+double MultiModelRegressor::finish_row(PredictionMode mode, double query_norm2,
+                                       PredictScratch& s) const {
+  const std::size_t k = models_.size();
+  const double dd = static_cast<double>(config_.dim);
+  if (config_.cluster_mode == ClusterMode::kFullPrecision) {
+    // Eq. 5 cosine; cluster norms are maintained incrementally.
+    const double qn = std::sqrt(query_norm2);
+    for (std::size_t c = 0; c < k; ++c) {
+      const double cn = std::sqrt(clusters_[c].norm2);
+      s.sims[c] = (cn == 0.0 || qn == 0.0) ? 0.0 : s.scores[c] / (cn * qn);
+    }
+  } else {
+    // §3.1 Hamming similarity from the exact distance h = (d − score) / 2;
+    // range [−1, 1] matches the cosine scale.
+    for (std::size_t c = 0; c < k; ++c) {
+      const double h = (dd - s.scores[c]) / 2.0;
+      s.sims[c] = 1.0 - 2.0 * h / dd;
+    }
+  }
+  std::copy(s.sims.begin(), s.sims.begin() + static_cast<std::ptrdiff_t>(k), s.conf.begin());
+  confidences_into(std::span<double>(s.conf.data(), k));
+  // Eq. 6 over the model outputs (1/D)·M_i·S, scaled by γ (binary) or γ_t
+  // (ternary) for a snapshot model.
+  double y = 0.0;
+  for (std::size_t m = 0; m < k; ++m) {
+    double& out = s.scores[k + m];
+    if (mode.model == ModelPrecision::kBinary) {
+      out = models_[m].gamma * out / dd;
+    } else if (mode.model == ModelPrecision::kTernary) {
+      out = models_[m].gamma_ternary * out / dd;
+    } else {
+      out = out / dd;
+    }
+    y += s.conf[m] * out;
+  }
+  return y;
+}
+
+std::vector<double> MultiModelRegressor::similarities(
+    const hdc::EncodedSampleView& sample) const {
+  return predict_detail(sample).similarities;
 }
 
 std::size_t MultiModelRegressor::assign_cluster(const hdc::EncodedSampleView& sample) const {
-  const auto sims = similarities(sample);
-  return static_cast<std::size_t>(
-      std::distance(sims.begin(), std::max_element(sims.begin(), sims.end())));
-}
-
-std::vector<double> MultiModelRegressor::confidences_from(std::vector<double> sims) const {
-  confidences_into(sims);
-  return sims;
+  return predict_detail(sample).best_cluster;
 }
 
 void MultiModelRegressor::confidences_into(std::span<double> sims) const {
@@ -199,29 +286,23 @@ void MultiModelRegressor::confidences_into(std::span<double> sims) const {
 double MultiModelRegressor::predict(const hdc::EncodedSampleView& sample) const {
   const obs::StageTimer timer(obs::Histo::kPredictNs);
   obs::count(obs::Counter::kPredicts);
-  const auto conf = confidences_from(similarities(sample));
   const PredictionMode mode = config_.prediction_mode();
-  double y = 0.0;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    y += conf[i] * predict_dot(model_accumulator(i), models_[i], sample, mode);
-  }
-  return y;
+  PredictScratch& s = row_scratch(mode);
+  return score_row(sample, mode, scan_bank(mode, s), s);
 }
 
 PredictionDetail MultiModelRegressor::predict_detail(const hdc::EncodedSampleView& sample) const {
+  const PredictionMode mode = config_.prediction_mode();
+  PredictScratch& s = row_scratch(mode);
+  const auto k = static_cast<std::ptrdiff_t>(models_.size());
   PredictionDetail detail;
-  detail.similarities = similarities(sample);
-  detail.confidences = confidences_from(detail.similarities);
+  detail.prediction = score_row(sample, mode, scan_bank(mode, s), s);
+  detail.similarities.assign(s.sims.begin(), s.sims.begin() + k);
+  detail.confidences.assign(s.conf.begin(), s.conf.begin() + k);
+  detail.model_outputs.assign(s.scores.begin() + k, s.scores.begin() + 2 * k);
   detail.best_cluster = static_cast<std::size_t>(std::distance(
       detail.similarities.begin(),
       std::max_element(detail.similarities.begin(), detail.similarities.end())));
-  const PredictionMode mode = config_.prediction_mode();
-  detail.model_outputs.resize(models_.size());
-  detail.prediction = 0.0;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    detail.model_outputs[i] = predict_dot(model_accumulator(i), models_[i], sample, mode);
-    detail.prediction += detail.confidences[i] * detail.model_outputs[i];
-  }
   return detail;
 }
 
@@ -261,7 +342,6 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   constexpr std::size_t kFusedBlock = 1024;
   const hdc::KernelBackend& kb = hdc::active_backend();
   const std::size_t d = config_.dim;
-  const double dd = static_cast<double>(d);
   const std::size_t k_c = clusters_.size();
   const std::size_t k_m = models_.size();
   obs::count(obs::Counter::kPredicts);
@@ -269,25 +349,25 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
 
   // thread_local scratch: predict_one is const and must stay safe to call
   // concurrently, without paying per-call allocations on the latency path.
+  // Both fused forms accumulate the raw row scores into s.scores and finish
+  // through the scorer's own finish_row.
+  PredictScratch& s = row_scratch(mode);
   thread_local std::vector<double> block;
-  thread_local std::vector<double> sims;
   block.resize(kFusedBlock);
-  sims.resize(k_c);
 
   if (real_fusable) {
-    // Replays the full-precision arena scan, one block at a time:
-    // dot_rows_block carries each row's lane-accumulator state across blocks
-    // and finishes bit-identical to its backend's dot_real_real, so the
-    // scores equal raw_query_dot / predict_dot exactly. The query's own
-    // norm² rides as one extra bank row (q·q through the same kernel —
-    // exactly how encode() computes real_norm2).
+    // The full-precision arena scan, one block at a time: dot_rows_block
+    // carries each row's lane-accumulator state across blocks and finishes
+    // bit-identical to its backend's dot_real_real, so the scores equal the
+    // scorer's dot_rows sweep exactly. The query's own norm² rides as one
+    // extra bank row (q·q through the same kernel — exactly how encode()
+    // computes real_norm2).
     const std::size_t rows = k_c + k_m + 1;
     thread_local std::vector<double> state;
     thread_local std::vector<const double*> row_ptrs;
-    thread_local std::vector<double> scores;
     state.assign(rows * hdc::kDotRowsBlockState, 0.0);
     row_ptrs.resize(rows);
-    scores.resize(rows);
+    s.scores.resize(rows);
     for (std::size_t j0 = 0; j0 < d; j0 += kFusedBlock) {
       const std::size_t len = std::min(kFusedBlock, d - j0);
       const bool last = j0 + len == d;
@@ -297,179 +377,50 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
       }
       row_ptrs[k_c + k_m] = block.data();
       kb.dot_rows_block(block.data(), row_ptrs.data(), rows, len, last,
-                        state.data(), scores.data());
+                        state.data(), s.scores.data());
     }
-    // Replay of similarities_into (full-precision branch) + confidences +
-    // Eq. 6, operation for operation.
-    const double qn = std::sqrt(scores[k_c + k_m]);
-    for (std::size_t c = 0; c < k_c; ++c) {
-      const double cn = std::sqrt(clusters_[c].norm2);
-      sims[c] = (cn == 0.0 || qn == 0.0) ? 0.0 : scores[c] / (cn * qn);
-    }
-    confidences_into(sims);
-    double y = 0.0;
-    for (std::size_t m = 0; m < k_m; ++m) {
-      y += sims[m] * (scores[k_c + m] / dd);
-    }
-    return y;
+    return finish_row(mode, s.scores[k_c + k_m], s);
   }
 
   // Quantized bank scan (§3.1 + §3.2), blocked: each encoded block is
   // sign-packed (bit-identical to the slice of encode()'s sign/pack — word
   // boundaries align because non-final blocks are 64-multiples) and scored
   // against the word-offset slice of the packed 2-bit-plane bank; the
-  // per-block masked popcount scores are integers, so summing them across
-  // blocks is exact and the totals equal the unblocked dot_rows_ternary.
-  const std::size_t words = (d + 63) / 64;
-  PackedTernaryBank local;
-  if (!packed_bank_.valid) {
-    build_packed_bank_into(local);
-  }
-  const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : local;
-  REGHD_INTERNAL_CHECK(bank.rows == k_c + k_m && bank.words == words,
-                       "packed bank geometry " << bank.rows << "×" << bank.words
-                                               << " does not match predict shape");
+  // per-block masked popcount scores are integers, summed exactly (far below
+  // 2^53) into totals equal to the unblocked dot_rows_ternary.
+  const PackedTernaryBank& bank = scan_bank(mode, s);
   thread_local std::vector<std::int8_t> bipolar;
   thread_local std::vector<std::uint64_t> qwords;
-  thread_local std::vector<std::int64_t> block_scores;
-  thread_local std::vector<std::int64_t> totals;
   bipolar.resize(kFusedBlock);
   qwords.resize(kFusedBlock / 64);
-  block_scores.resize(bank.rows);
-  totals.assign(bank.rows, 0);
+  std::fill(s.scores.begin(), s.scores.end(), 0.0);
   for (std::size_t j0 = 0; j0 < d; j0 += kFusedBlock) {
     const std::size_t len = std::min(kFusedBlock, d - j0);
     encoder.encode_real_block(features, j0, len, block.data());
     kb.sign_encode(block.data(), bipolar.data(), qwords.data(), len);
     const std::size_t w0 = j0 / 64;
-    kb.dot_rows_ternary(qwords.data(), bank.signs.data() + w0,
-                        bank.masks.data() + w0, bank.words, bank.rows, len,
-                        block_scores.data());
-    for (std::size_t r = 0; r < bank.rows; ++r) {
-      totals[r] += block_scores[r];
+    kb.dot_rows_ternary(qwords.data(), bank.signs.data() + w0, bank.masks.data() + w0,
+                        bank.words, k_c + k_m, len, s.qscores.data());
+    for (std::size_t r = 0; r < k_c + k_m; ++r) {
+      s.scores[r] += static_cast<double>(s.qscores[r]);
     }
   }
-  // Replay of the quantized bank scan's replay of hamming_similarity /
-  // predict_dot / predict(): exact integer distance, then the same float
-  // expressions.
-  for (std::size_t c = 0; c < k_c; ++c) {
-    const auto h =
-        static_cast<double>((static_cast<std::int64_t>(d) - totals[c]) / 2);
-    sims[c] = 1.0 - 2.0 * h / dd;
-  }
-  confidences_into(sims);
-  double y = 0.0;
-  for (std::size_t m = 0; m < k_m; ++m) {
-    y += sims[m] *
-         (bank.scale[k_c + m] * static_cast<double>(totals[k_c + m]) / dd);
-  }
-  return y;
-}
-
-void MultiModelRegressor::scan_real_row(const double* query, double query_norm2,
-                                        double* scores, double* sims) const {
-  const std::size_t d = config_.dim;
-  const std::size_t k = models_.size();
-  hdc::active_backend().dot_rows(query, arena_.data(), d, 2 * k, d, scores);
-  const double qn = std::sqrt(query_norm2);
-  for (std::size_t c = 0; c < k; ++c) {
-    const double cn = std::sqrt(clusters_[c].norm2);
-    sims[c] = (cn == 0.0 || qn == 0.0) ? 0.0 : scores[c] / (cn * qn);
-  }
+  return finish_row(mode, static_cast<double>(d), s);
 }
 
 void MultiModelRegressor::scan_rows(const EncodedDataset& dataset, std::size_t r0,
                                     std::size_t rn, std::span<double> out,
                                     PredictScratch& scratch) const {
-  REGHD_CHECK(r0 == rn || dataset.dim() == config_.dim,
-              "sample dim " << dataset.dim() << " != configured dim " << config_.dim);
-  const PredictionMode mode = config_.prediction_mode();
-  const std::size_t d = config_.dim;
-  const double dd = static_cast<double>(d);
   const std::size_t k = models_.size();
-  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal) {
-    // Full-precision bank scan: each query row is scored against all 2k
-    // arena rows with one dot_rows sweep (the arena stays hot in cache across
-    // rows). dot_rows reduces each row exactly like the dot_real_real calls
-    // behind raw_query_dot / predict_dot, and the sims → confidences → Eq. 6
-    // arithmetic replays predict()'s operation sequence, so out[i] is
-    // bit-identical to predict(sample(i)).
-    const double* rows = dataset.real_plane().data();
-    for (std::size_t i = r0; i < rn; ++i) {
-      scan_real_row(rows + i * d, dataset.norms2()[i], scratch.scores.data(),
-                    scratch.sims.data());
-      confidences_into(scratch.sims);
-      double y = 0.0;
-      for (std::size_t m = 0; m < k; ++m) {
-        y += scratch.sims[m] * (scratch.scores[k + m] / dd);
-      }
-      out[i] = y;
-    }
-    return;
-  }
-  if ((config_.cluster_mode == ClusterMode::kQuantized ||
-       config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-      mode.query == QueryPrecision::kBinary) {
-    // Quantized bank scan (§3.1 + §3.2): the Hamming similarities of every
-    // query against all cluster snapshots come from one dot_rows_ternary
-    // popcount sweep over the packed 2-bit-plane bank; with a binary or
-    // ternary model the k model snapshot rows ride in the same bank (full
-    // mask + γ, or dead-zone mask + γ_ternary), making the whole Eq. 5/6
-    // pipeline XNOR+popcount. The integer masked bipolar dots are exact —
-    // full-mask rows reduce to the same d − 2·Hamming the binary scan
-    // produced — and the float arithmetic below replays hamming_similarity /
-    // predict_dot / predict() operation-for-operation, so out[i] is
-    // bit-identical to predict(sample(i)). The model's bank tracks the
-    // snapshots (rebuilt on requantize); after raw snapshot access it is
-    // stale, so the scan reads the scratch's re-packed copy instead — same
-    // bytes, same results.
-    const std::size_t words = dataset.words_per_row();
-    const bool bank_models = mode.model == ModelPrecision::kBinary ||
-                             mode.model == ModelPrecision::kTernary;
-    const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : scratch.packed;
-    REGHD_INTERNAL_CHECK(bank.rows == k + (bank_models ? k : 0) && bank.words == words &&
-                             scratch.qscores.size() >= bank.rows,
-                         "packed bank geometry " << bank.rows << "×" << bank.words
-                                                 << " does not match predict shape");
-    const hdc::KernelBackend& kb = hdc::active_backend();
-    const std::uint64_t* bits = dataset.binary_plane().data();
-    for (std::size_t i = r0; i < rn; ++i) {
-      kb.dot_rows_ternary(bits + i * words, bank.signs.data(), bank.masks.data(), words,
-                          bank.rows, d, scratch.qscores.data());
-      for (std::size_t c = 0; c < k; ++c) {
-        // hamming_similarity replayed from the exact integer distance
-        // h = (d − dot) / 2.
-        const auto h = static_cast<double>(
-            (static_cast<std::int64_t>(d) - scratch.qscores[c]) / 2);
-        scratch.sims[c] = 1.0 - 2.0 * h / dd;
-      }
-      confidences_into(scratch.sims);
-      double y = 0.0;
-      if (bank_models) {
-        // γ·score/D (binary) or γ_ternary·score/D (ternary) — the bank's
-        // per-row scale is exactly that γ, so one expression replays both
-        // predict_dot forms.
-        for (std::size_t m = 0; m < k; ++m) {
-          y += scratch.sims[m] *
-               (bank.scale[k + m] * static_cast<double>(scratch.qscores[k + m]) / dd);
-        }
-      } else {
-        // Integer (real-precision) model term: not a popcount shape; reuse
-        // the per-sample kernel (still banked sims above).
-        const hdc::EncodedSampleView s = dataset.sample(i);
-        for (std::size_t m = 0; m < k; ++m) {
-          y += scratch.sims[m] * predict_dot(model_accumulator(m), models_[m], s, mode);
-        }
-      }
-      out[i] = y;
-    }
-    return;
-  }
-  // Generic modes: per-row predict() (this path allocates; the serving
-  // no-alloc guarantee covers the two bank fast paths above).
+  REGHD_CHECK(scratch.scores.size() >= 2 * k && scratch.qscores.size() >= 2 * k &&
+                  scratch.sims.size() >= k && scratch.conf.size() >= k,
+              "predict scratch holds " << scratch.sims.size()
+                                       << " similarity slots, prepared for a smaller model than "
+                                       << k << " clusters");
+  const PredictionMode mode = config_.prediction_mode();
+  const PackedTernaryBank& bank = scan_bank(mode, scratch);
   for (std::size_t i = r0; i < rn; ++i) {
-    out[i] = predict(dataset.sample(i));
+    out[i] = score_row(dataset.sample(i), mode, bank, scratch);
   }
 }
 
@@ -482,23 +433,18 @@ std::vector<double> MultiModelRegressor::predict_batch(const EncodedDataset& dat
   util::parallel_for(
       (dataset.size() + kChunk - 1) / kChunk,
       [&](std::size_t chunk) {
-        PredictScratch scratch;
-        prepare_predict_scratch(scratch);
         scan_rows(dataset, chunk * kChunk, std::min(dataset.size(), (chunk + 1) * kChunk),
-                  out, scratch);
+                  out, row_scratch(config_.prediction_mode()));
       },
       threads != 0 ? threads : config_.threads);
   return out;
 }
 
 void MultiModelRegressor::prepare_predict_scratch(PredictScratch& scratch) const {
-  const std::size_t k = models_.size();
   if (!packed_bank_.valid) {
     build_packed_bank_into(scratch.packed);
   }
-  scratch.scores.assign(2 * k, 0.0);
-  scratch.qscores.assign(2 * k, 0);
-  scratch.sims.assign(k, 0.0);
+  size_scratch(scratch);
   scratch.prepared = true;
 }
 
@@ -528,67 +474,76 @@ double MultiModelRegressor::evaluate_mse(const EncodedDataset& dataset) const {
   return acc / static_cast<double>(dataset.size());
 }
 
-double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, double target) {
-  const obs::StageTimer timer(obs::Histo::kTrainStepNs);
-  obs::count(obs::Counter::kTrainSteps);
-  // Member scratch instead of per-call vectors: train_step runs once per
-  // sample per epoch, and the two allocations dominated its fixed cost.
-  step_sims_.resize(clusters_.size());
-  similarities_into(sample, step_sims_);
-  step_conf_.assign(step_sims_.begin(), step_sims_.end());
-  confidences_into(step_conf_);
-  const std::vector<double>& sims = step_sims_;
-  const std::vector<double>& conf = step_conf_;
-  // The training error is always measured against the integer models being
-  // updated (paper §3.2: binary snapshots are regenerated from the integer
-  // model per epoch/batch; computing the error from an epoch-frozen snapshot
-  // would keep it constant and destabilize the accumulation). Binary kernels
-  // apply at inference via predict().
-  const PredictionMode mode{config_.query_precision, ModelPrecision::kReal};
-
-  // Eq. 6: confidence-weighted prediction.
-  double prediction = 0.0;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    prediction += conf[i] * predict_dot(model_accumulator(i), models_[i], sample, mode);
-  }
+void MultiModelRegressor::plan_update(std::size_t j, const hdc::EncodedSampleView& sample,
+                                      double target, double prediction,
+                                      const PredictScratch& s) {
+  const std::size_t k = models_.size();
   double error = target - prediction;
   if (config_.error_clip > 0.0) {
     error = std::clamp(error, -config_.error_clip, config_.error_clip);
   }
-
-  // Eq. 7: model updates on the integer accumulators.
-  const std::size_t winner = static_cast<std::size_t>(
-      std::distance(sims.begin(), std::max_element(sims.begin(), sims.end())));
+  const double* sims = s.sims.data();
+  const auto winner =
+      static_cast<std::size_t>(std::distance(sims, std::max_element(sims, sims + k)));
+  winner_[j] = winner;
+  obs::count_cluster_hit(winner);
   const double normalizer = update_normalizer(sample, config_.query_precision);
+  double* coeff = coeff_.data() + j * k;
   if (config_.update_rule == UpdateRule::kConfidenceWeighted) {
     // Mixture-normalized LMS: dividing by Σδ'² makes the joint update move
     // this sample's blended prediction by exactly α·err, independent of how
     // soft the confidences are (for one-hot confidence this is Eq. 7
     // verbatim).
     double conf_sq = 0.0;
-    for (const double c : conf) {
-      conf_sq += c * c;
+    for (std::size_t i = 0; i < k; ++i) {
+      conf_sq += s.conf[i] * s.conf[i];
     }
     const double mix_norm = conf_sq > 0.0 ? 1.0 / conf_sq : 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      coeff[i] = config_.learning_rate * error * s.conf[i] * normalizer * mix_norm;
+    }
+  } else {
+    coeff[winner] = config_.learning_rate * error * normalizer;
+  }
+  weight_[j] = 1.0 - sims[winner];
+}
+
+double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, double target) {
+  const obs::StageTimer timer(obs::Histo::kTrainStepNs);
+  obs::count(obs::Counter::kTrainSteps);
+  // The training error is always measured against the integer models being
+  // updated (paper §3.2: binary snapshots are regenerated from the integer
+  // model per epoch/batch; computing the error from an epoch-frozen snapshot
+  // would keep it constant and destabilize the accumulation). Binary kernels
+  // apply at inference via predict().
+  const PredictionMode mode{config_.query_precision, ModelPrecision::kReal};
+  PredictScratch& s = row_scratch(mode);
+  const double prediction = score_row(sample, mode, scan_bank(mode, s), s);
+  coeff_.resize(models_.size());
+  winner_.resize(1);
+  weight_.resize(1);
+  plan_update(0, sample, target, prediction, s);
+
+  // Eq. 7: model updates on the integer accumulators.
+  const std::size_t winner = winner_[0];
+  if (config_.update_rule == UpdateRule::kConfidenceWeighted) {
     for (std::size_t i = 0; i < models_.size(); ++i) {
-      const double coeff = config_.learning_rate * error * conf[i] * normalizer * mix_norm;
-      if (coeff != 0.0) {
-        update_accumulator(mutable_model_accumulator(i), sample, coeff,
+      if (coeff_[i] != 0.0) {
+        update_accumulator(mutable_model_accumulator(i), sample, coeff_[i],
                            config_.query_precision);
       }
     }
   } else {
-    update_accumulator(mutable_model_accumulator(winner), sample,
-                       config_.learning_rate * error * normalizer, config_.query_precision);
+    update_accumulator(mutable_model_accumulator(winner), sample, coeff_[winner],
+                       config_.query_precision);
   }
 
   // Eq. 8 / Eq. 9: cluster update on the winning center's integer
   // accumulator. The paper's Eq. 9 updates the integer copy with the
   // integer-encoded input even when similarity search is binary; frozen in
   // the naive-binarization foil.
-  obs::count_cluster_hit(winner);
   if (config_.cluster_mode != ClusterMode::kNaiveBinary) {
-    const double weight = 1.0 - sims[winner];
+    const double weight = weight_[0];
     if (weight != 0.0) {
       obs::count(obs::Counter::kClusterUpdates);
       // Maintain ‖C‖² incrementally: ‖C + w·S‖² = ‖C‖² + 2w·(C·S) + w²·‖S‖².
@@ -620,104 +575,28 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   const std::size_t b = indices.size();
   const std::size_t k = models_.size();
   const std::size_t use_threads = threads != 0 ? threads : config_.threads;
-  const double dd = static_cast<double>(config_.dim);
   const bool confidence_weighted = config_.update_rule == UpdateRule::kConfidenceWeighted;
   const PredictionMode train_mode{config_.query_precision, ModelPrecision::kReal};
-
-  batch_sims_.resize(b * k);
-  batch_conf_.resize(b * k);
-  batch_weight_.resize(b);
-  batch_winner_.resize(b);
-  if (confidence_weighted) {
-    batch_coeff_.resize(b * k);
-  } else {
-    batch_wcoeff_.resize(b);
-  }
-
-  // Finishes one sample's phase-1 work from its filled sims/conf rows and
-  // Eq. 6 prediction: error, winner, Eq. 7 coefficients, Eq. 8 weight. Every
-  // store lands in sample j's own scratch slots, so phase 1 is deterministic
-  // for any thread count. The arithmetic replays train_step's operation
-  // sequence exactly — a one-sample batch is bit-identical to train_step.
-  const auto finish_sample = [&](std::size_t j, double prediction) {
-    const std::size_t row = indices[j];
-    predictions[j] = prediction;
-    double error = data.target(row) - prediction;
-    if (config_.error_clip > 0.0) {
-      error = std::clamp(error, -config_.error_clip, config_.error_clip);
-    }
-    const double* sims = batch_sims_.data() + j * k;
-    const double* conf = batch_conf_.data() + j * k;
-    const auto winner =
-        static_cast<std::size_t>(std::distance(sims, std::max_element(sims, sims + k)));
-    batch_winner_[j] = winner;
-    obs::count_cluster_hit(winner);
-    const double normalizer = update_normalizer(data.sample(row), config_.query_precision);
-    if (confidence_weighted) {
-      double conf_sq = 0.0;
-      for (std::size_t i = 0; i < k; ++i) {
-        conf_sq += conf[i] * conf[i];
-      }
-      const double mix_norm = conf_sq > 0.0 ? 1.0 / conf_sq : 0.0;
-      double* coeff = batch_coeff_.data() + j * k;
-      for (std::size_t i = 0; i < k; ++i) {
-        coeff[i] = config_.learning_rate * error * conf[i] * normalizer * mix_norm;
-      }
-    } else {
-      batch_wcoeff_[j] = config_.learning_rate * error * normalizer;
-    }
-    batch_weight_[j] = 1.0 - sims[winner];
-  };
+  coeff_.resize(b * k);
+  winner_.resize(b);
+  weight_.resize(b);
 
   // Phase 1 — per-sample Eq. 5/6 quantities against the entry (batch-start)
-  // state, parallel over samples; nothing is written to the model until
+  // state, parallel over samples: train_step's scorer and update plan, each
+  // sample's results landing in its own plan slots, so phase 1 is
+  // deterministic for any thread count and a one-sample batch is
+  // bit-identical to train_step. Nothing is written to the model until
   // phase 2, so every sample reads the same state.
-  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      config_.query_precision == QueryPrecision::kReal) {
-    // Bank path (the default training configuration), at every batch size:
-    // one dot_rows sweep of each sample row against the arena in place —
-    // the same scan as predict, bit-identical to train_step's per-sample
-    // kernel calls.
-    const std::size_t d = config_.dim;
-    batch_scores_.resize(b * 2 * k);
-    const double* rows = data.real_plane().data();
-    util::parallel_for(
-        b,
-        [&](std::size_t j) {
-          const std::size_t row = indices[j];
-          double* scores = batch_scores_.data() + j * 2 * k;
-          double* sims = batch_sims_.data() + j * k;
-          scan_real_row(rows + row * d, data.norms2()[row], scores, sims);
-          double* conf = batch_conf_.data() + j * k;
-          std::copy(sims, sims + k, conf);
-          confidences_into(std::span<double>(conf, k));
-          double prediction = 0.0;
-          for (std::size_t m = 0; m < k; ++m) {
-            prediction += conf[m] * (scores[k + m] / dd);
-          }
-          finish_sample(j, prediction);
-        },
-        use_threads);
-  } else {
-    // Generic phase 1 (quantized/naive clusters or binary queries): the
-    // per-sample kernels of train_step, parallel over samples.
-    util::parallel_for(
-        b,
-        [&](std::size_t j) {
-          const hdc::EncodedSampleView s = data.sample(indices[j]);
-          double* sims = batch_sims_.data() + j * k;
-          similarities_into(s, std::span<double>(sims, k));
-          double* conf = batch_conf_.data() + j * k;
-          std::copy(sims, sims + k, conf);
-          confidences_into(std::span<double>(conf, k));
-          double prediction = 0.0;
-          for (std::size_t i = 0; i < k; ++i) {
-            prediction += conf[i] * predict_dot(model_accumulator(i), models_[i], s, train_mode);
-          }
-          finish_sample(j, prediction);
-        },
-        use_threads);
-  }
+  util::parallel_for(
+      b,
+      [&](std::size_t j) {
+        PredictScratch& s = row_scratch(train_mode);
+        const std::size_t row = indices[j];
+        const hdc::EncodedSampleView q = data.sample(row);
+        predictions[j] = score_row(q, train_mode, scan_bank(train_mode, s), s);
+        plan_update(j, q, data.target(row), predictions[j], s);
+      },
+      use_threads);
 
   // Phase 2a — Eq. 7 model updates, dimension-sliced across workers. Per
   // accumulator component the coefficients chain in ascending list order j,
@@ -753,8 +632,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
           const std::size_t len = d1 - d0;
           for (std::size_t j = 0; j < b; ++j) {
             const std::size_t row = indices[j];
+            const double* coeff = coeff_.data() + j * k;
             if (confidence_weighted) {
-              const double* coeff = batch_coeff_.data() + j * k;
               for (std::size_t m = 0; m < k; ++m) {
                 if (coeff[m] == 0.0) {
                   continue;  // train_step's skip: keep −0 components intact
@@ -767,12 +646,12 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
                 }
               }
             } else {
-              double* acc = arena_row(k + batch_winner_[j]).data() + d0;
+              const std::size_t winner = winner_[j];
+              double* acc = arena_row(k + winner).data() + d0;
               if (real_updates) {
-                kb.add_scaled_real(acc, real_rows + row * d + d0, batch_wcoeff_[j], len);
+                kb.add_scaled_real(acc, real_rows + row * d + d0, coeff[winner], len);
               } else {
-                kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, batch_wcoeff_[j],
-                                      len);
+                kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, coeff[winner], len);
               }
             }
           }
@@ -793,10 +672,10 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
           const std::span<double> acc = arena_row(c_idx);
           double& norm2 = clusters_[c_idx].norm2;
           for (std::size_t j = 0; j < b; ++j) {
-            if (batch_winner_[j] != c_idx) {
+            if (winner_[j] != c_idx) {
               continue;
             }
-            const double weight = batch_weight_[j];
+            const double weight = weight_[j];
             if (weight == 0.0) {
               continue;
             }

@@ -21,11 +21,14 @@
 // Prediction (Eq. 6) runs steps 1–3 with the configured §3.2 kernel.
 //
 // Storage: the 2k accumulators are one (2k)×D arena — rows 0…k−1 hold C_i,
-// rows k…2k−1 hold M_i — the bank layout the dot_rows kernels take. Every
-// full-precision predict path and batch training's phase 1 score a query
-// against all 2k rows with one sweep over that arena in place; the per-row
-// ClusterCenter / RegressionModel structs hold only the snapshots. The
-// quantized modes scan the PackedTernaryBank derived from those snapshots.
+// rows k…2k−1 hold M_i — the bank layout the dot_rows kernels take; the
+// per-row ClusterCenter / RegressionModel structs hold only the snapshots,
+// and the PackedTernaryBank packs those snapshots in the same row order.
+// Steps 1–3 are written once, as one private scorer that every predict and
+// train path calls (predict_one finishes its fused blockwise scores through
+// the scorer's last step): real rows against a real query are scanned in
+// place in the arena with dot_rows, packed rows with dot_rows_ternary, and
+// the other mode combinations with the per-row §3.2 kernels.
 #pragma once
 
 #include <span>
@@ -121,9 +124,10 @@ class MultiModelRegressor {
   /// real/real mode, and the quantized modes sign-encode the block and
   /// accumulate exact integer popcount scores. Bit-identical to
   /// predict(encoder.encode(features)) in every mode: the supported
-  /// cluster/query/model combinations fuse (same kernels, same rounding
-  /// sequence — see the bank-scan fast paths this replays), all others
-  /// fall back to exactly that materializing expression. config().
+  /// cluster/query/model combinations fuse (per row the same reductions as
+  /// the scorer's dot_rows / dot_rows_ternary sweeps, finished by the
+  /// scorer's own last step), all others fall back to exactly that
+  /// materializing expression. config().
   /// fused_predict = false forces the fallback. Thread-safe (thread_local
   /// scratch).
   [[nodiscard]] double predict_one(const hdc::Encoder& encoder,
@@ -135,19 +139,20 @@ class MultiModelRegressor {
   [[nodiscard]] std::vector<double> predict_batch(const EncodedDataset& dataset,
                                                   std::size_t threads = 0) const;
 
-  /// Caller-owned scratch for predict_batch_into: the per-row score and
-  /// similarity buffers, plus the packed bank rebuilt from the snapshots
-  /// when the model's own one is stale. Nothing in it mirrors the
-  /// accumulators: the full-precision scan reads the model's arena in
-  /// place. prepare_predict_scratch sizes everything once; after that,
-  /// predict_batch_into touches no allocator — the invariant the serving
-  /// runtime's admission batcher asserts on its predict path. Reusable
-  /// across calls and across re-preparations (capacity is retained).
+  /// Caller-owned scratch for predict_batch_into: the scorer's per-query
+  /// buffers, plus the packed bank rebuilt from the snapshots when the
+  /// model's own one is stale. Nothing in it mirrors the accumulators: the
+  /// scorer reads the model's arena in place. prepare_predict_scratch sizes
+  /// everything once; after that, predict_batch_into touches no allocator in
+  /// any mode — the invariant the serving runtime's admission batcher
+  /// asserts on its predict path. Reusable across calls and across
+  /// re-preparations (capacity is retained).
   struct PredictScratch {
-    PackedTernaryBank packed;          ///< Stale-bank fallback (quantized modes).
-    std::vector<double> scores;        ///< Per-row real dot scores (2k).
-    std::vector<std::int64_t> qscores; ///< Per-row popcount scores.
-    std::vector<double> sims;          ///< δ_i scratch (k).
+    PackedTernaryBank packed;          ///< Stale-bank fallback.
+    std::vector<double> scores;        ///< Raw scores by row (2k); then model outputs.
+    std::vector<std::int64_t> qscores; ///< Popcount scores by bank row (2k).
+    std::vector<double> sims;          ///< δ_i (k).
+    std::vector<double> conf;          ///< δ'_i (k).
     bool prepared = false;
   };
 
@@ -161,8 +166,8 @@ class MultiModelRegressor {
   /// out[i] for every row. predict_batch runs this same row-range scan over
   /// 64-row chunks, so the two are bit-identical in every mode (the scan is
   /// row-independent). `scratch` must have been prepared against this
-  /// model. The one caveat: mode combinations outside the two bank fast
-  /// paths fall back to per-row predict(), which allocates.
+  /// model; one sized for a smaller model is refused (std::invalid_argument)
+  /// before `out` is written.
   void predict_batch_into(const EncodedDataset& dataset, std::span<double> out,
                           PredictScratch& scratch) const;
 
@@ -290,15 +295,8 @@ class MultiModelRegressor {
   void decay_models(double factor);
 
  private:
-  /// Softmax over the similarity vector at the configured temperature.
-  [[nodiscard]] std::vector<double> confidences_from(std::vector<double> sims) const;
-
-  /// Eq. 5 similarities written into a caller-owned buffer of size k (the
-  /// allocation-free core of similarities(); thread-safe).
-  void similarities_into(const hdc::EncodedSampleView& sample, std::span<double> sims) const;
-
-  /// In-place similarities → confidences transform (z-score + softmax); the
-  /// allocation-free core of confidences_from(). Thread-safe.
+  /// In-place similarities → confidences transform (z-score + softmax).
+  /// Thread-safe.
   void confidences_into(std::span<double> sims) const;
 
   /// Farthest-point cluster seeding from the listed training rows
@@ -311,19 +309,58 @@ class MultiModelRegressor {
   /// builds the scratch's stale-bank fallback). Thread-safe.
   void build_packed_bank_into(PackedTernaryBank& bank) const;
 
-  /// The one bank scan behind predict_batch and predict_batch_into: writes
-  /// predict(sample(i)) into out[i] for rows [r0, rn) of `dataset` through
-  /// the mode's fast path (full-precision dot_rows over the arena, or the
-  /// quantized popcount sweep over the packed bank), else per-row predict().
+  /// The Eq. 5/6 scorer behind every predict and train path: scores query
+  /// `q` against the k clusters and k models and returns the Eq. 6
+  /// prediction, leaving δ_i in s.sims, δ'_i in s.conf and the model outputs
+  /// (1/D)·M_i·S in s.scores[k + i]. The cluster half's kernel follows
+  /// cluster_mode × query precision, the model half's model × query
+  /// precision: real rows against a real query are one in-place dot_rows
+  /// sweep over the arena, packed rows (quantized clusters; snapshot models
+  /// against a binary query) one dot_rows_ternary sweep over `bank`, and the
+  /// remaining combinations the per-row §3.2 kernels. `mode` is the
+  /// configured prediction mode, or training's {query, real model}.
+  /// Thread-safe for distinct scratches.
+  double score_row(const hdc::EncodedSampleView& q, PredictionMode mode,
+                   const PackedTernaryBank& bank, PredictScratch& s) const;
+
+  /// score_row's finishing step, also run by predict_one's fused scans: turns
+  /// the raw row scores in s.scores (cluster half: cosine dots against
+  /// ‖q‖² = query_norm2, or popcount scores in the quantized modes; model
+  /// half: dots to be scaled by γ and 1/D) into δ, δ' and the Eq. 6 value.
+  double finish_row(PredictionMode mode, double query_norm2, PredictScratch& s) const;
+
+  /// Packed-bank rows score_row reads in `mode` (it reads rows
+  /// [k or 0, this)); 0 when the mode reads no bank.
+  [[nodiscard]] std::size_t packed_rows_read(PredictionMode mode) const;
+
+  /// Sizes s's score buffers for this model (allocating only to grow).
+  void size_scratch(PredictScratch& s) const;
+
+  /// The calling thread's scorer scratch (one per thread, shared by every
+  /// model), sized for this model and holding the snapshots re-packed when
+  /// `mode` reads the bank and the model's own one is stale — the model's
+  /// own bank is never rebuilt from a predict or train path.
+  PredictScratch& row_scratch(PredictionMode mode) const;
+
+  /// The bank score_row reads: the model's own while it tracks the
+  /// snapshots, else the one packed into `s`. Throws if it cannot cover the
+  /// rows `mode` scans.
+  const PackedTernaryBank& scan_bank(PredictionMode mode, const PredictScratch& s) const;
+
+  /// The one row loop behind predict_batch and predict_batch_into: writes
+  /// score_row(sample(i)) into out[i] for rows [r0, rn) of `dataset`, after
+  /// refusing a scratch too small for this model.
   void scan_rows(const EncodedDataset& dataset, std::size_t r0, std::size_t rn,
                  std::span<double> out, PredictScratch& scratch) const;
 
-  /// Full-precision scan of one real query against the arena: scores[r] for
-  /// all 2k rows from one dot_rows sweep (each equal to the dot_real_real
-  /// behind raw_query_dot / predict_dot), and the Eq. 5 cosines δ_i into
-  /// sims, replaying similarities_into's expression.
-  void scan_real_row(const double* query, double query_norm2, double* scores,
-                     double* sims) const;
+  /// Training's per-sample plan from score_row's output, shared by
+  /// train_step and train_batch's phase 1: the clipped error against
+  /// `target`, the winning cluster (winner_[j]), its Eq. 8 weight
+  /// 1 − δ_winner (weight_[j]) and the Eq. 7 coefficients in row j of coeff_
+  /// (all k under the confidence-weighted rule, the winner's alone under
+  /// winner-only). Distinct j may run concurrently.
+  void plan_update(std::size_t j, const hdc::EncodedSampleView& sample, double target,
+                   double prediction, const PredictScratch& s);
 
   [[nodiscard]] std::span<const double> arena_row(std::size_t r) const {
     return {arena_.data() + r * config_.dim, config_.dim};
@@ -338,23 +375,12 @@ class MultiModelRegressor {
   std::vector<RegressionModel> models_;
   PackedTernaryBank packed_bank_;
 
-  // Reusable train_step scratch, hoisted out of the per-sample hot loop
-  // (similarities()/confidences_from() used to allocate per call). predict()
-  // stays allocating: it is const and must remain safe to call concurrently
-  // from predict_batch's per-row fallback.
-  std::vector<double> step_sims_;
-  std::vector<double> step_conf_;
-
-  // train_batch phase-1 scratch, reused across batches of an epoch. Laid out
-  // per batch sample j: scores row of 2k, sims/conf/coeff rows of k, scalar
-  // winner/weight.
-  std::vector<double> batch_scores_;
-  std::vector<double> batch_sims_;
-  std::vector<double> batch_conf_;
-  std::vector<double> batch_coeff_;   ///< per-model coefficients (confidence-weighted).
-  std::vector<double> batch_wcoeff_;  ///< winner coefficient (winner-only rule).
-  std::vector<double> batch_weight_;  ///< Eq. 8 cluster weight 1 − δ_winner.
-  std::vector<std::size_t> batch_winner_;
+  // Training plan slots, reused across steps and batches: per sample j of a
+  // batch (j = 0 for train_step), a row of k Eq. 7 coefficients, the winning
+  // cluster and its Eq. 8 weight.
+  std::vector<double> coeff_;
+  std::vector<std::size_t> winner_;
+  std::vector<double> weight_;
 };
 
 }  // namespace reghd::core

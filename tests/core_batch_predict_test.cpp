@@ -182,6 +182,34 @@ TEST(RegressorBatchTest, PredictBatchIntoRejectsShortSpanAndUnpreparedScratch) {
   EXPECT_THROW(reg.predict_batch_into(enc, tiny, scratch), std::exception);
 }
 
+// A scratch sized for a smaller model must be refused before the scan writes
+// a single score into it (it used to overflow the score buffers), and the
+// output must stay untouched.
+TEST(RegressorBatchTest, PredictBatchIntoRejectsScratchPreparedForASmallerModel) {
+  const data::Dataset data = small_task();
+  const auto encoder = hdc::make_encoder(small_encoder_config(data.num_features()));
+  const EncodedDataset enc = EncodedDataset::from(*encoder, data);
+  for (const ClusterMode mode : {ClusterMode::kFullPrecision, ClusterMode::kQuantized}) {
+    RegHDConfig small_cfg = small_reghd_config();
+    small_cfg.cluster_mode = mode;
+    small_cfg.query_precision =
+        mode == ClusterMode::kQuantized ? QueryPrecision::kBinary : QueryPrecision::kReal;
+    small_cfg.model_precision =
+        mode == ClusterMode::kQuantized ? ModelPrecision::kTernary : ModelPrecision::kReal;
+    small_cfg.models = 2;
+    RegHDConfig big_cfg = small_cfg;
+    big_cfg.models = 8;
+    const MultiModelRegressor small(small_cfg);
+    const MultiModelRegressor big(big_cfg);
+    MultiModelRegressor::PredictScratch scratch;
+    small.prepare_predict_scratch(scratch);
+    std::vector<double> out(enc.size(), -1.0);
+    EXPECT_THROW(big.predict_batch_into(enc, out, scratch), std::invalid_argument)
+        << to_string(mode);
+    EXPECT_EQ(out, std::vector<double>(enc.size(), -1.0)) << to_string(mode);
+  }
+}
+
 TEST(EncodedDatasetTest, AssignRowsMatchesFromRowsAndReusesStorage) {
   const data::Dataset data = small_task();
   const auto encoder = hdc::make_encoder(small_encoder_config(data.num_features()));

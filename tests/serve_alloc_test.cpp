@@ -7,7 +7,9 @@
 //     fresh standardization vector per sample on the trainer thread;
 //   * the classic predict worker (both admission paths — already covered by
 //     bench/serving, re-asserted here as a test);
-//   * the tenant-mode resident predict path (store active).
+//   * the tenant-mode resident predict path (store active);
+//   * MultiModelRegressor::predict_batch_into itself, in every cluster ×
+//     query × model mode, with the model's packed bank valid and stale.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/encoded.hpp"
+#include "core/multi_model.hpp"
 #include "core/online.hpp"
 #include "data/synthetic.hpp"
+#include "hdc/encoding.hpp"
 #include "serve/alloc_probe.hpp"
 #include "serve/server.hpp"
 
@@ -204,6 +209,55 @@ TEST(ServeAllocTest, TenantResidentPredictPathIsAllocationFree) {
   const std::uint64_t allocs = disarm();
   server.stop();
   EXPECT_EQ(allocs, 0U) << "tenant-mode resident predict allocated";
+}
+
+// Once prepare_predict_scratch has sized the scratch, the serial batch scan
+// allocates nothing, whichever mode the model was trained in and whether it
+// scores through its own packed bank or the scratch's re-packed copy.
+TEST(ServeAllocTest, PredictBatchIntoIsAllocationFreeInEveryMode) {
+  const data::Dataset d = data::make_friedman1(64, 8);
+  hdc::EncoderConfig enc_cfg;
+  enc_cfg.input_dim = d.num_features();
+  enc_cfg.dim = 200;
+  const auto encoder = hdc::make_encoder(enc_cfg);
+  const core::EncodedDataset enc = core::EncodedDataset::from(*encoder, d, 1);
+  std::vector<double> out(enc.size());
+  for (const core::ClusterMode cluster :
+       {core::ClusterMode::kFullPrecision, core::ClusterMode::kQuantized,
+        core::ClusterMode::kNaiveBinary}) {
+    for (const core::QueryPrecision query :
+         {core::QueryPrecision::kReal, core::QueryPrecision::kBinary}) {
+      for (const core::ModelPrecision model :
+           {core::ModelPrecision::kReal, core::ModelPrecision::kBinary,
+            core::ModelPrecision::kTernary}) {
+        core::RegHDConfig cfg;
+        cfg.dim = enc_cfg.dim;
+        cfg.models = 3;
+        cfg.cluster_mode = cluster;
+        cfg.query_precision = query;
+        cfg.model_precision = model;
+        core::MultiModelRegressor reg(cfg);
+        for (std::size_t i = 0; i < enc.size(); ++i) {
+          reg.train_step(enc.sample(i), enc.target(i));
+        }
+        reg.requantize();
+        for (const bool stale_bank : {false, true}) {
+          if (stale_bank) {
+            (void)reg.mutable_models();  // invalidates the model's packed bank
+          }
+          core::MultiModelRegressor::PredictScratch scratch;
+          reg.prepare_predict_scratch(scratch);
+          arm();
+          predict_path_probe()(true);
+          reg.predict_batch_into(enc, out, scratch);
+          predict_path_probe()(false);
+          EXPECT_EQ(disarm(), 0U) << to_string(cluster) << " "
+                                  << cfg.prediction_mode().to_string()
+                                  << (stale_bank ? " (stale bank)" : "");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
