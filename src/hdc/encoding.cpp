@@ -272,16 +272,19 @@ void RffProjectionEncoder::materialize_rows(std::size_t row0, std::size_t rows,
 
 void RffProjectionEncoder::encode_real_into(std::span<const double> features,
                                             double* out) const {
+  // One row through rff_project_map: z_j = Σ_k x_k · w_{j,k}, accumulated
+  // from +0.0 with the feature index ascending, mul then add — the rounding
+  // sequence of a naive per-row dot, under every kernel backend — then the
+  // trig map: product-to-sum turns the paper's cos(z+b)·sin(z) into
+  // ½·(sin(2z+b) − sin(b)), one sine per component, evaluated with
+  // util::fast_sin (see fast_trig.hpp; identical values under every kernel
+  // backend). A 1-row batch of encode_batch_into, bit for bit.
   const std::size_t d = config_.dim;
   const std::size_t n = config_.input_dim;
   const KernelBackend& kb = active_backend();
   if (config_.projection_storage == ProjectionStorage::kRematerialized) {
-    // Single-row rematerialized projection: regenerate 16-hyperspace-row
-    // tiles of the weights and multiply each in place (a 1×n × n×tile GEMM).
-    // gemm_accumulate adds each output component's contributions with the
-    // feature index ascending, mul-then-add — exactly the rounding sequence
-    // of the resident axpy chain below, so the two storage modes are
-    // bit-identical.
+    // Regenerate 16-hyperspace-row tiles of the weights and project each in
+    // place (a 1×n × n×tile projection).
     constexpr std::size_t kTile = 16;
     // Reused across calls (resize never shrinks capacity): the serving
     // runtime's steady-state predict path must not touch the allocator.
@@ -290,24 +293,13 @@ void RffProjectionEncoder::encode_real_into(std::span<const double> features,
     for (std::size_t j0 = 0; j0 < d; j0 += kTile) {
       const std::size_t tile = std::min(kTile, d - j0);
       kb.rff_rematerialize(proj_seed_, stddev_, j0, tile, n, scratch.data(), tile);
-      kb.gemm_accumulate(features.data(), n, scratch.data(), tile, out + j0, d, 1, n,
-                         tile);
+      kb.rff_project_map(features.data(), n, scratch.data(), tile, phase_.data() + j0,
+                         sin_phase_.data() + j0, out + j0, d, 1, n, tile);
     }
-    kb.rff_trig_map(out, phase_.data(), sin_phase_.data(), d);
     return;
   }
-  // Projection as n unit-stride axpys over the transposed weights:
-  //   z_j = Σ_k x_k · w_{j,k}  ⇔  z += x_k · W_t[k, ·] for each feature k.
-  // Each component still accumulates in feature order, so the result is
-  // bit-identical to the naive per-row dot, and add_scaled_real rounds the
-  // same under every kernel backend. Then the trig map: product-to-sum turns
-  // the paper's cos(z+b)·sin(z) into ½·(sin(2z+b) − sin(b)) — one sine per
-  // component, evaluated with util::fast_sin (see fast_trig.hpp; identical
-  // values under every kernel backend).
-  for (std::size_t k = 0; k < n; ++k) {
-    kb.add_scaled_real(out, projection_t_.data() + k * d, features[k], d);
-  }
-  kb.rff_trig_map(out, phase_.data(), sin_phase_.data(), d);
+  kb.rff_project_map(features.data(), n, projection_t_.data(), d, phase_.data(),
+                     sin_phase_.data(), out, d, 1, n, d);
 }
 
 void RffProjectionEncoder::encode_real_block(std::span<const double> features,
@@ -332,15 +324,13 @@ void RffProjectionEncoder::encode_real_block(std::span<const double> features,
     // and each row's draw stream is keyed on its absolute index, so this
     // block equals the same slice of the full encoding bit-for-bit.
     kb.rff_remat_dot(proj_seed_, stddev_, j0, len, features.data(), n, out);
-  } else {
-    // The axpy chain over the [j0, j0+len) slice of each transposed weight
-    // row — identical per-component accumulation order to the full encode.
-    std::fill(out, out + len, 0.0);
-    for (std::size_t k = 0; k < n; ++k) {
-      kb.add_scaled_real(out, projection_t_.data() + k * d + j0, features[k], len);
-    }
+    kb.rff_trig_map(out, phase_.data() + j0, sin_phase_.data() + j0, len);
+    return;
   }
-  kb.rff_trig_map(out, phase_.data() + j0, sin_phase_.data() + j0, len);
+  // Columns [j0, j0+len) of the resident projection — identical
+  // per-component accumulation order to the full encode.
+  kb.rff_project_map(features.data(), n, projection_t_.data() + j0, d, phase_.data() + j0,
+                     sin_phase_.data() + j0, out, len, 1, n, len);
 }
 
 void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
@@ -361,9 +351,9 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
   // so each worker takes one block of ⌈rows / workers⌉ rows (at least 64):
   // every weight tile is regenerated once per worker per batch, and the
   // serving runtime's single-worker batches regenerate the projection
-  // exactly once. Legal because gemm_accumulate's per-element rounding
-  // sequence (feature index ascending, mul then add) is invariant to both
-  // the sample blocking and the hyperspace tiling; every row stays
+  // exactly once. Legal because the projection's per-element rounding
+  // sequence (feature index ascending from +0.0, mul then add) is invariant
+  // to both the sample blocking and the hyperspace tiling; every row stays
   // bit-identical to the per-row path, and to the resident path, for any
   // thread count.
   constexpr std::size_t kResidentRowBlock = 16;
@@ -380,15 +370,16 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
       [&](std::size_t block) {
         const std::size_t r0 = block * row_block;
         const std::size_t rn = std::min(num_rows, r0 + row_block);
-        // The arena hands over raw planes: zero this block's real rows here,
-        // in the worker that accumulates into them, so first-touch and
-        // zeroing run in parallel and leave the rows cache-hot for the GEMM.
-        std::fill(out.real + r0 * d, out.real + rn * d, 0.0);
+        const double* x = rows_flat.data() + r0 * n;
+        // rff_project_map writes each real component once — projection and
+        // trig map fused, in the worker that owns the rows — so the raw
+        // arena planes need no zero-fill and the first touch runs in
+        // parallel.
         if (remat) {
           // F×16 weight tiles live in a worker-local scratch (L1/L2-resident;
-          // e.g. 100 KB at F = 784) that the GEMM consumes in place — the
+          // e.g. 100 KB at F = 784) that the kernel consumes in place — the
           // projection matrix never exists in memory all at once. Each tile
-          // is multiplied into every row of the block. The scratch
+          // is projected into every row of the block. The scratch
           // persists per thread so steady-state batches (the serving
           // runtime's admission path) never touch the allocator.
           thread_local std::vector<double> scratch;
@@ -397,15 +388,15 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
             const std::size_t tile = std::min(kRematTile, d - j0);
             kb.rff_rematerialize(proj_seed_, stddev_, j0, tile, n, scratch.data(),
                                  tile);
-            kb.gemm_accumulate(rows_flat.data() + r0 * n, n, scratch.data(), tile,
-                               out.real + r0 * d + j0, d, rn - r0, n, tile);
+            kb.rff_project_map(x, n, scratch.data(), tile, phase_.data() + j0,
+                               sin_phase_.data() + j0, out.real + r0 * d + j0, d,
+                               rn - r0, n, tile);
           }
         } else {
-          kb.gemm_accumulate(rows_flat.data() + r0 * n, n, projection_t_.data(), d,
-                             out.real + r0 * d, d, rn - r0, n, d);
+          kb.rff_project_map(x, n, projection_t_.data(), d, phase_.data(),
+                             sin_phase_.data(), out.real + r0 * d, d, rn - r0, n, d);
         }
         for (std::size_t r = r0; r < rn; ++r) {
-          kb.rff_trig_map(out.real + r * d, phase_.data(), sin_phase_.data(), d);
           finalize_encoded_row(out, r);
         }
       },

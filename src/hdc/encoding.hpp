@@ -266,9 +266,9 @@ class RffProjectionEncoder final : public Encoder {
                          const EncodedArenaRef& out,
                          std::size_t threads = 0) const override;
 
-  /// RFF components are independent per j (axpy chain + trig map), so any
-  /// slice can be produced in isolation: resident mode runs the axpy chain
-  /// over the slice of each weight row, rematerialized mode replays rows
+  /// RFF components are independent per j (projection + trig map), so any
+  /// slice can be produced in isolation: resident mode projects the slice's
+  /// columns of the weight matrix, rematerialized mode replays rows
   /// [j0, j0+len) of the projection through the fused rff_remat_dot kernel —
   /// weights consumed in registers, no scratch tile (the B = 1 latency
   /// kernel; bit-identical to rematerialize + gemm by its contract). Both
@@ -287,13 +287,13 @@ class RffProjectionEncoder final : public Encoder {
                         std::size_t ld) const;
 
   // Projection stored transposed (feature-major): projection_t_[k*d + j] =
-  // w_{j,k}. Each feature then contributes one contiguous axpy over the full
-  // hyperspace row — unit-stride for the SIMD add_scaled_real kernel —
-  // instead of d strided short dots. Empty when projection_storage is
-  // kRematerialized: the weights then only ever exist as O(F×tile) scratch
-  // tiles regenerated by KernelBackend::rff_rematerialize (from proj_seed_),
-  // which is also exactly how this matrix is filled in resident mode — the
-  // two storage modes are bit-identical by construction.
+  // w_{j,k} — the B operand rff_project_map streams, unit-stride along the
+  // hyperspace axis for its SIMD column blocks. Empty when
+  // projection_storage is kRematerialized: the weights then only ever exist
+  // as O(F×tile) scratch tiles regenerated by
+  // KernelBackend::rff_rematerialize (from proj_seed_), which is also
+  // exactly how this matrix is filled in resident mode — the two storage
+  // modes are bit-identical by construction.
   std::vector<double> projection_t_;
   std::uint64_t proj_seed_ = 0;  ///< Master seed of the weight streams.
   double stddev_ = 0.0;          ///< Resolved projection stddev.

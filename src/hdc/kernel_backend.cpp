@@ -305,6 +305,7 @@ constexpr KernelBackend kScalarBackend{
     scalar_rff_rematerialize,
     scalar_rff_remat_dot,
     scalar_gemm_accumulate,
+    detail::rff_project_map_composed<scalar_gemm_accumulate, scalar_rff_trig_map>,
     scalar_dot_rows,
     scalar_dot_rows_block,
     scalar_dot_rows_binary,

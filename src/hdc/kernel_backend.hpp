@@ -14,7 +14,8 @@
 //             multiple accumulators and therefore differ only by summation
 //             order (≤ a few ULP).
 //  * avx512 — AVX-512F/BW widening of the avx2 table (512-bit reductions,
-//             per-component kernels and the 8-lane RFF regenerators;
+//             per-component kernels, the 8-lane RFF regenerators and trig
+//             map, and the fused projection + trig map encode kernel;
 //             VPOPCNTDQ-vectorized popcount family when the CPU reports
 //             avx512_vpopcntdq). Kernels the wider ISA does not improve are
 //             inherited from the avx2 table.
@@ -97,9 +98,13 @@ struct KernelBackend {
   /// a[i] *= c.
   void (*scale_real)(double* a, double c, std::size_t n);
   /// In-place RFF trig map: z[i] ← ½·(sin(2·z[i] + phase[i]) − sin_phase[i]),
-  /// with sine evaluated by util::fast_sin. The AVX2 version replays the
-  /// exact per-element operation sequence 4 lanes at a time (its TU is built
-  /// with -ffp-contract=off), so the result is bit-identical to scalar.
+  /// with sine evaluated by util::fast_sin. The AVX2 and AVX-512 versions
+  /// replay fast_sin's exact per-element operation sequence 4 and 8 lanes at
+  /// a time (their TUs are built with -ffp-contract=off); a lane whose
+  /// argument fails |2·z + phase| < 2³⁰ (NaN and ±Inf included) is redone
+  /// with std::sin, the same escape fast_sin takes. Every element is
+  /// independent, so the result is bit-identical to scalar for any length
+  /// and offset.
   void (*rff_trig_map)(double* z, const double* phase, const double* sin_phase,
                        std::size_t n);
   /// Counter-based regeneration of Gaussian RFF projection rows — the
@@ -145,13 +150,30 @@ struct KernelBackend {
   /// so the per-element rounding sequence is identical to a chain of
   /// add_scaled_real axpys — bit-identical across backends; only the cache
   /// and register blocking differ. SIMD tables register-block C at their
-  /// natural width (NEON 8, AVX2 16, AVX-512 32 columns), and the AVX-512
-  /// table also vectorizes the 16- and 8-column remainders, so the
-  /// rematerialized encoder's 16-column weight tiles (ldb = 16, ldc = D) run
-  /// in vector code on every SIMD table.
+  /// natural width (NEON 8, AVX2 16 columns of one row); the AVX-512 table
+  /// holds 16 accumulators across all of k in every panel (4 rows × 32,
+  /// 8 rows × 16 or 16 rows × 8 columns). rff_project_map below runs the
+  /// same panels, so the rematerialized encoder's 16-column weight tiles
+  /// (ldb = 16, ldc = D) run at full vector width.
   void (*gemm_accumulate)(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                           std::size_t k, std::size_t n);
+  /// The RFF encoder's projection and trig map in one pass (write-only C):
+  ///   c[r·ldc + j] = ½·(fast_sin(2·z + phase[j]) − sin_phase[j]),
+  ///   z = Σ_k a[r·lda + k] · b[k·ldb + j]        (r < m, j < n)
+  /// Each z starts at +0.0 and accumulates exactly as gemm_accumulate into a
+  /// zero-filled C, then takes rff_trig_map's per-element sequence, so the
+  /// result is bit-identical to zero-fill + gemm_accumulate + rff_trig_map
+  /// on every table (detail::rff_project_map_composed, which the scalar and
+  /// NEON tables use as-is). The AVX2 and AVX-512 tables map each register
+  /// block the moment its k loop ends: the projection never makes a second
+  /// pass over C, and C is never zero-filled or reloaded. The RFF encoder's
+  /// batch, per-row and resident-slice paths all project through this one
+  /// entry.
+  void (*rff_project_map)(const double* a, std::size_t lda, const double* b,
+                          std::size_t ldb, const double* phase,
+                          const double* sin_phase, double* c, std::size_t ldc,
+                          std::size_t m, std::size_t k, std::size_t n);
   /// Bank scoring: out[r] = Σ_j q[j] · rows[r·ld + j] for r < num_rows. Each
   /// output is reduced in exactly the order of this backend's dot_real_real —
   /// bit-identical to num_rows separate dot_real_real calls — but row pairs

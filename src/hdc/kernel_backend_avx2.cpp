@@ -383,14 +383,13 @@ void avx2_scale_real(double* a, double c, std::size_t n) {
   }
 }
 
-void avx2_rff_trig_map(double* z, const double* phase, const double* sin_phase,
-                       std::size_t n) {
-  // util::fast_sin replayed 4 lanes wide: identical operations in identical
-  // order per element (this TU is compiled with -ffp-contract=off, so the
-  // compiler cannot fuse any of them into FMAs), hence bit-identical to the
-  // scalar kernel. Out-of-range/NaN lanes are redone with the scalar
-  // fallback, which matches fast_sin's own std::sin escape.
-  const __m256d two = _mm256_set1_pd(2.0);
+/// The RFF trig map on four lanes in registers: ½·(fast_sin(2·z + phase) −
+/// sin_phase) — util::fast_sin replayed 4 lanes wide, identical operations in
+/// identical order per element (this TU is compiled with -ffp-contract=off,
+/// so the compiler cannot fuse any of them into FMAs), hence bit-identical
+/// to the scalar kernel. Lanes with !(|2·z + phase| < 2³⁰) — NaN and ±Inf
+/// included — are redone with std::sin, the escape fast_sin itself takes.
+inline __m256d trig4(__m256d z, __m256d phase, __m256d sin_phase) {
   const __m256d half = _mm256_set1_pd(0.5);
   const __m256d two_over_pi = _mm256_set1_pd(6.36619772367581382433e-01);
   const __m256d shift = _mm256_set1_pd(6755399441055744.0);
@@ -402,70 +401,77 @@ void avx2_rff_trig_map(double* z, const double* phase, const double* sin_phase,
   const __m256i one64 = _mm256_set1_epi64x(1);
   const __m256i two64 = _mm256_set1_epi64x(2);
 
+  const __m256d x = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), z), phase);
+  const __m256d shifted = _mm256_add_pd(_mm256_mul_pd(x, two_over_pi), shift);
+  const __m256i q = _mm256_castpd_si256(shifted);
+  const __m256d k = _mm256_sub_pd(shifted, shift);
+  const __m256d r = _mm256_sub_pd(_mm256_sub_pd(x, _mm256_mul_pd(k, pio2_hi)),
+                                  _mm256_mul_pd(k, pio2_lo));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+
+  __m256d sp = _mm256_set1_pd(1.58969099521155010221e-10);
+  sp = _mm256_add_pd(_mm256_set1_pd(-2.50507602534068634195e-08),
+                     _mm256_mul_pd(r2, sp));
+  sp = _mm256_add_pd(_mm256_set1_pd(2.75573137070700676789e-06),
+                     _mm256_mul_pd(r2, sp));
+  sp = _mm256_add_pd(_mm256_set1_pd(-1.98412698298579493134e-04),
+                     _mm256_mul_pd(r2, sp));
+  sp = _mm256_add_pd(_mm256_set1_pd(8.33333333332248946124e-03),
+                     _mm256_mul_pd(r2, sp));
+  sp = _mm256_add_pd(_mm256_set1_pd(-1.66666666666666324348e-01),
+                     _mm256_mul_pd(r2, sp));
+  const __m256d ps = _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r, r2), sp));
+
+  __m256d cp = _mm256_set1_pd(-1.13596475577881948265e-11);
+  cp = _mm256_add_pd(_mm256_set1_pd(2.08757232129817482790e-09),
+                     _mm256_mul_pd(r2, cp));
+  cp = _mm256_add_pd(_mm256_set1_pd(-2.75573143513906633035e-07),
+                     _mm256_mul_pd(r2, cp));
+  cp = _mm256_add_pd(_mm256_set1_pd(2.48015872894767294178e-05),
+                     _mm256_mul_pd(r2, cp));
+  cp = _mm256_add_pd(_mm256_set1_pd(-1.38888888888741095749e-03),
+                     _mm256_mul_pd(r2, cp));
+  cp = _mm256_add_pd(_mm256_set1_pd(4.16666666666666019037e-02),
+                     _mm256_mul_pd(r2, cp));
+  const __m256d pc =
+      _mm256_add_pd(_mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(half, r2)),
+                    _mm256_mul_pd(_mm256_mul_pd(r2, r2), cp));
+
+  const __m256d odd = _mm256_castsi256_pd(
+      _mm256_cmpeq_epi64(_mm256_and_si256(q, one64), one64));
+  __m256d v = _mm256_blendv_pd(ps, pc, odd);
+  const __m256i sign_flip = _mm256_slli_epi64(_mm256_and_si256(q, two64), 62);
+  v = _mm256_xor_pd(v, _mm256_castsi256_pd(sign_flip));
+
+  __m256d out = _mm256_mul_pd(half, _mm256_sub_pd(v, sin_phase));
+
+  const __m256d absx = _mm256_and_pd(x, abs_mask);
+  // NLT_UQ: true when !(|x| < 2^30), which also catches NaN — the same
+  // condition fast_sin uses for its std::sin fallback.
+  const int oor = _mm256_movemask_pd(_mm256_cmp_pd(absx, range, _CMP_NLT_UQ));
+  if (oor != 0) [[unlikely]] {
+    alignas(32) double xa[4];
+    alignas(32) double sa[4];
+    alignas(32) double oa[4];
+    _mm256_store_pd(xa, x);
+    _mm256_store_pd(sa, sin_phase);
+    _mm256_store_pd(oa, out);
+    for (int l = 0; l < 4; ++l) {
+      if ((oor & (1 << l)) != 0) {
+        oa[l] = 0.5 * (std::sin(xa[l]) - sa[l]);
+      }
+    }
+    out = _mm256_load_pd(oa);
+  }
+  return out;
+}
+
+void avx2_rff_trig_map(double* z, const double* phase, const double* sin_phase,
+                       std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_add_pd(_mm256_mul_pd(two, _mm256_loadu_pd(z + i)),
-                                    _mm256_loadu_pd(phase + i));
-    const __m256d shifted = _mm256_add_pd(_mm256_mul_pd(x, two_over_pi), shift);
-    const __m256i q = _mm256_castpd_si256(shifted);
-    const __m256d k = _mm256_sub_pd(shifted, shift);
-    const __m256d r = _mm256_sub_pd(_mm256_sub_pd(x, _mm256_mul_pd(k, pio2_hi)),
-                                    _mm256_mul_pd(k, pio2_lo));
-    const __m256d r2 = _mm256_mul_pd(r, r);
-
-    __m256d sp = _mm256_set1_pd(1.58969099521155010221e-10);
-    sp = _mm256_add_pd(_mm256_set1_pd(-2.50507602534068634195e-08),
-                       _mm256_mul_pd(r2, sp));
-    sp = _mm256_add_pd(_mm256_set1_pd(2.75573137070700676789e-06),
-                       _mm256_mul_pd(r2, sp));
-    sp = _mm256_add_pd(_mm256_set1_pd(-1.98412698298579493134e-04),
-                       _mm256_mul_pd(r2, sp));
-    sp = _mm256_add_pd(_mm256_set1_pd(8.33333333332248946124e-03),
-                       _mm256_mul_pd(r2, sp));
-    sp = _mm256_add_pd(_mm256_set1_pd(-1.66666666666666324348e-01),
-                       _mm256_mul_pd(r2, sp));
-    const __m256d ps = _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r, r2), sp));
-
-    __m256d cp = _mm256_set1_pd(-1.13596475577881948265e-11);
-    cp = _mm256_add_pd(_mm256_set1_pd(2.08757232129817482790e-09),
-                       _mm256_mul_pd(r2, cp));
-    cp = _mm256_add_pd(_mm256_set1_pd(-2.75573143513906633035e-07),
-                       _mm256_mul_pd(r2, cp));
-    cp = _mm256_add_pd(_mm256_set1_pd(2.48015872894767294178e-05),
-                       _mm256_mul_pd(r2, cp));
-    cp = _mm256_add_pd(_mm256_set1_pd(-1.38888888888741095749e-03),
-                       _mm256_mul_pd(r2, cp));
-    cp = _mm256_add_pd(_mm256_set1_pd(4.16666666666666019037e-02),
-                       _mm256_mul_pd(r2, cp));
-    const __m256d pc =
-        _mm256_add_pd(_mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(half, r2)),
-                      _mm256_mul_pd(_mm256_mul_pd(r2, r2), cp));
-
-    const __m256d odd = _mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(_mm256_and_si256(q, one64), one64));
-    __m256d v = _mm256_blendv_pd(ps, pc, odd);
-    const __m256i sign_flip = _mm256_slli_epi64(_mm256_and_si256(q, two64), 62);
-    v = _mm256_xor_pd(v, _mm256_castsi256_pd(sign_flip));
-
-    __m256d out = _mm256_mul_pd(half, _mm256_sub_pd(v, _mm256_loadu_pd(sin_phase + i)));
-
-    const __m256d absx = _mm256_and_pd(x, abs_mask);
-    // NLT_UQ: true when !(|x| < 2^30), which also catches NaN — the same
-    // condition fast_sin uses for its std::sin fallback.
-    const int oor = _mm256_movemask_pd(_mm256_cmp_pd(absx, range, _CMP_NLT_UQ));
-    if (oor != 0) {
-      alignas(32) double xa[4];
-      alignas(32) double oa[4];
-      _mm256_store_pd(xa, x);
-      _mm256_store_pd(oa, out);
-      for (int l = 0; l < 4; ++l) {
-        if ((oor & (1 << l)) != 0) {
-          oa[l] = 0.5 * (std::sin(xa[l]) - sin_phase[i + static_cast<std::size_t>(l)]);
-        }
-      }
-      out = _mm256_load_pd(oa);
-    }
-    _mm256_storeu_pd(z + i, out);
+    _mm256_storeu_pd(z + i, trig4(_mm256_loadu_pd(z + i), _mm256_loadu_pd(phase + i),
+                                  _mm256_loadu_pd(sin_phase + i)));
   }
   for (; i < n; ++i) {
     z[i] = 0.5 * (util::fast_sin(2.0 * z[i] + phase[i]) - sin_phase[i]);
@@ -741,14 +747,20 @@ void avx2_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
   }
 }
 
-void avx2_gemm_accumulate(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
-                          std::size_t k, std::size_t n) {
-  // Same traversal as the scalar kernel (column tile = 512 doubles), with C
-  // register-blocked 16 wide: the 4 accumulator vectors stay in registers
-  // across the whole k loop, so each C element is loaded and stored once per
-  // column tile instead of once per k. mul + add (no FMA) and ascending k
-  // keep every element's rounding sequence identical to scalar.
+/// The shared loop of gemm_accumulate (kMap = false) and rff_project_map
+/// (kMap = true). Same traversal as the scalar kernel (column tile = 512
+/// doubles), with C register-blocked 16 wide: the 4 accumulator vectors stay
+/// in registers across the whole k loop, so each C element is loaded and
+/// stored once per column tile instead of once per k. mul + add (no FMA) and
+/// ascending k keep every element's rounding sequence identical to scalar.
+/// Mapped, the accumulators start at +0.0 (the value a zero-filled C would
+/// load) and go through trig4 before the one store, so C is write-only; the
+/// last n % 16 columns run the scalar chain and the scalar trig map's
+/// expression.
+template <bool kMap>
+void gemm_rows(const double* a, std::size_t lda, const double* b, std::size_t ldb,
+               const double* phase, const double* sin_phase, double* c, std::size_t ldc,
+               std::size_t m, std::size_t k, std::size_t n) {
   constexpr std::size_t kColTile = 512;
   for (std::size_t j0 = 0; j0 < n; j0 += kColTile) {
     const std::size_t jn = std::min(n, j0 + kColTile);
@@ -757,32 +769,50 @@ void avx2_gemm_accumulate(const double* a, std::size_t lda, const double* b,
       double* crow = c + r * ldc;
       std::size_t j = j0;
       for (; j + 16 <= jn; j += 16) {
-        __m256d c0 = _mm256_loadu_pd(crow + j);
-        __m256d c1 = _mm256_loadu_pd(crow + j + 4);
-        __m256d c2 = _mm256_loadu_pd(crow + j + 8);
-        __m256d c3 = _mm256_loadu_pd(crow + j + 12);
+        __m256d acc[4];
+        for (std::size_t v = 0; v < 4; ++v) {
+          acc[v] = kMap ? _mm256_setzero_pd() : _mm256_loadu_pd(crow + j + 4 * v);
+        }
         for (std::size_t kk = 0; kk < k; ++kk) {
           const __m256d av = _mm256_broadcast_sd(arow + kk);
           const double* bp = b + kk * ldb + j;
-          c0 = _mm256_add_pd(c0, _mm256_mul_pd(av, _mm256_loadu_pd(bp)));
-          c1 = _mm256_add_pd(c1, _mm256_mul_pd(av, _mm256_loadu_pd(bp + 4)));
-          c2 = _mm256_add_pd(c2, _mm256_mul_pd(av, _mm256_loadu_pd(bp + 8)));
-          c3 = _mm256_add_pd(c3, _mm256_mul_pd(av, _mm256_loadu_pd(bp + 12)));
+          for (std::size_t v = 0; v < 4; ++v) {
+            acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(av, _mm256_loadu_pd(bp + 4 * v)));
+          }
         }
-        _mm256_storeu_pd(crow + j, c0);
-        _mm256_storeu_pd(crow + j + 4, c1);
-        _mm256_storeu_pd(crow + j + 8, c2);
-        _mm256_storeu_pd(crow + j + 12, c3);
+        for (std::size_t v = 0; v < 4; ++v) {
+          if constexpr (kMap) {
+            acc[v] = trig4(acc[v], _mm256_loadu_pd(phase + j + 4 * v),
+                           _mm256_loadu_pd(sin_phase + j + 4 * v));
+          }
+          _mm256_storeu_pd(crow + j + 4 * v, acc[v]);
+        }
       }
       for (; j < jn; ++j) {
-        double acc = crow[j];
+        double acc = kMap ? 0.0 : crow[j];
         for (std::size_t kk = 0; kk < k; ++kk) {
           acc += arow[kk] * b[kk * ldb + j];
+        }
+        if constexpr (kMap) {
+          acc = 0.5 * (util::fast_sin(2.0 * acc + phase[j]) - sin_phase[j]);
         }
         crow[j] = acc;
       }
     }
   }
+}
+
+void avx2_gemm_accumulate(const double* a, std::size_t lda, const double* b,
+                          std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
+                          std::size_t k, std::size_t n) {
+  gemm_rows<false>(a, lda, b, ldb, nullptr, nullptr, c, ldc, m, k, n);
+}
+
+void avx2_rff_project_map(const double* a, std::size_t lda, const double* b,
+                          std::size_t ldb, const double* phase, const double* sin_phase,
+                          double* c, std::size_t ldc, std::size_t m, std::size_t k,
+                          std::size_t n) {
+  gemm_rows<true>(a, lda, b, ldb, phase, sin_phase, c, ldc, m, k, n);
 }
 
 void avx2_dot_rows(const double* q, const double* rows, std::size_t ld,
@@ -961,6 +991,7 @@ constexpr KernelBackend kAvx2Backend{
     avx2_rff_rematerialize,
     avx2_rff_remat_dot,
     avx2_gemm_accumulate,
+    avx2_rff_project_map,
     avx2_dot_rows,
     avx2_dot_rows_block,
     avx2_dot_rows_binary,

@@ -413,6 +413,7 @@ constexpr KernelBackend kNeonBackend{
     neon_rff_rematerialize,
     neon_rff_remat_dot,
     neon_gemm_accumulate,
+    detail::rff_project_map_composed<neon_gemm_accumulate, neon_rff_trig_map>,
     neon_dot_rows,
     neon_dot_rows_block,
     neon_dot_rows_binary,

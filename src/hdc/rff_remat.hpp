@@ -1,4 +1,5 @@
-// Shared scalar core of the RFF projection rematerialization kernel.
+// Shared scalar core of the RFF projection rematerialization kernel, and the
+// composed rff_project_map every table without a fused one uses.
 //
 // Every kernel-backend translation unit includes this header: the scalar
 // and NEON tables use it as the whole kernel, the AVX2 and AVX-512 tables use
@@ -14,6 +15,7 @@
 // branch-free on the domains used here (u₁ ∈ [2⁻⁵³, 1], angle ∈ [0, 2π)).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -85,6 +87,24 @@ inline void rff_remat_dot_rows(std::uint64_t seed, double stddev, std::size_t ro
       }
     }
     out[r] = z;
+  }
+}
+
+/// KernelBackend::rff_project_map composed from a table's own Gemm
+/// (gemm_accumulate) and TrigMap (rff_trig_map): zero C, accumulate, then map
+/// each row — the contract's definition, and the whole kernel on every table
+/// without a fused one.
+template <auto Gemm, auto TrigMap>
+void rff_project_map_composed(const double* a, std::size_t lda, const double* b,
+                              std::size_t ldb, const double* phase,
+                              const double* sin_phase, double* c, std::size_t ldc,
+                              std::size_t m, std::size_t k, std::size_t n) {
+  for (std::size_t r = 0; r < m; ++r) {
+    std::fill_n(c + r * ldc, n, 0.0);
+  }
+  Gemm(a, lda, b, ldb, c, ldc, m, k, n);
+  for (std::size_t r = 0; r < m; ++r) {
+    TrigMap(c + r * ldc, phase, sin_phase, n);
   }
 }
 

@@ -3,7 +3,10 @@
 // formula, and the similarity-preservation property across all encoders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -312,6 +315,78 @@ TEST(RffEncoderTest, RematerializedBatchEncodeIsBitIdenticalAcrossThreads) {
       EXPECT_EQ(got_bits, want_bits) << where;
       EXPECT_EQ(got_norm, want_norm) << where;
       EXPECT_EQ(got_norm2, want_norm2) << where;
+    }
+  }
+}
+
+TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
+  // The serving shape (F = 32) through the fused projection + trig map: a
+  // rematerialized batch, a resident batch and the per-row encode must agree
+  // in every plane. D = 1000 leaves an 8-column tail tile; row counts 1, 127,
+  // 128, 129 and 131 leave every remainder of the kernel's 8/4/2/1-row
+  // register blocks; 4 threads split the rows across workers. One row
+  // carries a huge feature, so most (not all) of its lanes take the trig
+  // map's std::sin fallback in the middle of a tile. The arena planes start
+  // as garbage: the encoder must overwrite every one.
+  constexpr std::size_t kInput = 32;
+  for (const std::size_t dim : {2048u, 1000u}) {
+    const std::size_t words = (dim + 63) / 64;
+    auto cfg = base_config(EncoderKind::kRffProjection, kInput, dim);
+    const auto resident = make_encoder(cfg);
+    cfg.projection_storage = ProjectionStorage::kRematerialized;
+    const auto remat = make_encoder(cfg);
+    for (const std::size_t num_rows : {1u, 127u, 128u, 129u, 131u}) {
+      util::Rng rng(0x5E7E + num_rows + dim);
+      std::vector<double> rows(num_rows * kInput);
+      for (double& v : rows) {
+        v = rng.normal();
+      }
+      rows[(num_rows / 2) * kInput + 5] = 1.0e10;
+
+      struct Planes {
+        std::vector<double> real, norm, norm2;
+        std::vector<std::int8_t> bipolar;
+        std::vector<std::uint64_t> bits;
+      };
+      const auto encode = [&](const Encoder& enc, std::size_t threads) {
+        Planes p{std::vector<double>(num_rows * dim, -7.0), std::vector<double>(num_rows),
+                 std::vector<double>(num_rows),
+                 std::vector<std::int8_t>(num_rows * dim, 3),
+                 std::vector<std::uint64_t>(num_rows * words, ~0ULL)};
+        enc.encode_batch_into(rows, num_rows,
+                              {p.real.data(), p.bipolar.data(), p.bits.data(),
+                               p.norm.data(), p.norm2.data(), dim, words},
+                              threads);
+        return p;
+      };
+      const Planes want = encode(*resident, 1);
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        const EncodedSample s =
+            remat->encode(std::span<const double>(rows).subspan(r * kInput, kInput));
+        const std::string where = "dim " + std::to_string(dim) + " row " + std::to_string(r);
+        ASSERT_TRUE(std::equal(s.real.values().begin(), s.real.values().end(),
+                               want.real.begin() + static_cast<std::ptrdiff_t>(r * dim)))
+            << where;
+        ASSERT_TRUE(std::equal(s.bipolar.values().begin(), s.bipolar.values().end(),
+                               want.bipolar.begin() + static_cast<std::ptrdiff_t>(r * dim)))
+            << where;
+        ASSERT_TRUE(std::equal(s.binary.words().begin(), s.binary.words().end(),
+                               want.bits.begin() + static_cast<std::ptrdiff_t>(r * words)))
+            << where;
+        ASSERT_EQ(s.real_norm2, want.norm2[r]) << where;
+        ASSERT_EQ(s.real_norm, want.norm[r]) << where;
+      }
+      for (const std::size_t threads : {1u, 4u}) {
+        const Planes got = encode(*remat, threads);
+        const std::string where = "dim " + std::to_string(dim) + " rows " +
+                                  std::to_string(num_rows) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(got.real, want.real) << where;
+        EXPECT_EQ(got.bipolar, want.bipolar) << where;
+        EXPECT_EQ(got.bits, want.bits) << where;
+        EXPECT_EQ(got.norm, want.norm) << where;
+        EXPECT_EQ(got.norm2, want.norm2) << where;
+      }
     }
   }
 }

@@ -13,8 +13,10 @@
 #include "hdc/kernel_backend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -222,6 +224,22 @@ TEST_P(KernelBackendTest, AccumulationMatchesScalarBitExact) {
   }
 }
 
+/// Bitwise equality of two double arrays — NaN results included, which
+/// operator== would report as mismatches even when the bits agree.
+::testing::AssertionResult same_bits(const std::vector<double>& got,
+                                     const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "sizes " << got.size() << " vs " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) != std::bit_cast<std::uint64_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "index " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST_P(KernelBackendTest, TrigMapMatchesScalarBitExact) {
   // The RFF trig map must be bit-identical across backends — the encoder's
   // binarization would otherwise flip sign bits between REGHD_KERNEL
@@ -238,22 +256,56 @@ TEST_P(KernelBackendTest, TrigMapMatchesScalarBitExact) {
   }
   if (dim >= 64) {
     // Poke lanes into the std::sin fallback path (|2z+b| ≥ 2^30), mixed into
-    // otherwise in-range groups of four.
+    // otherwise in-range groups: lanes 1 and 17 of 4-lane groups, the first
+    // and last lane (0 and 7) of the second 8-lane group, and NaN, +Inf and
+    // −Inf lanes, which fail the same range test.
     z[1] = 3.0e9;
     z[17] = -7.5e11;
+    z[8] = 6.0e10;
+    z[15] = -2.0e9;
+    z[33] = std::numeric_limits<double>::quiet_NaN();
+    z[42] = std::numeric_limits<double>::infinity();
+    z[47] = -std::numeric_limits<double>::infinity();
   }
 
   std::vector<double> sc_buf = z;
   scalar_backend().rff_trig_map(sc_buf.data(), phase.data(), sin_phase.data(), dim);
+  std::vector<double> formula(dim);
   for (std::size_t j = 0; j < dim; ++j) {
-    EXPECT_EQ(sc_buf[j], 0.5 * (util::fast_sin(2.0 * z[j] + phase[j]) - sin_phase[j]))
-        << "j = " << j;
+    formula[j] = 0.5 * (util::fast_sin(2.0 * z[j] + phase[j]) - sin_phase[j]);
   }
+  EXPECT_TRUE(same_bits(sc_buf, formula));
 
   for (const KernelBackend* kb : simd_backends()) {
     std::vector<double> vx_buf = z;
     kb->rff_trig_map(vx_buf.data(), phase.data(), sin_phase.data(), dim);
-    EXPECT_EQ(sc_buf, vx_buf) << kb->name;
+    EXPECT_TRUE(same_bits(vx_buf, sc_buf)) << kb->name;
+
+    // The fused encode epilogue's call shape: 16-element slices at offsets
+    // 16·t (the last one short when 16 does not divide dim).
+    std::vector<double> tiled = z;
+    for (std::size_t j0 = 0; j0 < dim; j0 += 16) {
+      kb->rff_trig_map(tiled.data() + j0, phase.data() + j0, sin_phase.data() + j0,
+                       std::min<std::size_t>(16, dim - j0));
+    }
+    EXPECT_TRUE(same_bits(tiled, sc_buf)) << kb->name << " 16-element slices";
+
+    // Lengths one either side of the 8-lane width, at an offset that is not
+    // a multiple of 8: each element's value may not depend on where the
+    // call's vector groups and masked tail fall.
+    for (const std::size_t len : {7u, 9u, 15u, 17u, 23u, 25u}) {
+      const std::size_t off = 3;
+      if (off + len > dim) {
+        continue;
+      }
+      std::vector<double> part = z;
+      kb->rff_trig_map(part.data() + off, phase.data() + off, sin_phase.data() + off,
+                       len);
+      std::vector<double> want = z;
+      std::copy_n(sc_buf.begin() + static_cast<std::ptrdiff_t>(off), len,
+                  want.begin() + static_cast<std::ptrdiff_t>(off));
+      EXPECT_TRUE(same_bits(part, want)) << kb->name << " len " << len;
+    }
   }
 }
 
@@ -302,12 +354,12 @@ TEST(GemmAccumulateTest, RematTileShapesMatchAxpyChainBitExact) {
   // The rematerialized encoder's shape: B rows of F features against a
   // feature-major weight tile a few vectors wide (ldb = n), accumulated into
   // a slice of a wider arena row (ldc = 2048). Widths below and between the
-  // SIMD register blocks (8, 16, 24, 40, 48) and row counts 1, 3 and 130
-  // cover every remainder loop and the odd row left over from row pairs;
-  // the columns beyond n must stay untouched.
+  // SIMD register blocks (8, 16, 24, 40, 48) and row counts 1, 3, 7, 15 and
+  // 130 leave every remainder of the 16/8/4/2/1-row register blocks; the
+  // columns beyond n must stay untouched.
   constexpr std::size_t kLdc = 2048;
   for (const std::size_t k : {5u, 32u}) {
-    for (const std::size_t m : {1u, 3u, 130u}) {
+    for (const std::size_t m : {1u, 3u, 7u, 15u, 130u}) {
       for (const std::size_t n : {8u, 16u, 24u, 40u, 48u}) {
         util::Rng rng(0x71E5 + 131 * m + n + k);
         std::vector<double> a(m * k);
@@ -333,6 +385,63 @@ TEST(GemmAccumulateTest, RematTileShapesMatchAxpyChainBitExact) {
           std::vector<double> got = c0;
           kb->gemm_accumulate(a.data(), k, b.data(), n, got.data(), kLdc, m, k, n);
           ASSERT_EQ(got, ref) << kb->name << " k " << k << " m " << m << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(RffProjectMapTest, MatchesZeroFillGemmThenTrigMapBitExact) {
+  // rff_project_map's contract: bit-identical to zero-filling C, running
+  // gemm_accumulate and then rff_trig_map per row — on every table, whether
+  // it composes those kernels or fuses the map into its GEMM's register
+  // blocks. Row counts leave every remainder of the 8/4/2/1-row blocks;
+  // widths cover the 32-, 16- and 8-column panels, the scalar column tail
+  // and a second 512-column tile. One row's huge feature pushes most of its
+  // lanes (not all) into the std::sin fallback. C arrives as garbage and the
+  // columns beyond n must stay untouched.
+  constexpr std::size_t kLdc = 700;
+  for (const std::size_t k : {5u, 32u}) {
+    for (const std::size_t m : {1u, 3u, 7u, 8u, 9u, 17u, 130u}) {
+      for (const std::size_t n : {1u, 7u, 8u, 16u, 24u, 40u, 48u, 100u, 600u}) {
+        util::Rng rng(0x9A0 + 131 * m + n + k);
+        std::vector<double> a(m * k);
+        std::vector<double> b(k * n);
+        std::vector<double> phase(n);
+        std::vector<double> sin_phase(n);
+        for (double& x : a) {
+          x = rng.normal(0.0, 1.0);
+        }
+        for (double& x : b) {
+          x = rng.normal(0.0, 0.2);
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          phase[j] = rng.phase();
+          sin_phase[j] = util::fast_sin(phase[j]);
+        }
+        a[(m / 2) * k] = 1.0e10;
+        std::vector<double> garbage(m * kLdc);
+        for (double& x : garbage) {
+          x = rng.normal(0.0, 1.0);
+        }
+
+        std::vector<double> ref = garbage;
+        for (std::size_t r = 0; r < m; ++r) {
+          std::fill_n(ref.begin() + static_cast<std::ptrdiff_t>(r * kLdc), n, 0.0);
+        }
+        scalar_backend().gemm_accumulate(a.data(), k, b.data(), n, ref.data(), kLdc, m,
+                                         k, n);
+        for (std::size_t r = 0; r < m; ++r) {
+          scalar_backend().rff_trig_map(ref.data() + r * kLdc, phase.data(),
+                                        sin_phase.data(), n);
+        }
+
+        for (const KernelBackend* kb : all_available()) {
+          std::vector<double> got = garbage;
+          kb->rff_project_map(a.data(), k, b.data(), n, phase.data(), sin_phase.data(),
+                              got.data(), kLdc, m, k, n);
+          ASSERT_TRUE(same_bits(got, ref))
+              << kb->name << " k " << k << " m " << m << " n " << n;
         }
       }
     }
