@@ -493,6 +493,35 @@ int run_kernel_json(const std::string& path) {
                      (2.0 * kModels * kDim + kDim) * 8, ns);
     }
 
+    // One training sweep over the bank: sample t's Eq. 7/8 updates (the k
+    // model rows and one cluster row) then sample t + 1's scan — composed
+    // (add_scaled_real per updated row, then dot_rows: two passes over the
+    // bank) vs the table's update_dot_rows (one). Tiny alternating-sign
+    // coefficients keep the bank bounded across iterations.
+    {
+      std::vector<double> coeff(2 * kModels, 0.0);
+      coeff[1] = 1e-6;
+      for (std::size_t m = 0; m < kModels; ++m) {
+        coeff[kModels + m] = m % 2 == 0 ? 1e-6 : -1e-6;
+      }
+      const double composed_ns = time_ns([&] {
+        for (std::size_t r = 0; r < 2 * kModels; ++r) {
+          if (coeff[r] != 0.0) {
+            kb->add_scaled_real(bank.data() + r * kDim, prb, coeff[r], kDim);
+          }
+        }
+        kb->dot_rows(pra, bank.data(), kDim, 2 * kModels, kDim, bank_scores.data());
+      });
+      ns = time_ns([&] {
+        kb->update_dot_rows(bank.data(), kDim, 2 * kModels, coeff.data(), prb, pra, kDim,
+                            bank_scores.data());
+      });
+      // Logical bytes: every row read, the updated rows written, both queries.
+      const double bytes = (2.0 * kModels + kModels + 1.0 + 2.0) * kDim * 8;
+      report_backend(kernels["update_dot_rows_composed"], b.c_str(), bytes, composed_ns);
+      report_backend(kernels["update_dot_rows"], b.c_str(), bytes, ns);
+    }
+
     // Binary bank scoring: one packed query against the 2k-row binary bank
     // (XNOR + popcount per row — the quantized predict_batch scan).
     ns = time_ns([&] {
@@ -611,6 +640,8 @@ int run_kernel_json(const std::string& path) {
       {"gemm_encode", same_entries<&KB::gemm_accumulate>},
       {"gemm_predict_bank", same_entries<&KB::dot_rows>},
       {"dot_rows_block", same_entries<&KB::dot_rows_block>},
+      {"update_dot_rows_composed", same_entries<&KB::add_scaled_real, &KB::dot_rows>},
+      {"update_dot_rows", same_entries<&KB::update_dot_rows>},
       {"dot_rows_binary", same_entries<&KB::dot_rows_binary>},
       {"dot_rows_ternary", same_entries<&KB::dot_rows_ternary>},
       {"rff_rematerialize", same_entries<&KB::rff_rematerialize>},
@@ -853,18 +884,16 @@ int run_kernel_json(const std::string& path) {
         bench::JsonValue::number(100.0 * (tel_on_ns - tel_off_ns) / tel_off_ns);
   }
 
-  // Train-epoch throughput: one pass over the kRows encoded samples,
-  // sequential train_step vs deterministic mini-batches (B = 32, default
-  // thread count). --train-json expands this across B × threads.
+  // Train-epoch throughput: one pass over the kRows encoded samples, the
+  // per-sample train_epoch that fit() and the sharded refine run vs
+  // deterministic mini-batches (B = 32, default thread count). --train-json
+  // expands this across B × threads.
   const core::EncodedDataset enc_train = core::EncodedDataset::from(*encoder, rows);
   std::vector<std::size_t> train_order(enc_train.size());
   std::iota(train_order.begin(), train_order.end(), 0);
   std::vector<double> train_preds(enc_train.size());
-  const double train_seq_ns = time_ns([&] {
-    for (std::size_t i = 0; i < enc_train.size(); ++i) {
-      benchmark::DoNotOptimize(reg.train_step(enc_train.sample(i), enc_train.target(i)));
-    }
-  });
+  const double train_seq_ns = time_ns(
+      [&] { benchmark::DoNotOptimize(reg.train_epoch(enc_train, train_order, 0)); });
   const double train_b32_ns = time_ns([&] {
     for (std::size_t b0 = 0; b0 < train_order.size(); b0 += 32) {
       const std::size_t bn = std::min(train_order.size(), b0 + 32);
@@ -983,11 +1012,8 @@ int run_train_json(const std::string& path) {
   root["models"] = bench::JsonValue::integer(static_cast<std::int64_t>(kModels));
   root["dim"] = bench::JsonValue::integer(static_cast<std::int64_t>(kDim));
 
-  const double seq_ns = time_ns([&] {
-    for (std::size_t i = 0; i < enc.size(); ++i) {
-      benchmark::DoNotOptimize(reg.train_step(enc.sample(i), enc.target(i)));
-    }
-  });
+  const double seq_ns =
+      time_ns([&] { benchmark::DoNotOptimize(reg.train_epoch(enc, order, 0)); });
   root["sequential"]["ns_per_epoch"] = bench::JsonValue::number(seq_ns);
   root["sequential"]["samples_per_s"] =
       bench::JsonValue::number(1e9 * static_cast<double>(kRows) / seq_ns);

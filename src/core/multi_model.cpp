@@ -474,9 +474,10 @@ double MultiModelRegressor::evaluate_mse(const EncodedDataset& dataset) const {
   return acc / static_cast<double>(dataset.size());
 }
 
-void MultiModelRegressor::plan_update(std::size_t j, const hdc::EncodedSampleView& sample,
-                                      double target, double prediction,
-                                      const PredictScratch& s) {
+std::size_t MultiModelRegressor::plan_update(std::size_t j,
+                                             const hdc::EncodedSampleView& sample,
+                                             double target, double prediction,
+                                             const PredictScratch& s) {
   const std::size_t k = models_.size();
   double error = target - prediction;
   if (config_.error_clip > 0.0) {
@@ -485,10 +486,18 @@ void MultiModelRegressor::plan_update(std::size_t j, const hdc::EncodedSampleVie
   const double* sims = s.sims.data();
   const auto winner =
       static_cast<std::size_t>(std::distance(sims, std::max_element(sims, sims + k)));
-  winner_[j] = winner;
   obs::count_cluster_hit(winner);
+  double* row = coeff_.data() + j * 2 * k;
+  std::fill_n(row, 2 * k, 0.0);
+  // Eq. 8 / Eq. 9: the winning center moves by 1 − δ_winner. The paper's
+  // Eq. 9 updates the integer copy with the integer-encoded input even when
+  // similarity search is binary; frozen in the naive-binarization foil.
+  if (config_.cluster_mode != ClusterMode::kNaiveBinary) {
+    row[winner] = 1.0 - sims[winner];
+  }
+  // Eq. 7 on the model rows.
   const double normalizer = update_normalizer(sample, config_.query_precision);
-  double* coeff = coeff_.data() + j * k;
+  double* coeff = row + k;
   if (config_.update_rule == UpdateRule::kConfidenceWeighted) {
     // Mixture-normalized LMS: dividing by Σδ'² makes the joint update move
     // this sample's blended prediction by exactly α·err, independent of how
@@ -505,55 +514,62 @@ void MultiModelRegressor::plan_update(std::size_t j, const hdc::EncodedSampleVie
   } else {
     coeff[winner] = config_.learning_rate * error * normalizer;
   }
-  weight_[j] = 1.0 - sims[winner];
+  return winner;
+}
+
+void MultiModelRegressor::apply_update(const hdc::EncodedSampleView& sample, double target,
+                                       double prediction, PredictScratch& s,
+                                       const double* q_next) {
+  const std::size_t d = config_.dim;
+  const std::size_t k = models_.size();
+  const bool real_query = config_.query_precision == QueryPrecision::kReal;
+  REGHD_INTERNAL_CHECK(q_next == nullptr || real_arena_scan(),
+                       "only a real-query, full-precision-cluster update scans the next sample");
+  coeff_.resize(2 * k);
+  const std::size_t winner = plan_update(0, sample, target, prediction, s);
+  const double weight = coeff_[winner];
+  // ‖C‖² is maintained incrementally: ‖C + w·S‖² = ‖C‖² + 2w·(C·S) + w²·‖S‖²,
+  // with C·S taken before the update — the scan's raw cluster score when
+  // the scan was one dot_rows sweep (per row exactly dot_real_real).
+  double dot_cs = 0.0;
+  if (weight != 0.0) {
+    obs::count(obs::Counter::kClusterUpdates);
+    dot_cs = real_arena_scan() ? s.scores[winner]
+                               : hdc::dot(hdc::RealHVView(arena_row(winner)), sample.real);
+  }
+  const hdc::KernelBackend& kb = hdc::active_backend();
+  if (real_query) {
+    // Eq. 7 and Eq. 8 as one sweep over the arena; with q_next it also
+    // leaves the next sample's raw row scores in s.scores, exactly the
+    // dot_rows sweep score_row would run for it.
+    kb.update_dot_rows(arena_.data(), d, 2 * k, coeff_.data(), sample.real.values().data(),
+                       q_next, d, s.scores.data());
+  } else {
+    // Cluster rows still take the real sample (Eq. 9); model rows the
+    // bipolar one.
+    kb.update_dot_rows(arena_.data(), d, k, coeff_.data(), sample.real.values().data(),
+                       nullptr, d, nullptr);
+    for (std::size_t m = 0; m < k; ++m) {
+      if (coeff_[k + m] != 0.0) {
+        update_accumulator(mutable_model_accumulator(m), sample, coeff_[k + m],
+                           config_.query_precision);
+      }
+    }
+  }
+  if (weight != 0.0) {
+    double& norm2 = clusters_[winner].norm2;
+    norm2 += 2.0 * weight * dot_cs + weight * weight * sample.real_norm2;
+    norm2 = std::max(norm2, 0.0);
+  }
 }
 
 double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, double target) {
   const obs::StageTimer timer(obs::Histo::kTrainStepNs);
   obs::count(obs::Counter::kTrainSteps);
-  // The training error is always measured against the integer models being
-  // updated (paper §3.2: binary snapshots are regenerated from the integer
-  // model per epoch/batch; computing the error from an epoch-frozen snapshot
-  // would keep it constant and destabilize the accumulation). Binary kernels
-  // apply at inference via predict().
-  const PredictionMode mode{config_.query_precision, ModelPrecision::kReal};
+  const PredictionMode mode = train_mode();
   PredictScratch& s = row_scratch(mode);
   const double prediction = score_row(sample, mode, scan_bank(mode, s), s);
-  coeff_.resize(models_.size());
-  winner_.resize(1);
-  weight_.resize(1);
-  plan_update(0, sample, target, prediction, s);
-
-  // Eq. 7: model updates on the integer accumulators.
-  const std::size_t winner = winner_[0];
-  if (config_.update_rule == UpdateRule::kConfidenceWeighted) {
-    for (std::size_t i = 0; i < models_.size(); ++i) {
-      if (coeff_[i] != 0.0) {
-        update_accumulator(mutable_model_accumulator(i), sample, coeff_[i],
-                           config_.query_precision);
-      }
-    }
-  } else {
-    update_accumulator(mutable_model_accumulator(winner), sample, coeff_[winner],
-                       config_.query_precision);
-  }
-
-  // Eq. 8 / Eq. 9: cluster update on the winning center's integer
-  // accumulator. The paper's Eq. 9 updates the integer copy with the
-  // integer-encoded input even when similarity search is binary; frozen in
-  // the naive-binarization foil.
-  if (config_.cluster_mode != ClusterMode::kNaiveBinary) {
-    const double weight = weight_[0];
-    if (weight != 0.0) {
-      obs::count(obs::Counter::kClusterUpdates);
-      // Maintain ‖C‖² incrementally: ‖C + w·S‖² = ‖C‖² + 2w·(C·S) + w²·‖S‖².
-      double& norm2 = clusters_[winner].norm2;
-      const double dot_cs = hdc::dot(hdc::RealHVView(arena_row(winner)), sample.real);
-      hdc::add_scaled(arena_row(winner), sample.real, weight);
-      norm2 += 2.0 * weight * dot_cs + weight * weight * sample.real_norm2;
-      norm2 = std::max(norm2, 0.0);
-    }
-  }
+  apply_update(sample, target, prediction, s, nullptr);
   return prediction;
 }
 
@@ -575,11 +591,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   const std::size_t b = indices.size();
   const std::size_t k = models_.size();
   const std::size_t use_threads = threads != 0 ? threads : config_.threads;
-  const bool confidence_weighted = config_.update_rule == UpdateRule::kConfidenceWeighted;
-  const PredictionMode train_mode{config_.query_precision, ModelPrecision::kReal};
-  coeff_.resize(b * k);
-  winner_.resize(b);
-  weight_.resize(b);
+  const PredictionMode mode = train_mode();
+  coeff_.resize(b * 2 * k);
 
   // Phase 1 — per-sample Eq. 5/6 quantities against the entry (batch-start)
   // state, parallel over samples: train_step's scorer and update plan, each
@@ -590,11 +603,11 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   util::parallel_for(
       b,
       [&](std::size_t j) {
-        PredictScratch& s = row_scratch(train_mode);
+        PredictScratch& s = row_scratch(mode);
         const std::size_t row = indices[j];
         const hdc::EncodedSampleView q = data.sample(row);
-        predictions[j] = score_row(q, train_mode, scan_bank(train_mode, s), s);
-        plan_update(j, q, data.target(row), predictions[j], s);
+        predictions[j] = score_row(q, mode, scan_bank(mode, s), s);
+        (void)plan_update(j, q, data.target(row), predictions[j], s);
       },
       use_threads);
 
@@ -632,26 +645,16 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
           const std::size_t len = d1 - d0;
           for (std::size_t j = 0; j < b; ++j) {
             const std::size_t row = indices[j];
-            const double* coeff = coeff_.data() + j * k;
-            if (confidence_weighted) {
-              for (std::size_t m = 0; m < k; ++m) {
-                if (coeff[m] == 0.0) {
-                  continue;  // train_step's skip: keep −0 components intact
-                }
-                double* acc = arena_row(k + m).data() + d0;
-                if (real_updates) {
-                  kb.add_scaled_real(acc, real_rows + row * d + d0, coeff[m], len);
-                } else {
-                  kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, coeff[m], len);
-                }
+            const double* coeff = coeff_.data() + j * 2 * k + k;
+            for (std::size_t m = 0; m < k; ++m) {
+              if (coeff[m] == 0.0) {
+                continue;  // train_step's skip: keep −0 components intact
               }
-            } else {
-              const std::size_t winner = winner_[j];
-              double* acc = arena_row(k + winner).data() + d0;
+              double* acc = arena_row(k + m).data() + d0;
               if (real_updates) {
-                kb.add_scaled_real(acc, real_rows + row * d + d0, coeff[winner], len);
+                kb.add_scaled_real(acc, real_rows + row * d + d0, coeff[m], len);
               } else {
-                kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, coeff[winner], len);
+                kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, coeff[m], len);
               }
             }
           }
@@ -672,10 +675,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
           const std::span<double> acc = arena_row(c_idx);
           double& norm2 = clusters_[c_idx].norm2;
           for (std::size_t j = 0; j < b; ++j) {
-            if (winner_[j] != c_idx) {
-              continue;
-            }
-            const double weight = weight_[j];
+            // Nonzero only at the sample's winner, and only when it moves.
+            const double weight = coeff_[j * 2 * k + c_idx];
             if (weight == 0.0) {
               continue;
             }
@@ -831,12 +832,39 @@ void MultiModelRegressor::requantize() {
 double MultiModelRegressor::train_epoch(const EncodedDataset& train,
                                         std::span<const std::size_t> order,
                                         std::size_t epoch, const TrainingHooks* hooks) {
+  // Every listed row is read raw (and the fused sweep reads sample t + 1
+  // while it applies sample t), so bad ids are refused before any state
+  // changes.
+  if (!order.empty()) {
+    check_training_rows(train, order, config_.dim);
+  }
   double sq_err = 0.0;
   std::size_t since_requantize = 0;
   if (config_.batch_size == 0) {
-    for (const std::size_t i : order) {
-      const double y = train.target(i);
-      const double before = train_step(train.sample(i), y);  // pre-update prediction
+    // train_step per sample. When the scan is one dot_rows sweep over the
+    // whole arena, sample t's update sweep also scores sample t + 1, so each
+    // sample streams the bank once: what train_step would compute, in the
+    // same order, with its scan moved into the previous sample's sweep. A
+    // requantize in between changes no accumulator, only the ‖C‖² and
+    // snapshots finish_row reads afterwards.
+    const bool fused = real_arena_scan();
+    const PredictionMode mode = train_mode();
+    PredictScratch& s = row_scratch(mode);
+    for (std::size_t t = 0; t < order.size(); ++t) {
+      const hdc::EncodedSampleView q = train.sample(order[t]);
+      const double y = train.target(order[t]);
+      double before = 0.0;  // pre-update prediction
+      if (fused) {
+        const obs::StageTimer timer(obs::Histo::kTrainStepNs);
+        obs::count(obs::Counter::kTrainSteps);
+        before = t == 0 ? score_row(q, mode, scan_bank(mode, s), s)
+                        : finish_row(mode, query_norm2(q, mode.query), s);
+        const double* next =
+            t + 1 < order.size() ? train.sample(order[t + 1]).real.values().data() : nullptr;
+        apply_update(q, y, before, s, next);
+      } else {
+        before = train_step(q, y);
+      }
       sq_err += (y - before) * (y - before);
       if (config_.requantize_interval > 0 &&
           ++since_requantize >= config_.requantize_interval) {

@@ -78,8 +78,9 @@ class MultiModelRegressor {
   TrainingReport fit(const EncodedDataset& train, std::span<const std::size_t> rows,
                      const EncodedDataset& val, const TrainingHooks* hooks = nullptr);
 
-  /// One online training step (used by fit and by the streaming example).
-  /// Returns the pre-update prediction for the sample.
+  /// One online training step (OnlineRegHD and the streaming example; every
+  /// per-sample epoch computes exactly this). Returns the pre-update
+  /// prediction for the sample.
   double train_step(const hdc::EncodedSampleView& sample, double target);
 
   /// One deterministic batch-frozen mini-batch step (the batch_size ≥ 1
@@ -100,7 +101,12 @@ class MultiModelRegressor {
   /// mini-batches through train_batch (firing hooks->on_batch after each),
   /// requantizing every requantize_interval samples and once at the end.
   /// Returns the summed squared error of the pre-update predictions. The
-  /// epoch body of fit() and of ShardedTrainer::refine.
+  /// epoch body of fit() and of ShardedTrainer::refine. With a real query
+  /// and full-precision clusters the per-sample loop applies each sample's
+  /// update and scores the next sample in one update_dot_rows sweep —
+  /// bit-identical to the train_step loop. Throws std::invalid_argument
+  /// before any update if `order` holds an id out of range or `train` has
+  /// another dim; an empty order trains nothing.
   double train_epoch(const EncodedDataset& train, std::span<const std::size_t> order,
                      std::size_t epoch, const TrainingHooks* hooks = nullptr);
 
@@ -354,13 +360,39 @@ class MultiModelRegressor {
                  std::span<double> out, PredictScratch& scratch) const;
 
   /// Training's per-sample plan from score_row's output, shared by
-  /// train_step and train_batch's phase 1: the clipped error against
-  /// `target`, the winning cluster (winner_[j]), its Eq. 8 weight
-  /// 1 − δ_winner (weight_[j]) and the Eq. 7 coefficients in row j of coeff_
+  /// train_step and train_batch's phase 1: writes row j of coeff_, the 2k
+  /// per-arena-row update coefficients — the winning cluster's Eq. 8 weight
+  /// 1 − δ_winner (zero elsewhere, and zero under naive binarization), then
+  /// the Eq. 7 model coefficients from the clipped error against `target`
   /// (all k under the confidence-weighted rule, the winner's alone under
-  /// winner-only). Distinct j may run concurrently.
-  void plan_update(std::size_t j, const hdc::EncodedSampleView& sample, double target,
-                   double prediction, const PredictScratch& s);
+  /// winner-only). Returns the winning cluster. Distinct j may run
+  /// concurrently.
+  std::size_t plan_update(std::size_t j, const hdc::EncodedSampleView& sample,
+                          double target, double prediction, const PredictScratch& s);
+
+  /// Training's Eq. 7/8 step for one sample already scored into `s`: plans
+  /// it into coeff_ row 0, applies every nonzero coefficient (a real query:
+  /// one update_dot_rows sweep over the arena) and maintains the winner's
+  /// ‖C‖². A non-null `q_next` (only when real_arena_scan()) makes the same
+  /// sweep leave the next sample's raw row scores in s.scores.
+  void apply_update(const hdc::EncodedSampleView& sample, double target, double prediction,
+                    PredictScratch& s, const double* q_next);
+
+  /// The mode training scores in: the configured query against the integer
+  /// models being updated (paper §3.2: binary snapshots are regenerated from
+  /// the integer model per epoch/batch; an error from an epoch-frozen
+  /// snapshot would stay constant and destabilize the accumulation).
+  [[nodiscard]] PredictionMode train_mode() const {
+    return {config_.query_precision, ModelPrecision::kReal};
+  }
+
+  /// True when training's scan is one dot_rows sweep over all 2k arena rows
+  /// (a real query, full-precision clusters), so s.scores holds every raw
+  /// C_i·S and M_i·S.
+  [[nodiscard]] bool real_arena_scan() const {
+    return config_.query_precision == QueryPrecision::kReal &&
+           config_.cluster_mode == ClusterMode::kFullPrecision;
+  }
 
   [[nodiscard]] std::span<const double> arena_row(std::size_t r) const {
     return {arena_.data() + r * config_.dim, config_.dim};
@@ -376,11 +408,9 @@ class MultiModelRegressor {
   PackedTernaryBank packed_bank_;
 
   // Training plan slots, reused across steps and batches: per sample j of a
-  // batch (j = 0 for train_step), a row of k Eq. 7 coefficients, the winning
-  // cluster and its Eq. 8 weight.
+  // batch (j = 0 for train_step), one coefficient per arena row (see
+  // plan_update).
   std::vector<double> coeff_;
-  std::vector<std::size_t> winner_;
-  std::vector<double> weight_;
 };
 
 }  // namespace reghd::core

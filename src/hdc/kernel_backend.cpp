@@ -307,6 +307,7 @@ constexpr KernelBackend kScalarBackend{
     scalar_gemm_accumulate,
     detail::rff_project_map_composed<scalar_gemm_accumulate, scalar_rff_trig_map>,
     scalar_dot_rows,
+    detail::update_dot_rows_composed<scalar_add_scaled_real, scalar_dot_rows>,
     scalar_dot_rows_block,
     scalar_dot_rows_binary,
     scalar_dot_rows_ternary,

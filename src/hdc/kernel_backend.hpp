@@ -180,6 +180,20 @@ struct KernelBackend {
   /// share the q loads, which is what makes the k-model bank scan cheap.
   void (*dot_rows)(const double* q, const double* rows, std::size_t ld,
                    std::size_t num_rows, std::size_t n, double* out);
+  /// One training sweep over a bank: the Eq. 7/8 updates of one sample, then
+  /// the next sample's Eq. 5 scan. For every r < num_rows with coeff[r] ≠ 0,
+  ///   rows[r·ld + j] += coeff[r] · q_update[j]   (j < n)
+  /// rounded exactly as add_scaled_real (mul then add; a zero coefficient
+  /// leaves its row untouched). Then, when q_next is non-null,
+  ///   out[r] = Σ_j rows[r·ld + j] · q_next[j]
+  /// over the updated rows, reduced exactly as this backend's dot_rows. So
+  /// the result is bit-identical to detail::update_dot_rows_composed, which
+  /// the scalar and NEON tables use as-is; the AVX2 and AVX-512 tables update
+  /// and score each row pair in one pass, so a training sample streams the
+  /// bank once instead of twice. Neither query may overlap the bank.
+  void (*update_dot_rows)(double* rows, std::size_t ld, std::size_t num_rows,
+                          const double* coeff, const double* q_update, const double* q_next,
+                          std::size_t n, double* out);
   /// Blocked bank scoring with carried per-row reduction state — the fused
   /// single-query fast path scores D-block slices of the bank as they are
   /// encoded, without ever materializing the full query. The caller streams
@@ -286,5 +300,27 @@ struct BackendList {
 /// The backend every hdc:: kernel routes through. Resolved once, on first
 /// call (REGHD_KERNEL override, then CPU detection); stable thereafter.
 [[nodiscard]] const KernelBackend& active_backend() noexcept;
+
+namespace detail {
+
+/// KernelBackend::update_dot_rows composed from a table's own AddScaled
+/// (add_scaled_real) and DotRows (dot_rows): update every row with a nonzero
+/// coefficient, then scan the bank — the contract's definition, and the
+/// whole kernel on every table without a fused one.
+template <auto AddScaled, auto DotRows>
+void update_dot_rows_composed(double* rows, std::size_t ld, std::size_t num_rows,
+                              const double* coeff, const double* q_update,
+                              const double* q_next, std::size_t n, double* out) {
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    if (coeff[r] != 0.0) {
+      AddScaled(rows + r * ld, q_update, coeff[r], n);
+    }
+  }
+  if (q_next != nullptr) {
+    DotRows(q_next, rows, ld, num_rows, n, out);
+  }
+}
+
+}  // namespace detail
 
 }  // namespace reghd::hdc

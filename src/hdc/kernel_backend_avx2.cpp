@@ -863,6 +863,107 @@ void avx2_dot_rows(const double* q, const double* rows, std::size_t ld,
   }
 }
 
+/// One pass of avx2_update_dot_rows over R ≤ 2 bank rows (rows + idx[j]·ld)
+/// that both update (kUpdate) or both only score: avx2_dot_rows' exact
+/// per-row operation sequence (16-wide FMA loop into four accumulators,
+/// 4-wide spill into the first, (0+1)+(2+3) horizontal sum, scalar tail),
+/// each component first updated by coeff·u and stored back when kUpdate (mul
+/// then add, the per-slot rounding of avx2_add_scaled_real). A component's
+/// update never depends on its neighbours, so out[idx[j]] is
+/// avx2_dot_real_real of the updated row whatever the grouping. Two rows
+/// keep all eight accumulators in the sixteen YMM registers.
+template <std::size_t R, bool kUpdate>
+void update_dot_pass(double* rows, std::size_t ld, const std::size_t* idx,
+                     const double* coeff, const double* u, const double* q, std::size_t n,
+                     double* out) {
+  double* a[R] = {};
+  __m256d cv[R] = {};
+  __m256d p[R][4] = {};  // value-initialized: all lanes +0.0
+  for (std::size_t j = 0; j < R; ++j) {
+    a[j] = rows + idx[j] * ld;
+    cv[j] = _mm256_set1_pd(coeff[idx[j]]);
+  }
+  const auto step = [&](std::size_t i, std::size_t lane) {
+    const __m256d qv = _mm256_loadu_pd(q + i);
+    __m256d uv = _mm256_setzero_pd();
+    if constexpr (kUpdate) {
+      uv = _mm256_loadu_pd(u + i);
+    }
+    for (std::size_t j = 0; j < R; ++j) {
+      __m256d x = _mm256_loadu_pd(a[j] + i);
+      if constexpr (kUpdate) {
+        x = _mm256_add_pd(x, _mm256_mul_pd(cv[j], uv));
+        _mm256_storeu_pd(a[j] + i, x);
+      }
+      p[j][lane] = _mm256_fmadd_pd(x, qv, p[j][lane]);
+    }
+  };
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    step(i, 0);
+    step(i + 4, 1);
+    step(i + 8, 2);
+    step(i + 12, 3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    step(i, 0);
+  }
+  double sum[R] = {};
+  for (std::size_t j = 0; j < R; ++j) {
+    sum[j] =
+        hsum(_mm256_add_pd(_mm256_add_pd(p[j][0], p[j][1]), _mm256_add_pd(p[j][2], p[j][3])));
+  }
+  for (; i < n; ++i) {
+    for (std::size_t j = 0; j < R; ++j) {
+      if constexpr (kUpdate) {
+        a[j][i] += coeff[idx[j]] * u[i];
+      }
+      sum[j] += a[j][i] * q[i];
+    }
+  }
+  for (std::size_t j = 0; j < R; ++j) {
+    out[idx[j]] = sum[j];
+  }
+}
+
+void avx2_update_dot_rows(double* rows, std::size_t ld, std::size_t num_rows,
+                          const double* coeff, const double* q_update, const double* q_next,
+                          std::size_t n, double* out) {
+  if (q_next == nullptr) {
+    detail::update_dot_rows_composed<avx2_add_scaled_real, avx2_dot_rows>(
+        rows, ld, num_rows, coeff, q_update, q_next, n, out);
+    return;
+  }
+  // Rows that update and rows that only score (the losing clusters) go in
+  // separate row-pair passes, so every q_next / q_update load serves two rows
+  // and a scan-only row is never stored.
+  std::size_t groups[2][2] = {};
+  std::size_t fill[2] = {0, 0};
+  const auto flush = [&](std::size_t update) {
+    const std::size_t* idx = groups[update];
+    if (update != 0) {
+      fill[1] == 2 ? update_dot_pass<2, true>(rows, ld, idx, coeff, q_update, q_next, n, out)
+                   : update_dot_pass<1, true>(rows, ld, idx, coeff, q_update, q_next, n, out);
+    } else {
+      fill[0] == 2 ? update_dot_pass<2, false>(rows, ld, idx, coeff, q_update, q_next, n, out)
+                   : update_dot_pass<1, false>(rows, ld, idx, coeff, q_update, q_next, n, out);
+    }
+    fill[update] = 0;
+  };
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    const std::size_t update = coeff[r] != 0.0 ? 1 : 0;
+    groups[update][fill[update]++] = r;
+    if (fill[update] == 2) {
+      flush(update);
+    }
+  }
+  for (const std::size_t update : {std::size_t{0}, std::size_t{1}}) {
+    if (fill[update] > 0) {
+      flush(update);
+    }
+  }
+}
+
 void avx2_dot_rows_block(const double* q, const double* const* rows,
                          std::size_t num_rows, std::size_t len, bool last,
                          double* state, double* out) {
@@ -993,6 +1094,7 @@ constexpr KernelBackend kAvx2Backend{
     avx2_gemm_accumulate,
     avx2_rff_project_map,
     avx2_dot_rows,
+    avx2_update_dot_rows,
     avx2_dot_rows_block,
     avx2_dot_rows_binary,
     avx2_dot_rows_ternary,

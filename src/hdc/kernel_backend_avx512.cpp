@@ -210,6 +210,124 @@ void avx512_add_scaled_real(double* a, const double* b, double c, std::size_t n)
   }
 }
 
+/// One pass of avx512_update_dot_rows over R ≤ 4 bank rows (rows + idx[j]·ld)
+/// that all update (kUpdate) or all only score: avx512_dot_rows' exact
+/// per-row operation sequence (32-wide FMA loop into four accumulators,
+/// 8-wide spill into the first, (0+1)+(2+3) horizontal sum, scalar tail),
+/// each component first updated by coeff·u and stored back when kUpdate (mul
+/// then add, the per-slot rounding of avx512_add_scaled_real). A component's
+/// update never depends on its neighbours, so out[idx[j]] is
+/// avx512_dot_real_real of the updated row whatever the grouping.
+template <std::size_t R, bool kUpdate>
+void update_dot_pass512(double* rows, std::size_t ld, const std::size_t* idx,
+                        const double* coeff, const double* u, const double* q, std::size_t n,
+                        double* out) {
+  double* a[R] = {};
+  __m512d cv[R] = {};
+  __m512d p[R][4] = {};  // value-initialized: all lanes +0.0
+  for (std::size_t j = 0; j < R; ++j) {
+    a[j] = rows + idx[j] * ld;
+    cv[j] = _mm512_set1_pd(coeff[idx[j]]);
+  }
+  const auto step = [&](std::size_t i, std::size_t lane) {
+    const __m512d qv = _mm512_loadu_pd(q + i);
+    __m512d uv = _mm512_setzero_pd();
+    if constexpr (kUpdate) {
+      uv = _mm512_loadu_pd(u + i);
+    }
+    for (std::size_t j = 0; j < R; ++j) {
+      __m512d x = _mm512_loadu_pd(a[j] + i);
+      if constexpr (kUpdate) {
+        x = _mm512_add_pd(x, _mm512_mul_pd(cv[j], uv));
+        _mm512_storeu_pd(a[j] + i, x);
+      }
+      p[j][lane] = _mm512_fmadd_pd(x, qv, p[j][lane]);
+    }
+  };
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    step(i, 0);
+    step(i + 8, 1);
+    step(i + 16, 2);
+    step(i + 24, 3);
+  }
+  for (; i + 8 <= n; i += 8) {
+    step(i, 0);
+  }
+  double sum[R] = {};
+  for (std::size_t j = 0; j < R; ++j) {
+    sum[j] = hsum512(
+        _mm512_add_pd(_mm512_add_pd(p[j][0], p[j][1]), _mm512_add_pd(p[j][2], p[j][3])));
+  }
+  for (; i < n; ++i) {
+    for (std::size_t j = 0; j < R; ++j) {
+      if constexpr (kUpdate) {
+        a[j][i] += coeff[idx[j]] * u[i];
+      }
+      sum[j] += a[j][i] * q[i];
+    }
+  }
+  for (std::size_t j = 0; j < R; ++j) {
+    out[idx[j]] = sum[j];
+  }
+}
+
+template <bool kUpdate>
+void update_dot_group512(std::size_t size, double* rows, std::size_t ld,
+                         const std::size_t* idx, const double* coeff, const double* u,
+                         const double* q, std::size_t n, double* out) {
+  switch (size) {
+    case 1:
+      update_dot_pass512<1, kUpdate>(rows, ld, idx, coeff, u, q, n, out);
+      break;
+    case 2:
+      update_dot_pass512<2, kUpdate>(rows, ld, idx, coeff, u, q, n, out);
+      break;
+    case 3:
+      update_dot_pass512<3, kUpdate>(rows, ld, idx, coeff, u, q, n, out);
+      break;
+    default:
+      update_dot_pass512<4, kUpdate>(rows, ld, idx, coeff, u, q, n, out);
+      break;
+  }
+}
+
+void avx512_update_dot_rows(double* rows, std::size_t ld, std::size_t num_rows,
+                            const double* coeff, const double* q_update, const double* q_next,
+                            std::size_t n, double* out) {
+  if (q_next == nullptr) {
+    detail::update_dot_rows_composed<avx512_add_scaled_real, avx512_dot_rows>(
+        rows, ld, num_rows, coeff, q_update, q_next, n, out);
+    return;
+  }
+  // Rows that update and rows that only score (the losing clusters) go in
+  // separate passes of up to four rows each, so every q_next / q_update load
+  // serves four rows and a scan-only row is never stored.
+  std::size_t groups[2][4] = {};
+  std::size_t fill[2] = {0, 0};
+  const auto flush = [&](std::size_t update) {
+    if (update != 0) {
+      update_dot_group512<true>(fill[1], rows, ld, groups[1], coeff, q_update, q_next, n, out);
+    } else {
+      update_dot_group512<false>(fill[0], rows, ld, groups[0], coeff, q_update, q_next, n,
+                                 out);
+    }
+    fill[update] = 0;
+  };
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    const std::size_t update = coeff[r] != 0.0 ? 1 : 0;
+    groups[update][fill[update]++] = r;
+    if (fill[update] == 4) {
+      flush(update);
+    }
+  }
+  for (const std::size_t update : {std::size_t{0}, std::size_t{1}}) {
+    if (fill[update] > 0) {
+      flush(update);
+    }
+  }
+}
+
 void avx512_merge_accumulate(double* acc, const double* rep, const double* base,
                              std::size_t n) {
   // sub then add per lane: each slot rounds exactly like the scalar
@@ -821,6 +939,7 @@ KernelBackend make_avx512_table(bool vpopcntdq) {
   table.rff_rematerialize = avx512_rff_rematerialize;
   table.rff_remat_dot = avx512_rff_remat_dot;
   table.dot_rows = avx512_dot_rows;
+  table.update_dot_rows = avx512_update_dot_rows;
   table.dot_rows_block = avx512_dot_rows_block;
   table.sign_encode = avx512_sign_encode;
   table.rff_trig_map = avx512_rff_trig_map;

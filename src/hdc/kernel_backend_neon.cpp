@@ -415,6 +415,7 @@ constexpr KernelBackend kNeonBackend{
     neon_gemm_accumulate,
     detail::rff_project_map_composed<neon_gemm_accumulate, neon_rff_trig_map>,
     neon_dot_rows,
+    detail::update_dot_rows_composed<neon_add_scaled_real, neon_dot_rows>,
     neon_dot_rows_block,
     neon_dot_rows_binary,
     neon_dot_rows_ternary,

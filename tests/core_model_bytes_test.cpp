@@ -438,5 +438,41 @@ TEST(ModelBytesTest, TrainBatchRejectsOutOfRangeRowsBeforeAnyUpdate) {
   }
 }
 
+TEST(ModelBytesTest, TrainEpochRejectsOutOfRangeRowsBeforeAnyUpdate) {
+  // train_epoch is public and reads every listed row raw (the per-sample
+  // path reads sample t + 1 while it applies sample t), so a bad id anywhere
+  // in the order — even after valid ones — or data of the wrong dim must
+  // throw before a single sample trains. An empty order stays a no-op.
+  hdc::EncoderConfig narrow;
+  narrow.input_dim = 5;
+  narrow.dim = 128;
+  const EncodedDataset wrong_dim =
+      EncodedDataset::from(*hdc::make_encoder(narrow), make_dataset(8, 5, 0xD1), 1);
+  for (const ClusterMode mode : {ClusterMode::kFullPrecision, ClusterMode::kQuantized}) {
+    for (const std::size_t batch_size : {std::size_t{0}, std::size_t{2}}) {
+      RegHDConfig cfg = base_config();
+      cfg.cluster_mode = mode;
+      cfg.batch_size = batch_size;
+      MultiModelRegressor model(cfg);
+      (void)model.fit(data().train, data().val);
+      const std::uint32_t before = model_crc(model);
+      const std::string what = to_string(mode) + " batch_size " + std::to_string(batch_size);
+      const std::size_t n = data().train.size();
+      for (const std::size_t bad : {n, n + 1, std::size_t{1} << 40}) {
+        const std::vector<std::size_t> order = {0, 5, 7, 9, bad};
+        EXPECT_THROW((void)model.train_epoch(data().train, order, 0), std::invalid_argument)
+            << what << " row " << bad;
+        EXPECT_EQ(model_crc(model), before) << what << " row " << bad;
+      }
+      const std::vector<std::size_t> first = {0, 1};
+      EXPECT_THROW((void)model.train_epoch(wrong_dim, first, 0), std::invalid_argument)
+          << what;
+      EXPECT_EQ(model_crc(model), before) << what;
+      EXPECT_EQ(model.train_epoch(data().train, {}, 0), 0.0) << what;
+      EXPECT_EQ(model_crc(model), before) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace reghd::core

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "hdc/hypervector.hpp"
 #include "hdc/ops.hpp"
 #include "hdc/random_hv.hpp"
+#include "util/aligned.hpp"
 #include "util/fast_trig.hpp"
 #include "util/random.hpp"
 
@@ -470,6 +472,77 @@ TEST_P(KernelBackendTest, DotRowsMatchesPerRowDotExactly) {
     for (std::size_t r = 0; r < kRows; ++r) {
       EXPECT_EQ(out[r], kb->dot_real_real(bank.data() + r * n, q.data(), n))
           << kb->name << " row " << r;
+    }
+  }
+}
+
+TEST_P(KernelBackendTest, UpdateDotRowsMatchesScalarBitExact) {
+  // update_dot_rows on every table, bitwise: the bank afterwards equals
+  // scalar add_scaled_real applied to each row with a nonzero coefficient
+  // (per-component rounding, so every table must agree with scalar, and a
+  // zero coefficient — either sign — leaves its row untouched, −0 components
+  // included), and out[r] equals the table's own dot_rows over that bank. Row
+  // counts leave an unpaired row; coefficients mix zeros, negatives and
+  // subnormals; rows start 8 bytes past a 64-byte boundary and then drift by
+  // ld, so add_scaled_real's alignment peel runs at every offset. Each
+  // instantiation covers its own dim plus the vector-width edges around 8
+  // and 32.
+  const double kCoeffs[] = {0.0,   -0.37, 0.25,   std::numeric_limits<double>::denorm_min(),
+                            -0.0,  -1e-310, 3.5,  -2.0e-3};
+  for (const std::size_t n : {std::size_t{7}, std::size_t{8}, std::size_t{31},
+                              std::size_t{32}, std::size_t{33}, GetParam()}) {
+    for (const std::size_t rows : {1u, 2u, 3u, 16u, 17u}) {
+      const std::size_t ld = n + 3;
+      util::Rng rng(0x0BD + 977 * n + rows);
+      util::AlignedVector<double> storage(1 + rows * ld);
+      double* const bank0 = storage.data() + 1;
+      for (std::size_t i = 0; i < rows * ld; ++i) {
+        bank0[i] = i % 13 == 0 ? -0.0 : rng.normal(0.0, 1.0);
+      }
+      std::vector<double> coeff(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        coeff[r] = kCoeffs[(r + n) % std::size(kCoeffs)];
+      }
+      std::vector<double> q_update(n);
+      std::vector<double> q_next(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        q_update[i] = rng.normal(0.0, 1.0);
+        q_next[i] = rng.normal(0.0, 1.0);
+      }
+      const std::vector<double> before(bank0, bank0 + rows * ld);
+
+      std::vector<double> want_bank = before;
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (coeff[r] != 0.0) {
+          scalar_backend().add_scaled_real(want_bank.data() + r * ld, q_update.data(),
+                                           coeff[r], n);
+        }
+      }
+
+      for (const KernelBackend* kb : all_available()) {
+        const std::string what = std::string(kb->name) + " n " + std::to_string(n) +
+                                 " rows " + std::to_string(rows);
+        std::vector<double> want_out(rows);
+        kb->dot_rows(q_next.data(), want_bank.data(), ld, rows, n, want_out.data());
+
+        std::copy(before.begin(), before.end(), bank0);
+        std::vector<double> out(rows, std::numeric_limits<double>::quiet_NaN());
+        kb->update_dot_rows(bank0, ld, rows, coeff.data(), q_update.data(), q_next.data(), n,
+                            out.data());
+        ASSERT_TRUE(same_bits(std::vector<double>(bank0, bank0 + rows * ld), want_bank))
+            << what;
+        ASSERT_TRUE(same_bits(out, want_out)) << what;
+
+        // Without a next query the sweep only updates and never writes out.
+        std::copy(before.begin(), before.end(), bank0);
+        const std::vector<double> untouched(rows, -7.0);
+        out = untouched;
+        kb->update_dot_rows(bank0, ld, rows, coeff.data(), q_update.data(), nullptr, n,
+                            out.data());
+        ASSERT_TRUE(same_bits(std::vector<double>(bank0, bank0 + rows * ld), want_bank))
+            << what << " (no q_next)";
+        ASSERT_TRUE(same_bits(out, untouched)) << what << " (no q_next)";
+      }
     }
   }
 }
