@@ -362,6 +362,27 @@ int run_kernel_json(const std::string& path) {
     x = rng.normal();
   }
 
+  // dot_rows_multi shapes: a (2k)×D bank and a plane of queries.
+  struct MultiShape {
+    const char* name;
+    std::size_t dim, rows, queries;
+    std::vector<double> bank, plane;
+  };
+  MultiShape multi_shapes[] = {
+      {"serving_d2048_rows8_q128", 2048, 8, 128, {}, {}},
+      {"validation_d4096_rows16_q4096", 4096, 16, 4096, {}, {}},
+  };
+  for (MultiShape& shape : multi_shapes) {
+    shape.bank.resize(shape.rows * shape.dim);
+    shape.plane.resize(shape.queries * shape.dim);
+    for (double& x : shape.bank) {
+      x = rng.normal();
+    }
+    for (double& x : shape.plane) {
+      x = rng.normal();
+    }
+  }
+
   bench::JsonValue root = bench::JsonValue::object();
   root["dim"] = bench::JsonValue::integer(static_cast<std::int64_t>(kDim));
   root["active_backend"] = bench::JsonValue::string(hdc::active_backend().name);
@@ -462,17 +483,36 @@ int run_kernel_json(const std::string& path) {
                    (kGemmRows * kFeatures + kFeatures * kDim + 2.0 * kGemmRows * kDim) * 8,
                    ns);
 
-    // Bank scoring: one query row against the 2k cluster+model bank.
-    ns = time_ns([&] {
-      kb->dot_rows(pra, bank.data(), kDim, 2 * kModels, kDim, bank_scores.data());
-    });
-    report_backend(kernels["gemm_predict_bank"], b.c_str(),
-                   (2.0 * kModels * kDim + kDim) * 8, ns);
+    // Batch bank scoring, Q·Bankᵀ: a block of queries against the 2k-row
+    // bank in one dot_rows_multi call, against the same queries scored one
+    // nq = 1 call (the single-query scan) at a time. Two shapes: the serving
+    // admission batch (D = 2048, k = 4, 128 queries) and the validation pass
+    // of a fit (D = 4096, k = 8, 4096 queries streamed from a 128 MiB plane).
+    for (const MultiShape& shape : multi_shapes) {
+      std::vector<double> scores(shape.queries * shape.rows);
+      const auto one_call = [&] {
+        kb->dot_rows_multi(shape.bank.data(), shape.dim, shape.rows, shape.plane.data(),
+                           shape.dim, shape.queries, shape.dim, scores.data());
+      };
+      const auto per_query = [&] {
+        for (std::size_t q = 0; q < shape.queries; ++q) {
+          kb->dot_rows_multi(shape.bank.data(), shape.dim, shape.rows,
+                             shape.plane.data() + q * shape.dim, shape.dim, 1, shape.dim,
+                             scores.data() + q * shape.rows);
+        }
+      };
+      const double multi_ns = time_ns(one_call) / static_cast<double>(shape.queries);
+      const double nq1_ns = time_ns(per_query) / static_cast<double>(shape.queries);
+      bench::JsonValue& node = kernels["dot_rows_multi"][shape.name][b];
+      node["ns_per_query"] = bench::JsonValue::number(multi_ns);
+      node["nq1_loop_ns_per_query"] = bench::JsonValue::number(nq1_ns);
+      node["speedup_vs_nq1_loop"] = bench::JsonValue::number(nq1_ns / multi_ns);
+    }
 
-    // Carried-state D-block bank scan: the same 2k-row f64 sweep as
-    // gemm_predict_bank, fed through dot_rows_block in 1024-column blocks —
-    // the fused predict_one dataflow, where each block of the query is
-    // scored against every row while still L1-resident.
+    // Carried-state D-block bank scan: one query's 2k-row f64 sweep, fed
+    // through dot_rows_block in 1024-column blocks — the fused predict_one
+    // dataflow, where each block of the query is scored against every row
+    // while still L1-resident.
     {
       constexpr std::size_t kBlock = 1024;
       std::vector<const double*> row_ptrs(2 * kModels);
@@ -495,8 +535,8 @@ int run_kernel_json(const std::string& path) {
 
     // One training sweep over the bank: sample t's Eq. 7/8 updates (the k
     // model rows and one cluster row) then sample t + 1's scan — composed
-    // (add_scaled_real per updated row, then dot_rows: two passes over the
-    // bank) vs the table's update_dot_rows (one). Tiny alternating-sign
+    // (add_scaled_real per updated row, then the one-query dot_rows_multi:
+    // two passes over the bank) vs the table's update_dot_rows (one). Tiny alternating-sign
     // coefficients keep the bank bounded across iterations.
     {
       std::vector<double> coeff(2 * kModels, 0.0);
@@ -510,7 +550,8 @@ int run_kernel_json(const std::string& path) {
             kb->add_scaled_real(bank.data() + r * kDim, prb, coeff[r], kDim);
           }
         }
-        kb->dot_rows(pra, bank.data(), kDim, 2 * kModels, kDim, bank_scores.data());
+        kb->dot_rows_multi(bank.data(), kDim, 2 * kModels, pra, kDim, 1, kDim,
+                           bank_scores.data());
       });
       ns = time_ns([&] {
         kb->update_dot_rows(bank.data(), kDim, 2 * kModels, coeff.data(), prb, pra, kDim,
@@ -532,7 +573,7 @@ int run_kernel_json(const std::string& path) {
                    (2.0 * kModels + 1.0) * kWords * 8, ns);
 
     // Packed ternary bank scan: masked XNOR + popcount per row — the
-    // 2-bit-plane replacement for the f64 gemm_predict_bank sweep.
+    // 2-bit-plane replacement for the f64 dot_rows_multi sweep of one query.
     ns = time_ns([&] {
       kb->dot_rows_ternary(pba, binary_bank.data(), ternary_masks.data(), kWords,
                            2 * kModels, kDim, binary_scores.data());
@@ -638,9 +679,9 @@ int run_kernel_json(const std::string& path) {
       {"scale_real", same_entries<&KB::scale_real>},
       {"rff_trig_map", same_entries<&KB::rff_trig_map>},
       {"gemm_encode", same_entries<&KB::gemm_accumulate>},
-      {"gemm_predict_bank", same_entries<&KB::dot_rows>},
       {"dot_rows_block", same_entries<&KB::dot_rows_block>},
-      {"update_dot_rows_composed", same_entries<&KB::add_scaled_real, &KB::dot_rows>},
+      {"update_dot_rows_composed",
+       same_entries<&KB::add_scaled_real, &KB::dot_rows_multi>},
       {"update_dot_rows", same_entries<&KB::update_dot_rows>},
       {"dot_rows_binary", same_entries<&KB::dot_rows_binary>},
       {"dot_rows_ternary", same_entries<&KB::dot_rows_ternary>},
@@ -944,7 +985,8 @@ int run_kernel_json(const std::string& path) {
     // packed ternary planes vs the f64 bank sweep.
     const hdc::KernelBackend& akb = hdc::active_backend();
     const double bank_real_ns = time_ns([&] {
-      akb.dot_rows(pra, bank.data(), kDim, 2 * kModels, kDim, bank_scores.data());
+      akb.dot_rows_multi(bank.data(), kDim, 2 * kModels, pra, kDim, 1, kDim,
+                         bank_scores.data());
     });
     const double bank_tern_ns = time_ns([&] {
       akb.dot_rows_ternary(pba, binary_bank.data(), ternary_masks.data(), kWords,

@@ -134,9 +134,9 @@ std::vector<double> SingleModelRegressor::predict_batch(const EncodedDataset& da
   if (mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal &&
       !dataset.empty() && dataset.dim() == config_.dim) {
     // Full-precision fast path: score the whole SoA real plane against M with
-    // the bank kernel. dot_rows reduces each row exactly like dot_real_real,
-    // and the /D division is the same one predict_dot performs, so out[i] is
-    // bit-identical to predict(sample(i)).
+    // the bank kernel, M as its one query. dot_rows_multi reduces each row
+    // exactly like dot_real_real, and the /D division is the same one
+    // predict_dot performs, so out[i] is bit-identical to predict(sample(i)).
     const hdc::KernelBackend& kb = hdc::active_backend();
     const double* rows = dataset.real_plane().data();
     const double* m = accumulator_.values().data();
@@ -149,7 +149,7 @@ std::vector<double> SingleModelRegressor::predict_batch(const EncodedDataset& da
         [&](std::size_t chunk) {
           const std::size_t r0 = chunk * kChunk;
           const std::size_t rn = std::min(dataset.size(), r0 + kChunk);
-          kb.dot_rows(m, rows + r0 * d, d, rn - r0, d, out.data() + r0);
+          kb.dot_rows_multi(rows + r0 * d, d, rn - r0, m, d, 1, d, out.data() + r0);
           for (std::size_t r = r0; r < rn; ++r) {
             out[r] /= dd;
           }

@@ -218,13 +218,6 @@ void scalar_gemm_accumulate(const double* a, std::size_t lda, const double* b,
   }
 }
 
-void scalar_dot_rows(const double* q, const double* rows, std::size_t ld,
-                     std::size_t num_rows, std::size_t n, double* out) {
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = scalar_dot_real_real(rows + r * ld, q, n);
-  }
-}
-
 void scalar_dot_rows_block(const double* q, const double* const* rows,
                            std::size_t num_rows, std::size_t len, bool last,
                            double* state, double* out) {
@@ -306,8 +299,9 @@ constexpr KernelBackend kScalarBackend{
     scalar_rff_remat_dot,
     scalar_gemm_accumulate,
     detail::rff_project_map_composed<scalar_gemm_accumulate, scalar_rff_trig_map>,
-    scalar_dot_rows,
-    detail::update_dot_rows_composed<scalar_add_scaled_real, scalar_dot_rows>,
+    detail::dot_rows_multi_composed<scalar_dot_real_real>,
+    detail::update_dot_rows_composed<scalar_add_scaled_real,
+                                     detail::dot_rows_multi_composed<scalar_dot_real_real>>,
     scalar_dot_rows_block,
     scalar_dot_rows_binary,
     scalar_dot_rows_ternary,

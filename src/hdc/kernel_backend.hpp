@@ -174,23 +174,32 @@ struct KernelBackend {
                           std::size_t ldb, const double* phase,
                           const double* sin_phase, double* c, std::size_t ldc,
                           std::size_t m, std::size_t k, std::size_t n);
-  /// Bank scoring: out[r] = Σ_j q[j] · rows[r·ld + j] for r < num_rows. Each
-  /// output is reduced in exactly the order of this backend's dot_real_real —
-  /// bit-identical to num_rows separate dot_real_real calls — but row pairs
-  /// share the q loads, which is what makes the k-model bank scan cheap.
-  void (*dot_rows)(const double* q, const double* rows, std::size_t ld,
-                   std::size_t num_rows, std::size_t n, double* out);
+  /// Bank scoring of a query block, Q·Bankᵀ:
+  ///   out[q·nrows + r] = Σ_j rows[r·ld + j] · queries[q·ldq + j]
+  /// for r < nrows, q < nq. Each output is reduced in exactly the order of
+  /// this backend's dot_real_real(rows + r·ld, queries + q·ldq, n) —
+  /// bit-identical to nrows·nq separate calls — but the loads are shared:
+  /// the AVX2 and AVX-512 tables score register tiles of several queries ×
+  /// several rows, so each bank row is streamed once per tile of queries
+  /// rather than once per query. nq = 1 is the single-query bank scan (row
+  /// pairs share every query load), which is what the leftover queries of a
+  /// block run too. The scalar and NEON tables compose the entry from their
+  /// dot_real_real (detail::dot_rows_multi_composed). No output may overlap
+  /// an input.
+  void (*dot_rows_multi)(const double* rows, std::size_t ld, std::size_t nrows,
+                         const double* queries, std::size_t ldq, std::size_t nq,
+                         std::size_t n, double* out);
   /// One training sweep over a bank: the Eq. 7/8 updates of one sample, then
   /// the next sample's Eq. 5 scan. For every r < num_rows with coeff[r] ≠ 0,
   ///   rows[r·ld + j] += coeff[r] · q_update[j]   (j < n)
   /// rounded exactly as add_scaled_real (mul then add; a zero coefficient
   /// leaves its row untouched). Then, when q_next is non-null,
   ///   out[r] = Σ_j rows[r·ld + j] · q_next[j]
-  /// over the updated rows, reduced exactly as this backend's dot_rows. So
-  /// the result is bit-identical to detail::update_dot_rows_composed, which
-  /// the scalar and NEON tables use as-is; the AVX2 and AVX-512 tables update
-  /// and score each row pair in one pass, so a training sample streams the
-  /// bank once instead of twice. Neither query may overlap the bank.
+  /// over the updated rows, reduced exactly as this backend's dot_rows_multi
+  /// (and so its dot_real_real). So the result is bit-identical to
+  /// detail::update_dot_rows_composed, which the scalar and NEON tables use
+  /// as-is; the AVX2 and AVX-512 tables update and score each row pair in
+  /// one pass, so a training sample streams the bank once instead of twice. Neither query may overlap the bank.
   void (*update_dot_rows)(double* rows, std::size_t ld, std::size_t num_rows,
                           const double* coeff, const double* q_update, const double* q_next,
                           std::size_t n, double* out);
@@ -303,11 +312,25 @@ struct BackendList {
 
 namespace detail {
 
+/// KernelBackend::dot_rows_multi composed from a table's own Dot
+/// (dot_real_real), one call per (query, row) pair — the contract's
+/// definition, and the whole kernel on the tables without a tiled one.
+template <auto Dot>
+void dot_rows_multi_composed(const double* rows, std::size_t ld, std::size_t nrows,
+                             const double* queries, std::size_t ldq, std::size_t nq,
+                             std::size_t n, double* out) {
+  for (std::size_t q = 0; q < nq; ++q) {
+    for (std::size_t r = 0; r < nrows; ++r) {
+      out[q * nrows + r] = Dot(rows + r * ld, queries + q * ldq, n);
+    }
+  }
+}
+
 /// KernelBackend::update_dot_rows composed from a table's own AddScaled
-/// (add_scaled_real) and DotRows (dot_rows): update every row with a nonzero
-/// coefficient, then scan the bank — the contract's definition, and the
-/// whole kernel on every table without a fused one.
-template <auto AddScaled, auto DotRows>
+/// (add_scaled_real) and DotRowsMulti (dot_rows_multi): update every row with
+/// a nonzero coefficient, then scan the bank — the contract's definition, and
+/// the whole kernel on every table without a fused one.
+template <auto AddScaled, auto DotRowsMulti>
 void update_dot_rows_composed(double* rows, std::size_t ld, std::size_t num_rows,
                               const double* coeff, const double* q_update,
                               const double* q_next, std::size_t n, double* out) {
@@ -317,7 +340,7 @@ void update_dot_rows_composed(double* rows, std::size_t ld, std::size_t num_rows
     }
   }
   if (q_next != nullptr) {
-    DotRows(q_next, rows, ld, num_rows, n, out);
+    DotRowsMulti(rows, ld, num_rows, q_next, n, 1, n, out);
   }
 }
 

@@ -815,12 +815,12 @@ void avx2_rff_project_map(const double* a, std::size_t lda, const double* b,
   gemm_rows<true>(a, lda, b, ldb, phase, sin_phase, c, ldc, m, k, n);
 }
 
-void avx2_dot_rows(const double* q, const double* rows, std::size_t ld,
-                   std::size_t num_rows, std::size_t n, double* out) {
-  // Row pairs share every q load; each row keeps the 4-accumulator structure
-  // of avx2_dot_real_real (16-wide FMA loop, then 4-wide into acc0, then the
-  // (0+1)+(2+3) horizontal sum and scalar tail), so out[r] is bit-identical
-  // to avx2_dot_real_real(rows + r·ld, q, n).
+/// The single-query bank scan: out[r] = avx2_dot_real_real(rows + r·ld, q,
+/// n). Row pairs share every q load; each row keeps the 4-accumulator
+/// structure of avx2_dot_real_real (16-wide FMA loop, then 4-wide into acc0,
+/// then the (0+1)+(2+3) horizontal sum and scalar tail).
+void dot_rows_paired(const double* q, const double* rows, std::size_t ld,
+                     std::size_t num_rows, std::size_t n, double* out) {
   std::size_t r = 0;
   for (; r + 2 <= num_rows; r += 2) {
     const double* a0 = rows + r * ld;
@@ -863,8 +863,86 @@ void avx2_dot_rows(const double* q, const double* rows, std::size_t ld,
   }
 }
 
+/// One NQ-query × NR-row register tile of avx2_dot_rows_multi:
+/// out[j·ldo + r] = avx2_dot_real_real(a[r], q[j], n), bit for bit. Every
+/// pair keeps avx2_dot_real_real's four accumulators (16-wide FMA loop,
+/// 4-wide spill into the first, (0+1)+(2+3) horizontal sum, scalar tail),
+/// all live in one pass — 16 at 2 × 2, with 8 loads per 16 FMAs. Unlike the
+/// AVX-512 tile this does not run lane-outer: a 4-wide chunk is half a cache
+/// line, so a pass per accumulator would pull every line in twice, and in
+/// microbench every lane-outer AVX2 shape (4 × 2, 2 × 4, 3 × 3, …) was
+/// slower than the paired-row scan.
+template <std::size_t NQ, std::size_t NR>
+void dot_tile(const double* const* q, const double* const* a, std::size_t n, double* out,
+              std::size_t ldo) {
+  __m256d p[NQ][NR][4];
+  for (std::size_t j = 0; j < NQ; ++j) {
+    for (std::size_t r = 0; r < NR; ++r) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        p[j][r][l] = _mm256_setzero_pd();
+      }
+    }
+  }
+  const auto step = [&](std::size_t i, std::size_t l) {
+    __m256d qv[NQ];
+    for (std::size_t j = 0; j < NQ; ++j) {
+      qv[j] = _mm256_loadu_pd(q[j] + i);
+    }
+    for (std::size_t r = 0; r < NR; ++r) {
+      const __m256d av = _mm256_loadu_pd(a[r] + i);
+      for (std::size_t j = 0; j < NQ; ++j) {
+        p[j][r][l] = _mm256_fmadd_pd(av, qv[j], p[j][r][l]);
+      }
+    }
+  };
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    step(i, 0);
+    step(i + 4, 1);
+    step(i + 8, 2);
+    step(i + 12, 3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    step(i, 0);
+  }
+  for (std::size_t j = 0; j < NQ; ++j) {
+    for (std::size_t r = 0; r < NR; ++r) {
+      double s = hsum(_mm256_add_pd(_mm256_add_pd(p[j][r][0], p[j][r][1]),
+                                    _mm256_add_pd(p[j][r][2], p[j][r][3])));
+      for (std::size_t t = i; t < n; ++t) {
+        s += a[r][t] * q[j][t];
+      }
+      out[j * ldo + r] = s;
+    }
+  }
+}
+
+void avx2_dot_rows_multi(const double* rows, std::size_t ld, std::size_t nrows,
+                         const double* queries, std::size_t ldq, std::size_t nq,
+                         std::size_t n, double* out) {
+  // Query pairs in 2 × 2 tiles (2 × 1 for an odd last row). A leftover
+  // query — and a single query — runs the paired-row scan.
+  std::size_t j0 = 0;
+  for (; j0 + 2 <= nq; j0 += 2) {
+    const double* q[2] = {queries + j0 * ldq, queries + (j0 + 1) * ldq};
+    double* o = out + j0 * nrows;
+    std::size_t r0 = 0;
+    for (; r0 + 2 <= nrows; r0 += 2) {
+      const double* a[2] = {rows + r0 * ld, rows + (r0 + 1) * ld};
+      dot_tile<2, 2>(q, a, n, o + r0, nrows);
+    }
+    if (r0 < nrows) {
+      const double* a[1] = {rows + r0 * ld};
+      dot_tile<2, 1>(q, a, n, o + r0, nrows);
+    }
+  }
+  if (j0 < nq) {
+    dot_rows_paired(queries + j0 * ldq, rows, ld, nrows, n, out + j0 * nrows);
+  }
+}
+
 /// One pass of avx2_update_dot_rows over R ≤ 2 bank rows (rows + idx[j]·ld)
-/// that both update (kUpdate) or both only score: avx2_dot_rows' exact
+/// that both update (kUpdate) or both only score: avx2_dot_real_real's exact
 /// per-row operation sequence (16-wide FMA loop into four accumulators,
 /// 4-wide spill into the first, (0+1)+(2+3) horizontal sum, scalar tail),
 /// each component first updated by coeff·u and stored back when kUpdate (mul
@@ -930,7 +1008,7 @@ void avx2_update_dot_rows(double* rows, std::size_t ld, std::size_t num_rows,
                           const double* coeff, const double* q_update, const double* q_next,
                           std::size_t n, double* out) {
   if (q_next == nullptr) {
-    detail::update_dot_rows_composed<avx2_add_scaled_real, avx2_dot_rows>(
+    detail::update_dot_rows_composed<avx2_add_scaled_real, avx2_dot_rows_multi>(
         rows, ld, num_rows, coeff, q_update, q_next, n, out);
     return;
   }
@@ -1093,7 +1171,7 @@ constexpr KernelBackend kAvx2Backend{
     avx2_rff_remat_dot,
     avx2_gemm_accumulate,
     avx2_rff_project_map,
-    avx2_dot_rows,
+    avx2_dot_rows_multi,
     avx2_update_dot_rows,
     avx2_dot_rows_block,
     avx2_dot_rows_binary,

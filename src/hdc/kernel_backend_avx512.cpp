@@ -6,8 +6,8 @@
 //
 // The table is composed at first use as a copy of the AVX2 table with the
 // kernels the wider ISA actually improves overridden: the 512-bit real
-// reductions (dot_real_real / dot_rows / dot_rows_block share one exact
-// operation sequence), the per-component streaming kernels
+// reductions (dot_real_real / dot_rows_multi / dot_rows_block share one
+// exact operation sequence), the per-component streaming kernels
 // (add_scaled_real / merge_accumulate / scale_real, mul-then-add so each
 // slot rounds exactly like scalar), the mask-register sign_encode, and —
 // when the CPU additionally reports avx512_vpopcntdq — VPOPCNTDQ-vectorized
@@ -86,12 +86,12 @@ double avx512_dot_real_real(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-void avx512_dot_rows(const double* q, const double* rows, std::size_t ld,
-                     std::size_t num_rows, std::size_t n, double* out) {
-  // Row pairs share every q load; each row keeps the 4-accumulator structure
-  // of avx512_dot_real_real (32-wide FMA loop, 8-wide spill into acc0,
-  // (0+1)+(2+3) horizontal sum, scalar tail), so out[r] is bit-identical to
-  // avx512_dot_real_real(rows + r·ld, q, n).
+/// The single-query bank scan: out[r] = avx512_dot_real_real(rows + r·ld, q,
+/// n). Row pairs share every q load; each row keeps the 4-accumulator
+/// structure of avx512_dot_real_real (32-wide FMA loop, 8-wide spill into
+/// acc0, (0+1)+(2+3) horizontal sum, scalar tail).
+void dot_rows_paired512(const double* q, const double* rows, std::size_t ld,
+                        std::size_t num_rows, std::size_t n, double* out) {
   std::size_t r = 0;
   for (; r + 2 <= num_rows; r += 2) {
     const double* a0 = rows + r * ld;
@@ -131,6 +131,112 @@ void avx512_dot_rows(const double* q, const double* rows, std::size_t ld,
   }
   for (; r < num_rows; ++r) {
     out[r] = avx512_dot_real_real(rows + r * ld, q, n);
+  }
+}
+
+/// One NQ-query × NR-row register tile of avx512_dot_rows_multi:
+/// out[j·ldo + r] = avx512_dot_real_real(a[r], q[j], n), bit for bit. The
+/// tile runs "lane-outer": avx512_dot_real_real's accumulator l only ever
+/// sees chunks i = 8l, 8l + 32, … of the 32-wide main loop (and, for l = 0,
+/// the 8-wide spill chunks), so one pass per l replays every pair's
+/// accumulator l in its own order while keeping just NQ·NR accumulators
+/// live — 16 at 4 × 4, with 8 loads per 16 FMAs. The four finished
+/// accumulators of each pair then take the (0+1)+(2+3) horizontal sum and
+/// the scalar tail, exactly as avx512_dot_real_real ends.
+template <std::size_t NQ, std::size_t NR>
+void dot_tile512(const double* const* q, const double* const* a, std::size_t n, double* out,
+                 std::size_t ldo) {
+  const std::size_t main_end = n & ~std::size_t{31};
+  const std::size_t spill_end = n & ~std::size_t{7};
+  __m512d acc[4][NQ][NR];
+  for (std::size_t l = 0; l < 4; ++l) {
+    __m512d p[NQ][NR];
+    for (std::size_t j = 0; j < NQ; ++j) {
+      for (std::size_t r = 0; r < NR; ++r) {
+        p[j][r] = _mm512_setzero_pd();
+      }
+    }
+    const auto step = [&](std::size_t i) {
+      __m512d qv[NQ];
+      __m512d av[NR];
+      for (std::size_t j = 0; j < NQ; ++j) {
+        qv[j] = _mm512_loadu_pd(q[j] + i);
+      }
+      for (std::size_t r = 0; r < NR; ++r) {
+        av[r] = _mm512_loadu_pd(a[r] + i);
+      }
+      for (std::size_t j = 0; j < NQ; ++j) {
+        for (std::size_t r = 0; r < NR; ++r) {
+          p[j][r] = _mm512_fmadd_pd(av[r], qv[j], p[j][r]);
+        }
+      }
+    };
+    for (std::size_t i = 8 * l; i < main_end; i += 32) {
+      step(i);
+    }
+    if (l == 0) {
+      for (std::size_t i = main_end; i < spill_end; i += 8) {
+        step(i);
+      }
+    }
+    for (std::size_t j = 0; j < NQ; ++j) {
+      for (std::size_t r = 0; r < NR; ++r) {
+        acc[l][j][r] = p[j][r];
+      }
+    }
+  }
+  for (std::size_t j = 0; j < NQ; ++j) {
+    for (std::size_t r = 0; r < NR; ++r) {
+      double s = hsum512(_mm512_add_pd(_mm512_add_pd(acc[0][j][r], acc[1][j][r]),
+                                       _mm512_add_pd(acc[2][j][r], acc[3][j][r])));
+      for (std::size_t i = spill_end; i < n; ++i) {
+        s += a[r][i] * q[j][i];
+      }
+      out[j * ldo + r] = s;
+    }
+  }
+}
+
+void avx512_dot_rows_multi(const double* rows, std::size_t ld, std::size_t nrows,
+                           const double* queries, std::size_t ldq, std::size_t nq,
+                           std::size_t n, double* out) {
+  // Four queries at a time in 4 × 4 tiles (4 × 3/2/1 for the last rows).
+  // Leftover queries — and a single query — run the paired-row scan: a
+  // 1 × 4 tile is slower than it, because one query has no row loads to
+  // share.
+  std::size_t j0 = 0;
+  for (; j0 + 4 <= nq; j0 += 4) {
+    const double* q[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      q[j] = queries + (j0 + j) * ldq;
+    }
+    double* o = out + j0 * nrows;
+    std::size_t r0 = 0;
+    for (; r0 + 4 <= nrows; r0 += 4) {
+      const double* a[4] = {rows + r0 * ld, rows + (r0 + 1) * ld, rows + (r0 + 2) * ld,
+                            rows + (r0 + 3) * ld};
+      dot_tile512<4, 4>(q, a, n, o + r0, nrows);
+    }
+    const double* a[3] = {};
+    for (std::size_t r = r0; r < nrows; ++r) {
+      a[r - r0] = rows + r * ld;
+    }
+    switch (nrows - r0) {
+      case 3:
+        dot_tile512<4, 3>(q, a, n, o + r0, nrows);
+        break;
+      case 2:
+        dot_tile512<4, 2>(q, a, n, o + r0, nrows);
+        break;
+      case 1:
+        dot_tile512<4, 1>(q, a, n, o + r0, nrows);
+        break;
+      default:
+        break;
+    }
+  }
+  for (; j0 < nq; ++j0) {
+    dot_rows_paired512(queries + j0 * ldq, rows, ld, nrows, n, out + j0 * nrows);
   }
 }
 
@@ -211,7 +317,7 @@ void avx512_add_scaled_real(double* a, const double* b, double c, std::size_t n)
 }
 
 /// One pass of avx512_update_dot_rows over R ≤ 4 bank rows (rows + idx[j]·ld)
-/// that all update (kUpdate) or all only score: avx512_dot_rows' exact
+/// that all update (kUpdate) or all only score: avx512_dot_real_real's exact
 /// per-row operation sequence (32-wide FMA loop into four accumulators,
 /// 8-wide spill into the first, (0+1)+(2+3) horizontal sum, scalar tail),
 /// each component first updated by coeff·u and stored back when kUpdate (mul
@@ -296,7 +402,7 @@ void avx512_update_dot_rows(double* rows, std::size_t ld, std::size_t num_rows,
                             const double* coeff, const double* q_update, const double* q_next,
                             std::size_t n, double* out) {
   if (q_next == nullptr) {
-    detail::update_dot_rows_composed<avx512_add_scaled_real, avx512_dot_rows>(
+    detail::update_dot_rows_composed<avx512_add_scaled_real, avx512_dot_rows_multi>(
         rows, ld, num_rows, coeff, q_update, q_next, n, out);
     return;
   }
@@ -938,7 +1044,7 @@ KernelBackend make_avx512_table(bool vpopcntdq) {
   table.gemm_accumulate = avx512_gemm_accumulate;
   table.rff_rematerialize = avx512_rff_rematerialize;
   table.rff_remat_dot = avx512_rff_remat_dot;
-  table.dot_rows = avx512_dot_rows;
+  table.dot_rows_multi = avx512_dot_rows_multi;
   table.update_dot_rows = avx512_update_dot_rows;
   table.dot_rows_block = avx512_dot_rows_block;
   table.sign_encode = avx512_sign_encode;

@@ -4,9 +4,9 @@
 // x86 TUs compiled out) when CMAKE_SYSTEM_PROCESSOR is aarch64/arm64.
 //
 // Contract discipline mirrors the AVX2 table:
-//  * Reduction kernels (dot_real_real / dot_rows / dot_rows_block) use four
-//    2-lane accumulators with a fixed combine order — self-consistent (the
-//    dot_rows contract) but free to differ from scalar by summation order,
+//  * Reduction kernels (dot_real_real / dot_rows_multi / dot_rows_block) use
+//    four 2-lane accumulators with a fixed combine order — self-consistent
+//    (the dot_rows_multi contract) but free to differ from scalar by summation order,
 //    so vfmaq_f64 is allowed there.
 //  * Per-component kernels (add_scaled_real, merge_accumulate, scale_real,
 //    gemm_accumulate) must round every slot exactly like scalar: separate
@@ -308,14 +308,6 @@ void neon_gemm_accumulate(const double* a, std::size_t lda, const double* b,
   }
 }
 
-void neon_dot_rows(const double* q, const double* rows, std::size_t ld,
-                   std::size_t num_rows, std::size_t n, double* out) {
-  // Per row exactly neon_dot_real_real — the dot_rows contract.
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = neon_dot_real_real(rows + r * ld, q, n);
-  }
-}
-
 void neon_dot_rows_block(const double* q, const double* const* rows,
                          std::size_t num_rows, std::size_t len, bool last,
                          double* state, double* out) {
@@ -414,8 +406,9 @@ constexpr KernelBackend kNeonBackend{
     neon_rff_remat_dot,
     neon_gemm_accumulate,
     detail::rff_project_map_composed<neon_gemm_accumulate, neon_rff_trig_map>,
-    neon_dot_rows,
-    detail::update_dot_rows_composed<neon_add_scaled_real, neon_dot_rows>,
+    detail::dot_rows_multi_composed<neon_dot_real_real>,
+    detail::update_dot_rows_composed<neon_add_scaled_real,
+                                     detail::dot_rows_multi_composed<neon_dot_real_real>>,
     neon_dot_rows_block,
     neon_dot_rows_binary,
     neon_dot_rows_ternary,

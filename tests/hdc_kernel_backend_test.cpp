@@ -451,9 +451,10 @@ TEST(RffProjectMapTest, MatchesZeroFillGemmThenTrigMapBitExact) {
 }
 
 TEST_P(KernelBackendTest, DotRowsMatchesPerRowDotExactly) {
-  // Each dot_rows output must be reduced in exactly its backend's
-  // dot_real_real order (the batch-vs-per-row EXPECT_EQ tests in core/ rely
-  // on this), including the odd trailing row of the paired-row AVX2 kernel.
+  // Each single-query (nq = 1) dot_rows_multi output must be reduced in
+  // exactly its backend's dot_real_real order (the batch-vs-per-row
+  // EXPECT_EQ tests in core/ rely on this), including the odd trailing row
+  // of the paired-row scan.
   const std::size_t n = GetParam();
   util::Rng rng(0xD075 + n);
   constexpr std::size_t kRows = 5;  // odd: exercises the unpaired final row
@@ -468,10 +469,63 @@ TEST_P(KernelBackendTest, DotRowsMatchesPerRowDotExactly) {
 
   for (const KernelBackend* kb : all_available()) {
     std::vector<double> out(kRows);
-    kb->dot_rows(q.data(), bank.data(), n, kRows, n, out.data());
+    kb->dot_rows_multi(bank.data(), n, kRows, q.data(), n, 1, n, out.data());
     for (std::size_t r = 0; r < kRows; ++r) {
       EXPECT_EQ(out[r], kb->dot_real_real(bank.data() + r * n, q.data(), n))
           << kb->name << " row " << r;
+    }
+  }
+}
+
+TEST_P(KernelBackendTest, DotRowsMultiMatchesDotRealRealBitExact) {
+  // Every dot_rows_multi output on every table, bitwise:
+  // out[q·nrows + r] = dot_real_real(row r, query q). Query counts cover
+  // whole 4-query tiles, every leftover count and a single query; row counts
+  // cover whole row tiles and every leftover; lengths cover each
+  // instantiation's dim plus the edges of the 8- and 32-wide loops. Rows and
+  // queries sit 8 bytes past a 64-byte boundary with strides longer than n.
+  // Each case runs a second time with NaN and ±Inf planted, so NaN payload
+  // propagation must follow the same operation order too.
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const std::size_t n : {std::size_t{7}, std::size_t{8}, std::size_t{31},
+                              std::size_t{32}, std::size_t{33}, GetParam()}) {
+    const std::size_t ld = n + 3;
+    const std::size_t ldq = n + 5;
+    for (const std::size_t nrows : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 17u}) {
+      for (const std::size_t nq : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 13u, 64u}) {
+        for (const bool special : {false, true}) {
+          util::Rng rng(0x3D07 + 131 * n + 17 * nrows + nq);
+          util::AlignedVector<double> bank_storage(1 + nrows * ld);
+          util::AlignedVector<double> query_storage(1 + nq * ldq);
+          double* const bank = bank_storage.data() + 1;
+          double* const queries = query_storage.data() + 1;
+          for (std::size_t i = 0; i < nrows * ld; ++i) {
+            bank[i] = rng.normal(0.0, 1.0);
+          }
+          for (std::size_t i = 0; i < nq * ldq; ++i) {
+            queries[i] = rng.normal(0.0, 1.0);
+          }
+          if (special) {
+            bank[(nrows / 2) * ld + n / 2] = kInf;
+            bank[(nrows - 1) * ld] = -kInf;
+            queries[(nq / 2) * ldq + n - 1] = std::numeric_limits<double>::quiet_NaN();
+            queries[(nq - 1) * ldq + n / 3] = kInf;
+          }
+          for (const KernelBackend* kb : all_available()) {
+            std::vector<double> want(nq * nrows);
+            for (std::size_t j = 0; j < nq; ++j) {
+              for (std::size_t r = 0; r < nrows; ++r) {
+                want[j * nrows + r] = kb->dot_real_real(bank + r * ld, queries + j * ldq, n);
+              }
+            }
+            std::vector<double> got(nq * nrows, -12345.0);
+            kb->dot_rows_multi(bank, ld, nrows, queries, ldq, nq, n, got.data());
+            ASSERT_TRUE(same_bits(got, want))
+                << kb->name << " n " << n << " nrows " << nrows << " nq " << nq
+                << (special ? " (NaN/Inf)" : "");
+          }
+        }
+      }
     }
   }
 }
@@ -481,7 +535,8 @@ TEST_P(KernelBackendTest, UpdateDotRowsMatchesScalarBitExact) {
   // scalar add_scaled_real applied to each row with a nonzero coefficient
   // (per-component rounding, so every table must agree with scalar, and a
   // zero coefficient — either sign — leaves its row untouched, −0 components
-  // included), and out[r] equals the table's own dot_rows over that bank. Row
+  // included), and out[r] equals the table's own dot_rows_multi over that
+  // bank. Row
   // counts leave an unpaired row; coefficients mix zeros, negatives and
   // subnormals; rows start 8 bytes past a 64-byte boundary and then drift by
   // ld, so add_scaled_real's alignment peel runs at every offset. Each
@@ -523,7 +578,8 @@ TEST_P(KernelBackendTest, UpdateDotRowsMatchesScalarBitExact) {
         const std::string what = std::string(kb->name) + " n " + std::to_string(n) +
                                  " rows " + std::to_string(rows);
         std::vector<double> want_out(rows);
-        kb->dot_rows(q_next.data(), want_bank.data(), ld, rows, n, want_out.data());
+        kb->dot_rows_multi(want_bank.data(), ld, rows, q_next.data(), n, 1, n,
+                           want_out.data());
 
         std::copy(before.begin(), before.end(), bank0);
         std::vector<double> out(rows, std::numeric_limits<double>::quiet_NaN());
@@ -550,9 +606,9 @@ TEST_P(KernelBackendTest, UpdateDotRowsMatchesScalarBitExact) {
 TEST_P(KernelBackendTest, DotRowsBlockMatchesDotRowsExactly) {
   // The fused single-query path feeds dot_rows_block one L1-sized slice of
   // the query at a time; the contract is that any split into 64-multiple
-  // blocks reproduces the backend's own dot_rows output bit-for-bit, because
-  // the carried state preserves each row's lane-accumulator phase across
-  // block boundaries.
+  // blocks reproduces the backend's own dot_rows_multi output bit-for-bit,
+  // because the carried state preserves each row's lane-accumulator phase
+  // across block boundaries.
   const std::size_t n = GetParam();
   util::Rng rng(0xB10C + n);
   constexpr std::size_t kRows = 5;
@@ -567,7 +623,7 @@ TEST_P(KernelBackendTest, DotRowsBlockMatchesDotRowsExactly) {
 
   for (const KernelBackend* kb : all_available()) {
     std::vector<double> want(kRows);
-    kb->dot_rows(q.data(), bank.data(), n, kRows, n, want.data());
+    kb->dot_rows_multi(bank.data(), n, kRows, q.data(), n, 1, n, want.data());
 
     for (const std::size_t block : {std::size_t{64}, std::size_t{128},
                                     std::size_t{1024}, n}) {

@@ -212,15 +212,25 @@ TEST(ServeAllocTest, TenantResidentPredictPathIsAllocationFree) {
 }
 
 // Once prepare_predict_scratch has sized the scratch, the serial batch scan
-// allocates nothing, whichever mode the model was trained in and whether it
-// scores through its own packed bank or the scratch's re-packed copy.
+// allocates nothing, whichever mode the model was trained in, whether it
+// scores through its own packed bank or the scratch's re-packed copy, and
+// whatever the batch size: a single query, a batch with a leftover query
+// tile, and two whole 64-query blocks.
 TEST(ServeAllocTest, PredictBatchIntoIsAllocationFreeInEveryMode) {
-  const data::Dataset d = data::make_friedman1(64, 8);
+  const data::Dataset d = data::make_friedman1(128, 8);
   hdc::EncoderConfig enc_cfg;
   enc_cfg.input_dim = d.num_features();
   enc_cfg.dim = 200;
   const auto encoder = hdc::make_encoder(enc_cfg);
   const core::EncodedDataset enc = core::EncodedDataset::from(*encoder, d, 1);
+  std::vector<core::EncodedDataset> batches;
+  for (const std::size_t b : {1, 5, 128}) {
+    std::vector<std::size_t> rows(b);
+    for (std::size_t i = 0; i < b; ++i) {
+      rows[i] = i;
+    }
+    batches.push_back(enc.subset(rows));
+  }
   std::vector<double> out(enc.size());
   for (const core::ClusterMode cluster :
        {core::ClusterMode::kFullPrecision, core::ClusterMode::kQuantized,
@@ -249,7 +259,9 @@ TEST(ServeAllocTest, PredictBatchIntoIsAllocationFreeInEveryMode) {
           reg.prepare_predict_scratch(scratch);
           arm();
           predict_path_probe()(true);
-          reg.predict_batch_into(enc, out, scratch);
+          for (const core::EncodedDataset& batch : batches) {
+            reg.predict_batch_into(batch, out, scratch);
+          }
           predict_path_probe()(false);
           EXPECT_EQ(disarm(), 0U) << to_string(cluster) << " "
                                   << cfg.prediction_mode().to_string()
