@@ -317,7 +317,6 @@ int run_kernel_json(const std::string& path) {
   const hdc::RealHV ra = hdc::random_gaussian(kDim, rng);
   const hdc::RealHV rb = hdc::random_gaussian(kDim, rng);
   const hdc::BipolarHV pa = hdc::random_bipolar(kDim, rng);
-  const hdc::BipolarHV pb = hdc::random_bipolar(kDim, rng);
   const hdc::BinaryHV ba = hdc::random_binary(kDim, rng);
   const hdc::BinaryHV bb = hdc::random_binary(kDim, rng);
   const hdc::BinaryHV mask = hdc::random_binary(kDim, rng);
@@ -400,7 +399,6 @@ int run_kernel_json(const std::string& path) {
   const double* pra = ra.values().data();
   const double* prb = rb.values().data();
   const std::int8_t* ppa = pa.values().data();
-  const std::int8_t* ppb = pb.values().data();
   const std::uint64_t* pba = ba.words().data();
   const std::uint64_t* pbb = bb.words().data();
   const std::uint64_t* pmask = mask.words().data();
@@ -437,13 +435,6 @@ int run_kernel_json(const std::string& path) {
 
     ns = time_ns([&] { benchmark::DoNotOptimize(kb->hamming(pba, pbb, kWords)); });
     report_backend(kernels["hamming"], b.c_str(), 2.0 * kWords * 8, ns);
-
-    ns = time_ns(
-        [&] { benchmark::DoNotOptimize(kb->masked_bipolar_dot(pba, pbb, pmask, kWords)); });
-    report_backend(kernels["masked_bipolar_dot"], b.c_str(), 3.0 * kWords * 8, ns);
-
-    ns = time_ns([&] { benchmark::DoNotOptimize(kb->bipolar_dot_dense(ppa, ppb, kDim)); });
-    report_backend(kernels["bipolar_dot_dense"], b.c_str(), 2.0 * kDim, ns);
 
     double* pacc = accum.values().data();
     ns = time_ns([&] { kb->add_scaled_real(pacc, prb, 0.01, kDim); });
@@ -563,15 +554,6 @@ int run_kernel_json(const std::string& path) {
       report_backend(kernels["update_dot_rows"], b.c_str(), bytes, ns);
     }
 
-    // Binary bank scoring: one packed query against the 2k-row binary bank
-    // (XNOR + popcount per row — the quantized predict_batch scan).
-    ns = time_ns([&] {
-      kb->dot_rows_binary(pba, binary_bank.data(), kWords, 2 * kModels, kDim,
-                          binary_scores.data());
-    });
-    report_backend(kernels["dot_rows_binary"], b.c_str(),
-                   (2.0 * kModels + 1.0) * kWords * 8, ns);
-
     // Packed ternary bank scan: masked XNOR + popcount per row — the
     // 2-bit-plane replacement for the f64 dot_rows_multi sweep of one query.
     ns = time_ns([&] {
@@ -671,8 +653,6 @@ int run_kernel_json(const std::string& path) {
       {"dot_real_binary", same_entries<&KB::dot_real_binary>},
       {"masked_dot", same_entries<&KB::masked_dot>},
       {"hamming", same_entries<&KB::hamming>},
-      {"masked_bipolar_dot", same_entries<&KB::masked_bipolar_dot>},
-      {"bipolar_dot_dense", same_entries<&KB::bipolar_dot_dense>},
       {"add_scaled_real", same_entries<&KB::add_scaled_real>},
       {"add_scaled_bipolar", same_entries<&KB::add_scaled_bipolar>},
       {"add_scaled_binary", same_entries<&KB::add_scaled_binary>},
@@ -683,7 +663,6 @@ int run_kernel_json(const std::string& path) {
       {"update_dot_rows_composed",
        same_entries<&KB::add_scaled_real, &KB::dot_rows_multi>},
       {"update_dot_rows", same_entries<&KB::update_dot_rows>},
-      {"dot_rows_binary", same_entries<&KB::dot_rows_binary>},
       {"dot_rows_ternary", same_entries<&KB::dot_rows_ternary>},
       {"rff_rematerialize", same_entries<&KB::rff_rematerialize>},
       {"gemm_remat_tile", same_entries<&KB::gemm_accumulate>},

@@ -37,32 +37,6 @@ void ClusterCenter::requantize(std::span<const double> accumulator) {
   }
 }
 
-double predict_dot(std::span<const double> accumulator, const RegressionModel& model,
-                   const hdc::EncodedSampleView& query, PredictionMode mode) {
-  const auto d = static_cast<double>(accumulator.size());
-  REGHD_CHECK(d > 0, "predict_dot on an empty model");
-  if (mode.model == ModelPrecision::kReal) {
-    return raw_query_dot(accumulator, query, mode.query) / d;
-  }
-  if (mode.model == ModelPrecision::kTernary) {
-    // Ternary model: dead-zone components contribute nothing; survivors
-    // carry ±γ_t.
-    if (mode.query == QueryPrecision::kReal) {
-      return model.gamma_ternary *
-             hdc::masked_dot(query.real, model.binary, model.ternary_mask) / d;
-    }
-    return model.gamma_ternary *
-           static_cast<double>(
-               hdc::masked_bipolar_dot(model.binary, query.binary, model.ternary_mask)) /
-           d;
-  }
-  // Binary model: popcount-class kernels scaled by γ.
-  if (mode.query == QueryPrecision::kReal) {
-    return model.gamma * hdc::dot(query.real, model.binary) / d;
-  }
-  return model.gamma * static_cast<double>(hdc::bipolar_dot(model.binary, query.binary)) / d;
-}
-
 void update_accumulator(std::span<double> accumulator, const hdc::EncodedSampleView& sample,
                         double coeff, QueryPrecision precision) {
   if (precision == QueryPrecision::kReal) {

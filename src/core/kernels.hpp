@@ -1,5 +1,8 @@
-// Shared prediction/update kernels used by both the single-model and
-// multi-model regressors.
+// The per-model pieces of RegHD's prediction and update: the model and
+// cluster snapshots, the Eq. 2/7 accumulator update with its NLMS
+// normalizer, and the raw query dot. MultiModelRegressor's scorer
+// (finish_scan / finish_row) composes the four §3.2 prediction kernels from
+// these and the hdc ops; SingleModelRegressor is its k = 1 adapter.
 //
 // Prediction normalization: all prediction dot products are divided by the
 // dimensionality D, i.e. ŷ contributions are (1/D)·M·Q. This makes the
@@ -20,7 +23,7 @@ namespace reghd::core {
 /// ternary mask (QuantHD extension), and the calibration scales fitted at
 /// quantization time (§3.2; map popcount scores back to accumulator units).
 /// The integer accumulator M itself lives with the owning regressor (a row
-/// of MultiModelRegressor's bank arena, SingleModelRegressor's one vector).
+/// of MultiModelRegressor's bank arena).
 struct RegressionModel {
   hdc::BinaryHV binary;
   double gamma = 0.0;  ///< mean_j |M_j| — the binary-snapshot scale.
@@ -54,13 +57,6 @@ struct ClusterCenter {
   /// (nulling the incremental updates' drift).
   void requantize(std::span<const double> accumulator);
 };
-
-/// Normalized prediction dot of one model (accumulator M plus its
-/// snapshots) against one encoded query, at the configured precision (the
-/// four §3.2 kernels).
-[[nodiscard]] double predict_dot(std::span<const double> accumulator,
-                                 const RegressionModel& model,
-                                 const hdc::EncodedSampleView& query, PredictionMode mode);
 
 /// Accumulator update M += coeff·S with the sample taken at the given query
 /// precision (real encoder output vs bipolar sign vector).

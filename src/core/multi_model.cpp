@@ -198,7 +198,7 @@ double MultiModelRegressor::finish_scan(const hdc::EncodedSampleView& q, Predict
   const std::size_t k = models_.size();
   // Packed rows — the quantized clusters' C^b, and binary/ternary models
   // against a binary query — one dot_rows_ternary sweep over their range of
-  // the bank: per row exactly masked_bipolar_dot, which a full-mask row
+  // the bank: per row the masked bipolar dot, which a full-mask row
   // reduces to d − 2·Hamming.
   const std::size_t packed_lo = config_.cluster_mode == ClusterMode::kFullPrecision ? k : 0;
   const std::size_t packed_hi = packed_rows_read(mode);

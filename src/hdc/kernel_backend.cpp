@@ -102,8 +102,8 @@ std::int64_t scalar_hamming(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-std::int64_t scalar_masked_bipolar_dot(const std::uint64_t* a, const std::uint64_t* b,
-                                       const std::uint64_t* mask, std::size_t words) {
+std::int64_t scalar_masked_xnor_popcount(const std::uint64_t* a, const std::uint64_t* b,
+                                         const std::uint64_t* mask, std::size_t words) {
   std::int64_t agree = 0;
   std::int64_t active = 0;
   for (std::size_t i = 0; i < words; ++i) {
@@ -112,15 +112,6 @@ std::int64_t scalar_masked_bipolar_dot(const std::uint64_t* a, const std::uint64
     active += std::popcount(m);
   }
   return 2 * agree - active;
-}
-
-std::int64_t scalar_bipolar_dot_dense(const std::int8_t* a, const std::int8_t* b,
-                                      std::size_t n) {
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]);
-  }
-  return acc;
 }
 
 void scalar_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
@@ -239,27 +230,14 @@ void scalar_dot_rows_block(const double* q, const double* const* rows,
   }
 }
 
-void scalar_dot_rows_binary(const std::uint64_t* q, const std::uint64_t* rows,
-                            std::size_t ld, std::size_t num_rows, std::size_t n,
-                            std::int64_t* out) {
-  const std::size_t words = (n + 63) / 64;
-  const auto nn = static_cast<std::int64_t>(n);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = nn - 2 * scalar_hamming(rows + r * ld, q, words);
-  }
-}
-
 void scalar_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
                              const std::uint64_t* masks, std::size_t ld,
                              std::size_t num_rows, std::size_t n, std::int64_t* out) {
-  // Per row this is exactly scalar_masked_bipolar_dot — the scalar backend
-  // keeps a single copy of each popcount inner loop (hamming for the binary
-  // bank, masked_bipolar_dot here) and the bank kernels only change the
-  // traversal, mirroring the shared xor/masked popcount helpers on the AVX2
-  // side.
+  // Per row exactly scalar_masked_xnor_popcount: the bank kernel only changes
+  // the traversal, mirroring the AVX2 side's masked_xnor_popcount.
   const std::size_t words = (n + 63) / 64;
   for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = scalar_masked_bipolar_dot(signs + r * ld, q, masks + r * ld, words);
+    out[r] = scalar_masked_xnor_popcount(signs + r * ld, q, masks + r * ld, words);
   }
 }
 
@@ -287,8 +265,6 @@ constexpr KernelBackend kScalarBackend{
     scalar_dot_real_binary,
     scalar_masked_dot,
     scalar_hamming,
-    scalar_masked_bipolar_dot,
-    scalar_bipolar_dot_dense,
     scalar_add_scaled_real,
     scalar_add_scaled_bipolar,
     scalar_add_scaled_binary,
@@ -303,7 +279,6 @@ constexpr KernelBackend kScalarBackend{
     detail::update_dot_rows_composed<scalar_add_scaled_real,
                                      detail::dot_rows_multi_composed<scalar_dot_real_real>>,
     scalar_dot_rows_block,
-    scalar_dot_rows_binary,
     scalar_dot_rows_ternary,
     scalar_sign_encode,
 };

@@ -74,12 +74,6 @@ struct KernelBackend {
   /// popcount(a XOR b) over whole words.
   std::int64_t (*hamming)(const std::uint64_t* a, const std::uint64_t* b,
                           std::size_t words);
-  /// 2·popcount(XNOR(a,b) ∧ mask) − popcount(mask) over whole words.
-  std::int64_t (*masked_bipolar_dot)(const std::uint64_t* a, const std::uint64_t* b,
-                                     const std::uint64_t* mask, std::size_t words);
-  /// Σ a[i]·b[i] over dense ±1 vectors.
-  std::int64_t (*bipolar_dot_dense)(const std::int8_t* a, const std::int8_t* b,
-                                    std::size_t n);
   /// a[i] += c·b[i].
   void (*add_scaled_real)(double* a, const double* b, double c, std::size_t n);
   /// a[i] += ±c, signs from a dense ±1 vector.
@@ -224,28 +218,18 @@ struct KernelBackend {
   void (*dot_rows_block)(const double* q, const double* const* rows,
                          std::size_t num_rows, std::size_t len, bool last,
                          double* state, double* out);
-  /// Packed-bank bipolar scoring: out[r] = n − 2·popcount(q XOR rows[r·ld…])
-  /// for r < num_rows — the XNOR+popcount bipolar dot of a packed binary
-  /// query against each row of a contiguous bit-packed bank. `ld` counts
-  /// 64-bit words per bank row; the word count per row is ⌈n/64⌉. Padding
-  /// bits are zero on both sides (the BinaryHV invariant), so XOR leaves
-  /// them zero and whole-word popcounts need no masking. Integer-exact and
-  /// therefore bit-identical across backends and to per-row
-  /// hamming/bipolar_dot chains (d = n − 2·h).
-  void (*dot_rows_binary)(const std::uint64_t* q, const std::uint64_t* rows,
-                          std::size_t ld, std::size_t num_rows, std::size_t n,
-                          std::int64_t* out);
   /// Packed-bank ternary scoring: the masked XNOR+popcount bipolar dot of a
   /// packed binary query against each row of a 2-bit-plane bank —
   ///   out[r] = 2·popcount(XNOR(q, signs[r·ld…]) ∧ masks[r·ld…])
   ///            − popcount(masks[r·ld…])
-  /// for r < num_rows, i.e. per row exactly masked_bipolar_dot(signs_r, q,
-  /// mask_r). `ld` counts 64-bit words per bank row in both planes; the word
-  /// count per row is ⌈n/64⌉ and padding/mask bits beyond n are zero (the
-  /// BinaryHV invariant), so whole-word popcounts need no edge masking. A
-  /// full (all-ones up to n) mask row degenerates to dot_rows_binary's
-  /// n − 2·hamming — which is how binarized model rows ride in the same bank
-  /// as ternary ones. Integer-exact, bit-identical across backends.
+  /// for r < num_rows, i.e. per row Σ over mask-set dims of the bipolar
+  /// product of the sign bits. `ld` counts 64-bit words per bank row in both
+  /// planes; the word count per row is ⌈n/64⌉ and padding/mask bits beyond n
+  /// are zero (the BinaryHV invariant), so whole-word popcounts need no edge
+  /// masking. A full (all-ones up to n) mask row degenerates to the binary
+  /// bipolar dot n − 2·hamming(q, signs_r) — which is how binary clusters and
+  /// binarized model rows ride in the same bank as ternary ones.
+  /// Integer-exact, bit-identical across backends.
   void (*dot_rows_ternary)(const std::uint64_t* q, const std::uint64_t* signs,
                            const std::uint64_t* masks, std::size_t ld,
                            std::size_t num_rows, std::size_t n, std::int64_t* out);

@@ -43,15 +43,6 @@ inline double hsum(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(lo, shuf));
 }
 
-inline std::int64_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i sum = _mm_add_epi32(lo, hi);
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(sum);
-}
-
 /// Loads 4 consecutive int8 ±1 components as a vector of 4 doubles.
 inline __m256d load4_bipolar(const std::int8_t* p) {
   std::int32_t raw;
@@ -180,8 +171,7 @@ double avx2_masked_dot(const double* a, const std::uint64_t* signs,
   return acc;
 }
 
-/// popcount(a XOR b) over whole words — the single copy of the popcount
-/// inner loop shared by hamming and the binary bank scan. POPCNT (enabled by
+/// popcount(a XOR b) over whole words — hamming's inner loop. POPCNT (enabled by
 /// -mavx2) runs one word per cycle; four independent counters hide the
 /// instruction latency. AVX2 has no vector popcount.
 inline std::int64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
@@ -200,10 +190,10 @@ inline std::int64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return c0 + c1 + c2 + c3;
 }
 
-/// 2·popcount(XNOR(a,b) ∧ mask) − popcount(mask) — the single copy of the
-/// masked popcount inner loop shared by masked_bipolar_dot and the ternary
-/// bank scan. Two interleaved agree/active counter pairs (two POPCNTs per
-/// word) keep the port-bound chain latency-hidden like xor_popcount.
+/// 2·popcount(XNOR(a,b) ∧ mask) − popcount(mask) — the masked popcount inner
+/// loop of the ternary bank scan. Two interleaved agree/active counter pairs
+/// (two POPCNTs per word) keep the port-bound chain latency-hidden like
+/// xor_popcount.
 inline std::int64_t masked_xnor_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                          const std::uint64_t* mask, std::size_t words) {
   std::int64_t agree0 = 0, agree1 = 0;
@@ -225,29 +215,6 @@ inline std::int64_t masked_xnor_popcount(const std::uint64_t* a, const std::uint
 std::int64_t avx2_hamming(const std::uint64_t* a, const std::uint64_t* b,
                           std::size_t words) {
   return xor_popcount(a, b, words);
-}
-
-std::int64_t avx2_masked_bipolar_dot(const std::uint64_t* a, const std::uint64_t* b,
-                                     const std::uint64_t* mask, std::size_t words) {
-  return masked_xnor_popcount(a, b, mask, words);
-}
-
-std::int64_t avx2_bipolar_dot_dense(const std::int8_t* a, const std::int8_t* b,
-                                    std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i pa = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i pb = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pa, pb));
-  }
-  std::int64_t total = hsum_epi32(acc);
-  for (; i < n; ++i) {
-    total += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]);
-  }
-  return total;
 }
 
 void avx2_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
@@ -1087,27 +1054,13 @@ void avx2_dot_rows_block(const double* q, const double* const* rows,
   }
 }
 
-void avx2_dot_rows_binary(const std::uint64_t* q, const std::uint64_t* rows,
-                          std::size_t ld, std::size_t num_rows, std::size_t n,
-                          std::int64_t* out) {
-  // Per row exactly n − 2·hamming through the shared xor_popcount loop. The
-  // q words are a ⌈n/64⌉-word strip that stays L1-resident across the whole
-  // bank, and the kernel is POPCNT-port bound, so there is nothing left for
-  // a bespoke row-paired loop to win — one inner-loop copy serves hamming
-  // and both bank scans.
-  const std::size_t words = (n + 63) / 64;
-  const auto nn = static_cast<std::int64_t>(n);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = nn - 2 * xor_popcount(rows + r * ld, q, words);
-  }
-}
-
 void avx2_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
                            const std::uint64_t* masks, std::size_t ld,
                            std::size_t num_rows, std::size_t n, std::int64_t* out) {
-  // Per row exactly masked_bipolar_dot(signs_r, q, mask_r) through the
-  // shared masked_xnor_popcount loop; see avx2_dot_rows_binary for why the
-  // bank scan does not need its own inner-loop copy.
+  // Per row 2·popcount(XNOR(q, signs_r) ∧ mask_r) − popcount(mask_r) through
+  // masked_xnor_popcount. The q words are a ⌈n/64⌉-word strip that stays
+  // L1-resident across the whole bank, and the kernel is POPCNT-port bound,
+  // so there is nothing left for a bespoke row-paired loop to win.
   const std::size_t words = (n + 63) / 64;
   for (std::size_t r = 0; r < num_rows; ++r) {
     out[r] = masked_xnor_popcount(signs + r * ld, q, masks + r * ld, words);
@@ -1159,8 +1112,6 @@ constexpr KernelBackend kAvx2Backend{
     avx2_dot_real_binary,
     avx2_masked_dot,
     avx2_hamming,
-    avx2_masked_bipolar_dot,
-    avx2_bipolar_dot_dense,
     avx2_add_scaled_real,
     avx2_add_scaled_bipolar,
     avx2_add_scaled_binary,
@@ -1174,7 +1125,6 @@ constexpr KernelBackend kAvx2Backend{
     avx2_dot_rows_multi,
     avx2_update_dot_rows,
     avx2_dot_rows_block,
-    avx2_dot_rows_binary,
     avx2_dot_rows_ternary,
     avx2_sign_encode,
 };

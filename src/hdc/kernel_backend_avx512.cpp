@@ -567,21 +567,6 @@ std::int64_t vpop_hamming(const std::uint64_t* a, const std::uint64_t* b,
   return vpop_xor_popcount(a, b, words);
 }
 
-std::int64_t vpop_masked_bipolar_dot(const std::uint64_t* a, const std::uint64_t* b,
-                                     const std::uint64_t* mask, std::size_t words) {
-  return vpop_masked_xnor_popcount(a, b, mask, words);
-}
-
-void vpop_dot_rows_binary(const std::uint64_t* q, const std::uint64_t* rows,
-                          std::size_t ld, std::size_t num_rows, std::size_t n,
-                          std::int64_t* out) {
-  const std::size_t words = (n + 63) / 64;
-  const auto nn = static_cast<std::int64_t>(n);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = nn - 2 * vpop_xor_popcount(rows + r * ld, q, words);
-  }
-}
-
 void vpop_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
                            const std::uint64_t* masks, std::size_t ld,
                            std::size_t num_rows, std::size_t n, std::int64_t* out) {
@@ -1052,8 +1037,6 @@ KernelBackend make_avx512_table(bool vpopcntdq) {
   table.rff_project_map = avx512_rff_project_map;
   if (vpopcntdq) {
     table.hamming = vpop_hamming;
-    table.masked_bipolar_dot = vpop_masked_bipolar_dot;
-    table.dot_rows_binary = vpop_dot_rows_binary;
     table.dot_rows_ternary = vpop_dot_rows_ternary;
   }
   return table;

@@ -130,8 +130,8 @@ std::int64_t neon_hamming(const std::uint64_t* a, const std::uint64_t* b,
   return c0 + c1 + c2 + c3;
 }
 
-std::int64_t neon_masked_bipolar_dot(const std::uint64_t* a, const std::uint64_t* b,
-                                     const std::uint64_t* mask, std::size_t words) {
+std::int64_t neon_masked_xnor_popcount(const std::uint64_t* a, const std::uint64_t* b,
+                                       const std::uint64_t* mask, std::size_t words) {
   std::int64_t agree = 0;
   std::int64_t active = 0;
   for (std::size_t i = 0; i < words; ++i) {
@@ -140,31 +140,6 @@ std::int64_t neon_masked_bipolar_dot(const std::uint64_t* a, const std::uint64_t
     active += std::popcount(m);
   }
   return 2 * agree - active;
-}
-
-std::int64_t neon_bipolar_dot_dense(const std::int8_t* a, const std::int8_t* b,
-                                    std::size_t n) {
-  // 16 ±1 bytes per step: widening multiply-accumulate into 16-bit lanes is
-  // safe (|Σ| ≤ 16 per lane per step ≪ 2¹⁵ would overflow after 2048 steps,
-  // so drain into 64-bit every 1024 steps).
-  std::int64_t total = 0;
-  std::size_t i = 0;
-  while (i + 16 <= n) {
-    const std::size_t chunk_end = std::min(n - (n - i) % 16, i + 16 * 1024);
-    int16x8_t acc_lo = vdupq_n_s16(0);
-    int16x8_t acc_hi = vdupq_n_s16(0);
-    for (; i + 16 <= chunk_end; i += 16) {
-      const int8x16_t pa = vld1q_s8(a + i);
-      const int8x16_t pb = vld1q_s8(b + i);
-      acc_lo = vmlal_s8(acc_lo, vget_low_s8(pa), vget_low_s8(pb));
-      acc_hi = vmlal_s8(acc_hi, vget_high_s8(pa), vget_high_s8(pb));
-    }
-    total += vaddlvq_s16(acc_lo) + vaddlvq_s16(acc_hi);
-  }
-  for (; i < n; ++i) {
-    total += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]);
-  }
-  return total;
 }
 
 void neon_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
@@ -349,22 +324,12 @@ void neon_dot_rows_block(const double* q, const double* const* rows,
   }
 }
 
-void neon_dot_rows_binary(const std::uint64_t* q, const std::uint64_t* rows,
-                          std::size_t ld, std::size_t num_rows, std::size_t n,
-                          std::int64_t* out) {
-  const std::size_t words = (n + 63) / 64;
-  const auto nn = static_cast<std::int64_t>(n);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = nn - 2 * neon_hamming(rows + r * ld, q, words);
-  }
-}
-
 void neon_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
                            const std::uint64_t* masks, std::size_t ld,
                            std::size_t num_rows, std::size_t n, std::int64_t* out) {
   const std::size_t words = (n + 63) / 64;
   for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = neon_masked_bipolar_dot(signs + r * ld, q, masks + r * ld, words);
+    out[r] = neon_masked_xnor_popcount(signs + r * ld, q, masks + r * ld, words);
   }
 }
 
@@ -394,8 +359,6 @@ constexpr KernelBackend kNeonBackend{
     neon_dot_real_binary,
     neon_masked_dot,
     neon_hamming,
-    neon_masked_bipolar_dot,
-    neon_bipolar_dot_dense,
     neon_add_scaled_real,
     neon_add_scaled_bipolar,
     neon_add_scaled_binary,
@@ -410,7 +373,6 @@ constexpr KernelBackend kNeonBackend{
     detail::update_dot_rows_composed<neon_add_scaled_real,
                                      detail::dot_rows_multi_composed<neon_dot_real_real>>,
     neon_dot_rows_block,
-    neon_dot_rows_binary,
     neon_dot_rows_ternary,
     neon_sign_encode,
 };

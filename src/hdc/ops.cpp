@@ -61,18 +61,6 @@ std::int64_t bipolar_dot(BinaryHVView a, BinaryHVView b) {
   return static_cast<std::int64_t>(a.dim()) - 2 * h;
 }
 
-std::int64_t bipolar_dot(BipolarHVView a, BipolarHVView b) {
-  check_dims(a.dim(), b.dim(), "bipolar_dot(bipolar,bipolar)");
-  return active_backend().bipolar_dot_dense(a.values().data(), b.values().data(), a.dim());
-}
-
-std::int64_t masked_bipolar_dot(BinaryHVView a, BinaryHVView b, BinaryHVView mask) {
-  check_dims(a.dim(), b.dim(), "masked_bipolar_dot");
-  check_dims(a.dim(), mask.dim(), "masked_bipolar_dot(mask)");
-  return active_backend().masked_bipolar_dot(a.words().data(), b.words().data(),
-                                             mask.words().data(), a.word_count());
-}
-
 double masked_dot(RealHVView a, BinaryHVView signs, BinaryHVView mask) {
   check_dims(a.dim(), signs.dim(), "masked_dot");
   check_dims(a.dim(), mask.dim(), "masked_dot(mask)");

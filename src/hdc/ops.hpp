@@ -41,15 +41,6 @@ namespace reghd::hdc {
 /// Bipolar dot of two packed vectors: D − 2·hamming. Integer-exact.
 [[nodiscard]] std::int64_t bipolar_dot(BinaryHVView a, BinaryHVView b);
 
-/// Bipolar dot of two dense ±1 vectors.
-[[nodiscard]] std::int64_t bipolar_dot(BipolarHVView a, BipolarHVView b);
-
-/// Masked bipolar dot: Σ over dims where mask is set of a_j·b_j (bipolar
-/// interpretation). The ternary-model kernel: dead-zone components carry a
-/// zero weight. Computed word-wise: 2·popcount(XNOR(a,b) ∧ mask) − |mask|.
-[[nodiscard]] std::int64_t masked_bipolar_dot(BinaryHVView a, BinaryHVView b,
-                                              BinaryHVView mask);
-
 /// Masked signed accumulation: Σ over dims where mask is set of
 /// (signs_j ? +a_j : −a_j). The ternary-model kernel for real queries.
 [[nodiscard]] double masked_dot(RealHVView a, BinaryHVView signs, BinaryHVView mask);

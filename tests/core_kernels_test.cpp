@@ -1,10 +1,14 @@
 // Tests for the shared prediction/update kernels: the §3.2 precision modes,
-// requantization, and the normalized-LMS scaling.
+// requantization, and the normalized-LMS scaling. The prediction-dot tests
+// score Eq. 2's (1/D)·M·S through a k = 1 MultiModelRegressor (the path
+// SingleModelRegressor runs), with M written into its one model row.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/kernels.hpp"
+#include "core/multi_model.hpp"
 #include "hdc/random_hv.hpp"
 #include "util/random.hpp"
 
@@ -30,6 +34,22 @@ hdc::EncodedSample random_sample(std::size_t dim, std::uint64_t seed) {
   return sample_from_real(hdc::random_gaussian(dim, rng));
 }
 
+/// Eq. 2's prediction of accumulator `acc` at `mode`: predict() of a k = 1
+/// MultiModelRegressor holding `acc` as its model row, snapshots refreshed
+/// by requantize().
+double predict_k1(const hdc::RealHV& acc, const hdc::EncodedSampleView& s,
+                   PredictionMode mode) {
+  RegHDConfig cfg;
+  cfg.dim = acc.dim();
+  cfg.models = 1;
+  cfg.query_precision = mode.query;
+  cfg.model_precision = mode.model;
+  MultiModelRegressor model(cfg);
+  std::ranges::copy(acc.values(), model.mutable_model_accumulator(0).begin());
+  model.requantize();
+  return model.predict(s);
+}
+
 TEST(RegressionModelTest, RequantizeDerivesSnapshotAndGamma) {
   hdc::RealHV acc(4);
   RegressionModel m(4);
@@ -47,29 +67,25 @@ TEST(PredictDotTest, FullPrecisionIsNormalizedDot) {
   const std::size_t dim = 256;
   const hdc::EncodedSample s = random_sample(dim, 1);
   hdc::RealHV acc(dim);
-  RegressionModel m(dim);
   util::Rng rng(2);
   for (std::size_t j = 0; j < dim; ++j) {
     acc[j] = rng.normal();
   }
-  m.requantize(acc.values());
   const double expected = hdc::dot(acc, s.real) / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(acc.values(), m, s, PredictionMode::full_precision()), expected, 1e-12);
+  EXPECT_NEAR(predict_k1(acc, s, PredictionMode::full_precision()), expected, 1e-12);
 }
 
 TEST(PredictDotTest, BinaryQueryMatchesBipolarDot) {
   const std::size_t dim = 256;
   const hdc::EncodedSample s = random_sample(dim, 3);
   hdc::RealHV acc(dim);
-  RegressionModel m(dim);
   util::Rng rng(4);
   for (std::size_t j = 0; j < dim; ++j) {
     acc[j] = rng.normal();
   }
-  m.requantize(acc.values());
   const double expected = hdc::dot(acc, s.bipolar) / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(acc.values(), m, s, PredictionMode::binary_query_integer_model()),
-              expected, 1e-12);
+  EXPECT_NEAR(predict_k1(acc, s, PredictionMode::binary_query_integer_model()), expected,
+              1e-12);
 }
 
 TEST(PredictDotTest, BinaryModelModesUseGammaScale) {
@@ -83,11 +99,10 @@ TEST(PredictDotTest, BinaryModelModesUseGammaScale) {
   }
   m.requantize(acc.values());
 
-  const double iq_bm =
-      predict_dot(acc.values(), m, s, PredictionMode::integer_query_binary_model());
+  const double iq_bm = predict_k1(acc, s, PredictionMode::integer_query_binary_model());
   EXPECT_NEAR(iq_bm, m.gamma * hdc::dot(s.real, m.binary) / static_cast<double>(dim), 1e-12);
 
-  const double bq_bm = predict_dot(acc.values(), m, s, PredictionMode::binary_query_binary_model());
+  const double bq_bm = predict_k1(acc, s, PredictionMode::binary_query_binary_model());
   EXPECT_NEAR(bq_bm,
               m.gamma * static_cast<double>(hdc::bipolar_dot(m.binary, s.binary)) /
                   static_cast<double>(dim),
@@ -100,15 +115,12 @@ TEST(PredictDotTest, GammaCalibrationApproximatesFullPrecision) {
   const std::size_t dim = 8192;
   const hdc::EncodedSample s = random_sample(dim, 7);
   hdc::RealHV acc(dim);
-  RegressionModel m(dim);
   util::Rng rng(8);
   for (std::size_t j = 0; j < dim; ++j) {
     acc[j] = rng.normal(0.0, 2.0);
   }
-  m.requantize(acc.values());
-  const double full = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
-  const double approx =
-      predict_dot(acc.values(), m, s, PredictionMode::integer_query_binary_model());
+  const double full = predict_k1(acc, s, PredictionMode::full_precision());
+  const double approx = predict_k1(acc, s, PredictionMode::integer_query_binary_model());
   // Both are ~N(0, σ/√D)-scale quantities; they must agree in sign and
   // order of magnitude for the calibration to be useful.
   EXPECT_NEAR(approx, full, 0.2 * std::abs(full) + 0.05);
@@ -130,12 +142,12 @@ TEST(PredictDotTest, AllModesAgreeWhenQueryIsBipolarAndModelUniform) {
   m.requantize(acc.values());
   EXPECT_NEAR(m.gamma, c, 1e-12);
 
-  const double full = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
+  const double full = predict_k1(acc, s, PredictionMode::full_precision());
   for (const auto mode :
        {PredictionMode::binary_query_integer_model(),
         PredictionMode::integer_query_binary_model(),
         PredictionMode::binary_query_binary_model()}) {
-    EXPECT_NEAR(predict_dot(acc.values(), m, s, mode), full, 1e-9) << mode.to_string();
+    EXPECT_NEAR(predict_k1(acc, s, mode), full, 1e-9) << mode.to_string();
   }
 }
 
@@ -173,7 +185,7 @@ TEST(PredictDotTest, TernaryModelZeroesDeadZoneContributions) {
     }
   }
   expected *= m.gamma_ternary / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(acc.values(), m, s, ternary), expected, 1e-9);
+  EXPECT_NEAR(predict_k1(acc, s, ternary), expected, 1e-9);
 
   const PredictionMode ternary_bq{QueryPrecision::kBinary, ModelPrecision::kTernary};
   double expected_bq = 0.0;
@@ -183,7 +195,7 @@ TEST(PredictDotTest, TernaryModelZeroesDeadZoneContributions) {
     }
   }
   expected_bq *= m.gamma_ternary / static_cast<double>(dim);
-  EXPECT_NEAR(predict_dot(acc.values(), m, s, ternary_bq), expected_bq, 1e-9);
+  EXPECT_NEAR(predict_k1(acc, s, ternary_bq), expected_bq, 1e-9);
 }
 
 TEST(PredictDotTest, TernaryApproximatesFullPrecisionBetterThanBinaryOnSpreadMagnitudes) {
@@ -192,22 +204,18 @@ TEST(PredictDotTest, TernaryApproximatesFullPrecisionBetterThanBinaryOnSpreadMag
   // them. Compare approximation error to the full-precision dot.
   const std::size_t dim = 8192;
   hdc::RealHV acc(dim);
-  RegressionModel m(dim);
   util::Rng rng(23);
   for (std::size_t j = 0; j < dim; ++j) {
     const double z = rng.normal();
     acc[j] = z * z * z;  // cubed normal: heavy tails, many tiny values
   }
-  m.requantize(acc.values());
   double err_binary = 0.0;
   double err_ternary = 0.0;
   for (int trial = 0; trial < 10; ++trial) {
     const hdc::EncodedSample s = random_sample(dim, 100 + static_cast<std::uint64_t>(trial));
-    const double full = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
-    const double bin =
-        predict_dot(acc.values(), m, s, {QueryPrecision::kReal, ModelPrecision::kBinary});
-    const double ter =
-        predict_dot(acc.values(), m, s, {QueryPrecision::kReal, ModelPrecision::kTernary});
+    const double full = predict_k1(acc, s, PredictionMode::full_precision());
+    const double bin = predict_k1(acc, s, {QueryPrecision::kReal, ModelPrecision::kBinary});
+    const double ter = predict_k1(acc, s, {QueryPrecision::kReal, ModelPrecision::kTernary});
     err_binary += (bin - full) * (bin - full);
     err_ternary += (ter - full) * (ter - full);
   }
@@ -238,16 +246,14 @@ TEST(UpdateNormalizerTest, SelfCorrectionIsExactlyAlpha) {
   const std::size_t dim = 512;
   const hdc::EncodedSample s = random_sample(dim, 12);
   hdc::RealHV acc(dim);
-  RegressionModel m(dim);
-  m.requantize(acc.values());
   const double target = 3.0;
   const double alpha = 0.25;
-  const double before = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
+  const double before = predict_k1(acc, s, PredictionMode::full_precision());
   const double err = target - before;
   update_accumulator(acc.values(), s,
                      alpha * err * update_normalizer(s, QueryPrecision::kReal),
                      QueryPrecision::kReal);
-  const double after = predict_dot(acc.values(), m, s, PredictionMode::full_precision());
+  const double after = predict_k1(acc, s, PredictionMode::full_precision());
   EXPECT_NEAR(after - before, alpha * err, 1e-9);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/encoded.hpp"
 #include "core/single_model.hpp"
@@ -197,6 +198,29 @@ TEST(SingleModelTest, ValidationRequiredAndShapesChecked) {
   SingleModelRegressor wrong_dim(base_config(256));
   EXPECT_THROW((void)wrong_dim.fit(task.train, task.val), std::invalid_argument);
   EXPECT_THROW((void)wrong_dim.predict(task.test.sample(0)), std::invalid_argument);
+}
+
+TEST(SingleModelTest, TrainBatchRejectsOutOfRangeRowBeforeAnyUpdate) {
+  const EncodedTask task = make_task(data::make_sine_task(100, 25), 512, 25);
+  SingleModelRegressor model(base_config(512));
+  for (std::size_t i = 0; i < task.train.size(); ++i) {
+    model.train_step(task.train.sample(i), task.train.target(i));
+  }
+  model.requantize();
+  const std::vector<double> accumulator(model.accumulator().begin(),
+                                        model.accumulator().end());
+  const RegressionModel snapshot = model.model();
+
+  // Valid rows first: a bad id later in the list must not let them update.
+  const std::vector<std::size_t> rows = {0, 1, task.train.size()};
+  std::vector<double> predictions(rows.size());
+  EXPECT_THROW(model.train_batch(task.train, rows, predictions), std::invalid_argument);
+  EXPECT_EQ(std::vector<double>(model.accumulator().begin(), model.accumulator().end()),
+            accumulator);
+  EXPECT_EQ(model.model().binary, snapshot.binary);
+  EXPECT_EQ(model.model().ternary_mask, snapshot.ternary_mask);
+  EXPECT_EQ(model.model().gamma, snapshot.gamma);
+  EXPECT_EQ(model.model().gamma_ternary, snapshot.gamma_ternary);
 }
 
 TEST(SingleModelTest, ConfigValidation) {

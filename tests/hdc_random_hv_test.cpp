@@ -68,7 +68,7 @@ TEST_P(OrthogonalityTest, RandomBipolarPairsAreNearOrthogonal) {
     const BipolarHV a = random_bipolar(dim, rng);
     const BipolarHV b = random_bipolar(dim, rng);
     const double cos_sim =
-        static_cast<double>(bipolar_dot(a, b)) / static_cast<double>(dim);
+        static_cast<double>(bipolar_dot(a.pack(), b.pack())) / static_cast<double>(dim);
     EXPECT_LT(std::abs(cos_sim), bound) << "dim=" << dim;
   }
 }
@@ -99,7 +99,8 @@ TEST(RandomBipolarSetTest, ProducesIndependentVectors) {
   ASSERT_EQ(set.size(), 5u);
   for (std::size_t i = 0; i < set.size(); ++i) {
     for (std::size_t j = i + 1; j < set.size(); ++j) {
-      const double cos_sim = static_cast<double>(bipolar_dot(set[i], set[j])) / 2048.0;
+      const double cos_sim =
+          static_cast<double>(bipolar_dot(set[i].pack(), set[j].pack())) / 2048.0;
       EXPECT_LT(std::abs(cos_sim), 0.15);
     }
   }
