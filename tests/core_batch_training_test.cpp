@@ -10,7 +10,7 @@
 //  * OnlineRegHD::update_batch with one-reading blocks must equal update(),
 //    and a mid-stream checkpoint taken between blocks must resume
 //    bit-identically.
-//  * The quantized predict_batch bank scan (dot_rows_binary) must equal
+//  * The quantized predict_batch bank scan (dot_rows_ternary) must equal
 //    per-row predict(), including at a dim that is not a multiple of 64.
 //
 // The suite runs on whatever kernel backend is live; CI runs it twice
