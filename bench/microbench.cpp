@@ -905,9 +905,10 @@ int run_kernel_json(const std::string& path) {
   }
 
   // Train-epoch throughput: one pass over the kRows encoded samples, the
-  // per-sample train_epoch that fit() and the sharded refine run vs
-  // deterministic mini-batches (B = 32, default thread count). --train-json
-  // expands this across B × threads.
+  // per-sample train_epoch that fit() and the sharded refine run (on a
+  // training team of the default thread count at this shape, DESIGN §11.7)
+  // vs deterministic mini-batches (B = 32, default thread count).
+  // --train-json expands this across B × threads.
   const core::EncodedDataset enc_train = core::EncodedDataset::from(*encoder, rows);
   std::vector<std::size_t> train_order(enc_train.size());
   std::iota(train_order.begin(), train_order.end(), 0);

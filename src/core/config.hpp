@@ -156,10 +156,14 @@ struct RegHDConfig {
 
   std::uint64_t seed = 0x52E6D5EEDULL;
 
-  /// Worker threads for the batch encode/predict paths; 0 defers to the
+  /// Worker threads for the batch encode/predict/train paths, and the size
+  /// of the training team that splits the per-sample epoch's update sweep
+  /// by arena rows (train_epoch at batch_size 0 with a real query and
+  /// full-precision clusters; capped at the pool size and 2k, serial below
+  /// a minimum per-step size or inside other pool work); 0 defers to the
   /// REGHD_THREADS environment variable, else hardware concurrency. A pure
-  /// runtime knob — results are deterministic regardless of the value, and it
-  /// is deliberately not serialized with trained models.
+  /// runtime knob — results are bit-identical regardless of the value, and
+  /// it is deliberately not serialized with trained models.
   std::size_t threads = 0;
 
   /// Route single-sample predict() through the fused encode→search→predict

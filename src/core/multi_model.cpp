@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <numeric>
 
@@ -20,6 +21,14 @@
 namespace reghd::core {
 
 namespace {
+
+/// Per-step arena work, 2k·D accumulator components, below which
+/// train_epoch's fused per-sample loop stays on one thread. A team costs
+/// 2–3× the epoch's CPU time (its members spin between shares and stream
+/// every sample themselves); from 65536 up it returns ≈ 1.8× in wall time,
+/// below it 1.0–1.8× depending on D, too little to pay for cores a busy host
+/// needs elsewhere (DESIGN §11.7 has the measured table).
+constexpr std::size_t kTeamMinStepWork = 65536;
 
 /// Every row of `train`, in order: the row list of the whole-arena forms of
 /// fit() and init_clusters().
@@ -554,33 +563,36 @@ std::size_t MultiModelRegressor::plan_update(std::size_t j,
   return winner;
 }
 
-void MultiModelRegressor::apply_update(const hdc::EncodedSampleView& sample, double target,
-                                       double prediction, PredictScratch& s,
-                                       const double* q_next) {
-  const std::size_t d = config_.dim;
-  const std::size_t k = models_.size();
-  const bool real_query = config_.query_precision == QueryPrecision::kReal;
-  REGHD_INTERNAL_CHECK(q_next == nullptr || real_arena_scan(),
-                       "only a real-query, full-precision-cluster update scans the next sample");
-  coeff_.resize(2 * k);
+void MultiModelRegressor::plan_step(const hdc::EncodedSampleView& sample, double target,
+                                    double prediction, const PredictScratch& s) {
+  coeff_.resize(2 * models_.size());
   const std::size_t winner = plan_update(0, sample, target, prediction, s);
   const double weight = coeff_[winner];
+  if (weight == 0.0) {
+    return;
+  }
+  obs::count(obs::Counter::kClusterUpdates);
   // ‖C‖² is maintained incrementally: ‖C + w·S‖² = ‖C‖² + 2w·(C·S) + w²·‖S‖²,
   // with C·S taken before the update — the scan's raw cluster score when
   // the scan was one dot_rows_multi sweep (per row exactly dot_real_real).
-  double dot_cs = 0.0;
-  if (weight != 0.0) {
-    obs::count(obs::Counter::kClusterUpdates);
-    dot_cs = real_arena_scan() ? s.scores[winner]
-                               : hdc::dot(hdc::RealHVView(arena_row(winner)), sample.real);
-  }
+  const double dot_cs = real_arena_scan()
+                            ? s.scores[winner]
+                            : hdc::dot(hdc::RealHVView(arena_row(winner)), sample.real);
+  double& norm2 = clusters_[winner].norm2;
+  norm2 += 2.0 * weight * dot_cs + weight * weight * sample.real_norm2;
+  norm2 = std::max(norm2, 0.0);
+}
+
+void MultiModelRegressor::apply_update(const hdc::EncodedSampleView& sample, double target,
+                                       double prediction, const PredictScratch& s) {
+  const std::size_t d = config_.dim;
+  const std::size_t k = models_.size();
+  plan_step(sample, target, prediction, s);
   const hdc::KernelBackend& kb = hdc::active_backend();
-  if (real_query) {
-    // Eq. 7 and Eq. 8 as one sweep over the arena; with q_next it also
-    // leaves the next sample's raw row scores in s.scores, exactly the
-    // dot_rows_multi sweep score_row would run for it.
+  if (config_.query_precision == QueryPrecision::kReal) {
+    // Eq. 7 and Eq. 8 as one sweep over the arena.
     kb.update_dot_rows(arena_.data(), d, 2 * k, coeff_.data(), sample.real.values().data(),
-                       q_next, d, s.scores.data());
+                       nullptr, d, nullptr);
   } else {
     // Cluster rows still take the real sample (Eq. 9); model rows the
     // bipolar one.
@@ -593,11 +605,6 @@ void MultiModelRegressor::apply_update(const hdc::EncodedSampleView& sample, dou
       }
     }
   }
-  if (weight != 0.0) {
-    double& norm2 = clusters_[winner].norm2;
-    norm2 += 2.0 * weight * dot_cs + weight * weight * sample.real_norm2;
-    norm2 = std::max(norm2, 0.0);
-  }
 }
 
 double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, double target) {
@@ -606,7 +613,7 @@ double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, dou
   const PredictionMode mode = train_mode();
   PredictScratch& s = row_scratch(mode);
   const double prediction = score_row(sample, mode, scan_bank(mode, s), s);
-  apply_update(sample, target, prediction, s, nullptr);
+  apply_update(sample, target, prediction, s);
   return prediction;
 }
 
@@ -877,31 +884,12 @@ double MultiModelRegressor::train_epoch(const EncodedDataset& train,
   }
   double sq_err = 0.0;
   std::size_t since_requantize = 0;
-  if (config_.batch_size == 0) {
-    // train_step per sample. When the scan is one dot_rows_multi sweep over the
-    // whole arena, sample t's update sweep also scores sample t + 1, so each
-    // sample streams the bank once: what train_step would compute, in the
-    // same order, with its scan moved into the previous sample's sweep. A
-    // requantize in between changes no accumulator, only the ‖C‖² and
-    // snapshots finish_row reads afterwards.
-    const bool fused = real_arena_scan();
-    const PredictionMode mode = train_mode();
-    PredictScratch& s = row_scratch(mode);
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      const hdc::EncodedSampleView q = train.sample(order[t]);
-      const double y = train.target(order[t]);
-      double before = 0.0;  // pre-update prediction
-      if (fused) {
-        const obs::StageTimer timer(obs::Histo::kTrainStepNs);
-        obs::count(obs::Counter::kTrainSteps);
-        before = t == 0 ? score_row(q, mode, scan_bank(mode, s), s)
-                        : finish_row(mode, query_norm2(q, mode.query), s);
-        const double* next =
-            t + 1 < order.size() ? train.sample(order[t + 1]).real.values().data() : nullptr;
-        apply_update(q, y, before, s, next);
-      } else {
-        before = train_step(q, y);
-      }
+  if (config_.batch_size == 0 && real_arena_scan()) {
+    sq_err = fused_epoch(train, order);
+  } else if (config_.batch_size == 0) {
+    for (const std::size_t row : order) {
+      const double y = train.target(row);
+      const double before = train_step(train.sample(row), y);  // pre-update prediction
       sq_err += (y - before) * (y - before);
       if (config_.requantize_interval > 0 &&
           ++since_requantize >= config_.requantize_interval) {
@@ -938,6 +926,184 @@ double MultiModelRegressor::train_epoch(const EncodedDataset& train,
   }
   requantize();
   return sq_err;
+}
+
+std::size_t MultiModelRegressor::team_size() const {
+  const std::size_t rows = 2 * models_.size();
+  const std::size_t threads =
+      config_.threads != 0 ? config_.threads : util::default_thread_count();
+  if (rows * config_.dim < kTeamMinStepWork || threads <= 1) {
+    return 1;
+  }
+  const std::size_t cap =
+      std::min({threads, util::ThreadPool::global().thread_count(), rows});
+  // The busiest member owns ⌈2k/cap⌉ rows; the fewest members that keep
+  // that load finish a step as soon, with fewer to wait for.
+  const std::size_t per_member = (rows + cap - 1) / cap;
+  return (rows + per_member - 1) / per_member;
+}
+
+double MultiModelRegressor::fused_epoch(const EncodedDataset& train,
+                                        std::span<const std::size_t> order) {
+  // train_step per sample, with sample t's scan moved into sample t − 1's
+  // update sweep: the one update_dot_rows sweep that applies sample t also
+  // scores sample t + 1, so each sample streams the bank once. A requantize
+  // in between changes no accumulator, only the ‖C‖² and snapshots
+  // finish_row reads afterwards.
+  //
+  // The sweep is the only part that touches the arena, and each row's update
+  // and score depend on that row alone, so a team of T threads splits it by
+  // rows (DESIGN §11.7). Member w owns a block of cluster rows and a block of
+  // model rows and sweeps each in one update_dot_rows call; its contract
+  // makes every out[r] the backend's dot_real_real of the updated row
+  // whatever rows share the call, so no bit depends on T. Every member owns
+  // model rows, which all update each step, and cluster rows, of which only
+  // the winner does, so the load stays even. Member 0 is the caller; it also
+  // runs everything serial — finish_row, plan_step, the requantize cadence,
+  // telemetry — between one step's arrivals and the next step's release.
+  if (order.empty()) {
+    return 0.0;  // and no team whose members would wait for a first step
+  }
+  const std::size_t d = config_.dim;
+  const std::size_t k = models_.size();
+  const PredictionMode mode = train_mode();
+  PredictScratch& s = row_scratch(mode);
+  const hdc::KernelBackend& kb = hdc::active_backend();
+  const auto real_row = [&](std::size_t t) {
+    return train.sample(order[t]).real.values().data();
+  };
+  const std::size_t members = team_size();
+
+  // Member w's rows: clusters [w·k/T, (w+1)·k/T) rounded down and models
+  // rounded up, so when T > k the members short of a cluster row get a
+  // model row. Its scores, at most ⌈k/2⌉ + ⌈k/2⌉ ≤ k + 1 of them, land in
+  // its own cache-line-aligned slot, so no two members write one line.
+  struct Rows {
+    std::size_t c0, nc, m0, nm;  // first cluster row and count, same for models
+  };
+  const auto rows_of = [&, k](std::size_t w) {
+    const std::size_t c0 = w * k / members;
+    const std::size_t m0 = (w * k + members - 1) / members;
+    return Rows{c0, (w + 1) * k / members - c0, k + m0,
+                ((w + 1) * k + members - 1) / members - m0};
+  };
+  const std::size_t slot = (k + 1 + 7) & ~std::size_t{7};
+  util::AlignedVector<double> slots(members > 1 ? members * slot : 0);
+  const auto sweep = [&, d](const Rows& rows, double* out, std::size_t t) {
+    const double* next = t + 1 < order.size() ? real_row(t + 1) : nullptr;
+    if (rows.nc > 0) {
+      kb.update_dot_rows(arena_.data() + rows.c0 * d, d, rows.nc, coeff_.data() + rows.c0,
+                         real_row(t), next, d, out);
+    }
+    if (rows.nm > 0) {
+      kb.update_dot_rows(arena_.data() + rows.m0 * d, d, rows.nm, coeff_.data() + rows.m0,
+                         real_row(t), next, d, out + rows.nc);
+    }
+  };
+  // The leader's running state lives in its own frame, away from the
+  // closure state the members read every step.
+  const auto lead = [&](util::TeamSteps* team) {
+    double sq_err = 0.0;
+    std::size_t since_requantize = 0;
+    for (std::size_t t = 0; t < order.size(); ++t) {
+      const hdc::EncodedSampleView q = train.sample(order[t]);
+      const double y = train.target(order[t]);
+      double before = 0.0;  // pre-update prediction
+      {
+        const obs::StageTimer timer(obs::Histo::kTrainStepNs);
+        obs::count(obs::Counter::kTrainSteps);
+        before = t == 0 ? score_row(q, mode, scan_bank(mode, s), s)
+                        : finish_row(mode, query_norm2(q, mode.query), s);
+        plan_step(q, y, before, s);
+        if (team == nullptr) {
+          // One sweep over all 2k rows, scored in place.
+          kb.update_dot_rows(arena_.data(), d, 2 * k, coeff_.data(), real_row(t),
+                             t + 1 < order.size() ? real_row(t + 1) : nullptr, d,
+                             s.scores.data());
+        } else {
+          team->release();
+          sweep(rows_of(0), slots.data(), t);
+          // A member that has not claimed its share yet (it lost its core,
+          // or is still waking) gets it swept here instead of waited for.
+          for (std::size_t w = 1; w < members; ++w) {
+            if (team->steal(w)) {
+              sweep(rows_of(w), slots.data() + w * slot, t);
+            } else {
+              team->wait_done(w);
+            }
+          }
+          for (std::size_t w = 0; t + 1 < order.size() && w < members; ++w) {
+            const Rows rows = rows_of(w);
+            const double* out = slots.data() + w * slot;
+            std::copy_n(out, rows.nc, s.scores.data() + rows.c0);
+            std::copy_n(out + rows.nc, rows.nm, s.scores.data() + rows.m0);
+          }
+        }
+      }
+      sq_err += (y - before) * (y - before);
+      if (config_.requantize_interval > 0 &&
+          ++since_requantize >= config_.requantize_interval) {
+        requantize();
+        since_requantize = 0;
+      }
+    }
+    return sq_err;
+  };
+  // Member w sweeps its share of the latest released step, unless the
+  // leader took it first. While the leader plans the next step it pulls its
+  // part of the sample after next into cache, which the next sweep streams
+  // as q_next — in a shuffled epoch, otherwise a DRAM read every member
+  // would stall on.
+  const auto follow = [&, d](std::size_t w, util::TeamSteps& team) {
+    const Rows rows = rows_of(w);
+    double* const out = slots.data() + w * slot;
+    const std::size_t bytes = d * sizeof(double);
+    const std::size_t share = ((bytes + members - 2) / (members - 1) + 63) & ~std::size_t{63};
+    const std::size_t b0 = std::min(bytes, (w - 1) * share);
+    const std::size_t b1 = std::min(bytes, b0 + share);
+    for (std::size_t next = 0; next < order.size();) {
+      const std::uint64_t t = team.wait_release(next);
+      if (t == util::TeamSteps::kStopped) {
+        return;
+      }
+      if (team.claim(w, t)) {
+        sweep(rows, out, t);
+        team.done(w, t);
+        if (t + 2 < order.size()) {
+          const auto* row = reinterpret_cast<const char*>(real_row(t + 2));
+          for (std::size_t b = b0; b < b1; b += 64) {
+            __builtin_prefetch(row + b, 0, 2);
+          }
+        }
+      }
+      next = t + 1;
+    }
+  };
+
+  if (members > 1) {
+    util::TeamSteps team(members);
+    double sq_err = 0.0;
+    std::exception_ptr error;
+    const bool ran = util::ThreadPool::global().run_team(members, [&](std::size_t w) {
+      if (w != 0) {
+        follow(w, team);
+        return;
+      }
+      try {
+        sq_err = lead(&team);
+      } catch (...) {
+        error = std::current_exception();
+        team.stop();
+      }
+    });
+    if (ran) {
+      if (error) {
+        std::rethrow_exception(error);
+      }
+      return sq_err;
+    }
+  }
+  return lead(nullptr);
 }
 
 TrainingReport MultiModelRegressor::fit(const EncodedDataset& train,

@@ -105,8 +105,9 @@ class MultiModelRegressor {
   /// Returns the summed squared error of the pre-update predictions. The
   /// epoch body of fit() and of ShardedTrainer::refine. With a real query
   /// and full-precision clusters the per-sample loop applies each sample's
-  /// update and scores the next sample in one update_dot_rows sweep —
-  /// bit-identical to the train_step loop. Throws std::invalid_argument
+  /// update and scores the next sample in one update_dot_rows sweep, split
+  /// by arena rows over up to config.threads pool threads — bit-identical to
+  /// the train_step loop for any thread count. Throws std::invalid_argument
   /// before any update if `order` holds an id out of range or `train` has
   /// another dim; an empty order trains nothing.
   double train_epoch(const EncodedDataset& train, std::span<const std::size_t> order,
@@ -389,13 +390,30 @@ class MultiModelRegressor {
   std::size_t plan_update(std::size_t j, const hdc::EncodedSampleView& sample,
                           double target, double prediction, const PredictScratch& s);
 
-  /// Training's Eq. 7/8 step for one sample already scored into `s`: plans
-  /// it into coeff_ row 0, applies every nonzero coefficient (a real query:
-  /// one update_dot_rows sweep over the arena) and maintains the winner's
-  /// ‖C‖². A non-null `q_next` (only when real_arena_scan()) makes the same
-  /// sweep leave the next sample's raw row scores in s.scores.
+  /// The serial half of training's Eq. 7/8 step for one sample already
+  /// scored into `s`: plans it into coeff_ row 0 and maintains the winner's
+  /// ‖C‖² (whose C·S is taken before the update, so it needs none of the
+  /// accumulator writes). Leaves the accumulators to the caller.
+  void plan_step(const hdc::EncodedSampleView& sample, double target, double prediction,
+                 const PredictScratch& s);
+
+  /// Training's Eq. 7/8 step for one sample already scored into `s`:
+  /// plan_step, then every nonzero coefficient applied (a real query: one
+  /// update_dot_rows sweep over the arena).
   void apply_update(const hdc::EncodedSampleView& sample, double target, double prediction,
-                    PredictScratch& s, const double* q_next);
+                    const PredictScratch& s);
+
+  /// train_epoch's per-sample loop when real_arena_scan(): each sample's
+  /// update sweep also scores the next sample, split by arena rows over a
+  /// team of team_size() threads (serial when the pool refuses). Returns the
+  /// summed squared error; requantizes on the configured interval but not at
+  /// the end.
+  double fused_epoch(const EncodedDataset& train, std::span<const std::size_t> order);
+
+  /// Threads for fused_epoch: 1 below the per-step work size that pays for
+  /// a team, else min(config threads, pool size, 2k), trimmed to the fewest
+  /// members that keep the busiest member's row count.
+  [[nodiscard]] std::size_t team_size() const;
 
   /// The mode training scores in: the configured query against the integer
   /// models being updated (paper §3.2: binary snapshots are regenerated from

@@ -13,7 +13,8 @@ namespace reghd::util {
 namespace {
 
 // Set while a thread is executing pool work; nested run_blocks calls from
-// inside a block run serially instead of deadlocking on job_mutex_.
+// inside a block run serially instead of deadlocking on job_mutex_, and
+// nested run_team calls refuse.
 thread_local bool tls_in_pool_job = false;
 
 // Participation frames currently on this thread's stack (worker claim loop,
@@ -155,11 +156,42 @@ void ThreadPool::run_blocks(std::size_t num_blocks,
   // last finished block.
   const obs::StageTimer job_timer(obs::Histo::kPoolJobNs);
   const std::lock_guard<std::mutex> job_lk(job_mutex_);
+  run_job(num_blocks, block, false);
+}
+
+bool ThreadPool::run_team(std::size_t members,
+                          const std::function<void(std::size_t)>& member) {
+  if (tls_in_pool_job || members > thread_count()) {
+    return false;
+  }
+  if (members <= 1) {
+    if (members == 1) {
+      member(0);
+    }
+    return true;
+  }
+  // Never queue: a team holds its workers until its last step, so waiting
+  // here could stall this caller behind another team's whole run — and
+  // a team nested in pool work would only oversubscribe the cores.
+  const std::unique_lock<std::mutex> job_lk(job_mutex_, std::try_to_lock);
+  if (!job_lk.owns_lock()) {
+    return false;
+  }
+  obs::count(obs::Counter::kPoolJobs);
+  obs::count(obs::Counter::kPoolBlocks, members);
+  const obs::StageTimer job_timer(obs::Histo::kPoolJobNs);
+  // Member 0 runs on this thread; the woken workers claim members 1 … T−1.
+  run_job(members, member, true);
+  return true;
+}
+
+void ThreadPool::run_job(std::size_t num_blocks, const std::function<void(std::size_t)>& block,
+                         bool caller_first) {
   {
     const std::lock_guard<std::mutex> lk(m_);
     job_ = &block;
     job_blocks_ = num_blocks;
-    cursor_.store(0, std::memory_order_relaxed);
+    cursor_.store(caller_first ? 1 : 0, std::memory_order_relaxed);
     active_ = workers_.size();
     ++generation_;
   }
@@ -171,6 +203,9 @@ void ThreadPool::run_blocks(std::size_t num_blocks,
   {
     const BusyFrame busy;
     tls_in_pool_job = true;
+    if (caller_first) {
+      block(0);
+    }
     for (;;) {
       const std::size_t b = cursor_.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) {
@@ -184,6 +219,85 @@ void ThreadPool::run_blocks(std::size_t num_blocks,
   std::unique_lock<std::mutex> lk(m_);
   cv_done_.wait(lk, [&] { return active_ == 0; });
   job_ = nullptr;
+}
+
+namespace {
+
+// How long a TeamSteps wait spins before it blocks. On an idle host a wait
+// lasts about as long as the leader's serial part of a training step, a
+// microsecond or two; a longer one means the awaited thread is likely off
+// its core, and blocking hands the core back (to it or to another process)
+// instead of burning it. A member that blocks only costs its share of the
+// next step, which the leader then sweeps itself.
+constexpr std::chrono::microseconds kTeamSpin{3};
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Waits until `a` holds at least `target` and returns what it holds: spins
+/// for kTeamSpin, then blocks in std::atomic::wait (every writer notifies).
+std::uint64_t wait_at_least(const std::atomic<std::uint64_t>& a,
+                            std::uint64_t target) noexcept {
+  std::uint64_t seen = a.load(std::memory_order_acquire);
+  // The clock is read every 64 spins, so the common wait ends without one.
+  std::chrono::steady_clock::time_point deadline{};
+  for (std::uint32_t spins = 1; seen < target; ++spins) {
+    cpu_relax();
+    seen = a.load(std::memory_order_acquire);
+    if (spins % 64 != 0) {
+      continue;
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (deadline == std::chrono::steady_clock::time_point{}) {
+      deadline = now + kTeamSpin;
+    } else if (now >= deadline) {
+      while (seen < target) {
+        a.wait(seen, std::memory_order_acquire);
+        seen = a.load(std::memory_order_acquire);
+      }
+    }
+  }
+  return seen;
+}
+
+}  // namespace
+
+void TeamSteps::release() noexcept {
+  released_.fetch_add(1, std::memory_order_release);
+  released_.notify_all();
+}
+
+bool TeamSteps::steal(std::size_t member) noexcept {
+  return claim(member, released_.load(std::memory_order_relaxed) - 1);
+}
+
+void TeamSteps::wait_done(std::size_t member) noexcept {
+  (void)wait_at_least(shares_[member].done, released_.load(std::memory_order_relaxed));
+}
+
+void TeamSteps::stop() noexcept {
+  released_.store(kStopped, std::memory_order_release);
+  released_.notify_all();
+}
+
+std::uint64_t TeamSteps::wait_release(std::uint64_t step) noexcept {
+  const std::uint64_t released = wait_at_least(released_, step + 1);
+  return released == kStopped ? kStopped : released - 1;
+}
+
+bool TeamSteps::claim(std::size_t member, std::uint64_t step) noexcept {
+  return shares_[member].claimed.compare_exchange_strong(step, step + 1,
+                                                         std::memory_order_acq_rel);
+}
+
+void TeamSteps::done(std::size_t member, std::uint64_t step) noexcept {
+  shares_[member].done.store(step + 1, std::memory_order_release);
+  shares_[member].done.notify_all();
 }
 
 ThreadPool& ThreadPool::global() {

@@ -395,23 +395,34 @@ TEST(ShardedTrainerTest, RowListFitRejectsEmptyAndOutOfRangeRows) {
 // --------------------------------------------------------------------------
 
 TEST(ShardedTrainerTest, ResultsAreIndependentOfThreadCount) {
-  const EncodedTask task = make_encoded_task(256);
+  // Two thread counts: ShardedTrainConfig::threads sizes the shard fan-out,
+  // RegHDConfig::threads the training team of the refine's per-sample epoch
+  // (DESIGN §11.7). 2k·D = 65536 is large enough for the real mode's refine
+  // to run as a team; the ternary mode's binary query never takes the fused
+  // loop, so there only the fan-out varies.
+  const EncodedTask task = make_encoded_task(4096);
   for (const Mode mode : {Mode::kReal, Mode::kTernaryBank}) {
     SCOPED_TRACE(mode_name(mode));
-    const RegHDConfig cfg = make_config(mode);
+    RegHDConfig cfg = make_config(mode);
+    cfg.dim = 4096;
+    cfg.models = 8;
     std::string reference;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ShardedTrainer trainer(cfg);
-      ShardedTrainConfig scfg;
-      scfg.shards = 4;
-      scfg.refine_epochs = 2;
-      scfg.threads = threads;
-      trainer.fit(task.train, task.val, scfg);
-      const std::string fp = fingerprint(trainer.regressor());
-      if (reference.empty()) {
-        reference = fp;
-      } else {
-        EXPECT_EQ(fp, reference) << "threads=" << threads << " changed the bits";
+    for (const std::size_t shard_threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      for (const std::size_t team_threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        cfg.threads = team_threads;
+        ShardedTrainer trainer(cfg);
+        ShardedTrainConfig scfg;
+        scfg.shards = 4;
+        scfg.refine_epochs = 2;
+        scfg.threads = shard_threads;
+        trainer.fit(task.train, task.val, scfg);
+        const std::string fp = fingerprint(trainer.regressor());
+        if (reference.empty()) {
+          reference = fp;
+        } else {
+          EXPECT_EQ(fp, reference) << "shard threads " << shard_threads << ", team threads "
+                                   << team_threads << " changed the bits";
+        }
       }
     }
   }

@@ -8,19 +8,26 @@
 // bank, the returned squared error, and the train-step, cluster-update and
 // cluster-hit counters. Dot reductions are backend-specific, so CI runs this
 // suite under each REGHD_KERNEL table; both sides always share one table.
+//
+// The fused sweep may be split by arena rows over a team of pool threads
+// (RegHDConfig::threads); the team suite pins that no thread count moves a
+// bit, and that an epoch started inside pool work finishes serially.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/encoded.hpp"
+#include "core/model_io.hpp"
 #include "core/multi_model.hpp"
 #include "data/dataset.hpp"
 #include "hdc/encoding.hpp"
 #include "obs/telemetry.hpp"
+#include "util/parallel.hpp"
 #include "util/random.hpp"
 
 namespace reghd::core {
@@ -29,11 +36,11 @@ namespace {
 constexpr std::size_t kFeatures = 5;
 constexpr std::size_t kRows = 24;
 
-data::Dataset make_dataset(std::uint64_t seed) {
+data::Dataset make_dataset(std::uint64_t seed, std::size_t rows) {
   util::Rng rng(seed);
-  std::vector<double> flat(kRows * kFeatures);
-  std::vector<double> targets(kRows);
-  for (std::size_t i = 0; i < kRows; ++i) {
+  std::vector<double> flat(rows * kFeatures);
+  std::vector<double> targets(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
     double sum = 0.0;
     for (std::size_t f = 0; f < kFeatures; ++f) {
       const double x = rng.normal(0.0, 1.0);
@@ -45,11 +52,17 @@ data::Dataset make_dataset(std::uint64_t seed) {
   return {"train-epoch", kFeatures, std::move(flat), std::move(targets)};
 }
 
-EncodedDataset encoded(std::size_t dim) {
+EncodedDataset encoded(std::size_t dim, std::size_t rows = kRows) {
   hdc::EncoderConfig enc;
   enc.input_dim = kFeatures;
   enc.dim = dim;
-  return EncodedDataset::from(*hdc::make_encoder(enc), make_dataset(0x7E90C + dim), 1);
+  return EncodedDataset::from(*hdc::make_encoder(enc), make_dataset(0x7E90C + dim, rows), 1);
+}
+
+std::string model_bytes(const MultiModelRegressor& model) {
+  std::ostringstream os(std::ios::binary);
+  io::write_model_section(os, model);
+  return os.str();
 }
 
 bool same_bits(double a, double b) {
@@ -188,6 +201,117 @@ TEST(TrainEpochEquivalenceTest, PerSampleEpochEqualsTrainStepReplay) {
     }
   }
   obs::set_enabled(was_enabled);
+}
+
+/// One epoch over a shuffled order with repeats, from the same seeded
+/// clusters every time.
+struct TeamRun {
+  double sq = 0.0;
+  Counts counts;
+  std::uint64_t pool_jobs = 0;
+  MultiModelRegressor model;
+};
+
+constexpr std::size_t kTeamRows = 64;
+
+std::vector<std::size_t> team_order() {
+  std::vector<std::size_t> order(kTeamRows);
+  for (std::size_t i = 0; i < kTeamRows; ++i) {
+    order[i] = i;
+  }
+  util::Rng rng(0x7EA4);
+  rng.shuffle(order);
+  order.push_back(order[5]);
+  order.push_back(order.back());
+  return order;
+}
+
+TeamRun run_team_epoch(const EncodedDataset& train, const RegHDConfig& cfg) {
+  TeamRun run{0.0, {}, 0, MultiModelRegressor(cfg)};
+  run.model.init_clusters(train);
+  const std::vector<std::size_t> order = team_order();
+  const obs::TelemetrySnapshot t0 = obs::snapshot();
+  run.sq = run.model.train_epoch(train, order, 0);
+  run.counts = counts_since(t0);
+  run.pool_jobs = obs::snapshot().counter(obs::Counter::kPoolJobs) -
+                  t0.counter(obs::Counter::kPoolJobs);
+  return run;
+}
+
+TEST(TrainEpochTeamTest, AnyThreadCountIsBitIdentical) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  // A team forms from 2k·D = 65536 up: k = 8 from D = 4096, k = 3 at
+  // D = 11002 (whose scalar tail follows the SIMD loops), k = 1 at
+  // D = 32768. Smaller shapes stay serial by design and must agree all the
+  // same.
+  for (const std::size_t dim :
+       {std::size_t{1000}, std::size_t{4096}, std::size_t{11002}, std::size_t{32768}}) {
+    const EncodedDataset train = encoded(dim, kTeamRows);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      for (const std::size_t interval : {std::size_t{0}, std::size_t{3}}) {
+        RegHDConfig cfg;
+        cfg.dim = dim;
+        cfg.models = k;
+        cfg.requantize_interval = interval;
+        cfg.threads = 1;
+        const TeamRun serial = run_team_epoch(train, cfg);
+        const std::string serial_bytes = model_bytes(serial.model);
+        for (const std::size_t threads :
+             {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{7}}) {
+          cfg.threads = threads;
+          const TeamRun team = run_team_epoch(train, cfg);
+          const std::string what = "D " + std::to_string(dim) + " k " + std::to_string(k) +
+                                   " requantize_interval " + std::to_string(interval) +
+                                   " threads " + std::to_string(threads);
+          EXPECT_TRUE(model_bytes(team.model) == serial_bytes) << what << ": model bytes";
+          EXPECT_TRUE(same_bits(team.sq, serial.sq)) << what << ": " << team.sq << " vs "
+                                                     << serial.sq;
+          expect_same_state(team.model, serial.model, what);
+          EXPECT_EQ(team.counts.steps, serial.counts.steps) << what;
+          EXPECT_EQ(team.counts.cluster_updates, serial.counts.cluster_updates) << what;
+          EXPECT_EQ(team.counts.requantizes, serial.counts.requantizes) << what;
+          EXPECT_EQ(team.counts.hits, serial.counts.hits) << what;
+#ifndef REGHD_NO_TELEMETRY
+          // The train_sharded shape must actually split whenever the pool
+          // can field a team, or this sweep would compare serial to serial.
+          if (k == 8 && dim == 4096 && util::ThreadPool::global().thread_count() >= 2) {
+            EXPECT_EQ(team.pool_jobs, 1u) << what << ": no team ran";
+          }
+#endif
+        }
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+TEST(TrainEpochTeamTest, EpochInsidePoolWorkFinishesSerially) {
+  // Inside a parallel_for block the pool refuses the team (its workers may
+  // be the ones running the enclosing blocks), so the epoch runs on the
+  // calling worker alone — and must still finish, bit-identical. The suite's
+  // ctest TIMEOUT turns a deadlock into a failure.
+  const EncodedDataset train = encoded(4096, kTeamRows);
+  RegHDConfig cfg;
+  cfg.dim = 4096;
+  cfg.models = 8;
+  cfg.threads = 1;
+  const TeamRun serial = run_team_epoch(train, cfg);
+  cfg.threads = 4;
+  std::vector<double> sq(2, 0.0);
+  std::vector<std::string> bytes(2);
+  util::parallel_for(
+      2,
+      [&](std::size_t i) {
+        const TeamRun nested = run_team_epoch(train, cfg);
+        sq[i] = nested.sq;
+        bytes[i] = model_bytes(nested.model);
+      },
+      2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(same_bits(sq[i], serial.sq)) << "block " << i;
+    EXPECT_TRUE(bytes[i] == model_bytes(serial.model)) << "block " << i << ": model bytes";
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -200,6 +201,179 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   std::vector<std::size_t> expected(8);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
+}
+
+/// A run_team team over TeamSteps as a training epoch drives it: member 0
+/// publishes an input per step, every share of the step computes input + w
+/// into its own cache line, and the leader checks all of them once the step
+/// is complete. `by_member[w]` / `by_leader[w]` count who ran share w.
+struct TeamRecord {
+  std::uint64_t wrong = 0;
+  std::vector<std::uint64_t> by_member;
+  std::vector<std::uint64_t> by_leader;
+  std::vector<std::thread::id> ids;
+};
+
+TeamRecord run_steps(ThreadPool& pool, std::size_t members, std::uint64_t steps,
+                     const std::function<void(std::size_t)>& before_member = {}) {
+  TeamRecord rec;
+  rec.by_member.assign(members, 0);
+  rec.by_leader.assign(members, 0);
+  rec.ids.resize(members);
+  TeamSteps team(members);
+  std::uint64_t input = 0;
+  std::vector<std::uint64_t> answer(members * 8, 0);  // one cache line per share
+  const bool ran = pool.run_team(members, [&](std::size_t w) {
+    rec.ids[w] = std::this_thread::get_id();
+    if (w == 0) {
+      for (std::uint64_t step = 0; step < steps; ++step) {
+        input = step * 7 + 1;
+        team.release();
+        answer[0] = input;
+        for (std::size_t m = 1; m < members; ++m) {
+          if (team.steal(m)) {
+            answer[m * 8] = input + m;
+            ++rec.by_leader[m];
+          } else {
+            team.wait_done(m);
+          }
+        }
+        for (std::size_t m = 0; m < members; ++m) {
+          rec.wrong += answer[m * 8] != input + m ? 1 : 0;
+        }
+      }
+      return;
+    }
+    if (before_member) {
+      before_member(w);
+    }
+    for (std::uint64_t next = 0; next < steps;) {
+      const std::uint64_t step = team.wait_release(next);
+      if (step == TeamSteps::kStopped) {
+        return;
+      }
+      if (team.claim(w, step)) {
+        answer[w * 8] = input + w;
+        ++rec.by_member[w];
+        team.done(w, step);
+      }
+      next = step + 1;
+    }
+  });
+  EXPECT_TRUE(ran);
+  return rec;
+}
+
+TEST(ThreadPoolTest, TeamRunsEveryShareOfEveryStepExactlyOnce) {
+  // Both directions must be visible (the leader's input to the shares, the
+  // shares' answers to the leader), every share of every step must run
+  // exactly once — by its member or by the leader — and member 0 must run
+  // on the caller.
+  constexpr std::size_t kMembers = 4;
+  constexpr std::uint64_t kSteps = 2000;
+  ThreadPool pool(kMembers);
+  const TeamRecord rec = run_steps(pool, kMembers, kSteps);
+  EXPECT_EQ(rec.wrong, 0u);
+  for (std::size_t w = 1; w < kMembers; ++w) {
+    EXPECT_EQ(rec.by_member[w] + rec.by_leader[w], kSteps) << "share " << w;
+  }
+  EXPECT_EQ(rec.ids[0], std::this_thread::get_id()) << "member 0 runs on the caller";
+}
+
+TEST(ThreadPoolTest, TeamLeaderNeverWaitsForAnAbsentMember) {
+  // A member that has not started (here: asleep, as if descheduled on an
+  // oversubscribed host) must not stall the steps: the leader runs its
+  // shares, and the member joins at whatever step is current when it wakes.
+  constexpr std::size_t kMembers = 3;
+  constexpr std::uint64_t kSteps = 500;
+  ThreadPool pool(kMembers);
+  const TeamRecord rec = run_steps(pool, kMembers, kSteps, [](std::size_t w) {
+    if (w == 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  });
+  EXPECT_EQ(rec.wrong, 0u);
+  for (std::size_t w = 1; w < kMembers; ++w) {
+    EXPECT_EQ(rec.by_member[w] + rec.by_leader[w], kSteps) << "share " << w;
+  }
+  EXPECT_GT(rec.by_leader[2], 0u) << "the leader waited for the sleeping member";
+}
+
+TEST(ThreadPoolTest, StoppedTeamReleasesEveryMember) {
+  // The leader's error path: stop() instead of the next release must let
+  // every member leave its wait, so run_team still returns.
+  constexpr std::size_t kMembers = 3;
+  ThreadPool pool(kMembers);
+  TeamSteps team(kMembers);
+  std::atomic<int> members_out{0};
+  const bool ran = pool.run_team(kMembers, [&](std::size_t w) {
+    if (w == 0) {
+      for (int step = 0; step < 5; ++step) {
+        team.release();
+        for (std::size_t m = 1; m < kMembers; ++m) {
+          if (!team.steal(m)) {
+            team.wait_done(m);
+          }
+        }
+      }
+      team.stop();
+      return;
+    }
+    for (std::uint64_t next = 0;;) {
+      const std::uint64_t step = team.wait_release(next);
+      if (step == TeamSteps::kStopped) {
+        members_out.fetch_add(1);
+        return;
+      }
+      if (team.claim(w, step)) {
+        team.done(w, step);
+      }
+      next = step + 1;
+    }
+  });
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(members_out.load(), 2);
+}
+
+TEST(ThreadPoolTest, TeamRefusesInsidePoolWork) {
+  // A team asked for from inside a dispatched block could wait for a worker
+  // that is busy running the very block that waits: it must refuse (and run
+  // nothing), so the caller falls back to serial.
+  std::atomic<int> refused{0};
+  std::atomic<int> member_calls{0};
+  parallel_for(
+      4,
+      [&](std::size_t) {
+        if (!ThreadPool::global().run_team(2, [&](std::size_t) { member_calls.fetch_add(1); })) {
+          refused.fetch_add(1);
+        }
+      },
+      4);
+  EXPECT_EQ(refused.load(), 4);
+  EXPECT_EQ(member_calls.load(), 0);
+
+  ThreadPool pool(4);
+  pool.run_blocks(4, [&](std::size_t) {
+    if (!pool.run_team(2, [&](std::size_t) { member_calls.fetch_add(1); })) {
+      refused.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(refused.load(), 8);
+  EXPECT_EQ(member_calls.load(), 0);
+}
+
+TEST(ThreadPoolTest, TeamRefusesMoreMembersThanThreads) {
+  ThreadPool pool(3);
+  std::atomic<int> member_calls{0};
+  EXPECT_FALSE(pool.run_team(4, [&](std::size_t) { member_calls.fetch_add(1); }));
+  EXPECT_EQ(member_calls.load(), 0);
+  EXPECT_TRUE(pool.run_team(3, [&](std::size_t) { member_calls.fetch_add(1); }));
+  EXPECT_EQ(member_calls.load(), 3);
+
+  ThreadPool single(1);
+  EXPECT_FALSE(single.run_team(2, [&](std::size_t) { member_calls.fetch_add(1); }));
+  EXPECT_TRUE(single.run_team(1, [&](std::size_t w) { member_calls.fetch_add(w == 0 ? 1 : 100); }));
+  EXPECT_EQ(member_calls.load(), 4);
 }
 
 }  // namespace

@@ -39,8 +39,9 @@
 //                 (writes one of the built-in synthetic workloads as CSV)
 //
 // train/eval/predict accept --threads N to cap the worker count of the
-// batched encode/predict paths (default: REGHD_THREADS environment variable,
-// else hardware concurrency). Thread count never changes results.
+// batched encode/predict paths and of the per-sample training team (default:
+// REGHD_THREADS environment variable, else hardware concurrency). Thread
+// count never changes results.
 //
 // train and stream accept --stats (print a per-stage counter/latency table),
 // --telemetry-json PATH and --telemetry-prom PATH (write the run's obs/
@@ -109,8 +110,8 @@ int usage(const std::string& program) {
             << "  O(tile) scratch instead of the resident F×D matrix; encodings\n"
             << "  are bit-identical either way)\n"
             << "common: --target-col N (negative counts from the end; default -1)\n"
-            << "  --threads N (batch encode/predict workers; default REGHD_THREADS\n"
-            << "  or hardware concurrency)\n"
+            << "  --threads N (batch encode/predict and training-team workers;\n"
+            << "  default REGHD_THREADS or hardware concurrency)\n"
             << "telemetry (train/stream): --stats (per-stage counter/latency table)\n"
             << "  --telemetry-json PATH --telemetry-prom PATH (JSON / Prometheus\n"
             << "  text exposition of the run's counters and latency histograms)\n";
