@@ -110,9 +110,9 @@ struct BenchSetup {
   bool quick = false;
   std::string json_path = "BENCH_serving.json";
   std::size_t dim = 2048;
-  // 32-feature readings: wide enough that per-row rematerialization (∝ F·D)
-  // dominates the fused path while the bank scan amortizes it across the
-  // admission group — the regime the admission batcher targets.
+  // 32-feature readings: wide enough that the per-row projection (∝ F·D)
+  // dominates the fused path while the batch GEMM shares each weight tile
+  // across the admission group — the regime the admission batcher targets.
   std::size_t features = 32;
   std::size_t models = 4;
   std::size_t shards = 1;
@@ -130,11 +130,11 @@ core::OnlineConfig online_config(const BenchSetup& s) {
   cfg.reghd.threads = 1;  // the shard worker is the parallelism unit
   cfg.requantize_every = 256;
   // The serving deployment configuration: no resident F×D projection
-  // matrix — RFF rows are regenerated on the fly. A lone query pays the full
-  // rematerialization; an admission batch regenerates each tile once for
-  // the whole group, which is precisely the cost structure the admission
-  // batcher exists to exploit (--resident measures the materialized-matrix
-  // regime instead).
+  // matrix per model. At this shape (512 KiB) each shard worker regenerates
+  // the projection once and keeps that copy; over the per-thread budget a
+  // lone query would pay the full rematerialization while an admission
+  // batch regenerates each tile once for the whole group (--resident
+  // measures the materialized-matrix regime instead).
   if (!s.resident) {
     cfg.encoder.projection_storage = hdc::ProjectionStorage::kRematerialized;
   }
@@ -145,7 +145,7 @@ serve::ServeConfig serve_config(const BenchSetup& s, std::size_t batch_threshold
   serve::ServeConfig cfg;
   cfg.shards = s.shards;
   cfg.batch_threshold = batch_threshold;
-  // 128-row admission groups amortize the rematerialized projection harder
+  // 128-row admission groups share each projection tile across more rows
   // than the server's conservative 64-row default.
   cfg.max_batch = 128;
   cfg.publish_interval_ms = 0.0;  // phases opt into publishing explicitly

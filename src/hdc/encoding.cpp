@@ -1,6 +1,7 @@
 #include "hdc/encoding.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "hdc/kernel_backend.hpp"
@@ -248,8 +249,9 @@ RffProjectionEncoder::RffProjectionEncoder(EncoderConfig config) : Encoder(confi
   // the counter-based rff_rematerialize kernel — never of a sequential
   // generator — so any row tile can be regenerated independently. Resident
   // mode materializes all D rows once, here; rematerialized mode stores
-  // nothing and regenerates tiles inside the encode loops. Either way the
-  // phase stream below is untouched (phase_rng stays the second split).
+  // nothing and regenerates them per encoding thread (weights()) or tile by
+  // tile inside the encode loops. Either way the phase stream below is
+  // untouched (phase_rng stays the second split).
   proj_seed_ = proj_rng.bits();
   if (config_.projection_storage == ProjectionStorage::kResident) {
     projection_t_.resize(config_.dim * config_.input_dim);
@@ -270,6 +272,43 @@ void RffProjectionEncoder::materialize_rows(std::size_t row0, std::size_t rows,
                                      config_.input_dim, out, ld);
 }
 
+const double* RffProjectionEncoder::weights() const {
+  if (config_.projection_storage == ProjectionStorage::kResident) {
+    return projection_t_.data();
+  }
+  const std::size_t d = config_.dim;
+  const std::size_t n = config_.input_dim;
+  if (n > kRematCacheBytes / sizeof(double) / d) {
+    return nullptr;
+  }
+  // One regenerated projection per thread. A serving worker or trainer
+  // encodes through one encoder for its whole life, so it regenerates the
+  // projection once instead of once per query, batch or update. d == 0 marks
+  // the empty cache (every encoder has D > 0). resize never shrinks
+  // capacity, so switching between budget-sized keys stays off the
+  // allocator once the largest has been seen.
+  struct Cache {
+    std::uint64_t seed = 0;
+    std::uint64_t stddev_bits = 0;
+    std::size_t n = 0;
+    std::size_t d = 0;
+    std::vector<double> weights;
+  };
+  thread_local Cache cache;
+  const auto stddev_bits = std::bit_cast<std::uint64_t>(stddev_);
+  if (cache.d != d || cache.n != n || cache.seed != proj_seed_ ||
+      cache.stddev_bits != stddev_bits) {
+    cache.d = 0;  // stays empty if the resize throws
+    cache.weights.resize(n * d);
+    materialize_rows(0, d, cache.weights.data(), d);
+    cache.seed = proj_seed_;
+    cache.stddev_bits = stddev_bits;
+    cache.n = n;
+    cache.d = d;
+  }
+  return cache.weights.data();
+}
+
 void RffProjectionEncoder::encode_real_into(std::span<const double> features,
                                             double* out) const {
   // One row through rff_project_map: z_j = Σ_k x_k · w_{j,k}, accumulated
@@ -282,24 +321,25 @@ void RffProjectionEncoder::encode_real_into(std::span<const double> features,
   const std::size_t d = config_.dim;
   const std::size_t n = config_.input_dim;
   const KernelBackend& kb = active_backend();
-  if (config_.projection_storage == ProjectionStorage::kRematerialized) {
-    // Regenerate 16-hyperspace-row tiles of the weights and project each in
-    // place (a 1×n × n×tile projection).
-    constexpr std::size_t kTile = 16;
-    // Reused across calls (resize never shrinks capacity): the serving
-    // runtime's steady-state predict path must not touch the allocator.
-    thread_local std::vector<double> scratch;
-    scratch.resize(n * kTile);
-    for (std::size_t j0 = 0; j0 < d; j0 += kTile) {
-      const std::size_t tile = std::min(kTile, d - j0);
-      kb.rff_rematerialize(proj_seed_, stddev_, j0, tile, n, scratch.data(), tile);
-      kb.rff_project_map(features.data(), n, scratch.data(), tile, phase_.data() + j0,
-                         sin_phase_.data() + j0, out + j0, d, 1, n, tile);
-    }
+  if (const double* w = weights()) {
+    kb.rff_project_map(features.data(), n, w, d, phase_.data(), sin_phase_.data(), out,
+                       d, 1, n, d);
     return;
   }
-  kb.rff_project_map(features.data(), n, projection_t_.data(), d, phase_.data(),
-                     sin_phase_.data(), out, d, 1, n, d);
+  // A rematerialized projection over the budget: regenerate
+  // 16-hyperspace-row tiles of the weights and project each in place (a
+  // 1×n × n×tile projection).
+  constexpr std::size_t kTile = 16;
+  // Reused across calls (resize never shrinks capacity): the serving
+  // runtime's steady-state predict path must not touch the allocator.
+  thread_local std::vector<double> scratch;
+  scratch.resize(n * kTile);
+  for (std::size_t j0 = 0; j0 < d; j0 += kTile) {
+    const std::size_t tile = std::min(kTile, d - j0);
+    kb.rff_rematerialize(proj_seed_, stddev_, j0, tile, n, scratch.data(), tile);
+    kb.rff_project_map(features.data(), n, scratch.data(), tile, phase_.data() + j0,
+                       sin_phase_.data() + j0, out + j0, d, 1, n, tile);
+  }
 }
 
 void RffProjectionEncoder::encode_real_block(std::span<const double> features,
@@ -315,22 +355,23 @@ void RffProjectionEncoder::encode_real_block(std::span<const double> features,
   }
   const std::size_t n = config_.input_dim;
   const KernelBackend& kb = active_backend();
-  if (config_.projection_storage == ProjectionStorage::kRematerialized) {
-    // Fused regenerate-and-project: a single query gets nothing back for
-    // storing a weight tile (the batch arena amortizes the tile over its
-    // rows; B = 1 cannot), so the block's pre-activation values come out of
-    // rff_remat_dot with the weights consumed in registers. The kernel's
-    // contract pins each component to the exact rematerialize + gemm chain,
-    // and each row's draw stream is keyed on its absolute index, so this
-    // block equals the same slice of the full encoding bit-for-bit.
-    kb.rff_remat_dot(proj_seed_, stddev_, j0, len, features.data(), n, out);
-    kb.rff_trig_map(out, phase_.data() + j0, sin_phase_.data() + j0, len);
+  if (const double* w = weights()) {
+    // Columns [j0, j0+len) of the full projection — identical per-component
+    // accumulation order to the full encode.
+    kb.rff_project_map(features.data(), n, w + j0, d, phase_.data() + j0,
+                       sin_phase_.data() + j0, out, len, 1, n, len);
     return;
   }
-  // Columns [j0, j0+len) of the resident projection — identical
-  // per-component accumulation order to the full encode.
-  kb.rff_project_map(features.data(), n, projection_t_.data() + j0, d, phase_.data() + j0,
-                     sin_phase_.data() + j0, out, len, 1, n, len);
+  // A rematerialized projection over the budget. Fused
+  // regenerate-and-project: a single query gets nothing back for storing a
+  // weight tile (the batch arena amortizes the tile over its rows; B = 1
+  // cannot), so the block's pre-activation values come out of rff_remat_dot
+  // with the weights consumed in registers. The kernel's contract pins each
+  // component to the exact rematerialize + gemm chain, and each row's draw
+  // stream is keyed on its absolute index, so this block equals the same
+  // slice of the full encoding bit-for-bit.
+  kb.rff_remat_dot(proj_seed_, stddev_, j0, len, features.data(), n, out);
+  kb.rff_trig_map(out, phase_.data() + j0, sin_phase_.data() + j0, len);
 }
 
 void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
@@ -343,26 +384,27 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
   obs::count(obs::Counter::kEncodeRows, num_rows);
   const std::size_t d = config_.dim;
   const std::size_t n = config_.input_dim;
-  // Resident mode: row blocks share each cache tile of the F×D transposed
-  // weight matrix — the GEMM streams W_t once per block of 16 rows instead
-  // of once per row, cutting projection memory traffic ~16×.
-  const bool remat = config_.projection_storage == ProjectionStorage::kRematerialized;
-  // Rematerialized mode regenerates all F×D weights once per sample block,
-  // so each worker takes one block of ⌈rows / workers⌉ rows (at least 64):
-  // every weight tile is regenerated once per worker per batch, and the
-  // serving runtime's single-worker batches regenerate the projection
-  // exactly once. Legal because the projection's per-element rounding
-  // sequence (feature index ascending from +0.0, mul then add) is invariant
-  // to both the sample blocking and the hyperspace tiling; every row stays
-  // bit-identical to the per-row path, and to the resident path, for any
-  // thread count.
+  // With the whole F×D transposed weight matrix in memory (resident, or
+  // this thread's rematerialized copy, resolved once here and read by every
+  // worker), row blocks share each cache tile of it — the GEMM streams W_t
+  // once per block of 16 rows instead of once per row, cutting projection
+  // memory traffic ~16×.
+  const double* w = weights();
+  // A rematerialized projection over the budget regenerates all F×D
+  // weights once per sample block, so each worker takes one block of
+  // ⌈rows / workers⌉ rows (at least 64): every weight tile is regenerated
+  // once per worker per batch. Legal because the projection's per-element
+  // rounding sequence (feature index ascending from +0.0, mul then add) is
+  // invariant to both the sample blocking and the hyperspace tiling; every
+  // row stays bit-identical to the per-row path, and to the resident path,
+  // for any thread count.
   constexpr std::size_t kResidentRowBlock = 16;
   constexpr std::size_t kMinRematRowBlock = 64;
   constexpr std::size_t kRematTile = 16;  // hyperspace rows per scratch tile
   const std::size_t workers = threads != 0 ? threads : util::default_thread_count();
   const std::size_t row_block =
-      remat ? std::max(kMinRematRowBlock, (num_rows + workers - 1) / workers)
-            : kResidentRowBlock;
+      w == nullptr ? std::max(kMinRematRowBlock, (num_rows + workers - 1) / workers)
+                   : kResidentRowBlock;
   const std::size_t blocks = (num_rows + row_block - 1) / row_block;
   const KernelBackend& kb = active_backend();
   util::parallel_for(
@@ -375,7 +417,7 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
         // trig map fused, in the worker that owns the rows — so the raw
         // arena planes need no zero-fill and the first touch runs in
         // parallel.
-        if (remat) {
+        if (w == nullptr) {
           // F×16 weight tiles live in a worker-local scratch (L1/L2-resident;
           // e.g. 100 KB at F = 784) that the kernel consumes in place — the
           // projection matrix never exists in memory all at once. Each tile
@@ -393,8 +435,8 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
                                rn - r0, n, tile);
           }
         } else {
-          kb.rff_project_map(x, n, projection_t_.data(), d, phase_.data(),
-                             sin_phase_.data(), out.real + r0 * d, d, rn - r0, n, d);
+          kb.rff_project_map(x, n, w, d, phase_.data(), sin_phase_.data(),
+                             out.real + r0 * d, d, rn - r0, n, d);
         }
         for (std::size_t r = r0; r < rn; ++r) {
           finalize_encoded_row(out, r);

@@ -118,8 +118,13 @@ enum class EncoderKind : std::uint8_t {
 enum class ProjectionStorage : std::uint8_t {
   kResident = 0,        ///< Materialized F×D matrix: O(F·D) resident bytes,
                         ///< the GEMM streams it from memory every batch.
-  kRematerialized = 1,  ///< No resident matrix: 16-row tiles are regenerated
-                        ///< into an O(F·tile) L1/L2 scratch inside the GEMM.
+  kRematerialized = 1,  ///< No matrix per encoder. Each encoding thread keeps
+                        ///< one regenerated F×D copy when F·D·8 bytes fit
+                        ///< RffProjectionEncoder::kRematCacheBytes (refilled
+                        ///< only when it switches to an encoder with other
+                        ///< weights); above that budget, 16-row tiles are
+                        ///< regenerated into an O(F·tile) L1/L2 scratch
+                        ///< inside the GEMM on every encode.
 };
 
 /// Returns a stable lowercase name ("resident", "rematerialized").
@@ -144,10 +149,13 @@ struct EncoderConfig {
   // a linear fit.
   double projection_stddev = 0.0;
 
-  // RffProjection only: resident weight matrix vs counter-based tile
+  // RffProjection only: resident weight matrix vs counter-based
   // regeneration. A runtime/footprint knob, not part of the model identity —
   // the encoded output is bit-identical in both modes, so (like thread
-  // counts) it is not serialized with the encoder config.
+  // counts) it is not serialized with the encoder config. Rematerialized
+  // encoders hold no weights themselves: a projection within
+  // RffProjectionEncoder::kRematCacheBytes is regenerated once per encoding
+  // thread and kept there, a larger one tile by tile on every encode.
   ProjectionStorage projection_storage = ProjectionStorage::kResident;
 
   // IdLevel only: number of quantization levels and the feature range the
@@ -267,15 +275,22 @@ class RffProjectionEncoder final : public Encoder {
                          std::size_t threads = 0) const override;
 
   /// RFF components are independent per j (projection + trig map), so any
-  /// slice can be produced in isolation: resident mode projects the slice's
-  /// columns of the weight matrix, rematerialized mode replays rows
-  /// [j0, j0+len) of the projection through the fused rff_remat_dot kernel —
-  /// weights consumed in registers, no scratch tile (the B = 1 latency
-  /// kernel; bit-identical to rematerialize + gemm by its contract). Both
-  /// are bit-identical to the same slice of encode_real().
+  /// slice can be produced in isolation: resident mode, and rematerialized
+  /// mode within kRematCacheBytes, project the slice's columns of the full
+  /// weight matrix; a larger rematerialized projection replays rows
+  /// [j0, j0+len) through the fused rff_remat_dot kernel — weights consumed
+  /// in registers, no scratch tile (the B = 1 latency kernel; bit-identical
+  /// to rematerialize + gemm by its contract). All are bit-identical to the
+  /// same slice of encode_real().
   [[nodiscard]] bool supports_block_encode() const noexcept override { return true; }
   void encode_real_block(std::span<const double> features, std::size_t j0,
                          std::size_t len, double* out) const override;
+
+  /// Largest rematerialized projection, in bytes (F·D·8), that an encoding
+  /// thread regenerates once and keeps: 1 MiB, half of one core's L2 on the
+  /// AVX-512 reference host (the F = 32, D = 2048 serving shape is 512 KiB).
+  /// Larger projections are regenerated tile by tile on every encode.
+  static constexpr std::size_t kRematCacheBytes = std::size_t{1} << 20;
 
  protected:
   void encode_real_into(std::span<const double> features, double* out) const override;
@@ -286,14 +301,23 @@ class RffProjectionEncoder final : public Encoder {
   void materialize_rows(std::size_t row0, std::size_t rows, double* out,
                         std::size_t ld) const;
 
+  /// The full feature-major projection (leading dimension D) this thread
+  /// encodes from: projection_t_ in resident mode; in rematerialized mode a
+  /// thread_local copy when it fits kRematCacheBytes, else nullptr (the
+  /// caller regenerates tiles). The copy is keyed on everything the weights
+  /// depend on — (proj_seed_, stddev_, F, D) — so encoders with equal keys
+  /// share it and any other key refills it. The pointer stays valid until
+  /// this thread next calls weights() on an encoder with another key.
+  [[nodiscard]] const double* weights() const;
+
   // Projection stored transposed (feature-major): projection_t_[k*d + j] =
   // w_{j,k} — the B operand rff_project_map streams, unit-stride along the
   // hyperspace axis for its SIMD column blocks. Empty when
-  // projection_storage is kRematerialized: the weights then only ever exist
-  // as O(F×tile) scratch tiles regenerated by
-  // KernelBackend::rff_rematerialize (from proj_seed_), which is also
-  // exactly how this matrix is filled in resident mode — the two storage
-  // modes are bit-identical by construction.
+  // projection_storage is kRematerialized: the weights then exist only in
+  // weights()' per-thread copy or as O(F×tile) scratch tiles, both
+  // regenerated by KernelBackend::rff_rematerialize (from proj_seed_), which
+  // is also exactly how this matrix is filled in resident mode — the two
+  // storage modes are bit-identical by construction.
   std::vector<double> projection_t_;
   std::uint64_t proj_seed_ = 0;  ///< Master seed of the weight streams.
   double stddev_ = 0.0;          ///< Resolved projection stddev.

@@ -448,6 +448,17 @@ void Server::trainer_loop(Shard& shard) {
     }
   };
 
+  if (config_.prewarm) {
+    // The worker's prewarm, for update()'s two encodes: one fused query and
+    // one arena row of an all-zero reading grow this thread's thread_local
+    // scratch — and fill a rematerialized projection's per-thread copy —
+    // before the first drain, outside the no-alloc brackets. The learner's
+    // state is untouched.
+    (void)learner.model().predict_one(learner.encoder(), row);
+    core::EncodedDataset warm;
+    warm.assign_rows(learner.encoder(), row, 1, 1);
+  }
+
   for (;;) {
     // The drain is bracketed by the no-alloc probe: update() runs once per
     // sample right here, so its steady state must stay off the allocator

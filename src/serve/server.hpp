@@ -81,9 +81,11 @@ struct ServeConfig {
   /// doorbell (0 = sleep immediately).
   std::size_t idle_spin_us = 50;
 
-  /// Run one full-size batch + one fused query through the worker at
-  /// startup, so every buffer reaches steady-state capacity before the
-  /// first real query (and before the no-alloc probe arms).
+  /// Run one full-size batch + one fused query through the worker, and one
+  /// fused query + one arena row through the trainer, at startup, so every
+  /// buffer — a rematerialized projection's per-thread copy included —
+  /// reaches steady-state capacity before the first real query or update
+  /// (and before the no-alloc probe arms).
   bool prewarm = true;
 
   /// When nonempty: recover each shard from `<dir>/shard_<i>` at start()

@@ -54,6 +54,15 @@ data::Dataset make_dataset(std::size_t rows, std::size_t features, std::uint64_t
   return {"fused-predict", features, std::move(flat), std::move(targets)};
 }
 
+/// The smallest hyperspace dimension whose F×D projection exceeds the
+/// per-thread rematerialization budget, plus a ragged 100: the
+/// rematerialized encoder then runs its rff_remat_dot block path instead of
+/// slicing the cached copy.
+std::size_t over_budget_dim(std::size_t input_dim) {
+  return hdc::RffProjectionEncoder::kRematCacheBytes / (sizeof(double) * input_dim) +
+         100;
+}
+
 struct ModeCase {
   ClusterMode cluster;
   QueryPrecision query;
@@ -127,10 +136,11 @@ TEST_P(FusedPredictModeTest, FusedBitIdenticalToMaterializingPredict) {
   // 200 < one fused block (single ragged call); 1100 > the 1024 block (one
   // full carried block + ragged tail). Neither is a multiple of 64, so the
   // packed planes have padding bits in play. Both projection storages: the
-  // resident axpy slices and the rematerialized tile slices are distinct
+  // slices of the full projection (resident, or the cached remat copy) and,
+  // at the over-budget dim, the rff_remat_dot slices are distinct
   // encode_real_block code paths.
   for (const std::size_t dim : {static_cast<std::size_t>(200),
-                                static_cast<std::size_t>(1100)}) {
+                                static_cast<std::size_t>(1100), over_budget_dim(6)}) {
     for (const hdc::ProjectionStorage storage :
          {hdc::ProjectionStorage::kResident, hdc::ProjectionStorage::kRematerialized}) {
       const Harness h = make_harness(GetParam(), dim, storage, true);
@@ -212,29 +222,32 @@ INSTANTIATE_TEST_SUITE_P(AllModes, FusedPredictModeTest,
 TEST(FusedPredictTest, BenchShapeSpotCheck) {
   // The benchmark configuration the ≥1.5× latency claim is measured at:
   // D = 4096, F = 10, rematerialized projection, real/real mode (the
-  // RegHDConfig default precisions).
-  RegHDConfig cfg;
-  cfg.dim = 4096;
-  cfg.models = 4;
+  // RegHDConfig default precisions) — and the same encoder over the
+  // per-thread cache budget, whose fused path runs rff_remat_dot.
+  for (const std::size_t dim : {static_cast<std::size_t>(4096), over_budget_dim(10)}) {
+    RegHDConfig cfg;
+    cfg.dim = dim;
+    cfg.models = 4;
 
-  hdc::EncoderConfig enc_cfg;
-  enc_cfg.kind = hdc::EncoderKind::kRffProjection;
-  enc_cfg.input_dim = 10;
-  enc_cfg.dim = cfg.dim;
-  enc_cfg.projection_storage = hdc::ProjectionStorage::kRematerialized;
-  const auto encoder = hdc::make_encoder(enc_cfg);
-  const data::Dataset dataset = make_dataset(8, enc_cfg.input_dim, 0xBE7C);
-  const EncodedDataset enc = EncodedDataset::from(*encoder, dataset, 1);
+    hdc::EncoderConfig enc_cfg;
+    enc_cfg.kind = hdc::EncoderKind::kRffProjection;
+    enc_cfg.input_dim = 10;
+    enc_cfg.dim = cfg.dim;
+    enc_cfg.projection_storage = hdc::ProjectionStorage::kRematerialized;
+    const auto encoder = hdc::make_encoder(enc_cfg);
+    const data::Dataset dataset = make_dataset(8, enc_cfg.input_dim, 0xBE7C);
+    const EncodedDataset enc = EncodedDataset::from(*encoder, dataset, 1);
 
-  MultiModelRegressor model(cfg);
-  for (std::size_t i = 0; i < enc.size(); ++i) {
-    model.train_step(enc.sample(i), enc.target(i));
-  }
-  model.requantize();
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    EXPECT_EQ(model.predict_one(*encoder, dataset.row(i)),
-              model.predict(encoder->encode(dataset.row(i))))
-        << "row " << i;
+    MultiModelRegressor model(cfg);
+    for (std::size_t i = 0; i < enc.size(); ++i) {
+      model.train_step(enc.sample(i), enc.target(i));
+    }
+    model.requantize();
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      EXPECT_EQ(model.predict_one(*encoder, dataset.row(i)),
+                model.predict(encoder->encode(dataset.row(i))))
+          << "dim " << dim << " row " << i;
+    }
   }
 }
 
@@ -269,35 +282,37 @@ TEST(FusedPredictTest, NonBlockEncoderFallsBackBitIdentically) {
 TEST(FusedPredictTest, RffEncodeRealBlockMatchesFullEncodeSlices) {
   // The encoder-level contract underneath the fused path: any block split of
   // encode_real_block equals the same slice of the full encoding, for both
-  // projection storages.
-  for (const hdc::ProjectionStorage storage :
-       {hdc::ProjectionStorage::kResident, hdc::ProjectionStorage::kRematerialized}) {
-    hdc::EncoderConfig enc_cfg;
-    enc_cfg.kind = hdc::EncoderKind::kRffProjection;
-    enc_cfg.input_dim = 7;
-    enc_cfg.dim = 1100;
-    enc_cfg.projection_storage = storage;
-    const auto encoder = hdc::make_encoder(enc_cfg);
-    ASSERT_TRUE(encoder->supports_block_encode());
+  // projection storages, within and over the per-thread cache budget.
+  for (const std::size_t dim : {static_cast<std::size_t>(1100), over_budget_dim(7)}) {
+    for (const hdc::ProjectionStorage storage :
+         {hdc::ProjectionStorage::kResident, hdc::ProjectionStorage::kRematerialized}) {
+      hdc::EncoderConfig enc_cfg;
+      enc_cfg.kind = hdc::EncoderKind::kRffProjection;
+      enc_cfg.input_dim = 7;
+      enc_cfg.dim = dim;
+      enc_cfg.projection_storage = storage;
+      const auto encoder = hdc::make_encoder(enc_cfg);
+      ASSERT_TRUE(encoder->supports_block_encode());
 
-    util::Rng rng(0xB10C);
-    std::vector<double> features(enc_cfg.input_dim);
-    for (double& x : features) {
-      x = rng.normal(0.0, 1.0);
-    }
-    const hdc::RealHV full = encoder->encode_real(features);
+      util::Rng rng(0xB10C);
+      std::vector<double> features(enc_cfg.input_dim);
+      for (double& x : features) {
+        x = rng.normal(0.0, 1.0);
+      }
+      const hdc::RealHV full = encoder->encode_real(features);
 
-    for (const std::size_t block : {static_cast<std::size_t>(64),
-                                    static_cast<std::size_t>(1024),
-                                    static_cast<std::size_t>(1100)}) {
-      std::vector<double> out(block);
-      for (std::size_t j0 = 0; j0 < enc_cfg.dim; j0 += block) {
-        const std::size_t len = std::min(block, enc_cfg.dim - j0);
-        encoder->encode_real_block(features, j0, len, out.data());
-        for (std::size_t j = 0; j < len; ++j) {
-          ASSERT_EQ(out[j], full[j0 + j])
-              << hdc::to_string(storage) << " block " << block << " j "
-              << j0 + j;
+      for (const std::size_t block : {static_cast<std::size_t>(64),
+                                      static_cast<std::size_t>(1024),
+                                      static_cast<std::size_t>(1100)}) {
+        std::vector<double> out(block);
+        for (std::size_t j0 = 0; j0 < enc_cfg.dim; j0 += block) {
+          const std::size_t len = std::min(block, enc_cfg.dim - j0);
+          encoder->encode_real_block(features, j0, len, out.data());
+          for (std::size_t j = 0; j < len; ++j) {
+            ASSERT_EQ(out[j], full[j0 + j])
+                << "dim " << dim << " " << hdc::to_string(storage) << " block "
+                << block << " j " << j0 + j;
+          }
         }
       }
     }

@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "hdc/encoding.hpp"
@@ -25,6 +28,14 @@ EncoderConfig base_config(EncoderKind kind, std::size_t input_dim = 6,
   cfg.dim = dim;
   cfg.seed = 99;
   return cfg;
+}
+
+/// The smallest hyperspace dimension whose F×D projection exceeds the
+/// per-thread rematerialization budget, plus a ragged 100 — the shape that
+/// keeps tile regeneration and rff_remat_dot covered end to end (every
+/// smaller remat shape encodes from the cached copy).
+std::size_t over_budget_dim(std::size_t input_dim) {
+  return RffProjectionEncoder::kRematCacheBytes / (sizeof(double) * input_dim) + 100;
 }
 
 std::vector<double> random_features(std::size_t n, util::Rng& rng) {
@@ -240,81 +251,91 @@ TEST(RffEncoderTest, StorageModeNameRoundTrip) {
 
 TEST(RffEncoderTest, RematerializedEncodingIsBitIdenticalToResident) {
   // The tentpole contract: rematerialized storage regenerates the projection
-  // rows from the seed inside the encode loop, yet every encoded component
-  // must equal the resident-matrix path bit for bit — single-row and batch
-  // paths, across odd/even feature counts and non-word-multiple dims.
+  // rows from the seed, yet every encoded component must equal the
+  // resident-matrix path bit for bit, across odd/even feature counts and
+  // non-word-multiple dims. The last shape is over the per-thread cache
+  // budget, so it regenerates tiles inside the encode loop.
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
   for (const std::size_t input_dim : {1u, 5u, 10u}) {
     for (const std::size_t dim : {65u, 1000u, 2048u}) {
-      auto cfg = base_config(EncoderKind::kRffProjection, input_dim, dim);
-      const auto resident = make_encoder(cfg);
-      cfg.projection_storage = ProjectionStorage::kRematerialized;
-      const auto remat = make_encoder(cfg);
+      shapes.emplace_back(input_dim, dim);
+    }
+  }
+  shapes.emplace_back(32, over_budget_dim(32));
+  for (const auto& [input_dim, dim] : shapes) {
+    auto cfg = base_config(EncoderKind::kRffProjection, input_dim, dim);
+    const auto resident = make_encoder(cfg);
+    cfg.projection_storage = ProjectionStorage::kRematerialized;
+    const auto remat = make_encoder(cfg);
 
-      util::Rng rng(0xAB + dim);
-      for (int trial = 0; trial < 3; ++trial) {
-        const std::vector<double> f = random_features(input_dim, rng);
-        const RealHV a = resident->encode_real(f);
-        const RealHV b = remat->encode_real(f);
-        ASSERT_EQ(a.dim(), b.dim());
-        for (std::size_t j = 0; j < dim; ++j) {
-          ASSERT_EQ(a[j], b[j]) << "dim " << dim << " j " << j;
-        }
+    util::Rng rng(0xAB + dim);
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::vector<double> f = random_features(input_dim, rng);
+      const RealHV a = resident->encode_real(f);
+      const RealHV b = remat->encode_real(f);
+      ASSERT_EQ(a.dim(), b.dim());
+      for (std::size_t j = 0; j < dim; ++j) {
+        ASSERT_EQ(a[j], b[j]) << "dim " << dim << " j " << j;
       }
     }
   }
 }
 
 TEST(RffEncoderTest, RematerializedBatchEncodeIsBitIdenticalAcrossThreads) {
-  // The batch GEMM path tiles the hyperspace axis and regenerates each tile
-  // once per worker's row block (at least 64 rows, else ⌈rows / threads⌉);
-  // neither the tiling nor the worker count may perturb a single bit
+  // Within the cache budget the calling thread's regenerated projection is
+  // handed to every worker; over it (the second dim) the batch GEMM path
+  // tiles the hyperspace axis and regenerates each tile once per worker's
+  // row block (at least 64 rows, else ⌈rows / threads⌉). Neither the
+  // sharing, the tiling nor the worker count may perturb a single bit
   // relative to the resident path. Row counts straddle the 64-row minimum
   // and the odd row the GEMM's row pairs leave over.
   constexpr std::size_t kInput = 7;
-  constexpr std::size_t kDim = 1000;
-  constexpr std::size_t kWords = (kDim + 63) / 64;
-  auto cfg = base_config(EncoderKind::kRffProjection, kInput, kDim);
-  const auto resident = make_encoder(cfg);
-  cfg.projection_storage = ProjectionStorage::kRematerialized;
-  const auto remat = make_encoder(cfg);
+  for (const std::size_t dim : {std::size_t{1000}, over_budget_dim(kInput)}) {
+    const std::size_t words = (dim + 63) / 64;
+    auto cfg = base_config(EncoderKind::kRffProjection, kInput, dim);
+    const auto resident = make_encoder(cfg);
+    cfg.projection_storage = ProjectionStorage::kRematerialized;
+    const auto remat = make_encoder(cfg);
 
-  for (const std::size_t num_rows : {1u, 33u, 64u, 65u, 130u}) {
-    util::Rng rng(0xBA7C + num_rows);
-    std::vector<double> rows(num_rows * kInput);
-    for (double& v : rows) {
-      v = rng.normal();
-    }
-    std::vector<double> want_real(num_rows * kDim);
-    std::vector<std::int8_t> want_bipolar(num_rows * kDim);
-    std::vector<std::uint64_t> want_bits(num_rows * kWords);
-    std::vector<double> want_norm(num_rows);
-    std::vector<double> want_norm2(num_rows);
-    resident->encode_batch_into(
-        rows, num_rows,
-        {want_real.data(), want_bipolar.data(), want_bits.data(), want_norm.data(),
-         want_norm2.data(), kDim, kWords},
-        1);
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      // The arena contract: the real plane is zero-initialized (encoders
-      // accumulate into it); the bit plane may hold garbage (fully
-      // overwritten).
-      std::vector<double> got_real(num_rows * kDim, 0.0);
-      std::vector<std::int8_t> got_bipolar(num_rows * kDim, 0);
-      std::vector<std::uint64_t> got_bits(num_rows * kWords, ~0ULL);
-      std::vector<double> got_norm(num_rows);
-      std::vector<double> got_norm2(num_rows);
-      remat->encode_batch_into(
+    for (const std::size_t num_rows : {1u, 33u, 64u, 65u, 130u}) {
+      util::Rng rng(0xBA7C + num_rows);
+      std::vector<double> rows(num_rows * kInput);
+      for (double& v : rows) {
+        v = rng.normal();
+      }
+      std::vector<double> want_real(num_rows * dim);
+      std::vector<std::int8_t> want_bipolar(num_rows * dim);
+      std::vector<std::uint64_t> want_bits(num_rows * words);
+      std::vector<double> want_norm(num_rows);
+      std::vector<double> want_norm2(num_rows);
+      resident->encode_batch_into(
           rows, num_rows,
-          {got_real.data(), got_bipolar.data(), got_bits.data(), got_norm.data(),
-           got_norm2.data(), kDim, kWords},
-          threads);
-      const std::string where =
-          "rows " + std::to_string(num_rows) + " threads " + std::to_string(threads);
-      EXPECT_EQ(got_real, want_real) << where;
-      EXPECT_EQ(got_bipolar, want_bipolar) << where;
-      EXPECT_EQ(got_bits, want_bits) << where;
-      EXPECT_EQ(got_norm, want_norm) << where;
-      EXPECT_EQ(got_norm2, want_norm2) << where;
+          {want_real.data(), want_bipolar.data(), want_bits.data(), want_norm.data(),
+           want_norm2.data(), dim, words},
+          1);
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        // The arena contract: the real plane is zero-initialized (encoders
+        // accumulate into it); the bit plane may hold garbage (fully
+        // overwritten).
+        std::vector<double> got_real(num_rows * dim, 0.0);
+        std::vector<std::int8_t> got_bipolar(num_rows * dim, 0);
+        std::vector<std::uint64_t> got_bits(num_rows * words, ~0ULL);
+        std::vector<double> got_norm(num_rows);
+        std::vector<double> got_norm2(num_rows);
+        remat->encode_batch_into(
+            rows, num_rows,
+            {got_real.data(), got_bipolar.data(), got_bits.data(), got_norm.data(),
+             got_norm2.data(), dim, words},
+            threads);
+        const std::string where = "dim " + std::to_string(dim) + " rows " +
+                                  std::to_string(num_rows) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(got_real, want_real) << where;
+        EXPECT_EQ(got_bipolar, want_bipolar) << where;
+        EXPECT_EQ(got_bits, want_bits) << where;
+        EXPECT_EQ(got_norm, want_norm) << where;
+        EXPECT_EQ(got_norm2, want_norm2) << where;
+      }
     }
   }
 }
@@ -327,9 +348,13 @@ TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
   // register blocks; 4 threads split the rows across workers. One row
   // carries a huge feature, so most (not all) of its lanes take the trig
   // map's std::sin fallback in the middle of a tile. The arena planes start
-  // as garbage: the encoder must overwrite every one.
+  // as garbage: the encoder must overwrite every one. The last dim is over
+  // the per-thread cache budget, so its rematerialized batch and per-row
+  // encodes regenerate 16-row tiles, while the first two encode from the
+  // cached copy.
   constexpr std::size_t kInput = 32;
-  for (const std::size_t dim : {2048u, 1000u}) {
+  for (const std::size_t dim : {std::size_t{2048}, std::size_t{1000},
+                                over_budget_dim(kInput)}) {
     const std::size_t words = (dim + 63) / 64;
     auto cfg = base_config(EncoderKind::kRffProjection, kInput, dim);
     const auto resident = make_encoder(cfg);
@@ -388,6 +413,177 @@ TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
         EXPECT_EQ(got.norm2, want.norm2) << where;
       }
     }
+  }
+}
+
+// The per-thread regenerated projection is keyed on (projection seed,
+// stddev bits, F, D). Up to "dim", each variant below differs from the one
+// before it in exactly one of those, so a key that ignored or rounded any
+// of them would hand an encoder another encoder's weights. The transposed
+// shape keeps F·D and changes both factors; the explicit-stddev twin of the
+// auto bandwidth returns to the base key, and the final repeat is a
+// separate encoder object with that same key, reading the same copy.
+struct CacheVariant {
+  const char* name;
+  std::size_t input_dim;
+  std::size_t dim;
+  std::uint64_t seed;
+  double stddev;  ///< 0 = auto bandwidth 1/√F.
+};
+
+const std::vector<CacheVariant>& cache_variants() {
+  static const std::vector<CacheVariant> variants = {
+      {"base", 8, 512, 7, 0.0},
+      {"seed", 8, 512, 8, 0.0},
+      {"base_after_seed", 8, 512, 7, 0.0},
+      {"stddev", 8, 512, 7, 0.5},
+      {"stddev_ulp", 8, 512, 7, std::nextafter(0.5, 1.0)},
+      {"features", 9, 512, 7, std::nextafter(0.5, 1.0)},
+      {"dim", 9, 640, 7, std::nextafter(0.5, 1.0)},
+      {"transposed", 18, 320, 7, std::nextafter(0.5, 1.0)},
+      {"base_explicit_stddev", 8, 512, 7, 1.0 / std::sqrt(8.0)},
+      {"base_repeat", 8, 512, 7, 0.0},
+  };
+  return variants;
+}
+
+/// A rematerialized encoder and its resident twin.
+struct EncoderTwin {
+  std::unique_ptr<Encoder> remat;
+  std::unique_ptr<Encoder> resident;
+};
+
+EncoderTwin make_twin(const CacheVariant& v) {
+  auto cfg = base_config(EncoderKind::kRffProjection, v.input_dim, v.dim);
+  cfg.seed = v.seed;
+  cfg.projection_stddev = v.stddev;
+  EncoderTwin twin;
+  twin.resident = make_encoder(cfg);
+  cfg.projection_storage = ProjectionStorage::kRematerialized;
+  twin.remat = make_encoder(cfg);
+  return twin;
+}
+
+enum class EncodePath : std::uint8_t { kRow, kBlocks, kBatch };
+
+std::string to_string(EncodePath path) {
+  switch (path) {
+    case EncodePath::kRow:
+      return "row";
+    case EncodePath::kBlocks:
+      return "blocks";
+    case EncodePath::kBatch:
+      return "batch";
+  }
+  return "?";
+}
+
+/// The real components of `num_rows` rows encoded through one path of
+/// `enc`: per-row encode_real, encode_real_block in 96-component slices, or
+/// a 2-worker encode_batch_into (the pointer the calling thread resolves is
+/// read by both workers).
+std::vector<double> encode_via(const Encoder& enc, EncodePath path,
+                               std::span<const double> rows, std::size_t num_rows) {
+  const std::size_t n = enc.input_dim();
+  const std::size_t d = enc.dim();
+  std::vector<double> out(num_rows * d);
+  switch (path) {
+    case EncodePath::kRow:
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        const RealHV h = enc.encode_real(rows.subspan(r * n, n));
+        std::copy(h.values().begin(), h.values().end(),
+                  out.begin() + static_cast<std::ptrdiff_t>(r * d));
+      }
+      break;
+    case EncodePath::kBlocks:
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        for (std::size_t j0 = 0; j0 < d; j0 += 96) {
+          enc.encode_real_block(rows.subspan(r * n, n), j0, std::min<std::size_t>(96, d - j0),
+                                out.data() + r * d + j0);
+        }
+      }
+      break;
+    case EncodePath::kBatch: {
+      const std::size_t words = (d + 63) / 64;
+      std::vector<std::int8_t> bipolar(num_rows * d);
+      std::vector<std::uint64_t> bits(num_rows * words);
+      std::vector<double> norm(num_rows);
+      std::vector<double> norm2(num_rows);
+      enc.encode_batch_into(
+          rows, num_rows,
+          {out.data(), bipolar.data(), bits.data(), norm.data(), norm2.data(), d, words},
+          2);
+      break;
+    }
+  }
+  return out;
+}
+
+std::vector<double> random_rows(std::size_t num_rows, std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  return random_features(num_rows * n, rng);
+}
+
+TEST(RffProjectionCacheTest, InterleavedEncodersMatchTheirResidentTwins) {
+  // One thread, every remat call made right after a call through an encoder
+  // with another key (paths outer, variants inner, two rounds so the first
+  // variant follows the last): each must still equal its resident twin.
+  constexpr std::size_t kRows = 5;
+  std::vector<EncoderTwin> twins;
+  for (const CacheVariant& v : cache_variants()) {
+    twins.push_back(make_twin(v));
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const EncodePath path : {EncodePath::kRow, EncodePath::kBlocks, EncodePath::kBatch}) {
+      for (std::size_t i = 0; i < twins.size(); ++i) {
+        const CacheVariant& v = cache_variants()[i];
+        const std::vector<double> rows = random_rows(kRows, v.input_dim, 0xCAC4E + i);
+        EXPECT_EQ(encode_via(*twins[i].remat, path, rows, kRows),
+                  encode_via(*twins[i].resident, path, rows, kRows))
+            << v.name << " path " << to_string(path) << " round " << round;
+      }
+    }
+  }
+}
+
+TEST(RffProjectionCacheTest, ConcurrentThreadsThroughDifferentEncodersMatchResident) {
+  // Two threads encode at once, each alternating between two encoders of
+  // its own, so both refill their copies concurrently while the batch path
+  // hands each thread's copy to pool workers. No thread may see another's
+  // weights.
+  constexpr std::size_t kRows = 4;
+  constexpr int kIterations = 12;
+  const std::vector<std::vector<std::size_t>> owned = {{0, 4}, {1, 6}};
+  std::vector<EncoderTwin> twins;
+  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> want;
+  for (std::size_t i = 0; i < cache_variants().size(); ++i) {
+    const CacheVariant& v = cache_variants()[i];
+    twins.push_back(make_twin(v));
+    rows.push_back(random_rows(kRows, v.input_dim, 0x7C4E + i));
+    want.push_back(encode_via(*twins[i].resident, EncodePath::kRow, rows[i], kRows));
+  }
+  std::vector<int> mismatches(owned.size(), 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < owned.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int it = 0; it < kIterations; ++it) {
+        for (const EncodePath path :
+             {EncodePath::kRow, EncodePath::kBlocks, EncodePath::kBatch}) {
+          for (const std::size_t i : owned[t]) {
+            if (encode_via(*twins[i].remat, path, rows[i], kRows) != want[i]) {
+              ++mismatches[t];
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (std::size_t t = 0; t < owned.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }
 

@@ -1,10 +1,13 @@
 // Allocation-free invariants of the serving hot paths, asserted by replacing
 // global operator new in this test binary and arming the serve/alloc_probe
-// seam. Three paths are probed after warmup:
+// seam. These paths are probed after warmup (the trainer and predict-worker
+// paths under both projection storages):
 //
 //   * the trainer drain (OnlineRegHD::update per sample) — the regression
 //     this pins: update() used to delegate to predict(), constructing a
-//     fresh standardization vector per sample on the trainer thread;
+//     fresh standardization vector per sample on the trainer thread — and
+//     its very first drain, which only the trainer's prewarm keeps off the
+//     allocator;
 //   * the classic predict worker (both admission paths — already covered by
 //     bench/serving, re-asserted here as a test);
 //   * the tenant-mode resident predict path (store active);
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <new>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/encoded.hpp"
@@ -72,12 +76,15 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace reghd::serve {
 namespace {
 
-core::OnlineConfig steady_config() {
+core::OnlineConfig steady_config(
+    hdc::ProjectionStorage storage = hdc::ProjectionStorage::kResident,
+    std::size_t dim = 128) {
   core::OnlineConfig cfg;
-  cfg.reghd.dim = 128;
+  cfg.reghd.dim = dim;
   cfg.reghd.models = 2;
   cfg.requantize_every = 0;  // requantize rebuilds snapshots; keep the drain pure
   cfg.warmup = 4;
+  cfg.encoder.projection_storage = storage;
   return cfg;
 }
 
@@ -91,13 +98,13 @@ std::uint64_t disarm() {
   return g_probed_allocs.load(std::memory_order_relaxed);
 }
 
-TEST(ServeAllocTest, TrainerDrainIsAllocationFreeAfterWarmup) {
+void expect_trainer_drain_allocation_free(hdc::ProjectionStorage storage) {
   const data::Dataset d = data::make_friedman1(256, 8);
   ServeConfig sc;
   sc.shards = 1;
   sc.publish_every_updates = 0;   // publishes allocate by design…
   sc.publish_interval_ms = 0.0;   // …so keep them out of the window
-  Server server(sc, steady_config(), d.num_features());
+  Server server(sc, steady_config(storage), d.num_features());
   server.start();
 
   // Warmup: grow update()'s member scratch and the one-reading encode arena.
@@ -124,16 +131,68 @@ TEST(ServeAllocTest, TrainerDrainIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(allocs, 0U) << "trainer drain allocated on the steady-state path";
 }
 
-TEST(ServeAllocTest, PredictWorkerPathsAreAllocationFree) {
+TEST(ServeAllocTest, TrainerDrainIsAllocationFreeAfterWarmup) {
+  expect_trainer_drain_allocation_free(hdc::ProjectionStorage::kResident);
+}
+
+TEST(ServeAllocTest, TrainerDrainIsAllocationFreeAfterWarmupRematerialized) {
+  // update() encodes through the trainer thread's regenerated projection.
+  expect_trainer_drain_allocation_free(hdc::ProjectionStorage::kRematerialized);
+}
+
+TEST(ServeAllocTest, TrainerFirstDrainIsAllocationFreeAfterPrewarm) {
+  // No warmup traffic: the probe is armed before the trainer's first drain.
+  // A bootstrapped learner already holds update()'s member scratch, so only
+  // thread_local state could allocate — the fused query's scratch, a
+  // rematerialized projection's per-thread copy, or (over the copy's
+  // budget) the batch encode's tile scratch — and the trainer's prewarm
+  // must have grown all of them before its first drain.
   const data::Dataset d = data::make_friedman1(256, 8);
-  core::OnlineRegHD learner(steady_config(), d.num_features());
+  const std::size_t over_budget_dim =
+      hdc::RffProjectionEncoder::kRematCacheBytes / (sizeof(double) * d.num_features()) +
+      100;
+  const std::vector<std::pair<hdc::ProjectionStorage, std::size_t>> shapes = {
+      {hdc::ProjectionStorage::kResident, 128},
+      {hdc::ProjectionStorage::kRematerialized, 128},
+      {hdc::ProjectionStorage::kRematerialized, over_budget_dim}};
+  for (const auto& [storage, dim] : shapes) {
+    core::OnlineRegHD learner(steady_config(storage, dim), d.num_features());
+    for (std::size_t i = 0; i < 64; ++i) {
+      learner.update(d.row(i), d.target(i));
+    }
+    ServeConfig sc;
+    sc.shards = 1;
+    sc.publish_every_updates = 0;
+    sc.publish_interval_ms = 0.0;
+    Server server(sc, steady_config(storage, dim), d.num_features());
+    server.bootstrap(0, learner);
+    arm();
+    server.start();
+    for (std::size_t i = 64; i < 128; ++i) {
+      while (!server.try_train(0, d.row(i), d.target(i))) {
+        std::this_thread::yield();
+      }
+    }
+    while (server.train_applied(0) < 64) {
+      std::this_thread::yield();
+    }
+    const std::uint64_t allocs = disarm();
+    server.stop();
+    EXPECT_EQ(allocs, 0U) << hdc::to_string(storage) << " D = " << dim
+                          << ": the trainer's first drain allocated";
+  }
+}
+
+void expect_predict_worker_allocation_free(hdc::ProjectionStorage storage) {
+  const data::Dataset d = data::make_friedman1(256, 8);
+  core::OnlineRegHD learner(steady_config(storage), d.num_features());
   for (std::size_t i = 0; i < 64; ++i) {
     learner.update(d.row(i), d.target(i));
   }
   ServeConfig sc;
   sc.shards = 1;
   sc.batch_threshold = 4;
-  Server server(sc, steady_config(), d.num_features());
+  Server server(sc, steady_config(storage), d.num_features());
   server.bootstrap(0, learner);
   server.start();
 
@@ -160,6 +219,15 @@ TEST(ServeAllocTest, PredictWorkerPathsAreAllocationFree) {
   const std::uint64_t allocs = disarm();
   server.stop();
   EXPECT_EQ(allocs, 0U) << "predict worker allocated on a probed path";
+}
+
+TEST(ServeAllocTest, PredictWorkerPathsAreAllocationFree) {
+  expect_predict_worker_allocation_free(hdc::ProjectionStorage::kResident);
+}
+
+TEST(ServeAllocTest, PredictWorkerPathsAreAllocationFreeRematerialized) {
+  // Both admission paths encode through the worker's regenerated projection.
+  expect_predict_worker_allocation_free(hdc::ProjectionStorage::kRematerialized);
 }
 
 TEST(ServeAllocTest, TenantResidentPredictPathIsAllocationFree) {

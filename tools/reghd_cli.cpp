@@ -106,9 +106,9 @@ int usage(const std::string& program) {
             << "  spill beyond) --tenants T (tenant id space; default 64)\n"
             << "  --tenant-spill-dir DIR (evicted tenants persist here)\n"
             << "common (train/stream/serve): --projection-storage resident|rematerialized\n"
-            << "  (rematerialized regenerates RFF projection rows on the fly —\n"
-            << "  O(tile) scratch instead of the resident F×D matrix; encodings\n"
-            << "  are bit-identical either way)\n"
+            << "  (rematerialized keeps no F×D matrix per model: each encoding\n"
+            << "  thread regenerates one copy when F·D·8 bytes fit 1 MiB, else\n"
+            << "  16-row tiles on the fly; encodings are bit-identical either way)\n"
             << "common: --target-col N (negative counts from the end; default -1)\n"
             << "  --threads N (batch encode/predict and training-team workers;\n"
             << "  default REGHD_THREADS or hardware concurrency)\n"
