@@ -60,8 +60,7 @@ hdc::EncodedSample make_sample(std::size_t dim, std::uint64_t seed) {
   util::Rng rng(seed);
   hdc::EncodedSample s;
   s.real = hdc::random_gaussian(dim, rng);
-  s.bipolar = s.real.sign();
-  s.binary = s.bipolar.pack();
+  s.binary = s.real.sign_packed();
   double n2 = 0.0;
   for (const double v : s.real.values()) {
     n2 += v * v;
@@ -349,7 +348,6 @@ int run_kernel_json(const std::string& path) {
     const hdc::BinaryHV mrow = hdc::random_binary(kDim, rng);
     std::memcpy(ternary_masks.data() + r * kWords, mrow.words().data(), kWords * 8);
   }
-  std::vector<std::int8_t> sign_bipolar(kDim);
   std::vector<std::uint64_t> sign_bits(kWords);
   for (double& x : gemm_a) {
     x = rng.normal();
@@ -632,11 +630,9 @@ int run_kernel_json(const std::string& path) {
                      (kServeB * kServeF + kServeB * kServeD) * 8, ns);
     }
 
-    // Fused sign binarization of one encoded row.
-    ns = time_ns(
-        [&] { kb->sign_encode(pra, sign_bipolar.data(), sign_bits.data(), kDim); });
-    report_backend(kernels["sign_encode"], b.c_str(), kDim * 8.0 + kDim + kWords * 8.0,
-                   ns);
+    // Packed sign binarization of one encoded row.
+    ns = time_ns([&] { kb->sign_pack(pra, sign_bits.data(), kDim); });
+    report_backend(kernels["sign_pack"], b.c_str(), kDim * 8.0 + kWords * 8.0, ns);
   }
 
   // A wider table that copies a narrower one's entry (the same function
@@ -668,7 +664,7 @@ int run_kernel_json(const std::string& path) {
       {"gemm_remat_tile", same_entries<&KB::gemm_accumulate>},
       {"project_map_remat_tile", same_entries<&KB::rff_project_map>},
       {"remat_encode_batch", same_entries<&KB::rff_rematerialize, &KB::rff_project_map>},
-      {"sign_encode", same_entries<&KB::sign_encode>},
+      {"sign_pack", same_entries<&KB::sign_pack>},
   };
   for (const auto& e : node_entries) {
     for (std::size_t wide = 1; wide < backends.size(); ++wide) {
@@ -859,8 +855,7 @@ int run_kernel_json(const std::string& path) {
                       std::vector<double>(row.begin(), row.end()), scratch);
       hdc::EncodedSample s;
       s.real = hdc::RealHV(scratch);
-      s.bipolar = s.real.sign();
-      s.binary = s.bipolar.pack();
+      s.binary = s.real.sign().pack();  // the seed's two-step sign, then pack
       double n2 = 0.0;
       for (const double v : scratch) {
         n2 += v * v;

@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
       hdc::EncodedSample reading = encoder->encode(stream.row(i));
       if (flip > 0.0) {
         reading.binary = hdc::flip_noise(reading.binary, flip, noise_rng);
-        reading.bipolar = reading.binary.unpack();
       }
       const double err_db = (node.predict(reading) - stream.target(i)) * target_scaler.stddev();
       acc += err_db * err_db;

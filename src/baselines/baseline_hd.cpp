@@ -31,7 +31,7 @@ std::size_t BaselineHd::classify(const hdc::EncodedSample& sample) const {
   std::size_t best = 0;
   double best_sim = -2.0;
   for (std::size_t b = 0; b < class_hvs_.size(); ++b) {
-    const double sim = hdc::cosine(class_hvs_[b], sample.bipolar);
+    const double sim = hdc::cosine(class_hvs_[b], sample.binary);
     if (sim > best_sim) {
       best_sim = sim;
       best = b;
@@ -77,7 +77,7 @@ void BaselineHd::fit(const data::Dataset& train) {
   // Single-pass bundling.
   class_hvs_.assign(config_.bins, hdc::RealHV(config_.dim));
   for (std::size_t i = 0; i < encoded.size(); ++i) {
-    hdc::add_scaled(class_hvs_[bins[i]], encoded[i].bipolar, 1.0);
+    hdc::add_scaled(class_hvs_[bins[i]], encoded[i].binary, 1.0);
   }
 
   // Perceptron-style corrective refinement (standard iterative HD training):
@@ -88,8 +88,8 @@ void BaselineHd::fit(const data::Dataset& train) {
     for (std::size_t i = 0; i < encoded.size(); ++i) {
       const std::size_t predicted = classify(encoded[i]);
       if (predicted != bins[i]) {
-        hdc::add_scaled(class_hvs_[bins[i]], encoded[i].bipolar, 1.0);
-        hdc::add_scaled(class_hvs_[predicted], encoded[i].bipolar, -1.0);
+        hdc::add_scaled(class_hvs_[bins[i]], encoded[i].binary, 1.0);
+        hdc::add_scaled(class_hvs_[predicted], encoded[i].binary, -1.0);
         ++mistakes;
       }
     }

@@ -18,15 +18,12 @@ void EncodedDataset::assign_rows(const hdc::Encoder& encoder,
   targets_.assign(num_rows, 0.0);
   real_.clear();
   real_.resize(num_rows * dim_);
-  bipolar_.clear();
-  bipolar_.resize(num_rows * dim_);
   binary_.clear();
   binary_.resize(num_rows * words_);
   norm_.assign(num_rows, 0.0);
   norm2_.assign(num_rows, 0.0);
-  const hdc::EncodedArenaRef arena{real_.data(), bipolar_.data(), binary_.data(),
-                                   norm_.data(), norm2_.data(),   dim_,
-                                   words_};
+  const hdc::EncodedArenaRef arena{real_.data(), binary_.data(), norm_.data(),
+                                   norm2_.data(), dim_, words_};
   encoder.encode_batch_into(rows_flat, num_rows, arena, threads);
 }
 
@@ -61,7 +58,6 @@ EncodedDataset EncodedDataset::subset(std::span<const std::size_t> rows) const {
   out.dim_ = dim_;
   out.words_ = words_;
   out.real_.reserve(rows.size() * dim_);
-  out.bipolar_.reserve(rows.size() * dim_);
   out.binary_.reserve(rows.size() * words_);
   out.norm_.reserve(rows.size());
   out.norm2_.reserve(rows.size());
@@ -71,8 +67,6 @@ EncodedDataset EncodedDataset::subset(std::span<const std::size_t> rows) const {
                                           << " samples");
     out.real_.insert(out.real_.end(), real_.data() + r * dim_,
                      real_.data() + (r + 1) * dim_);
-    out.bipolar_.insert(out.bipolar_.end(), bipolar_.data() + r * dim_,
-                        bipolar_.data() + (r + 1) * dim_);
     out.binary_.insert(out.binary_.end(), binary_.data() + r * words_,
                        binary_.data() + (r + 1) * words_);
     out.norm_.push_back(norm_[r]);
@@ -90,16 +84,13 @@ void EncodedDataset::add(const hdc::EncodedSample& sample, double target) {
     dim_ = sample.real.dim();
     words_ = (dim_ + 63) / 64;
     real_.clear();
-    bipolar_.clear();
     binary_.clear();
     norm_.clear();
     norm2_.clear();
   }
-  REGHD_CHECK(sample.bipolar.dim() == dim_ && sample.binary.dim() == dim_,
+  REGHD_CHECK(sample.binary.dim() == dim_,
               "encoded sample representations disagree on dimensionality");
   real_.insert(real_.end(), sample.real.values().begin(), sample.real.values().end());
-  bipolar_.insert(bipolar_.end(), sample.bipolar.values().begin(),
-                  sample.bipolar.values().end());
   binary_.insert(binary_.end(), sample.binary.words().begin(),
                  sample.binary.words().end());
   norm_.push_back(sample.real_norm);

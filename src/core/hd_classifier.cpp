@@ -37,7 +37,7 @@ std::vector<double> HdClassifier::scores(const hdc::EncodedSampleView& sample) c
     }
   } else {
     for (std::size_t c = 0; c < config_.classes; ++c) {
-      out[c] = hdc::cosine(class_hvs_[c], sample.bipolar);
+      out[c] = hdc::cosine(class_hvs_[c], sample.binary);
     }
   }
   return out;
@@ -78,7 +78,7 @@ HdClassifierReport HdClassifier::fit(const EncodedDataset& train,
   // Single-pass bundling.
   class_hvs_.assign(config_.classes, hdc::RealHV(config_.dim));
   for (std::size_t i = 0; i < train.size(); ++i) {
-    hdc::add_scaled(class_hvs_[labels[i]], train.sample(i).bipolar, 1.0);
+    hdc::add_scaled(class_hvs_[labels[i]], train.sample(i).binary, 1.0);
   }
   requantize();
   fitted_ = true;
@@ -95,8 +95,8 @@ HdClassifierReport HdClassifier::fit(const EncodedDataset& train,
     for (std::size_t i = 0; i < train.size(); ++i) {
       const std::size_t predicted = predict(train.sample(i));
       if (predicted != labels[i]) {
-        hdc::add_scaled(class_hvs_[labels[i]], train.sample(i).bipolar, 1.0);
-        hdc::add_scaled(class_hvs_[predicted], train.sample(i).bipolar, -1.0);
+        hdc::add_scaled(class_hvs_[labels[i]], train.sample(i).binary, 1.0);
+        hdc::add_scaled(class_hvs_[predicted], train.sample(i).binary, -1.0);
         ++mistakes;
       }
     }

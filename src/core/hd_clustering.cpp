@@ -76,8 +76,11 @@ void HdClustering::init_centers(const EncodedDataset& data, std::uint64_t seed) 
     chosen.push_back(pick);
   }
   for (std::size_t c = 0; c < config_.clusters; ++c) {
-    const std::span<const std::int8_t> init = data.sample(chosen[c]).bipolar.values();
-    std::copy(init.begin(), init.end(), accumulator(c).begin());
+    const hdc::BinaryHVView init = data.sample(chosen[c]).binary;
+    const std::span<double> row = accumulator(c);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      row[j] = init.bipolar(j);
+    }
   }
   requantize();
 }

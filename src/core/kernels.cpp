@@ -42,7 +42,7 @@ void update_accumulator(std::span<double> accumulator, const hdc::EncodedSampleV
   if (precision == QueryPrecision::kReal) {
     hdc::add_scaled(accumulator, sample.real, coeff);
   } else {
-    hdc::add_scaled(accumulator, sample.bipolar, coeff);
+    hdc::add_scaled(accumulator, sample.binary, coeff);
   }
 }
 

@@ -59,7 +59,7 @@ struct ClusterCenter {
 };
 
 /// Accumulator update M += coeff·S with the sample taken at the given query
-/// precision (real encoder output vs bipolar sign vector).
+/// precision (real encoder output vs its packed sign vector).
 void update_accumulator(std::span<double> accumulator, const hdc::EncodedSampleView& sample,
                         double coeff, QueryPrecision precision);
 

@@ -416,15 +416,13 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   // per-block masked popcount scores are integers, summed exactly (far below
   // 2^53) into totals equal to the unblocked dot_rows_ternary.
   const PackedTernaryBank& bank = scan_bank(mode, s);
-  thread_local std::vector<std::int8_t> bipolar;
   thread_local std::vector<std::uint64_t> qwords;
-  bipolar.resize(kFusedBlock);
   qwords.resize(kFusedBlock / 64);
   std::fill(s.scores.begin(), s.scores.end(), 0.0);
   for (std::size_t j0 = 0; j0 < d; j0 += kFusedBlock) {
     const std::size_t len = std::min(kFusedBlock, d - j0);
     encoder.encode_real_block(features, j0, len, block.data());
-    kb.sign_encode(block.data(), bipolar.data(), qwords.data(), len);
+    kb.sign_pack(block.data(), qwords.data(), len);
     const std::size_t w0 = j0 / 64;
     kb.dot_rows_ternary(qwords.data(), bank.signs.data() + w0, bank.masks.data() + w0,
                         bank.words, k_c + k_m, len, s.qscores.data());
@@ -594,8 +592,8 @@ void MultiModelRegressor::apply_update(const hdc::EncodedSampleView& sample, dou
     kb.update_dot_rows(arena_.data(), d, 2 * k, coeff_.data(), sample.real.values().data(),
                        nullptr, d, nullptr);
   } else {
-    // Cluster rows still take the real sample (Eq. 9); model rows the
-    // bipolar one.
+    // Cluster rows still take the real sample (Eq. 9); model rows its
+    // packed sign.
     kb.update_dot_rows(arena_.data(), d, k, coeff_.data(), sample.real.values().data(),
                        nullptr, d, nullptr);
     for (std::size_t m = 0; m < k; ++m) {
@@ -659,7 +657,7 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   // accumulator component the coefficients chain in ascending list order j,
   // exactly as a serial sample-order replay, and slicing cannot perturb that:
   // add_scaled_real rounds every component as an independent mul-then-add and
-  // add_scaled_bipolar adds an exact ±coeff, so a component's value never
+  // add_scaled_binary adds an exact ±coeff, so a component's value never
   // depends on which slice (or thread) computed it. Looping j outer / model
   // inner keeps each sample's row slice hot across the k model updates and
   // streams the encoded plane exactly once per batch — the per-model-chain
@@ -670,14 +668,17 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
     const std::size_t d = config_.dim;
     const bool real_updates = config_.query_precision == QueryPrecision::kReal;
     const double* real_plane = data.real_plane().data();
-    const std::int8_t* bipolar_rows = data.bipolar_plane().data();
+    const std::uint64_t* sign_rows = data.binary_plane().data();
+    const std::size_t words = data.words_per_row();
     const std::size_t workers =
         use_threads != 0 ? use_threads : util::default_thread_count();
-    // Cache-line-aligned slice boundaries; boundary placement is free to vary
-    // with the worker count because component rounding is position-blind.
+    // Slice boundaries on 64-component multiples, so every slice starts on a
+    // word of the packed sign plane (and on a cache line of the real one);
+    // boundary placement is free to vary with the worker count because
+    // component rounding is position-blind.
     const std::size_t slices = std::min(std::max<std::size_t>(workers, 1),
-                                        std::max<std::size_t>(d / 8, 1));
-    const std::size_t chunk = (((d + slices - 1) / slices) + 7) & ~std::size_t{7};
+                                        std::max<std::size_t>(d / 64, 1));
+    const std::size_t chunk = (((d + slices - 1) / slices) + 63) & ~std::size_t{63};
     util::parallel_for(
         slices,
         [&](std::size_t s) {
@@ -698,7 +699,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
               if (real_updates) {
                 kb.add_scaled_real(acc, real_plane + row * d + d0, coeff[m], len);
               } else {
-                kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, coeff[m], len);
+                kb.add_scaled_binary(acc, sign_rows + row * words + d0 / 64, coeff[m],
+                                     len);
               }
             }
           }
@@ -789,7 +791,7 @@ void MultiModelRegressor::decay_models(double factor) {
 
 void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train,
                                                      std::span<const std::size_t> rows) {
-  // Farthest-point sampling on bipolar encodings: the first center is a
+  // Farthest-point sampling on the packed sign encodings: the first center is a
   // seeded-random sample; each next center is the sample with the smallest
   // maximum similarity to the centers chosen so far. O(k·N) Hamming passes.
   // Positions index the row list, so a row list picks exactly the centers a
@@ -819,8 +821,11 @@ void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train
   }
 
   for (std::size_t c = 0; c < config_.models; ++c) {
-    const std::span<const std::int8_t> init = train.sample(rows[chosen[c]]).bipolar.values();
-    std::copy(init.begin(), init.end(), arena_row(c).begin());
+    const hdc::BinaryHVView init = train.sample(rows[chosen[c]]).binary;
+    const std::span<double> row = arena_row(c);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      row[j] = init.bipolar(j);
+    }
     clusters_[c].requantize(arena_row(c));
   }
   rebuild_packed_bank();

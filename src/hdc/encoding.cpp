@@ -100,8 +100,7 @@ EncodedSample Encoder::encode(std::span<const double> features) const {
   obs::count(obs::Counter::kEncodeRows);
   EncodedSample out;
   out.real = encode_real(features);
-  out.bipolar = out.real.sign();
-  out.binary = out.bipolar.pack();
+  out.binary = out.real.sign_packed();
   const auto v = out.real.values();
   const double norm2 = active_backend().dot_real_real(v.data(), v.data(), v.size());
   out.real_norm2 = norm2;
@@ -122,9 +121,8 @@ void Encoder::check_arena(std::span<const double> rows_flat, std::size_t num_row
               "encode_batch_into: arena words_per_row " << out.words_per_row
                                                         << " is wrong for dim "
                                                         << config_.dim);
-  REGHD_CHECK(num_rows == 0 || (out.real != nullptr && out.bipolar != nullptr &&
-                                out.binary != nullptr && out.norm != nullptr &&
-                                out.norm2 != nullptr),
+  REGHD_CHECK(num_rows == 0 || (out.real != nullptr && out.binary != nullptr &&
+                                out.norm != nullptr && out.norm2 != nullptr),
               "encode_batch_into: arena planes must be non-null");
 }
 
@@ -132,7 +130,7 @@ void Encoder::finalize_encoded_row(const EncodedArenaRef& out, std::size_t row) 
   const KernelBackend& kb = active_backend();
   const std::size_t d = config_.dim;
   const double* z = out.real + row * d;
-  kb.sign_encode(z, out.bipolar + row * d, out.binary + row * out.words_per_row, d);
+  kb.sign_pack(z, out.binary + row * out.words_per_row, d);
   const double norm2 = kb.dot_real_real(z, z, d);
   out.norm2[row] = norm2;
   out.norm[row] = std::sqrt(norm2);

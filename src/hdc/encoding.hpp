@@ -24,9 +24,9 @@
 //    alternative.
 //
 // All encoders are deterministic functions of (config, seed). encode()
-// returns the three coupled representations RegHD consumes: the real-valued
-// encoder output ("integer query" of §3.2), its ±1 sign vector S, and the
-// packed binary form S^b.
+// returns the two representations RegHD consumes: the real-valued encoder
+// output ("integer query" of §3.2) and its sign vector S ∈ {−1,+1}^D, kept
+// only in packed form S^b (one bit per component, bit set ⇔ +1).
 #pragma once
 
 #include <cstdint>
@@ -39,11 +39,10 @@
 
 namespace reghd::hdc {
 
-/// One encoded data point in all three coupled representations.
+/// One encoded data point in both representations.
 struct EncodedSample {
-  RealHV real;        ///< Pre-binarization encoder output.
-  BipolarHV bipolar;  ///< S = sign(real) ∈ {−1,+1}^D.
-  BinaryHV binary;    ///< S^b — packed form of S.
+  RealHV real;      ///< Pre-binarization encoder output.
+  BinaryHV binary;  ///< S^b — S = sign(real) ∈ {−1,+1}^D, packed.
   double real_norm = 0.0;   ///< ‖real‖, cached for cosine similarity.
   double real_norm2 = 0.0;  ///< ‖real‖², cached for incremental norm updates.
 };
@@ -54,27 +53,20 @@ struct EncodedSample {
 /// predict / checkpoint code is written once against this type.
 struct EncodedSampleView {
   RealHVView real;
-  BipolarHVView bipolar;
   BinaryHVView binary;
   double real_norm = 0.0;
   double real_norm2 = 0.0;
 
   EncodedSampleView() = default;
-  EncodedSampleView(RealHVView r, BipolarHVView s, BinaryHVView b, double norm,
-                    double norm2)
-      : real(r), bipolar(s), binary(b), real_norm(norm), real_norm2(norm2) {}
+  EncodedSampleView(RealHVView r, BinaryHVView b, double norm, double norm2)
+      : real(r), binary(b), real_norm(norm), real_norm2(norm2) {}
   EncodedSampleView(const EncodedSample& s)  // NOLINT(google-explicit-constructor)
-      : real(s.real),
-        bipolar(s.bipolar),
-        binary(s.binary),
-        real_norm(s.real_norm),
-        real_norm2(s.real_norm2) {}
+      : real(s.real), binary(s.binary), real_norm(s.real_norm), real_norm2(s.real_norm2) {}
 
   /// Deep-copies the viewed row into an owning sample (fault-injection tests
   /// and other callers that mutate a sample start from this).
   [[nodiscard]] EncodedSample materialize() const {
-    return {real.to_owning(), bipolar.to_owning(), binary.to_owning(), real_norm,
-            real_norm2};
+    return {real.to_owning(), binary.to_owning(), real_norm, real_norm2};
   }
 };
 
@@ -84,11 +76,10 @@ struct EncodedSampleView {
 /// (r+1)·words_per_row), and norm/norm² slot r. Every plane may hold
 /// uninitialized or stale bytes on entry: encode_batch_into zeroes each real
 /// row inside the worker that encodes it, right before accumulating into it,
-/// and then writes every bipolar byte, every packed word (padding bits
-/// included) and both norm slots of the row.
+/// and then writes every packed word (padding bits included) and both norm
+/// slots of the row.
 struct EncodedArenaRef {
   double* real = nullptr;
-  std::int8_t* bipolar = nullptr;
   std::uint64_t* binary = nullptr;
   double* norm = nullptr;
   double* norm2 = nullptr;
@@ -186,7 +177,7 @@ class Encoder {
   /// features.size() != input_dim().
   [[nodiscard]] RealHV encode_real(std::span<const double> features) const;
 
-  /// Maps features to all three coupled representations.
+  /// Maps features to both representations.
   [[nodiscard]] EncodedSample encode(std::span<const double> features) const;
 
   /// Encodes `num_rows` feature vectors stored contiguously row-major in
@@ -199,7 +190,7 @@ class Encoder {
       std::size_t threads = 0) const;
 
   /// Encodes `num_rows` rows directly into a SoA arena (see EncodedArenaRef):
-  /// zero per-sample allocations, fused sign/pack, and — for encoders with a
+  /// zero per-sample allocations, packed sign binarization, and — for encoders with a
   /// batched projection stage (RFF) — a cache-blocked GEMM that preserves the
   /// per-component accumulation order. Row r of the arena is bit-identical to
   /// encode(row r) for any thread count or kernel backend, whatever the
@@ -236,8 +227,8 @@ class Encoder {
   /// the per-row and the arena path at once.
   virtual void encode_real_into(std::span<const double> features, double* out) const = 0;
 
-  /// Derives the bipolar/binary/norm row of the arena from its (already
-  /// encoded) real row — the fused sign_encode kernel plus the same
+  /// Derives the packed-sign and norm slots of an arena row from its
+  /// (already encoded) real row — the sign_pack kernel plus the same
   /// dot_real_real norm encode() computes.
   void finalize_encoded_row(const EncodedArenaRef& out, std::size_t row) const;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "hdc/kernel_backend.hpp"
+
 namespace reghd::hdc {
 
 BipolarHV RealHV::sign() const {
@@ -20,11 +22,7 @@ BinaryHV RealHV::sign_packed() const { return RealHVView(*this).sign_packed(); }
 
 BinaryHV RealHVView::sign_packed() const {
   BinaryHV out(data_.size());
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    if (data_[i] >= 0.0) {
-      out.words_[i >> 6] |= 1ULL << (i & 63);
-    }
-  }
+  active_backend().sign_pack(data_.data(), out.words_.data(), data_.size());
   return out;
 }
 

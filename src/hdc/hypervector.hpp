@@ -6,11 +6,13 @@
 //                encoder output, the integer/accumulator models M, and the
 //                integer cluster centers C (the paper's "integer" vectors —
 //                high-precision accumulators as opposed to binary ones).
-//  * BipolarHV — dense ±1 components (int8). The paper's encoded sample
-//                S ∈ {−1,+1}^D; the cheap form for model updates M += c·S.
+//  * BipolarHV — dense ±1 components (int8): the random base hypervectors
+//                B_k of Eq. 1 and the unpacked form of a BinaryHV.
 //  * BinaryHV  — bit-packed {0,1}^D (64 dims per machine word, bit 1 ⇔ +1).
-//                The quantized form of §3: Hamming-distance similarity and
-//                multiply-free dot products via XOR + popcount.
+//                The encoded sample's sign S ∈ {−1,+1}^D and the quantized
+//                form of §3: Hamming-distance similarity, multiply-free dot
+//                products via XOR + popcount, and sign-masked updates
+//                M += c·S.
 //
 // Conversions preserve the bipolar interpretation: bit b encodes component
 // 2b − 1, so Hamming distance h between two BinaryHVs and the bipolar dot
@@ -54,11 +56,12 @@ class RealHV {
   /// Resets every component to zero without changing the dimensionality.
   void clear() noexcept { std::fill(data_.begin(), data_.end(), 0.0); }
 
-  /// Component-wise sign binarization to ±1; zero maps to +1 so the result
-  /// is always a valid bipolar vector.
+  /// Component-wise sign binarization to ±1: −1 where the component is
+  /// < 0, else +1 (so ±0 and NaN map to +1 and the result is always a valid
+  /// bipolar vector).
   [[nodiscard]] BipolarHV sign() const;
 
-  /// Sign binarization straight to the packed form.
+  /// Sign binarization straight to the packed form, by the same rule.
   [[nodiscard]] BinaryHV sign_packed() const;
 
   bool operator==(const RealHV&) const = default;
@@ -188,7 +191,9 @@ class RealHVView {
   /// Copies the viewed components into an owning hypervector.
   [[nodiscard]] RealHV to_owning() const { return RealHV({data_.begin(), data_.end()}); }
 
-  /// Sign binarization straight to the packed form (zero maps to +1).
+  /// Sign binarization straight to the packed form: a bit is set unless the
+  /// component is < 0, so ±0 and NaN set theirs — RealHV::sign()'s rule,
+  /// through KernelBackend::sign_pack.
   [[nodiscard]] BinaryHV sign_packed() const;
 
   friend bool operator==(const RealHVView& a, const RealHVView& b) noexcept {

@@ -241,17 +241,14 @@ void scalar_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
   }
 }
 
-void scalar_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                        std::size_t n) {
+void scalar_sign_pack(const double* v, std::uint64_t* bits, std::size_t n) {
   const std::size_t words = (n + 63) / 64;
   for (std::size_t w = 0; w < words; ++w) {
     const std::size_t base = w << 6;
     const std::size_t limit = std::min<std::size_t>(64, n - base);
     std::uint64_t word = 0;
     for (std::size_t j = 0; j < limit; ++j) {
-      const bool neg = v[base + j] < 0.0;
-      bipolar[base + j] = static_cast<std::int8_t>(1 - 2 * static_cast<int>(neg));
-      word |= static_cast<std::uint64_t>(!neg) << j;
+      word |= static_cast<std::uint64_t>(!(v[base + j] < 0.0)) << j;
     }
     bits[w] = word;
   }
@@ -280,7 +277,7 @@ constexpr KernelBackend kScalarBackend{
                                      detail::dot_rows_multi_composed<scalar_dot_real_real>>,
     scalar_dot_rows_block,
     scalar_dot_rows_ternary,
-    scalar_sign_encode,
+    scalar_sign_pack,
 };
 
 }  // namespace

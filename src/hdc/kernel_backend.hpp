@@ -233,13 +233,11 @@ struct KernelBackend {
   void (*dot_rows_ternary)(const std::uint64_t* q, const std::uint64_t* signs,
                            const std::uint64_t* masks, std::size_t ld,
                            std::size_t num_rows, std::size_t n, std::int64_t* out);
-  /// Fused sign binarization of one encoded row:
-  ///   bipolar[i] = (v[i] < 0) ? −1 : +1,  bit i of `bits` = !(v[i] < 0)
-  /// (NaN maps to +1 / bit set, matching RealHV::sign() followed by
-  /// BipolarHV::pack()). Padding bits of the final word are written zero.
-  /// Bit-exact across backends.
-  void (*sign_encode)(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                      std::size_t n);
+  /// Packed sign binarization of one encoded row: bit i of `bits` =
+  /// !(v[i] < 0), so −0 and NaN set their bit (+1), matching RealHV::sign().
+  /// Every word is written, padding bits of the final one zero. Bit-exact
+  /// across backends.
+  void (*sign_pack)(const double* v, std::uint64_t* bits, std::size_t n);
 };
 
 /// The portable backend; always available.

@@ -1067,18 +1067,10 @@ void avx2_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
   }
 }
 
-void avx2_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                      std::size_t n) {
-  // 4 lanes per compare; the negative-lane movemask nibble both indexes a
-  // 16-entry table of ±1 byte groups and (inverted) lands in the packed word.
-  // CMP_LT_OQ is false for NaN, so NaN maps to +1 / bit set exactly like the
-  // scalar kernel (and RealHV::sign() + BipolarHV::pack()).
-  alignas(64) static constexpr std::uint32_t kNibbleBytes[16] = {
-      0x01010101U, 0x010101FFU, 0x0101FF01U, 0x0101FFFFU,
-      0x01FF0101U, 0x01FF01FFU, 0x01FFFF01U, 0x01FFFFFFU,
-      0xFF010101U, 0xFF0101FFU, 0xFF01FF01U, 0xFF01FFFFU,
-      0xFFFF0101U, 0xFFFF01FFU, 0xFFFFFF01U, 0xFFFFFFFFU,
-  };
+void avx2_sign_pack(const double* v, std::uint64_t* bits, std::size_t n) {
+  // 4 lanes per compare; the inverted negative-lane movemask nibble lands in
+  // the packed word. CMP_LT_OQ is false for NaN, so NaN sets its bit exactly
+  // like the scalar kernel.
   const __m256d zero = _mm256_setzero_pd();
   std::size_t i = 0;
   const std::size_t full_words = n / 64;
@@ -1087,7 +1079,6 @@ void avx2_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits
     for (std::size_t j = 0; j < 64; j += 4) {
       const int neg =
           _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(v + i + j), zero, _CMP_LT_OQ));
-      std::memcpy(bipolar + i + j, &kNibbleBytes[neg], sizeof(std::uint32_t));
       word |= static_cast<std::uint64_t>(~neg & 0xF) << j;
     }
     bits[w] = word;
@@ -1096,9 +1087,7 @@ void avx2_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits
   if (i < n) {
     std::uint64_t word = 0;
     for (std::size_t j = 0; i + j < n; ++j) {
-      const bool negative = v[i + j] < 0.0;
-      bipolar[i + j] = static_cast<std::int8_t>(1 - 2 * static_cast<int>(negative));
-      word |= static_cast<std::uint64_t>(!negative) << j;
+      word |= static_cast<std::uint64_t>(!(v[i + j] < 0.0)) << j;
     }
     bits[i >> 6] = word;
   }
@@ -1126,7 +1115,7 @@ constexpr KernelBackend kAvx2Backend{
     avx2_update_dot_rows,
     avx2_dot_rows_block,
     avx2_dot_rows_ternary,
-    avx2_sign_encode,
+    avx2_sign_pack,
 };
 
 }  // namespace

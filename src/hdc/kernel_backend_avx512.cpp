@@ -9,7 +9,7 @@
 // reductions (dot_real_real / dot_rows_multi / dot_rows_block share one
 // exact operation sequence), the per-component streaming kernels
 // (add_scaled_real / merge_accumulate / scale_real, mul-then-add so each
-// slot rounds exactly like scalar), the mask-register sign_encode, and —
+// slot rounds exactly like scalar), the mask-register sign_pack, and —
 // when the CPU additionally reports avx512_vpopcntdq — VPOPCNTDQ-vectorized
 // popcount kernels for the packed bank scans (AVX2 has no vector popcount;
 // these are the popcount-throughput-bound kernels the quantized path lives
@@ -36,10 +36,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
 #include "hdc/rff_remat.hpp"
@@ -470,27 +468,10 @@ void avx512_scale_real(double* a, double c, std::size_t n) {
   }
 }
 
-/// ±1 byte groups for an 8-bit negative-lane mask: byte l is 0xFF (−1) when
-/// mask bit l is set, 0x01 (+1) otherwise.
-constexpr std::array<std::uint64_t, 256> kMaskBytes = [] {
-  std::array<std::uint64_t, 256> table{};
-  for (unsigned m = 0; m < 256; ++m) {
-    std::uint64_t v = 0;
-    for (unsigned l = 0; l < 8; ++l) {
-      const std::uint64_t byte = ((m >> l) & 1U) != 0 ? 0xFFULL : 0x01ULL;
-      v |= byte << (8 * l);
-    }
-    table[m] = v;
-  }
-  return table;
-}();
-
-void avx512_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                        std::size_t n) {
-  // One VCMPPD per 8 lanes straight into a mask register; the mask byte both
-  // indexes the ±1 byte-group table and (inverted) lands in the packed word.
-  // _CMP_LT_OQ is false for NaN, so NaN maps to +1 / bit set exactly like
-  // the scalar kernel.
+void avx512_sign_pack(const double* v, std::uint64_t* bits, std::size_t n) {
+  // One VCMPPD per 8 lanes straight into a mask register; the inverted mask
+  // byte lands in the packed word. _CMP_LT_OQ is false for NaN, so NaN sets
+  // its bit exactly like the scalar kernel.
   const __m512d zero = _mm512_setzero_pd();
   std::size_t i = 0;
   const std::size_t full_words = n / 64;
@@ -499,7 +480,6 @@ void avx512_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bi
     for (std::size_t j = 0; j < 64; j += 8) {
       const auto neg = static_cast<unsigned>(
           _mm512_cmp_pd_mask(_mm512_loadu_pd(v + i + j), zero, _CMP_LT_OQ));
-      std::memcpy(bipolar + i + j, &kMaskBytes[neg], sizeof(std::uint64_t));
       word |= static_cast<std::uint64_t>(~neg & 0xFFU) << j;
     }
     bits[w] = word;
@@ -508,9 +488,7 @@ void avx512_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bi
   if (i < n) {
     std::uint64_t word = 0;
     for (std::size_t j = 0; i + j < n; ++j) {
-      const bool negative = v[i + j] < 0.0;
-      bipolar[i + j] = static_cast<std::int8_t>(1 - 2 * static_cast<int>(negative));
-      word |= static_cast<std::uint64_t>(!negative) << j;
+      word |= static_cast<std::uint64_t>(!(v[i + j] < 0.0)) << j;
     }
     bits[i >> 6] = word;
   }
@@ -1032,7 +1010,7 @@ KernelBackend make_avx512_table(bool vpopcntdq) {
   table.dot_rows_multi = avx512_dot_rows_multi;
   table.update_dot_rows = avx512_update_dot_rows;
   table.dot_rows_block = avx512_dot_rows_block;
-  table.sign_encode = avx512_sign_encode;
+  table.sign_pack = avx512_sign_pack;
   table.rff_trig_map = avx512_rff_trig_map;
   table.rff_project_map = avx512_rff_project_map;
   if (vpopcntdq) {

@@ -123,7 +123,16 @@ std::vector<RegHDConfig> batch_configs() {
   naive.cluster_mode = ClusterMode::kNaiveBinary;
   naive.query_precision = QueryPrecision::kBinary;
 
-  return {full, quant, winner, naive};
+  // Binary queries whose model updates read the packed sign plane in
+  // word-aligned dimension slices: a ragged final word (1000 = 15·64 + 40)
+  // and fewer than one 64-component slice per thread (100 < 64·T).
+  RegHDConfig ragged = full;
+  ragged.dim = 1000;
+  ragged.query_precision = QueryPrecision::kBinary;
+  RegHDConfig narrow = ragged;
+  narrow.dim = 100;
+
+  return {full, quant, winner, naive, ragged, narrow};
 }
 
 // ---------------------------------------------------------------------------

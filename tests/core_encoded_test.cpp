@@ -139,7 +139,6 @@ TEST(ArenaEncodeTest, ReusedArenaIsFullyOverwritten) {
         const EncodedDataset fresh = EncodedDataset::from_rows(*encoder, block, rows, 1);
         ASSERT_EQ(arena.size(), rows);
         EXPECT_TRUE(same_bytes(arena.real_plane(), fresh.real_plane()));
-        EXPECT_TRUE(same_bytes(arena.bipolar_plane(), fresh.bipolar_plane()));
         EXPECT_TRUE(same_bytes(arena.binary_plane(), fresh.binary_plane()));
         EXPECT_TRUE(same_bytes(arena.norms(), fresh.norms()));
         EXPECT_TRUE(same_bytes(arena.norms2(), fresh.norms2()));

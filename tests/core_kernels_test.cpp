@@ -18,8 +18,7 @@ namespace {
 hdc::EncodedSample sample_from_real(hdc::RealHV real) {
   hdc::EncodedSample s;
   s.real = std::move(real);
-  s.bipolar = s.real.sign();
-  s.binary = s.bipolar.pack();
+  s.binary = s.real.sign_packed();
   double n2 = 0.0;
   for (const double v : s.real.values()) {
     n2 += v * v;
@@ -83,7 +82,7 @@ TEST(PredictDotTest, BinaryQueryMatchesBipolarDot) {
   for (std::size_t j = 0; j < dim; ++j) {
     acc[j] = rng.normal();
   }
-  const double expected = hdc::dot(acc, s.bipolar) / static_cast<double>(dim);
+  const double expected = hdc::dot(acc, s.real.sign()) / static_cast<double>(dim);
   EXPECT_NEAR(predict_k1(acc, s, PredictionMode::binary_query_integer_model()), expected,
               1e-12);
 }
@@ -231,7 +230,7 @@ TEST(UpdateAccumulatorTest, RealAndBinaryPrecisions) {
   update_accumulator(acc_bin.values(), s, 0.5, QueryPrecision::kBinary);
   for (std::size_t j = 0; j < dim; ++j) {
     EXPECT_DOUBLE_EQ(acc_real[j], 0.5 * s.real[j]);
-    EXPECT_DOUBLE_EQ(acc_bin[j], s.bipolar[j] > 0 ? 0.5 : -0.5);
+    EXPECT_DOUBLE_EQ(acc_bin[j], s.real[j] < 0.0 ? -0.5 : 0.5);
   }
 }
 

@@ -283,8 +283,7 @@ TEST(MultiModelTest, SimilarityNormalizationSharpensCompressedSimilarities) {
   util::Rng rng(6);
   hdc::EncodedSample query;
   query.real = hdc::random_bipolar(512, rng).to_real();
-  query.bipolar = query.real.sign();
-  query.binary = query.bipolar.pack();
+  query.binary = query.real.sign_packed();
   query.real_norm2 = 512.0;
   query.real_norm = std::sqrt(512.0);
 

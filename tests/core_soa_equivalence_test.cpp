@@ -65,7 +65,7 @@ class ArenaEncodeTest : public ::testing::TestWithParam<hdc::EncoderKind> {};
 
 TEST_P(ArenaEncodeTest, ArenaRowsBitIdenticalToPerRowEncode) {
   // dim 200 is deliberately not a multiple of 64: the packed plane has
-  // padding bits, and the AVX2 sign_encode tail path runs.
+  // padding bits, and the SIMD sign_pack tail path runs.
   for (const std::size_t dim : {static_cast<std::size_t>(200), static_cast<std::size_t>(256)}) {
     hdc::EncoderConfig cfg;
     cfg.kind = GetParam();
@@ -83,8 +83,6 @@ TEST_P(ArenaEncodeTest, ArenaRowsBitIdenticalToPerRowEncode) {
         const hdc::EncodedSampleView got = enc.sample(i);
         EXPECT_TRUE(got.real == hdc::RealHVView(expected.real))
             << "real row " << i << " threads " << threads << " dim " << dim;
-        EXPECT_TRUE(got.bipolar == hdc::BipolarHVView(expected.bipolar))
-            << "bipolar row " << i;
         EXPECT_TRUE(got.binary == hdc::BinaryHVView(expected.binary))
             << "binary row " << i;
         // Norms come from the same dot_real_real on identical data: exact.

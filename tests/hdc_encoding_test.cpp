@@ -117,8 +117,7 @@ TEST_P(EncoderSuite, EncodedSampleRepresentationsAreCoupled) {
   const auto enc = make();
   util::Rng rng(7);
   const EncodedSample s = enc->encode(random_features(6, rng));
-  EXPECT_EQ(s.bipolar, s.real.sign());
-  EXPECT_EQ(s.binary, s.bipolar.pack());
+  EXPECT_EQ(s.binary, s.real.sign().pack());
   double norm2 = 0.0;
   for (const double v : s.real.values()) {
     norm2 += v * v;
@@ -304,34 +303,31 @@ TEST(RffEncoderTest, RematerializedBatchEncodeIsBitIdenticalAcrossThreads) {
         v = rng.normal();
       }
       std::vector<double> want_real(num_rows * dim);
-      std::vector<std::int8_t> want_bipolar(num_rows * dim);
       std::vector<std::uint64_t> want_bits(num_rows * words);
       std::vector<double> want_norm(num_rows);
       std::vector<double> want_norm2(num_rows);
       resident->encode_batch_into(
           rows, num_rows,
-          {want_real.data(), want_bipolar.data(), want_bits.data(), want_norm.data(),
-           want_norm2.data(), dim, words},
+          {want_real.data(), want_bits.data(), want_norm.data(), want_norm2.data(), dim,
+           words},
           1);
       for (const std::size_t threads : {1u, 2u, 4u}) {
         // The arena contract: the real plane is zero-initialized (encoders
         // accumulate into it); the bit plane may hold garbage (fully
         // overwritten).
         std::vector<double> got_real(num_rows * dim, 0.0);
-        std::vector<std::int8_t> got_bipolar(num_rows * dim, 0);
         std::vector<std::uint64_t> got_bits(num_rows * words, ~0ULL);
         std::vector<double> got_norm(num_rows);
         std::vector<double> got_norm2(num_rows);
         remat->encode_batch_into(
             rows, num_rows,
-            {got_real.data(), got_bipolar.data(), got_bits.data(), got_norm.data(),
-             got_norm2.data(), dim, words},
+            {got_real.data(), got_bits.data(), got_norm.data(), got_norm2.data(), dim,
+             words},
             threads);
         const std::string where = "dim " + std::to_string(dim) + " rows " +
                                   std::to_string(num_rows) + " threads " +
                                   std::to_string(threads);
         EXPECT_EQ(got_real, want_real) << where;
-        EXPECT_EQ(got_bipolar, want_bipolar) << where;
         EXPECT_EQ(got_bits, want_bits) << where;
         EXPECT_EQ(got_norm, want_norm) << where;
         EXPECT_EQ(got_norm2, want_norm2) << where;
@@ -370,17 +366,15 @@ TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
 
       struct Planes {
         std::vector<double> real, norm, norm2;
-        std::vector<std::int8_t> bipolar;
         std::vector<std::uint64_t> bits;
       };
       const auto encode = [&](const Encoder& enc, std::size_t threads) {
         Planes p{std::vector<double>(num_rows * dim, -7.0), std::vector<double>(num_rows),
                  std::vector<double>(num_rows),
-                 std::vector<std::int8_t>(num_rows * dim, 3),
                  std::vector<std::uint64_t>(num_rows * words, ~0ULL)};
         enc.encode_batch_into(rows, num_rows,
-                              {p.real.data(), p.bipolar.data(), p.bits.data(),
-                               p.norm.data(), p.norm2.data(), dim, words},
+                              {p.real.data(), p.bits.data(), p.norm.data(),
+                               p.norm2.data(), dim, words},
                               threads);
         return p;
       };
@@ -391,9 +385,6 @@ TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
         const std::string where = "dim " + std::to_string(dim) + " row " + std::to_string(r);
         ASSERT_TRUE(std::equal(s.real.values().begin(), s.real.values().end(),
                                want.real.begin() + static_cast<std::ptrdiff_t>(r * dim)))
-            << where;
-        ASSERT_TRUE(std::equal(s.bipolar.values().begin(), s.bipolar.values().end(),
-                               want.bipolar.begin() + static_cast<std::ptrdiff_t>(r * dim)))
             << where;
         ASSERT_TRUE(std::equal(s.binary.words().begin(), s.binary.words().end(),
                                want.bits.begin() + static_cast<std::ptrdiff_t>(r * words)))
@@ -407,7 +398,6 @@ TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
                                   std::to_string(num_rows) + " threads " +
                                   std::to_string(threads);
         EXPECT_EQ(got.real, want.real) << where;
-        EXPECT_EQ(got.bipolar, want.bipolar) << where;
         EXPECT_EQ(got.bits, want.bits) << where;
         EXPECT_EQ(got.norm, want.norm) << where;
         EXPECT_EQ(got.norm2, want.norm2) << where;
@@ -505,13 +495,12 @@ std::vector<double> encode_via(const Encoder& enc, EncodePath path,
       break;
     case EncodePath::kBatch: {
       const std::size_t words = (d + 63) / 64;
-      std::vector<std::int8_t> bipolar(num_rows * d);
       std::vector<std::uint64_t> bits(num_rows * words);
       std::vector<double> norm(num_rows);
       std::vector<double> norm2(num_rows);
       enc.encode_batch_into(
           rows, num_rows,
-          {out.data(), bipolar.data(), bits.data(), norm.data(), norm2.data(), d, words},
+          {out.data(), bits.data(), norm.data(), norm2.data(), d, words},
           2);
       break;
     }

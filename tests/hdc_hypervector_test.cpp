@@ -1,6 +1,10 @@
 // Tests for the hypervector value types and representation conversions.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
+
 #include "hdc/hypervector.hpp"
 #include "hdc/random_hv.hpp"
 #include "util/random.hpp"
@@ -35,8 +39,20 @@ TEST(RealHVTest, SignMapsZeroToPlusOne) {
 
 TEST(RealHVTest, SignPackedAgreesWithSignThenPack) {
   util::Rng rng(3);
-  const RealHV v = random_gaussian(130, rng);  // odd size exercises padding
+  RealHV v = random_gaussian(130, rng);  // odd size exercises padding
+  // One rule for every special value: only components < 0 clear their bit.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double special[] = {0.0, -0.0, std::nan(""), -std::nan(""), kInf, -kInf};
+  for (std::size_t i = 0; i < std::size(special); ++i) {
+    v[i] = special[i];        // first word
+    v[129 - i] = special[i];  // the padded final word
+  }
   EXPECT_EQ(v.sign_packed(), v.sign().pack());
+  EXPECT_EQ(RealHVView(v).sign_packed(), v.sign().pack());
+  const BinaryHV bits = v.sign_packed();
+  for (std::size_t i = 0; i < std::size(special); ++i) {
+    EXPECT_EQ(bits.bit(i), !(special[i] < 0.0)) << "special value " << i;
+  }
 }
 
 TEST(BipolarHVTest, DefaultsToAllPlusOne) {

@@ -717,31 +717,28 @@ TEST_P(KernelBackendTest, DotRowsBinaryMatchesPerRowHammingChainExactly) {
 }
 
 TEST_P(KernelBackendTest, SignEncodeMatchesSignThenPackBitExact) {
-  // sign_encode fuses RealHV::sign() + BipolarHV::pack(): bipolar −1 iff
-  // v < 0 (so ±0 and NaN map to +1 / set bit) and zero padding bits. Must be
+  // sign_pack equals RealHV::sign() + BipolarHV::pack(): bit clear iff
+  // v < 0 (so ±0 and NaN set their bit) and zero padding bits. Must be
   // bit-exact on every backend.
   const std::size_t dim = GetParam();
   util::Rng rng(0x5167 + dim);
   RealHV v = random_gaussian(dim, rng);
-  if (dim >= 4) {
+  if (dim >= 6) {
     v[0] = 0.0;
     v[1] = -0.0;
     v[2] = std::nan("");
+    v[3] = std::numeric_limits<double>::infinity();
+    v[4] = -std::numeric_limits<double>::infinity();
+    v[5] = -std::nan("");
   }
-  const BipolarHV expected_bipolar = v.sign();
-  const BinaryHV expected_binary = expected_bipolar.pack();
+  const BinaryHV expected = v.sign().pack();
 
   for (const KernelBackend* kb : all_available()) {
-    std::vector<std::int8_t> bipolar(dim, 0);
-    // Poison the word buffer: sign_encode must fully overwrite every word,
+    // Poison the word buffer: sign_pack must fully overwrite every word,
     // including zeroing the padding bits of the final one.
     std::vector<std::uint64_t> bits((dim + 63) / 64, ~0ULL);
-    kb->sign_encode(v.values().data(), bipolar.data(), bits.data(), dim);
-    EXPECT_TRUE(std::equal(bipolar.begin(), bipolar.end(),
-                           expected_bipolar.values().begin()))
-        << kb->name;
-    EXPECT_TRUE(
-        std::equal(bits.begin(), bits.end(), expected_binary.words().begin()))
+    kb->sign_pack(v.values().data(), bits.data(), dim);
+    EXPECT_TRUE(std::equal(bits.begin(), bits.end(), expected.words().begin()))
         << kb->name;
   }
 }

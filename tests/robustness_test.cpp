@@ -63,8 +63,7 @@ Fixture make_trained_fixture(std::size_t dim, QueryPrecision query) {
 hdc::EncodedSample resample(hdc::RealHV real) {
   hdc::EncodedSample s;
   s.real = std::move(real);
-  s.bipolar = s.real.sign();
-  s.binary = s.bipolar.pack();
+  s.binary = s.real.sign_packed();
   double n2 = 0.0;
   for (const double v : s.real.values()) {
     n2 += v * v;
@@ -116,7 +115,6 @@ TEST_P(BitFlipSweep, BinaryQueryBitFlipsDegradeGracefully) {
   for (std::size_t i = 0; i < fx.test.size(); ++i) {
     hdc::EncodedSample corrupted = fx.test.sample(i).materialize();
     corrupted.binary = hdc::flip_noise(corrupted.binary, flip_rate, rng);
-    corrupted.bipolar = corrupted.binary.unpack();
     const double e = fx.model->predict(corrupted) - fx.test.target(i);
     acc += e * e;
   }
