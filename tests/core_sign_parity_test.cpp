@@ -4,9 +4,12 @@
 // so any reader of the sign — the binary-query Eq. 7 update (train_step,
 // train_batch), farthest-point cluster seeding, the fused quantized
 // predict, HdClassifier, BaselineHd and HdClustering — must produce the same
-// bits however the sign is stored. Each case hashes its predictions and its
-// model bytes with CRC32C at D = 1000 (a ragged final word: 1000 = 15·64 + 40)
-// and D = 1024 (whole words), against values recorded per kernel table.
+// bits however the sign is stored. So must every reader of a random ±1
+// vector: the Eq. 1 encoder's base vectors, the random cluster init of
+// MultiModelRegressor and HdClustering, and the capacity simulator. Each
+// case hashes its predictions and its model bytes with CRC32C at D = 1000 (a
+// ragged final word: 1000 = 15·64 + 40) and D = 1024 (whole words), against
+// values recorded per kernel table.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline_hd.hpp"
@@ -26,6 +30,7 @@
 #include "core/model_io.hpp"
 #include "core/multi_model.hpp"
 #include "data/dataset.hpp"
+#include "hdc/capacity.hpp"
 #include "hdc/encoding.hpp"
 #include "hdc/kernel_backend.hpp"
 #include "util/crc32c.hpp"
@@ -79,15 +84,17 @@ std::uint32_t model_crc(const MultiModelRegressor& model) {
 }
 
 void expect_pinned(const char* what, std::size_t d, const Pinned& pinned,
-                   std::uint32_t predictions, std::uint32_t model) {
+                   std::uint32_t predictions, std::uint32_t model,
+                   const char* predictions_label = "predictions",
+                   const char* model_label = "model bytes") {
   std::uint32_t want_predictions = 0;
   std::uint32_t want_model = 0;
   if (!expected_for_backend(pinned.predictions, want_predictions) ||
       !expected_for_backend(pinned.model, want_model)) {
     GTEST_SKIP() << "no recorded CRCs for the " << hdc::active_backend().name << " table";
   }
-  EXPECT_EQ(predictions, want_predictions) << what << " predictions, D = " << d;
-  EXPECT_EQ(model, want_model) << what << " model bytes, D = " << d;
+  EXPECT_EQ(predictions, want_predictions) << what << " " << predictions_label << ", D = " << d;
+  EXPECT_EQ(model, want_model) << what << " " << model_label << ", D = " << d;
 }
 
 data::Dataset make_dataset(std::size_t rows, std::uint64_t seed) {
@@ -181,6 +188,21 @@ const Pinned kBaselineHd[] = {
 const Pinned kClustering[] = {
     {{243130426u, 243130426u, 243130426u}, {3319139690u, 3444345503u, 2368324951u}},
     {{2996059574u, 2996059574u, 2996059574u}, {441254962u, 2639706648u, 3032951097u}},
+};
+// {real outputs, packed outputs}.
+const Pinned kNonlinearEncoder[] = {
+    {{853432494u, 853432494u, 853432494u}, {440085294u, 440085294u, 440085294u}},
+    {{903845975u, 903845975u, 903845975u}, {1525440620u, 1525440620u, 1525440620u}},
+};
+// {cluster accumulator rows, packed cluster rows}.
+const Pinned kMultiModelInit[] = {
+    {{3871957708u, 3871957708u, 3871957708u}, {770041673u, 770041673u, 770041673u}},
+    {{1922665546u, 1922665546u, 1922665546u}, {1065502676u, 1065502676u, 1065502676u}},
+};
+// {assignments, center accumulator rows}.
+const Pinned kClusteringRandomInit[] = {
+    {{3486115504u, 3486115504u, 3486115504u}, {1553181682u, 3313142661u, 1335285839u}},
+    {{3486115504u, 3486115504u, 3486115504u}, {678446089u, 2822975772u, 980596961u}},
 };
 
 TEST(SignParityTest, BinaryQueryTrainStep) {
@@ -326,6 +348,92 @@ TEST(SignParityTest, HdClustering) {
     expect_pinned("HdClustering", d, kClustering[i],
                   bytes_crc(std::span<const std::uint64_t>(assignments)),
                   bytes_crc(std::span<const double>(model)));
+  }
+}
+
+TEST(SignParityTest, NonlinearFeatureEncoder) {
+  // Eq. 1 reads its ±1 base vectors B_k in encode() (the sign-flipped axpy)
+  // and in encode_reference() (B_k·f_k inside the trig calls).
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::size_t d = kDims[i];
+    const Data& set = data(i);
+    hdc::EncoderConfig enc;
+    enc.kind = hdc::EncoderKind::kNonlinearFeature;
+    enc.input_dim = kFeatures;
+    enc.dim = d;
+    const hdc::NonlinearFeatureEncoder encoder(enc);
+    std::vector<double> real;
+    std::vector<std::uint64_t> packed;
+    for (std::size_t r = 0; r < set.raw_val.size(); ++r) {
+      const hdc::EncodedSample s = encoder.encode(set.raw_val.row(r));
+      real.insert(real.end(), s.real.values().begin(), s.real.values().end());
+      packed.insert(packed.end(), s.binary.words().begin(), s.binary.words().end());
+      const hdc::RealHV ref = encoder.encode_reference(set.raw_val.row(r));
+      real.insert(real.end(), ref.values().begin(), ref.values().end());
+    }
+    expect_pinned("NonlinearFeatureEncoder", d, kNonlinearEncoder[i],
+                  bytes_crc(std::span<const double>(real)),
+                  bytes_crc(std::span<const std::uint64_t>(packed)), "real outputs",
+                  "packed outputs");
+  }
+}
+
+TEST(SignParityTest, MultiModelRandomClusterInit) {
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::size_t d = kDims[i];
+    const MultiModelRegressor model(binary_query_config(d));
+    std::vector<double> rows;
+    std::vector<std::uint64_t> packed;
+    for (std::size_t c = 0; c < model.config().models; ++c) {
+      const auto acc = model.cluster_accumulator(c);
+      rows.insert(rows.end(), acc.begin(), acc.end());
+      const auto words = model.cluster(c).binary.words();
+      packed.insert(packed.end(), words.begin(), words.end());
+    }
+    expect_pinned("MultiModelRegressor init", d, kMultiModelInit[i],
+                  bytes_crc(std::span<const double>(rows)),
+                  bytes_crc(std::span<const std::uint64_t>(packed)), "cluster rows",
+                  "packed cluster rows");
+  }
+}
+
+TEST(SignParityTest, HdClusteringRandomInit) {
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::size_t d = kDims[i];
+    const Data& set = data(i);
+    HdClusteringConfig cfg;
+    cfg.dim = d;
+    cfg.clusters = 4;
+    cfg.max_epochs = 5;
+    cfg.init = ClusterInit::kRandom;
+    HdClustering clustering(cfg);
+    const HdClusteringReport report = clustering.fit(set.train);
+    std::vector<std::uint64_t> assignments(report.assignments.begin(),
+                                           report.assignments.end());
+    std::vector<double> model;
+    for (std::size_t c = 0; c < cfg.clusters; ++c) {
+      const auto v = clustering.center_accumulator(c);
+      model.insert(model.end(), v.begin(), v.end());
+    }
+    expect_pinned("HdClustering, random init", d, kClusteringRandomInit[i],
+                  bytes_crc(std::span<const std::uint64_t>(assignments)),
+                  bytes_crc(std::span<const double>(model)), "assignments", "center rows");
+  }
+}
+
+TEST(SignParityTest, CapacitySimulatorHits) {
+  // The superposed memory is integer-valued, so every probe dot is exact in
+  // any summation order: one hit count holds for every table.
+  hdc::CapacityQuery query;
+  query.dimension = 1000;
+  query.patterns = 40;
+  query.threshold = 0.1;
+  constexpr std::size_t kTrials = 4000;
+  const std::pair<std::uint64_t, std::size_t> pinned[] = {{0xCA9A, 1220}, {0x5EED, 1177}};
+  for (const auto& [seed, hits] : pinned) {
+    util::Rng rng(seed);
+    const double rate = hdc::simulate_false_positive_rate(query, kTrials, rng);
+    EXPECT_EQ(static_cast<std::size_t>(std::lround(rate * kTrials)), hits) << "seed " << seed;
   }
 }
 
