@@ -94,12 +94,21 @@ std::string TenantStore::spill_path(std::uint64_t key) const {
 }
 
 std::size_t TenantStore::approx_learner_bytes(std::size_t tier) const {
-  // Dominant planes per model: real accumulator + cluster center (8 B/dim
-  // each), bipolar snapshot + ternary byte plane (1 B/dim each), packed
-  // 2-bit bank (¼ B/dim), plus the Welford statistics and fixed overhead.
-  // With rematerialized projections nothing else scales with D.
+  // The planes that scale with D, per model: the cluster and model
+  // accumulator rows (8 B/dim each); three packed BinaryHV planes — the
+  // model's sign and ternary-mask snapshots and the cluster's sign
+  // snapshot — of ⌈D/64⌉ words each; and the packed bank's sign + mask
+  // planes for the cluster row, plus the model row when the models are
+  // binary or ternary. Then the Welford statistics and fixed overhead. With
+  // rematerialized projections nothing else scales with D.
   const std::size_t d = tier_dims_[tier];
-  const std::size_t per_model = d * (8 + 8 + 1 + 1) + d / 4;
+  const std::size_t plane = (d + 63) / 64 * sizeof(std::uint64_t);
+  const core::ModelPrecision models = online_.reghd.model_precision;
+  const std::size_t bank_rows =
+      models == core::ModelPrecision::kBinary || models == core::ModelPrecision::kTernary
+          ? 2
+          : 1;
+  const std::size_t per_model = 2 * d * sizeof(double) + (3 + 2 * bank_rows) * plane;
   return online_.reghd.models * per_model + nf_ * 24 + 512;
 }
 

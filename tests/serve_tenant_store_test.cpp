@@ -135,6 +135,52 @@ TEST(ServeTenantStoreTest, TierDimsAscendFromCapacityModelAndClampToBase) {
   EXPECT_EQ(store.tier_of(100000), 2U);
 }
 
+/// Bytes of every plane of `learner` that scales with D: the (2k)×D
+/// accumulator arena, each model's sign and ternary-mask snapshots, each
+/// cluster's sign snapshot and the packed bank's sign and mask planes.
+std::size_t d_scaled_bytes(const core::OnlineRegHD& learner) {
+  const core::MultiModelRegressor& m = learner.model();
+  std::size_t words = m.packed_bank().signs.size() + m.packed_bank().masks.size();
+  std::size_t doubles = 0;
+  for (std::size_t i = 0; i < m.num_models(); ++i) {
+    words += m.model(i).binary.word_count() + m.model(i).ternary_mask.word_count() +
+             m.cluster(i).binary.word_count();
+    doubles += m.cluster_accumulator(i).size() + m.model_accumulator(i).size();
+  }
+  return words * sizeof(std::uint64_t) + doubles * sizeof(double);
+}
+
+TEST(ServeTenantStoreTest, ResidentBytesCountEveryPackedPlaneAtItsWordSize) {
+  // One tenant walked through every tier (the hot tier, D = 1000, ends in a
+  // ragged word): the estimate must be the learner's D-scaled planes at
+  // their real size plus the fixed overhead — Welford statistics (24 B per
+  // feature) and 512 B — for real models and for binary ones, whose rows
+  // also ride in the packed bank.
+  const data::Dataset d = data::make_friedman1(8, 6);
+  for (const core::ModelPrecision precision :
+       {core::ModelPrecision::kReal, core::ModelPrecision::kBinary}) {
+    TenantStoreConfig tc;
+    tc.resident_budget = 4;
+    tc.tiered_dims = true;
+    tc.tier_updates = {1, 2};
+    core::OnlineConfig online = base_online(1000);
+    online.reghd.model_precision = precision;
+    TenantStore store(tc, online, d.num_features());
+    ASSERT_LT(store.tier_dims()[0], store.tier_dims()[2]);
+    for (std::size_t tier = 0; tier < 3; ++tier) {
+      if (tier > 0) {
+        (void)store.update(5, d.row(tier), d.target(tier));
+      }
+      const core::OnlineRegHD& learner = store.activate(5);
+      ASSERT_EQ(learner.config().reghd.dim, store.tier_dims()[tier]);
+      EXPECT_EQ(store.stats().resident_bytes,
+                d_scaled_bytes(learner) + d.num_features() * 24 + 512)
+          << "tier " << tier << ", D = " << store.tier_dims()[tier]
+          << ", model precision " << core::to_string(precision);
+    }
+  }
+}
+
 TEST(ServeTenantStoreTest, PromotionGrowsDimAndCarriesStatistics) {
   const data::Dataset d = data::make_friedman1(128, 6);
   TenantStoreConfig tc;
