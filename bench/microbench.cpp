@@ -315,7 +315,6 @@ int run_kernel_json(const std::string& path) {
   util::Rng rng(0xBE7C);
   const hdc::RealHV ra = hdc::random_gaussian(kDim, rng);
   const hdc::RealHV rb = hdc::random_gaussian(kDim, rng);
-  const hdc::BipolarHV pa = hdc::random_bipolar(kDim, rng);
   const hdc::BinaryHV ba = hdc::random_binary(kDim, rng);
   const hdc::BinaryHV bb = hdc::random_binary(kDim, rng);
   const hdc::BinaryHV mask = hdc::random_binary(kDim, rng);
@@ -337,6 +336,8 @@ int run_kernel_json(const std::string& path) {
   std::vector<double> gemm_a(kGemmRows * kFeatures);
   std::vector<double> gemm_b(kFeatures * kDim);
   std::vector<double> gemm_c(kGemmRows * kDim, 0.0);
+  std::vector<double> gemm_phase(kDim);
+  std::vector<double> gemm_sinp(kDim);
   std::vector<double> bank(2 * kModels * kDim);
   std::vector<double> bank_scores(2 * kModels);
   std::vector<std::uint64_t> binary_bank(2 * kModels * kWords);
@@ -354,6 +355,10 @@ int run_kernel_json(const std::string& path) {
   }
   for (double& x : gemm_b) {
     x = rng.normal();
+  }
+  for (std::size_t j = 0; j < kDim; ++j) {
+    gemm_phase[j] = rng.phase();
+    gemm_sinp[j] = util::fast_sin(gemm_phase[j]);
   }
   for (double& x : bank) {
     x = rng.normal();
@@ -396,17 +401,9 @@ int run_kernel_json(const std::string& path) {
 
   const double* pra = ra.values().data();
   const double* prb = rb.values().data();
-  const std::int8_t* ppa = pa.values().data();
   const std::uint64_t* pba = ba.words().data();
   const std::uint64_t* pbb = bb.words().data();
   const std::uint64_t* pmask = mask.words().data();
-
-  struct RealKernelCase {
-    const char* name;
-    double bytes;
-    double (*run)(const hdc::KernelBackend&, const double*, const std::int8_t*,
-                  const std::uint64_t*, const std::uint64_t*, const double*, std::size_t);
-  };
 
   // Seed references first (they anchor the speedup figures).
   const double seed_drb = time_ns([&] {
@@ -421,9 +418,6 @@ int run_kernel_json(const std::string& path) {
     ns = time_ns([&] { benchmark::DoNotOptimize(kb->dot_real_real(pra, prb, kDim)); });
     report_backend(kernels["dot_real_real"], b.c_str(), 2.0 * kDim * 8, ns);
 
-    ns = time_ns([&] { benchmark::DoNotOptimize(kb->dot_real_bipolar(pra, ppa, kDim)); });
-    report_backend(kernels["dot_real_bipolar"], b.c_str(), kDim * 9.0, ns);
-
     ns = time_ns([&] { benchmark::DoNotOptimize(kb->dot_real_binary(pra, pba, kDim)); });
     report_backend(kernels["dot_real_binary"], b.c_str(), kDim * 8.0 + kWords * 8.0, ns);
 
@@ -437,9 +431,6 @@ int run_kernel_json(const std::string& path) {
     double* pacc = accum.values().data();
     ns = time_ns([&] { kb->add_scaled_real(pacc, prb, 0.01, kDim); });
     report_backend(kernels["add_scaled_real"], b.c_str(), 3.0 * kDim * 8, ns);
-
-    ns = time_ns([&] { kb->add_scaled_bipolar(pacc, ppa, 0.01, kDim); });
-    report_backend(kernels["add_scaled_bipolar"], b.c_str(), 2.0 * kDim * 8 + kDim, ns);
 
     ns = time_ns([&] { kb->add_scaled_binary(pacc, pba, 0.01, kDim); });
     report_backend(kernels["add_scaled_binary"], b.c_str(),
@@ -462,14 +453,16 @@ int run_kernel_json(const std::string& path) {
         [&] { kb->rff_trig_map(trig_z.data(), trig_phase.data(), trig_sinp.data(), kDim); });
     report_backend(kernels["rff_trig_map"], b.c_str(), 4.0 * kDim * 8, ns);
 
-    // GEMM encode block: 16 rows projected through the F×D weights in one
-    // cache-blocked pass (bytes = all three operands once).
+    // Resident encode block: 16 rows projected through the F×D weights and
+    // trig-mapped in one cache-blocked pass (bytes = every operand once, C
+    // written only).
     ns = time_ns([&] {
-      kb->gemm_accumulate(gemm_a.data(), kFeatures, gemm_b.data(), kDim, gemm_c.data(),
-                          kDim, kGemmRows, kFeatures, kDim);
+      kb->rff_project_map(gemm_a.data(), kFeatures, gemm_b.data(), kDim, gemm_phase.data(),
+                          gemm_sinp.data(), gemm_c.data(), kDim, kGemmRows, kFeatures, kDim);
     });
-    report_backend(kernels["gemm_encode"], b.c_str(),
-                   (kGemmRows * kFeatures + kFeatures * kDim + 2.0 * kGemmRows * kDim) * 8,
+    report_backend(kernels["project_map_encode"], b.c_str(),
+                   (kGemmRows * kFeatures + kFeatures * kDim + 2.0 * kDim +
+                    kGemmRows * kDim) * 8,
                    ns);
 
     // Batch bank scoring, Q·Bankᵀ: a block of queries against the 2k-row
@@ -574,12 +567,11 @@ int run_kernel_json(const std::string& path) {
                    kRematTile * kFeatures * 8.0, ns);
 
     // The rematerialized batch-encode shape serving runs (F = 32, D = 2048,
-    // B = 64): gemm_remat_tile is the GEMM alone, 64 rows through D/16
-    // weight tiles 16 columns wide; project_map_remat_tile is the same walk
-    // through rff_project_map (the GEMM with the trig map fused in, C
-    // write-only); remat_encode_batch is encode_batch_into's whole
-    // single-worker remat sequence on this table (regenerate each tile once,
-    // then project-and-map it into all 64 rows).
+    // B = 64): project_map_remat_tile is rff_project_map alone, 64 rows
+    // through D/16 weight tiles 16 columns wide (the GEMM with the trig map
+    // fused in, C write-only); remat_encode_batch is encode_batch_into's
+    // whole single-worker remat sequence on this table (regenerate each tile
+    // once, then project-and-map it into all 64 rows).
     {
       constexpr std::size_t kServeF = 32;
       constexpr std::size_t kServeD = 2048;
@@ -592,15 +584,6 @@ int run_kernel_json(const std::string& path) {
       }
       kb->rff_rematerialize(0x5EED, 0.177, 0, kRematTile, kServeF, tile_b.data(),
                             kRematTile);
-      ns = time_ns([&] {
-        for (std::size_t j0 = 0; j0 < kServeD; j0 += kRematTile) {
-          kb->gemm_accumulate(tile_a.data(), kServeF, tile_b.data(), kRematTile,
-                              tile_c.data() + j0, kServeD, kServeB, kServeF, kRematTile);
-        }
-      });
-      report_backend(kernels["gemm_remat_tile"], b.c_str(),
-                     (kServeB * kServeF + 2.0 * kServeB * kServeD) * 8, ns);
-
       std::vector<double> serve_phase(kServeD);
       std::vector<double> serve_sinp(kServeD);
       for (std::size_t j = 0; j < kServeD; ++j) {
@@ -645,23 +628,20 @@ int run_kernel_json(const std::string& path) {
     bool (*same)(const KB&, const KB&);
   } node_entries[] = {
       {"dot_real_real", same_entries<&KB::dot_real_real>},
-      {"dot_real_bipolar", same_entries<&KB::dot_real_bipolar>},
       {"dot_real_binary", same_entries<&KB::dot_real_binary>},
       {"masked_dot", same_entries<&KB::masked_dot>},
       {"hamming", same_entries<&KB::hamming>},
       {"add_scaled_real", same_entries<&KB::add_scaled_real>},
-      {"add_scaled_bipolar", same_entries<&KB::add_scaled_bipolar>},
       {"add_scaled_binary", same_entries<&KB::add_scaled_binary>},
       {"scale_real", same_entries<&KB::scale_real>},
       {"rff_trig_map", same_entries<&KB::rff_trig_map>},
-      {"gemm_encode", same_entries<&KB::gemm_accumulate>},
+      {"project_map_encode", same_entries<&KB::rff_project_map>},
       {"dot_rows_block", same_entries<&KB::dot_rows_block>},
       {"update_dot_rows_composed",
        same_entries<&KB::add_scaled_real, &KB::dot_rows_multi>},
       {"update_dot_rows", same_entries<&KB::update_dot_rows>},
       {"dot_rows_ternary", same_entries<&KB::dot_rows_ternary>},
       {"rff_rematerialize", same_entries<&KB::rff_rematerialize>},
-      {"gemm_remat_tile", same_entries<&KB::gemm_accumulate>},
       {"project_map_remat_tile", same_entries<&KB::rff_project_map>},
       {"remat_encode_batch", same_entries<&KB::rff_rematerialize, &KB::rff_project_map>},
       {"sign_pack", same_entries<&KB::sign_pack>},
@@ -855,7 +835,10 @@ int run_kernel_json(const std::string& path) {
                       std::vector<double>(row.begin(), row.end()), scratch);
       hdc::EncodedSample s;
       s.real = hdc::RealHV(scratch);
-      s.binary = s.real.sign().pack();  // the seed's two-step sign, then pack
+      s.binary = hdc::BinaryHV(kDim);  // the seed's per-component sign
+      for (std::size_t j = 0; j < kDim; ++j) {
+        s.binary.set_bit(j, !(scratch[j] < 0.0));
+      }
       double n2 = 0.0;
       for (const double v : scratch) {
         n2 += v * v;

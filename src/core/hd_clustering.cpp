@@ -36,8 +36,8 @@ void HdClustering::init_centers(const EncodedDataset& data, std::uint64_t seed) 
   if (config_.init == ClusterInit::kRandom || config_.clusters == 1 ||
       data.size() < config_.clusters) {
     for (std::size_t c = 0; c < config_.clusters; ++c) {
-      const hdc::BipolarHV init = hdc::random_bipolar(config_.dim, rng);
-      std::copy(init.values().begin(), init.values().end(), accumulator(c).begin());
+      // The row is zero, so adding the packed ±1 vector writes it exactly.
+      hdc::add_scaled(accumulator(c), hdc::random_bipolar(config_.dim, rng), 1.0);
     }
     requantize();
     return;

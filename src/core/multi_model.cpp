@@ -11,6 +11,7 @@
 #include "core/early_stopping.hpp"
 #include "hdc/encoding.hpp"
 #include "hdc/kernel_backend.hpp"
+#include "hdc/ops.hpp"
 #include "hdc/random_hv.hpp"
 #include "obs/telemetry.hpp"
 #include "util/aligned.hpp"
@@ -65,9 +66,9 @@ void MultiModelRegressor::reset() {
   clusters_.assign(k, ClusterCenter{});
   models_.assign(k, RegressionModel(config_.dim));
   for (std::size_t i = 0; i < k; ++i) {
-    // Paper §2.4: cluster hypervectors initialized to random binary values.
-    const hdc::BipolarHV init = hdc::random_bipolar(config_.dim, cluster_rng);
-    std::copy(init.values().begin(), init.values().end(), arena_row(i).begin());
+    // Paper §2.4: cluster hypervectors initialized to random binary values
+    // (the row is zero, so adding the packed ±1 vector writes it exactly).
+    hdc::add_scaled(arena_row(i), hdc::random_bipolar(config_.dim, cluster_rng), 1.0);
     clusters_[i].requantize(arena_row(i));
     models_[i].requantize(arena_row(k + i));
   }

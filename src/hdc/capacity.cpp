@@ -54,7 +54,9 @@ double simulate_false_positive_rate(const CapacityQuery& query, std::size_t tria
   check_query(query);
   REGHD_CHECK(trials > 0, "simulation requires at least one trial");
 
-  // Superpose P random bipolar patterns into one accumulator.
+  // Superpose P random bipolar patterns into one accumulator. Every
+  // component stays an integer, so each probe dot below is exact in any
+  // summation order.
   RealHV memory(query.dimension);
   for (std::size_t p = 0; p < query.patterns; ++p) {
     add_scaled(memory, random_bipolar(query.dimension, rng), 1.0);
@@ -63,7 +65,7 @@ double simulate_false_positive_rate(const CapacityQuery& query, std::size_t tria
   const double cut = query.threshold * static_cast<double>(query.dimension);
   std::size_t hits = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    const BipolarHV probe = random_bipolar(query.dimension, rng);
+    const BinaryHV probe = random_bipolar(query.dimension, rng);
     if (dot(memory, probe) > cut) {
       ++hits;
     }

@@ -205,9 +205,9 @@ void NonlinearFeatureEncoder::encode_real_into(std::span<const double> features,
     const double half_sin2 = 0.5 * std::sin(2.0 * features[k]);
     const double sinf = std::sin(features[k]);
     s += sinf * sinf;
-    // g += half_sin2 · B_k — the ±1 axpy kernel (multiplying by ±1.0 is
-    // exact, so this matches the branchy form bit-for-bit).
-    kb.add_scaled_bipolar(g.data(), bases_[k].values().data(), half_sin2, d);
+    // g += half_sin2 · B_k — the packed ±1 axpy, which adds exactly
+    // ±half_sin2 per component (the product with ±1.0, bit for bit).
+    kb.add_scaled_binary(g.data(), bases_[k].words().data(), half_sin2, d);
   }
 
   for (std::size_t j = 0; j < d; ++j) {
@@ -219,9 +219,9 @@ RealHV NonlinearFeatureEncoder::encode_reference(std::span<const double> feature
   check_features(features);
   RealHV out(config_.dim);
   for (std::size_t k = 0; k < config_.input_dim; ++k) {
-    const auto base = bases_[k].values();
+    const BinaryHV& base = bases_[k];
     for (std::size_t j = 0; j < config_.dim; ++j) {
-      const double arg = features[k] * static_cast<double>(base[j]);
+      const double arg = features[k] * static_cast<double>(base.bipolar(j));
       out[j] += std::cos(arg + phase_[j]) * std::sin(arg);
     }
   }

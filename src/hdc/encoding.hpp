@@ -5,12 +5,14 @@
 //
 //  * NonlinearFeatureEncoder — the paper's Eq. 1, literally:
 //        H_j = Σ_k cos(f_k·B_{k,j} + b_j) · sin(f_k·B_{k,j})
-//    with random bipolar base hypervectors B_k and a random phase vector b.
-//    Because B_{k,j} = ±1, the sum factors exactly as
+//    with random bipolar base hypervectors B_k (packed BinaryHVs, bit set ⇔
+//    +1) and a random phase vector b. Because B_{k,j} = ±1, the sum factors
+//    exactly as
 //        H_j = cos(b_j) · Σ_k B_{k,j}·(sin 2f_k)/2  −  sin(b_j) · Σ_k sin²f_k
 //    which turns the O(n·D) trigonometric evaluation into 2n trig calls, one
-//    ±1 projection, and one fused axpy. encode_reference() keeps the direct
-//    form; the test suite pins their equality to float tolerance.
+//    ±1 projection (n sign-flipped adds straight off the packed bits,
+//    add_scaled_binary), and one fused axpy. encode_reference() keeps the
+//    direct form; the test suite pins their equality to float tolerance.
 //
 //  * RffProjectionEncoder — the random-Fourier-feature variant used across
 //    the HD-learning literature: H_j = cos(w_j·F + b_j)·sin(w_j·F) with
@@ -248,7 +250,7 @@ class NonlinearFeatureEncoder final : public Encoder {
   void encode_real_into(std::span<const double> features, double* out) const override;
 
  private:
-  std::vector<BipolarHV> bases_;    ///< B_k, one per feature.
+  std::vector<BinaryHV> bases_;    ///< B_k, one per feature, packed.
   std::vector<double> phase_;      ///< b_j.
   std::vector<double> cos_phase_;  ///< cos(b_j), precomputed.
   std::vector<double> sin_phase_;  ///< sin(b_j), precomputed.

@@ -1,23 +1,22 @@
 // Hypervector value types.
 //
-// RegHD manipulates three representations of a D-dimensional hypervector:
+// RegHD manipulates two representations of a D-dimensional hypervector:
 //
-//  * RealHV    — dense double components. Used for the pre-binarization
-//                encoder output, the integer/accumulator models M, and the
-//                integer cluster centers C (the paper's "integer" vectors —
-//                high-precision accumulators as opposed to binary ones).
-//  * BipolarHV — dense ±1 components (int8): the random base hypervectors
-//                B_k of Eq. 1 and the unpacked form of a BinaryHV.
-//  * BinaryHV  — bit-packed {0,1}^D (64 dims per machine word, bit 1 ⇔ +1).
-//                The encoded sample's sign S ∈ {−1,+1}^D and the quantized
-//                form of §3: Hamming-distance similarity, multiply-free dot
-//                products via XOR + popcount, and sign-masked updates
-//                M += c·S.
+//  * RealHV   — dense double components. Used for the pre-binarization
+//               encoder output, the integer/accumulator models M, and the
+//               integer cluster centers C (the paper's "integer" vectors —
+//               high-precision accumulators as opposed to binary ones).
+//  * BinaryHV — bit-packed {0,1}^D (64 dims per machine word, bit 1 ⇔ +1),
+//               the only ±1 type. The encoded sample's sign S ∈ {−1,+1}^D,
+//               the random base hypervectors B_k of Eq. 1, the random
+//               cluster init and the quantized form of §3: Hamming-distance
+//               similarity, multiply-free dot products via XOR + popcount,
+//               and sign-flipped updates M += c·S, each exact.
 //
-// Conversions preserve the bipolar interpretation: bit b encodes component
-// 2b − 1, so Hamming distance h between two BinaryHVs and the bipolar dot
-// product d of the corresponding BipolarHVs obey d = D − 2h exactly. The
-// test suite pins this identity.
+// Bit b encodes the bipolar component 2b − 1 (BinaryHV::bipolar, to_real),
+// so the Hamming distance h between two BinaryHVs and the dot product d of
+// their bipolar vectors obey d = D − 2h exactly. The test suite pins this
+// identity.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +29,6 @@
 
 namespace reghd::hdc {
 
-class BipolarHV;
 class BinaryHV;
 
 /// Dense real-valued hypervector.
@@ -56,56 +54,14 @@ class RealHV {
   /// Resets every component to zero without changing the dimensionality.
   void clear() noexcept { std::fill(data_.begin(), data_.end(), 0.0); }
 
-  /// Component-wise sign binarization to ±1: −1 where the component is
-  /// < 0, else +1 (so ±0 and NaN map to +1 and the result is always a valid
-  /// bipolar vector).
-  [[nodiscard]] BipolarHV sign() const;
-
-  /// Sign binarization straight to the packed form, by the same rule.
+  /// Component-wise sign binarization to the packed form: bit 0 (−1) where
+  /// the component is < 0, else bit 1 (+1) — so ±0 and NaN map to +1.
   [[nodiscard]] BinaryHV sign_packed() const;
 
   bool operator==(const RealHV&) const = default;
 
  private:
   std::vector<double> data_;
-};
-
-/// Dense ±1 hypervector stored as int8 components.
-class BipolarHV {
- public:
-  BipolarHV() = default;
-
-  /// All-(+1) hypervector of the given dimensionality.
-  explicit BipolarHV(std::size_t dim) : data_(dim, +1) {}
-
-  /// Adopts component values; every element must be +1 or −1.
-  explicit BipolarHV(std::vector<std::int8_t> values);
-
-  [[nodiscard]] std::size_t dim() const noexcept { return data_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
-
-  [[nodiscard]] std::int8_t operator[](std::size_t i) const noexcept { return data_[i]; }
-
-  /// Sets component i to +1 or −1.
-  void set(std::size_t i, std::int8_t value) {
-    REGHD_CHECK(value == 1 || value == -1, "bipolar component must be ±1, got "
-                                               << static_cast<int>(value));
-    data_[i] = value;
-  }
-
-  [[nodiscard]] std::span<const std::int8_t> values() const noexcept { return data_; }
-
-  /// Packs into the bit representation (bit 1 ⇔ +1).
-  [[nodiscard]] BinaryHV pack() const;
-
-  /// Widens to a real hypervector.
-  [[nodiscard]] RealHV to_real() const;
-
-  bool operator==(const BipolarHV&) const = default;
-
- private:
-  friend class RealHV;  // sign() writes ±1 directly, skipping re-validation.
-  std::vector<std::int8_t> data_;
 };
 
 /// Bit-packed binary hypervector; bit 1 encodes bipolar +1, bit 0 encodes −1.
@@ -150,9 +106,6 @@ class BinaryHV {
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const noexcept;
 
-  /// Unpacks to the dense ±1 representation.
-  [[nodiscard]] BipolarHV unpack() const;
-
   /// Widens to a real ±1 hypervector.
   [[nodiscard]] RealHV to_real() const;
 
@@ -160,7 +113,6 @@ class BinaryHV {
 
  private:
   friend class RealHVView;  // sign_packed() sets bits word-directly.
-  friend class BipolarHV;
 
   std::size_t dim_ = 0;
   std::vector<std::uint64_t> words_;
@@ -173,7 +125,7 @@ class BinaryHV {
 // contiguous planes instead of per-sample vectors; these views give that
 // storage the same read interface as the owning types. Owning hypervectors
 // convert implicitly, so every read-only kernel signature that takes a view
-// still accepts a RealHV / BipolarHV / BinaryHV at the call site.
+// still accepts a RealHV / BinaryHV at the call site.
 // ---------------------------------------------------------------------------
 
 /// Read-only view of a dense real hypervector.
@@ -191,9 +143,8 @@ class RealHVView {
   /// Copies the viewed components into an owning hypervector.
   [[nodiscard]] RealHV to_owning() const { return RealHV({data_.begin(), data_.end()}); }
 
-  /// Sign binarization straight to the packed form: a bit is set unless the
-  /// component is < 0, so ±0 and NaN set theirs — RealHV::sign()'s rule,
-  /// through KernelBackend::sign_pack.
+  /// RealHV::sign_packed() on the viewed components, through
+  /// KernelBackend::sign_pack.
   [[nodiscard]] BinaryHV sign_packed() const;
 
   friend bool operator==(const RealHVView& a, const RealHVView& b) noexcept {
@@ -203,35 +154,6 @@ class RealHVView {
 
  private:
   std::span<const double> data_;
-};
-
-/// Read-only view of a dense ±1 hypervector.
-class BipolarHVView {
- public:
-  BipolarHVView() = default;
-  explicit BipolarHVView(std::span<const std::int8_t> values) : data_(values) {}
-  BipolarHVView(const BipolarHV& hv) : data_(hv.values()) {}  // NOLINT(google-explicit-constructor)
-
-  [[nodiscard]] std::size_t dim() const noexcept { return data_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
-  [[nodiscard]] std::int8_t operator[](std::size_t i) const noexcept { return data_[i]; }
-  [[nodiscard]] std::span<const std::int8_t> values() const noexcept { return data_; }
-
-  /// Widens to an owning real hypervector.
-  [[nodiscard]] RealHV to_real() const;
-
-  /// Copies the viewed components into an owning hypervector.
-  [[nodiscard]] BipolarHV to_owning() const {
-    return BipolarHV(std::vector<std::int8_t>{data_.begin(), data_.end()});
-  }
-
-  friend bool operator==(const BipolarHVView& a, const BipolarHVView& b) noexcept {
-    return a.data_.size() == b.data_.size() &&
-           std::equal(a.data_.begin(), a.data_.end(), b.data_.begin());
-  }
-
- private:
-  std::span<const std::int8_t> data_;
 };
 
 /// Read-only view of a bit-packed binary hypervector. The viewed words obey

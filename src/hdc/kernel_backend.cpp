@@ -29,8 +29,6 @@ namespace {
 // — minus the per-bit branch mispredictions that dominated them.
 // ---------------------------------------------------------------------------
 
-constexpr std::uint64_t kSignBit = 0x8000000000000000ULL;
-
 /// +v when the low bit of `keep` is 1, −v when it is 0.
 inline double apply_sign(double v, std::uint64_t keep) {
   const std::uint64_t flip = (~keep & 1ULL) << 63;
@@ -41,17 +39,6 @@ double scalar_dot_real_real(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     acc += a[i] * b[i];
-  }
-  return acc;
-}
-
-double scalar_dot_real_bipolar(const double* a, const std::int8_t* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // b[i] ∈ {−1,+1}: flip the sign of a[i] when b[i] is negative.
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    acc += std::bit_cast<double>(std::bit_cast<std::uint64_t>(a[i]) ^ flip);
   }
   return acc;
 }
@@ -120,15 +107,6 @@ void scalar_add_scaled_real(double* a, const double* b, double c, std::size_t n)
   }
 }
 
-void scalar_add_scaled_bipolar(double* a, const std::int8_t* b, double c, std::size_t n) {
-  const std::uint64_t c_bits = std::bit_cast<std::uint64_t>(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    a[i] += std::bit_cast<double>(c_bits ^ flip);
-  }
-}
-
 void scalar_add_scaled_binary(double* a, const std::uint64_t* bits, double c,
                               std::size_t n) {
   const std::uint64_t c_bits = std::bit_cast<std::uint64_t>(c);
@@ -186,11 +164,15 @@ void scalar_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
 
 // Column tile of the blocked GEMM: 512 doubles (4 KB) per B-panel row keeps a
 // typical feature-count panel resident in L1 while a block of output rows
-// streams over it. Shared by both backends so the traversal (not the
-// arithmetic order, which is fixed per element) is the only tunable.
+// streams over it. Every table's rff_project_map uses the same tile, so the
+// traversal (not the arithmetic order, which is fixed per element) is the
+// only tunable.
 constexpr std::size_t kGemmColTile = 512;
 
-void scalar_gemm_accumulate(const double* a, std::size_t lda, const double* b,
+/// rff_project_map's accumulate step: c[r·ldc + j] += Σ_k a[r·lda + k] ·
+/// b[k·ldb + j], k ascending, each term a separate multiply then add — the
+/// add_scaled_real chain, blocked.
+void scalar_gemm(const double* a, std::size_t lda, const double* b,
                             std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                             std::size_t k, std::size_t n) {
   for (std::size_t j0 = 0; j0 < n; j0 += kGemmColTile) {
@@ -258,20 +240,17 @@ constexpr KernelBackend kScalarBackend{
     "scalar",
     1,
     scalar_dot_real_real,
-    scalar_dot_real_bipolar,
     scalar_dot_real_binary,
     scalar_masked_dot,
     scalar_hamming,
     scalar_add_scaled_real,
-    scalar_add_scaled_bipolar,
     scalar_add_scaled_binary,
     scalar_merge_accumulate,
     scalar_scale_real,
     scalar_rff_trig_map,
     scalar_rff_rematerialize,
     scalar_rff_remat_dot,
-    scalar_gemm_accumulate,
-    detail::rff_project_map_composed<scalar_gemm_accumulate, scalar_rff_trig_map>,
+    detail::rff_project_map_composed<scalar_gemm, scalar_rff_trig_map>,
     detail::dot_rows_multi_composed<scalar_dot_real_real>,
     detail::update_dot_rows_composed<scalar_add_scaled_real,
                                      detail::dot_rows_multi_composed<scalar_dot_real_real>>,

@@ -1,8 +1,9 @@
 // Vectorized kernel backend with runtime CPU dispatch.
 //
 // Every hot hypervector kernel (the §3.2 prediction dots, Hamming popcounts,
-// masked ternary kernels, and the add_scaled accumulation family) exists in
-// several implementations:
+// masked ternary kernels, the add_scaled accumulation family and the RFF
+// encode path) exists in several implementations. A ±1 operand is always
+// packed bits (BinaryHV, bit 1 ⇔ +1); no kernel takes a dense ±1 vector.
 //
 //  * scalar — portable C++, branchless where the seed code branched per bit
 //             (sign application via IEEE-754 sign-bit XOR instead of a
@@ -64,8 +65,6 @@ struct KernelBackend {
 
   /// Σ a[i]·b[i].
   double (*dot_real_real)(const double* a, const double* b, std::size_t n);
-  /// Σ ±a[i] with the sign taken from a dense ±1 vector.
-  double (*dot_real_bipolar)(const double* a, const std::int8_t* b, std::size_t n);
   /// Σ ±a[i] with the sign taken from packed bits (bit 1 ⇔ +1).
   double (*dot_real_binary)(const double* a, const std::uint64_t* bits, std::size_t n);
   /// Σ over mask-set dims of ±a[i], signs from packed bits.
@@ -76,9 +75,8 @@ struct KernelBackend {
                           std::size_t words);
   /// a[i] += c·b[i].
   void (*add_scaled_real)(double* a, const double* b, double c, std::size_t n);
-  /// a[i] += ±c, signs from a dense ±1 vector.
-  void (*add_scaled_bipolar)(double* a, const std::int8_t* b, double c, std::size_t n);
-  /// a[i] += ±c, signs from packed bits.
+  /// a[i] += ±c, signs from packed bits. Each slot adds exactly +c or −c (a
+  /// sign flip, no multiply), so an integer-valued accumulator stays exact.
   void (*add_scaled_binary)(double* a, const std::uint64_t* bits, double c,
                             std::size_t n);
   /// Shard-merge accumulation over accumulator banks:
@@ -105,8 +103,8 @@ struct KernelBackend {
   /// memory-elision twin of a resident projection matrix. Writes the weights
   /// of hyperspace rows [row0, row0 + rows) in feature-major (transposed)
   /// layout: out[k·ld + r] = w_{row0+r, k} for k < n_features, r < rows —
-  /// exactly the B-operand layout gemm_accumulate streams, so a tile can be
-  /// regenerated into L1/L2 scratch and multiplied in place.
+  /// exactly the B-operand layout rff_project_map streams, so a tile can be
+  /// regenerated into L1/L2 scratch and projected in place.
   ///
   /// Derivation (the bit-exactness contract; see DESIGN.md): row j's stream
   /// seed is the (j+1)-th SplitMix64 output of `seed`; weight pair (2p, 2p+1)
@@ -129,41 +127,34 @@ struct KernelBackend {
   /// consumed in registers — the weight tile is never stored. Each out[r]
   /// accumulates with k strictly ascending from 0.0, each contribution
   /// rounded as a separate multiply then add (no FMA), so the result is
-  /// bit-identical to rff_rematerialize into a scratch tile followed by a
-  /// gemm_accumulate/add_scaled_real chain — and bit-identical across
+  /// bit-identical to rff_rematerialize into a scratch tile followed by an
+  /// add_scaled_real chain — and bit-identical across
   /// backends (per-component: each out[r] has one fixed scalar operation
   /// sequence). This is the B = 1 latency kernel: a batch amortizes the
   /// tile store over its rows, a single query gets nothing back for it.
   void (*rff_remat_dot)(std::uint64_t seed, double stddev, std::size_t row0,
                         std::size_t rows, const double* x, std::size_t n_features,
                         double* out);
-  /// Cache-blocked matrix multiply-accumulate over row-major operands:
-  ///   c[r·ldc + j] += Σ_k a[r·lda + k] · b[k·ldb + j]   (r < m, j < n)
-  /// Each output element accumulates contributions with k strictly ascending
-  /// and each contribution rounded as a separate multiply then add (no FMA),
-  /// so the per-element rounding sequence is identical to a chain of
-  /// add_scaled_real axpys — bit-identical across backends; only the cache
-  /// and register blocking differ. SIMD tables register-block C at their
-  /// natural width (NEON 8, AVX2 16 columns of one row); the AVX-512 table
-  /// holds 16 accumulators across all of k in every panel (4 rows × 32,
-  /// 8 rows × 16 or 16 rows × 8 columns). rff_project_map below runs the
-  /// same panels, so the rematerialized encoder's 16-column weight tiles
-  /// (ldb = 16, ldc = D) run at full vector width.
-  void (*gemm_accumulate)(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
-                          std::size_t k, std::size_t n);
-  /// The RFF encoder's projection and trig map in one pass (write-only C):
+  /// The RFF encoder's projection and trig map in one pass (write-only C)
+  /// over row-major operands:
   ///   c[r·ldc + j] = ½·(fast_sin(2·z + phase[j]) − sin_phase[j]),
   ///   z = Σ_k a[r·lda + k] · b[k·ldb + j]        (r < m, j < n)
-  /// Each z starts at +0.0 and accumulates exactly as gemm_accumulate into a
-  /// zero-filled C, then takes rff_trig_map's per-element sequence, so the
-  /// result is bit-identical to zero-fill + gemm_accumulate + rff_trig_map
-  /// on every table (detail::rff_project_map_composed, which the scalar and
-  /// NEON tables use as-is). The AVX2 and AVX-512 tables map each register
-  /// block the moment its k loop ends: the projection never makes a second
-  /// pass over C, and C is never zero-filled or reloaded. The RFF encoder's
-  /// batch, per-row and resident-slice paths all project through this one
-  /// entry.
+  /// Contract: each z is the axpy chain — it starts at +0.0 and adds
+  /// a[r·lda + k] · b[k·ldb + j] with k strictly ascending, each term rounded
+  /// as a separate multiply then add (no FMA), exactly as zero-fill followed
+  /// by one add_scaled_real per k — and then takes rff_trig_map's
+  /// per-element sequence. So every table is bit-identical to that
+  /// composition; only the cache and register blocking differ. The scalar and
+  /// NEON tables zero C, run a blocked accumulate (NEON register-blocks 8
+  /// columns of one row) and map each row (detail::rff_project_map_composed).
+  /// The AVX2 table register-blocks 16 columns of one row; the AVX-512 table
+  /// holds 16 accumulators across all of k in every panel (4 rows × 32,
+  /// 8 rows × 16 or 16 rows × 8 columns), so the rematerialized encoder's
+  /// 16-column weight tiles (ldb = 16, ldc = D) run at full vector width.
+  /// Both map each register block the moment its k loop ends: the
+  /// projection never makes a second pass over C, and C is never zero-filled
+  /// or reloaded. The RFF encoder's batch, per-row and resident-slice paths
+  /// all project through this one entry.
   void (*rff_project_map)(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, const double* phase,
                           const double* sin_phase, double* c, std::size_t ldc,
@@ -234,7 +225,7 @@ struct KernelBackend {
                            const std::uint64_t* masks, std::size_t ld,
                            std::size_t num_rows, std::size_t n, std::int64_t* out);
   /// Packed sign binarization of one encoded row: bit i of `bits` =
-  /// !(v[i] < 0), so −0 and NaN set their bit (+1), matching RealHV::sign().
+  /// !(v[i] < 0), so −0 and NaN set their bit (+1).
   /// Every word is written, padding bits of the final one zero. Bit-exact
   /// across backends.
   void (*sign_pack)(const double* v, std::uint64_t* bits, std::size_t n);

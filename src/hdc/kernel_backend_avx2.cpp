@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
 #include "hdc/rff_remat.hpp"
@@ -41,14 +40,6 @@ inline double hsum(__m256d v) {
   lo = _mm_add_pd(lo, hi);
   const __m128d shuf = _mm_unpackhi_pd(lo, lo);
   return _mm_cvtsd_f64(_mm_add_sd(lo, shuf));
-}
-
-/// Loads 4 consecutive int8 ±1 components as a vector of 4 doubles.
-inline __m256d load4_bipolar(const std::int8_t* p) {
-  std::int32_t raw;
-  std::memcpy(&raw, p, sizeof(raw));
-  const __m128i bytes = _mm_cvtsi32_si128(raw);
-  return _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(bytes));
 }
 
 // The lane-constant vectors below are built inside each function (no
@@ -93,21 +84,6 @@ double avx2_dot_real_real(const double* a, const double* b, std::size_t n) {
   double acc = hsum(_mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3)));
   for (; i < n; ++i) {
     acc += a[i] * b[i];
-  }
-  return acc;
-}
-
-double avx2_dot_real_bipolar(const double* a, const std::int8_t* b, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), load4_bipolar(b + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4), load4_bipolar(b + i + 4), acc1);
-  }
-  double acc = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    acc += b[i] > 0 ? a[i] : -a[i];
   }
   return acc;
 }
@@ -250,18 +226,6 @@ void avx2_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
   }
   for (; i < n; ++i) {
     a[i] += c * b[i];
-  }
-}
-
-void avx2_add_scaled_bipolar(double* a, const std::int8_t* b, double c, std::size_t n) {
-  const __m256d cv = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(a + i,
-                     _mm256_fmadd_pd(cv, load4_bipolar(b + i), _mm256_loadu_pd(a + i)));
-  }
-  for (; i < n; ++i) {
-    a[i] += b[i] > 0 ? c : -c;
   }
 }
 
@@ -664,7 +628,7 @@ void avx2_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
   // The same lane walk (and therefore the same bit-identical weight draws) as
   // avx2_rff_rematerialize, but the weight pair is consumed in registers the
   // moment it exists: z ← z + x_k·w, mul then add with k ascending — the
-  // gemm_accumulate per-element chain — so the single-query path never
+  // add_scaled_real per-element chain — so the single-query path never
   // stores a weight tile. Row tails replay the scalar reference.
   constexpr double kTwoPi = 2.0 * std::numbers::pi;
   constexpr double kInv53 = 0x1.0p-53;
@@ -714,17 +678,16 @@ void avx2_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
   }
 }
 
-/// The shared loop of gemm_accumulate (kMap = false) and rff_project_map
-/// (kMap = true). Same traversal as the scalar kernel (column tile = 512
-/// doubles), with C register-blocked 16 wide: the 4 accumulator vectors stay
-/// in registers across the whole k loop, so each C element is loaded and
-/// stored once per column tile instead of once per k. mul + add (no FMA) and
-/// ascending k keep every element's rounding sequence identical to scalar.
-/// Mapped, the accumulators start at +0.0 (the value a zero-filled C would
-/// load) and go through trig4 before the one store, so C is write-only; the
-/// last n % 16 columns run the scalar chain and the scalar trig map's
-/// expression.
-template <bool kMap>
+/// The loop of rff_project_map: the blocked projection with the trig map
+/// fused into its one store. Same traversal as the scalar kernel (column
+/// tile = 512 doubles), with C register-blocked 16 wide: the 4 accumulator
+/// vectors start at +0.0 (the value a zero-filled C would load) and stay in
+/// registers across the whole k loop, then go through trig4 before the one
+/// store, so C is write-only. mul + add (no FMA) and ascending k keep every
+/// element's rounding sequence identical to the scalar add_scaled_real
+/// chain; the last n % 16 columns run that chain and the scalar trig map's
+/// expression. Kept as a function of its own: made the entry point's body,
+/// the same loop compiles with a different register allocation under gcc.
 void gemm_rows(const double* a, std::size_t lda, const double* b, std::size_t ldb,
                const double* phase, const double* sin_phase, double* c, std::size_t ldc,
                std::size_t m, std::size_t k, std::size_t n) {
@@ -738,7 +701,7 @@ void gemm_rows(const double* a, std::size_t lda, const double* b, std::size_t ld
       for (; j + 16 <= jn; j += 16) {
         __m256d acc[4];
         for (std::size_t v = 0; v < 4; ++v) {
-          acc[v] = kMap ? _mm256_setzero_pd() : _mm256_loadu_pd(crow + j + 4 * v);
+          acc[v] = _mm256_setzero_pd();
         }
         for (std::size_t kk = 0; kk < k; ++kk) {
           const __m256d av = _mm256_broadcast_sd(arow + kk);
@@ -748,38 +711,28 @@ void gemm_rows(const double* a, std::size_t lda, const double* b, std::size_t ld
           }
         }
         for (std::size_t v = 0; v < 4; ++v) {
-          if constexpr (kMap) {
-            acc[v] = trig4(acc[v], _mm256_loadu_pd(phase + j + 4 * v),
-                           _mm256_loadu_pd(sin_phase + j + 4 * v));
-          }
+          acc[v] = trig4(acc[v], _mm256_loadu_pd(phase + j + 4 * v),
+                         _mm256_loadu_pd(sin_phase + j + 4 * v));
           _mm256_storeu_pd(crow + j + 4 * v, acc[v]);
         }
       }
       for (; j < jn; ++j) {
-        double acc = kMap ? 0.0 : crow[j];
+        double acc = 0.0;
         for (std::size_t kk = 0; kk < k; ++kk) {
           acc += arow[kk] * b[kk * ldb + j];
         }
-        if constexpr (kMap) {
-          acc = 0.5 * (util::fast_sin(2.0 * acc + phase[j]) - sin_phase[j]);
-        }
+        acc = 0.5 * (util::fast_sin(2.0 * acc + phase[j]) - sin_phase[j]);
         crow[j] = acc;
       }
     }
   }
 }
 
-void avx2_gemm_accumulate(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
-                          std::size_t k, std::size_t n) {
-  gemm_rows<false>(a, lda, b, ldb, nullptr, nullptr, c, ldc, m, k, n);
-}
-
 void avx2_rff_project_map(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, const double* phase, const double* sin_phase,
                           double* c, std::size_t ldc, std::size_t m, std::size_t k,
                           std::size_t n) {
-  gemm_rows<true>(a, lda, b, ldb, phase, sin_phase, c, ldc, m, k, n);
+  gemm_rows(a, lda, b, ldb, phase, sin_phase, c, ldc, m, k, n);
 }
 
 /// The single-query bank scan: out[r] = avx2_dot_real_real(rows + r·ld, q,
@@ -1097,19 +1050,16 @@ constexpr KernelBackend kAvx2Backend{
     "avx2",
     4,
     avx2_dot_real_real,
-    avx2_dot_real_bipolar,
     avx2_dot_real_binary,
     avx2_masked_dot,
     avx2_hamming,
     avx2_add_scaled_real,
-    avx2_add_scaled_bipolar,
     avx2_add_scaled_binary,
     avx2_merge_accumulate,
     avx2_scale_real,
     avx2_rff_trig_map,
     avx2_rff_rematerialize,
     avx2_rff_remat_dot,
-    avx2_gemm_accumulate,
     avx2_rff_project_map,
     avx2_dot_rows_multi,
     avx2_update_dot_rows,

@@ -22,10 +22,10 @@
 //    only the polynomial fast_sin keeps for it; out-of-range and NaN lanes
 //    redone with std::sin), 1.9× as fast as the AVX2 4-lane kernel in
 //    microbench;
-//  * gemm_accumulate, holding 16 accumulators in registers across all of k;
-//  * rff_project_map, the same GEMM with the trig map applied to each
-//    register block before its one store — the encoder's projection never
-//    zero-fills or reloads its output.
+//  * rff_project_map, a GEMM holding 16 accumulators in registers across
+//    all of k, with the trig map applied to each register block before its
+//    one store — the encoder's projection never zero-fills or reloads its
+//    output.
 // Everything else (the bit-sign dot family) is inherited from the AVX2
 // table unchanged: those kernels are bound by shifts/blends, not by vector
 // width.
@@ -789,21 +789,21 @@ void avx512_rff_trig_map(double* z, const double* phase, const double* sin_phase
   }
 }
 
-/// C[0..R) × [0..8·V) over A[0..R) × B, the R·V accumulators held in
-/// registers across the whole k loop. Per element: ascending k, mul then add
-/// — the scalar kernel's rounding sequence — so the block shape never shows.
-/// kMap = false accumulates into C (gemm_accumulate). kMap = true is
-/// rff_project_map: the accumulators start at +0.0 — the value a zero-filled
-/// C would load — and go through trig8 before the one store, so C is
-/// write-only; `phase` / `sin_phase` point at the block's first column.
-template <bool kMap, std::size_t R, std::size_t V>
+/// rff_project_map's register block: C[0..R) × [0..8·V) over A[0..R) × B,
+/// the R·V accumulators held in registers across the whole k loop. Per
+/// element: ascending k, mul then add — the scalar add_scaled_real chain's
+/// rounding sequence — so the block shape never shows. The accumulators
+/// start at +0.0 (the value a zero-filled C would load) and go through trig8
+/// before the one store, so C is write-only; `phase` / `sin_phase` point at
+/// the block's first column.
+template <std::size_t R, std::size_t V>
 inline void gemm_block(const double* a, std::size_t lda, const double* b,
                        std::size_t ldb, const double* phase, const double* sin_phase,
                        double* c, std::size_t ldc, std::size_t k) {
   __m512d acc[R][V];
   for (std::size_t r = 0; r < R; ++r) {
     for (std::size_t v = 0; v < V; ++v) {
-      acc[r][v] = kMap ? _mm512_setzero_pd() : _mm512_loadu_pd(c + r * ldc + 8 * v);
+      acc[r][v] = _mm512_setzero_pd();
     }
   }
   for (std::size_t kk = 0; kk < k; ++kk) {
@@ -817,10 +817,8 @@ inline void gemm_block(const double* a, std::size_t lda, const double* b,
   }
   for (std::size_t r = 0; r < R; ++r) {
     for (std::size_t v = 0; v < V; ++v) {
-      if constexpr (kMap) {
-        acc[r][v] = trig8(acc[r][v], _mm512_loadu_pd(phase + 8 * v),
-                          _mm512_loadu_pd(sin_phase + 8 * v));
-      }
+      acc[r][v] = trig8(acc[r][v], _mm512_loadu_pd(phase + 8 * v),
+                        _mm512_loadu_pd(sin_phase + 8 * v));
       _mm512_storeu_pd(c + r * ldc + 8 * v, acc[r][v]);
     }
   }
@@ -828,78 +826,64 @@ inline void gemm_block(const double* a, std::size_t lda, const double* b,
 
 /// Rows [0, m) of one 8·V-column panel: blocks of R rows, then the m % R
 /// leftover rows in halving blocks (R/2, R/4, …, 1).
-template <bool kMap, std::size_t R, std::size_t V>
+template <std::size_t R, std::size_t V>
 inline void gemm_panel(const double* a, std::size_t lda, const double* b,
                        std::size_t ldb, const double* phase, const double* sin_phase,
                        double* c, std::size_t ldc, std::size_t m, std::size_t k) {
   std::size_t r = 0;
   for (; r + R <= m; r += R) {
-    gemm_block<kMap, R, V>(a + r * lda, lda, b, ldb, phase, sin_phase, c + r * ldc, ldc,
-                           k);
+    gemm_block<R, V>(a + r * lda, lda, b, ldb, phase, sin_phase, c + r * ldc, ldc, k);
   }
   if constexpr (R > 1) {
     if (r < m) {
-      gemm_panel<kMap, R / 2, V>(a + r * lda, lda, b, ldb, phase, sin_phase,
-                                 c + r * ldc, ldc, m - r, k);
+      gemm_panel<R / 2, V>(a + r * lda, lda, b, ldb, phase, sin_phase, c + r * ldc, ldc,
+                           m - r, k);
     }
   }
 }
 
-/// The shared traversal of gemm_accumulate (kMap = false) and
-/// rff_project_map (kMap = true): the scalar kernel's 512-column tiles, each
-/// cut into panels that keep 16 accumulators in registers across all of k —
-/// 4 rows × 32 columns, 8 rows × 16 columns (the rematerialized encoder's
-/// weight tiles), 16 rows × 8 columns — so every B load feeds several rows
-/// and enough independent add chains are in flight to cover the add latency.
-/// The last n % 8 columns run the scalar chain (and, mapped, the scalar trig
-/// map's expression).
-template <bool kMap>
+/// The traversal of rff_project_map: the scalar kernel's 512-column tiles,
+/// each cut into panels that keep 16 accumulators in registers across all
+/// of k — 4 rows × 32 columns, 8 rows × 16 columns (the rematerialized
+/// encoder's weight tiles), 16 rows × 8 columns — so every B load feeds
+/// several rows and enough independent add chains are in flight to cover
+/// the add latency. The last n % 8 columns run the scalar chain and the
+/// scalar trig map's expression. Kept as a function of its own, like the
+/// AVX2 table's gemm_rows.
 void gemm_tiles(const double* a, std::size_t lda, const double* b, std::size_t ldb,
                 const double* phase, const double* sin_phase, double* c,
                 std::size_t ldc, std::size_t m, std::size_t k, std::size_t n) {
   constexpr std::size_t kColTile = 512;
-  const auto at = [&](const double* p, std::size_t j) { return kMap ? p + j : nullptr; };
   for (std::size_t j0 = 0; j0 < n; j0 += kColTile) {
     const std::size_t jn = std::min(n, j0 + kColTile);
     std::size_t j = j0;
     for (; j + 32 <= jn; j += 32) {
-      gemm_panel<kMap, 4, 4>(a, lda, b + j, ldb, at(phase, j), at(sin_phase, j), c + j,
-                             ldc, m, k);
+      gemm_panel<4, 4>(a, lda, b + j, ldb, phase + j, sin_phase + j, c + j, ldc, m, k);
     }
     for (; j + 16 <= jn; j += 16) {
-      gemm_panel<kMap, 8, 2>(a, lda, b + j, ldb, at(phase, j), at(sin_phase, j), c + j,
-                             ldc, m, k);
+      gemm_panel<8, 2>(a, lda, b + j, ldb, phase + j, sin_phase + j, c + j, ldc, m, k);
     }
     for (; j + 8 <= jn; j += 8) {
-      gemm_panel<kMap, 16, 1>(a, lda, b + j, ldb, at(phase, j), at(sin_phase, j), c + j,
-                              ldc, m, k);
+      gemm_panel<16, 1>(a, lda, b + j, ldb, phase + j, sin_phase + j, c + j, ldc, m, k);
     }
     for (; j < jn; ++j) {
       for (std::size_t r = 0; r < m; ++r) {
-        double acc = kMap ? 0.0 : c[r * ldc + j];
+        double acc = 0.0;
         for (std::size_t kk = 0; kk < k; ++kk) {
           acc += a[r * lda + kk] * b[kk * ldb + j];
         }
-        if constexpr (kMap) {
-          acc = 0.5 * (util::fast_sin(2.0 * acc + phase[j]) - sin_phase[j]);
-        }
+        acc = 0.5 * (util::fast_sin(2.0 * acc + phase[j]) - sin_phase[j]);
         c[r * ldc + j] = acc;
       }
     }
   }
 }
 
-void avx512_gemm_accumulate(const double* a, std::size_t lda, const double* b,
-                            std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
-                            std::size_t k, std::size_t n) {
-  gemm_tiles<false>(a, lda, b, ldb, nullptr, nullptr, c, ldc, m, k, n);
-}
-
 void avx512_rff_project_map(const double* a, std::size_t lda, const double* b,
                             std::size_t ldb, const double* phase,
                             const double* sin_phase, double* c, std::size_t ldc,
                             std::size_t m, std::size_t k, std::size_t n) {
-  gemm_tiles<true>(a, lda, b, ldb, phase, sin_phase, c, ldc, m, k, n);
+  gemm_tiles(a, lda, b, ldb, phase, sin_phase, c, ldc, m, k, n);
 }
 
 /// Seeds of the eight rows [row, row + 8): lane l is mix(seed + (row + l +
@@ -949,7 +933,7 @@ void avx512_rff_rematerialize(std::uint64_t seed, double stddev, std::size_t row
                               std::size_t ld) {
   // Eight consecutive rows per vector: the lanes of weight pair (k, k+1)
   // land in out[k·ld + r .. r+7], unit-stride in the feature-major layout
-  // gemm_accumulate streams. Row tails replay the scalar reference.
+  // rff_project_map streams. Row tails replay the scalar reference.
   const __m512d stddev_v = _mm512_set1_pd(stddev);
   std::size_t r = 0;
   for (; r + 8 <= rows; r += 8) {
@@ -974,7 +958,7 @@ void avx512_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
                           double* out) {
   // The weight walk of avx512_rff_rematerialize, consumed in registers the
   // moment each pair exists: z ← z + x_k·w with k ascending, mul then add —
-  // the gemm_accumulate per-element chain — so the single-query path neither
+  // the add_scaled_real per-element chain — so the single-query path neither
   // stores nor reloads a weight tile. Row tails replay the scalar reference.
   const __m512d stddev_v = _mm512_set1_pd(stddev);
   std::size_t r = 0;
@@ -1004,7 +988,6 @@ KernelBackend make_avx512_table(bool vpopcntdq) {
   table.add_scaled_real = avx512_add_scaled_real;
   table.merge_accumulate = avx512_merge_accumulate;
   table.scale_real = avx512_scale_real;
-  table.gemm_accumulate = avx512_gemm_accumulate;
   table.rff_rematerialize = avx512_rff_rematerialize;
   table.rff_remat_dot = avx512_rff_remat_dot;
   table.dot_rows_multi = avx512_dot_rows_multi;

@@ -9,7 +9,8 @@
 //    (the dot_rows_multi contract) but free to differ from scalar by summation order,
 //    so vfmaq_f64 is allowed there.
 //  * Per-component kernels (add_scaled_real, merge_accumulate, scale_real,
-//    gemm_accumulate) must round every slot exactly like scalar: separate
+//    and the GEMM under rff_project_map) must round every slot exactly like
+//    scalar: separate
 //    vmulq/vaddq — never vfmaq — and this TU plus the scalar TU are compiled
 //    with -ffp-contract=off, because on aarch64 (where FMA is baseline) the
 //    compiler would otherwise contract scalar `a += c*b` into fmadd and the
@@ -63,16 +64,6 @@ double neon_dot_real_real(const double* a, const double* b, std::size_t n) {
   double acc = vgetq_lane_f64(sum, 0) + vgetq_lane_f64(sum, 1);
   for (; i < n; ++i) {
     acc += a[i] * b[i];
-  }
-  return acc;
-}
-
-double neon_dot_real_bipolar(const double* a, const std::int8_t* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    acc += std::bit_cast<double>(std::bit_cast<std::uint64_t>(a[i]) ^ flip);
   }
   return acc;
 }
@@ -161,15 +152,6 @@ void neon_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
   }
 }
 
-void neon_add_scaled_bipolar(double* a, const std::int8_t* b, double c, std::size_t n) {
-  const std::uint64_t c_bits = std::bit_cast<std::uint64_t>(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    a[i] += std::bit_cast<double>(c_bits ^ flip);
-  }
-}
-
 void neon_add_scaled_binary(double* a, const std::uint64_t* bits, double c,
                             std::size_t n) {
   const std::uint64_t c_bits = std::bit_cast<std::uint64_t>(c);
@@ -241,12 +223,13 @@ void neon_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
   detail::rff_remat_dot_rows(seed, stddev, row0, rows, x, n_features, out);
 }
 
-void neon_gemm_accumulate(const double* a, std::size_t lda, const double* b,
+/// rff_project_map's accumulate step, c[r·ldc + j] += Σ_k a[r·lda + k] ·
+/// b[k·ldb + j]: the scalar one's traversal (column tile = 512 doubles), C
+/// register-blocked 8 wide; mul + add (no vfmaq) and ascending k keep every
+/// element's rounding sequence identical to scalar.
+void neon_gemm(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                           std::size_t k, std::size_t n) {
-  // Same traversal as the scalar kernel (column tile = 512 doubles), C
-  // register-blocked 8 wide; mul + add (no vfmaq) and ascending k keep every
-  // element's rounding sequence identical to scalar.
   constexpr std::size_t kColTile = 512;
   for (std::size_t j0 = 0; j0 < n; j0 += kColTile) {
     const std::size_t jn = std::min(n, j0 + kColTile);
@@ -352,20 +335,17 @@ constexpr KernelBackend kNeonBackend{
     "neon",
     kNeonF64Lanes,
     neon_dot_real_real,
-    neon_dot_real_bipolar,
     neon_dot_real_binary,
     neon_masked_dot,
     neon_hamming,
     neon_add_scaled_real,
-    neon_add_scaled_bipolar,
     neon_add_scaled_binary,
     neon_merge_accumulate,
     neon_scale_real,
     neon_rff_trig_map,
     neon_rff_rematerialize,
     neon_rff_remat_dot,
-    neon_gemm_accumulate,
-    detail::rff_project_map_composed<neon_gemm_accumulate, neon_rff_trig_map>,
+    detail::rff_project_map_composed<neon_gemm, neon_rff_trig_map>,
     detail::dot_rows_multi_composed<neon_dot_real_real>,
     detail::update_dot_rows_composed<neon_add_scaled_real,
                                      detail::dot_rows_multi_composed<neon_dot_real_real>>,

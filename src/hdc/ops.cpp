@@ -45,11 +45,6 @@ double dot(RealHVView a, RealHVView b) {
   return active_backend().dot_real_real(a.values().data(), b.values().data(), a.dim());
 }
 
-double dot(RealHVView a, BipolarHVView b) {
-  check_dims(a.dim(), b.dim(), "dot(real,bipolar)");
-  return active_backend().dot_real_bipolar(a.values().data(), b.values().data(), a.dim());
-}
-
 double dot(RealHVView a, BinaryHVView b) {
   check_dims(a.dim(), b.dim(), "dot(real,binary)");
   return active_backend().dot_real_binary(a.values().data(), b.words().data(), a.dim());
@@ -92,15 +87,6 @@ double cosine(RealHVView a, RealHVView b) {
   return dot(a, b) / (na * nb);
 }
 
-double cosine(RealHVView a, BipolarHVView b) {
-  check_dims(a.dim(), b.dim(), "cosine(real,bipolar)");
-  const double na = norm(a);
-  if (na == 0.0 || a.dim() == 0) {
-    return 0.0;
-  }
-  return dot(a, b) / (na * std::sqrt(static_cast<double>(a.dim())));
-}
-
 double cosine(RealHVView a, BinaryHVView b) {
   check_dims(a.dim(), b.dim(), "cosine(real,binary)");
   const double na = norm(a);
@@ -113,11 +99,6 @@ double cosine(RealHVView a, BinaryHVView b) {
 void add_scaled(std::span<double> a, RealHVView b, double c) {
   check_dims(a.size(), b.dim(), "add_scaled(real,real)");
   active_backend().add_scaled_real(a.data(), b.values().data(), c, a.size());
-}
-
-void add_scaled(std::span<double> a, BipolarHVView b, double c) {
-  check_dims(a.size(), b.dim(), "add_scaled(real,bipolar)");
-  active_backend().add_scaled_bipolar(a.data(), b.values().data(), c, a.size());
 }
 
 void add_scaled(std::span<double> a, BinaryHVView b, double c) {

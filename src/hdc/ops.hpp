@@ -30,9 +30,6 @@ namespace reghd::hdc {
 /// Full-precision dot product.
 [[nodiscard]] double dot(RealHVView a, RealHVView b);
 
-/// Dot of a real vector with a dense ±1 vector (model · encoded sample).
-[[nodiscard]] double dot(RealHVView a, BipolarHVView b);
-
 /// Multiply-free dot of a real vector with a packed binary vector under the
 /// bipolar interpretation: Σ_j (bit_j ? +a_j : −a_j). This is the paper's
 /// "binary query – integer model" / "integer query – binary model" kernel.
@@ -63,9 +60,6 @@ namespace reghd::hdc {
 /// Cosine similarity (Eq. 5). Returns 0 if either vector is all-zero.
 [[nodiscard]] double cosine(RealHVView a, RealHVView b);
 
-/// Cosine of a real vector against a dense ±1 vector (‖b‖ = √D).
-[[nodiscard]] double cosine(RealHVView a, BipolarHVView b);
-
 /// Cosine of a real vector against a packed ±1 vector (‖b‖ = √D).
 [[nodiscard]] double cosine(RealHVView a, BinaryHVView b);
 
@@ -77,10 +71,8 @@ namespace reghd::hdc {
 /// paper's update rules (Eqs. 2, 7, 8, 9). `a` may be any accumulator row —
 /// an owning RealHV or a row of a regressor's bank arena.
 void add_scaled(std::span<double> a, RealHVView b, double c);
-void add_scaled(std::span<double> a, BipolarHVView b, double c);
 void add_scaled(std::span<double> a, BinaryHVView b, double c);
 inline void add_scaled(RealHV& a, RealHVView b, double c) { add_scaled(a.values(), b, c); }
-inline void add_scaled(RealHV& a, BipolarHVView b, double c) { add_scaled(a.values(), b, c); }
 inline void add_scaled(RealHV& a, BinaryHVView b, double c) { add_scaled(a.values(), b, c); }
 
 /// a *= c.

@@ -4,12 +4,12 @@
 
 namespace reghd::hdc {
 
-BipolarHV random_bipolar(std::size_t dim, util::Rng& rng) {
-  std::vector<std::int8_t> out(dim);
+BinaryHV random_bipolar(std::size_t dim, util::Rng& rng) {
+  BinaryHV out(dim);
   for (std::size_t i = 0; i < dim; ++i) {
-    out[i] = static_cast<std::int8_t>(rng.rademacher());
+    out.set_bit(i, rng.rademacher() > 0);
   }
-  return BipolarHV(std::move(out));
+  return out;
 }
 
 BinaryHV random_binary(std::size_t dim, util::Rng& rng) {
@@ -35,8 +35,8 @@ RealHV random_gaussian(std::size_t dim, util::Rng& rng, double mean, double stdd
   return RealHV(std::move(out));
 }
 
-std::vector<BipolarHV> random_bipolar_set(std::size_t count, std::size_t dim, util::Rng& rng) {
-  std::vector<BipolarHV> out;
+std::vector<BinaryHV> random_bipolar_set(std::size_t count, std::size_t dim, util::Rng& rng) {
+  std::vector<BinaryHV> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back(random_bipolar(dim, rng));

@@ -15,10 +15,11 @@
 
 namespace reghd::hdc {
 
-/// Random dense ±1 hypervector (Rademacher components).
-[[nodiscard]] BipolarHV random_bipolar(std::size_t dim, util::Rng& rng);
+/// Random ±1 hypervector, packed: one Rademacher draw per component (bit
+/// set ⇔ +1), so it consumes `dim` engine words in component order.
+[[nodiscard]] BinaryHV random_bipolar(std::size_t dim, util::Rng& rng);
 
-/// Random packed binary hypervector (i.i.d. fair bits).
+/// Random packed binary hypervector (i.i.d. fair bits, 64 per engine word).
 [[nodiscard]] BinaryHV random_binary(std::size_t dim, util::Rng& rng);
 
 /// Random real hypervector with i.i.d. N(mean, stddev²) components.
@@ -26,9 +27,9 @@ namespace reghd::hdc {
                                      double stddev = 1.0);
 
 /// A set of mutually independent random bipolar base hypervectors, one per
-/// input feature (the B_k of Eq. 1).
-[[nodiscard]] std::vector<BipolarHV> random_bipolar_set(std::size_t count, std::size_t dim,
-                                                        util::Rng& rng);
+/// input feature (the B_k of Eq. 1): random_bipolar() `count` times.
+[[nodiscard]] std::vector<BinaryHV> random_bipolar_set(std::size_t count, std::size_t dim,
+                                                       util::Rng& rng);
 
 /// Flips each component of a packed vector independently with probability p.
 /// Used by the robustness tests and the noise-injection experiments.

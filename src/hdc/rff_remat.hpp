@@ -64,7 +64,7 @@ inline void rff_rematerialize_rows(std::uint64_t seed, double stddev, std::size_
 /// Reference implementation of KernelBackend::rff_remat_dot (see the
 /// contract there): out[r] = the ascending-k mul-then-add chain over row
 /// (row0+r)'s weights, each weight derived exactly as in
-/// rff_rematerialize_rows above — the weight expression and the gemm/axpy
+/// rff_rematerialize_rows above — the weight expression and the axpy
 /// accumulation chain replayed back to back, with no tile in between.
 inline void rff_remat_dot_rows(std::uint64_t seed, double stddev, std::size_t row0,
                                std::size_t rows, const double* x,
@@ -90,10 +90,11 @@ inline void rff_remat_dot_rows(std::uint64_t seed, double stddev, std::size_t ro
   }
 }
 
-/// KernelBackend::rff_project_map composed from a table's own Gemm
-/// (gemm_accumulate) and TrigMap (rff_trig_map): zero C, accumulate, then map
-/// each row — the contract's definition, and the whole kernel on every table
-/// without a fused one.
+/// KernelBackend::rff_project_map composed from a table's blocked Gemm
+/// accumulate (c += a·b, per element the add_scaled_real chain) and its
+/// TrigMap (rff_trig_map): zero C, accumulate, then map each row — the
+/// contract's definition, and the whole kernel on every table without a
+/// fused one.
 template <auto Gemm, auto TrigMap>
 void rff_project_map_composed(const double* a, std::size_t lda, const double* b,
                               std::size_t ldb, const double* phase,

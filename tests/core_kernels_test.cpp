@@ -82,7 +82,12 @@ TEST(PredictDotTest, BinaryQueryMatchesBipolarDot) {
   for (std::size_t j = 0; j < dim; ++j) {
     acc[j] = rng.normal();
   }
-  const double expected = hdc::dot(acc, s.real.sign()) / static_cast<double>(dim);
+  // S = sign(real) ∈ {−1,+1}^D, written out densely as the reference.
+  hdc::RealHV bipolar(dim);
+  for (std::size_t j = 0; j < dim; ++j) {
+    bipolar[j] = s.real[j] < 0.0 ? -1.0 : 1.0;
+  }
+  const double expected = hdc::dot(acc, bipolar) / static_cast<double>(dim);
   EXPECT_NEAR(predict_k1(acc, s, PredictionMode::binary_query_integer_model()), expected,
               1e-12);
 }
@@ -130,7 +135,7 @@ TEST(PredictDotTest, AllModesAgreeWhenQueryIsBipolarAndModelUniform) {
   // components ±c. Then every §3.2 kernel computes the same value.
   const std::size_t dim = 192;
   util::Rng rng(9);
-  const hdc::BipolarHV q = hdc::random_bipolar(dim, rng);
+  const hdc::BinaryHV q = hdc::random_bipolar(dim, rng);
   hdc::EncodedSample s = sample_from_real(q.to_real());
   hdc::RealHV acc(dim);
   RegressionModel m(dim);

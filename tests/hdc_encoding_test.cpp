@@ -117,7 +117,9 @@ TEST_P(EncoderSuite, EncodedSampleRepresentationsAreCoupled) {
   const auto enc = make();
   util::Rng rng(7);
   const EncodedSample s = enc->encode(random_features(6, rng));
-  EXPECT_EQ(s.binary, s.real.sign().pack());
+  for (std::size_t j = 0; j < s.real.dim(); ++j) {
+    EXPECT_EQ(s.binary.bit(j), !(s.real[j] < 0.0)) << "component " << j;
+  }
   double norm2 = 0.0;
   for (const double v : s.real.values()) {
     norm2 += v * v;

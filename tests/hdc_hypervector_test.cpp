@@ -31,13 +31,13 @@ TEST(RealHVTest, AdoptsValuesAndClears) {
 
 TEST(RealHVTest, SignMapsZeroToPlusOne) {
   const RealHV v(std::vector<double>{1.5, -0.5, 0.0});
-  const BipolarHV s = v.sign();
-  EXPECT_EQ(s[0], 1);
-  EXPECT_EQ(s[1], -1);
-  EXPECT_EQ(s[2], 1);  // the documented tie rule
+  const BinaryHV s = v.sign_packed();
+  EXPECT_EQ(s.bipolar(0), 1);
+  EXPECT_EQ(s.bipolar(1), -1);
+  EXPECT_EQ(s.bipolar(2), 1);  // the documented tie rule
 }
 
-TEST(RealHVTest, SignPackedAgreesWithSignThenPack) {
+TEST(RealHVTest, SignPackedFollowsTheSignRule) {
   util::Rng rng(3);
   RealHV v = random_gaussian(130, rng);  // odd size exercises padding
   // One rule for every special value: only components < 0 clear their bit.
@@ -47,41 +47,15 @@ TEST(RealHVTest, SignPackedAgreesWithSignThenPack) {
     v[i] = special[i];        // first word
     v[129 - i] = special[i];  // the padded final word
   }
-  EXPECT_EQ(v.sign_packed(), v.sign().pack());
-  EXPECT_EQ(RealHVView(v).sign_packed(), v.sign().pack());
+  BinaryHV expected(v.dim());
+  for (std::size_t i = 0; i < v.dim(); ++i) {
+    expected.set_bit(i, !(v[i] < 0.0));
+  }
+  EXPECT_EQ(v.sign_packed(), expected);
+  EXPECT_EQ(RealHVView(v).sign_packed(), expected);
   const BinaryHV bits = v.sign_packed();
   for (std::size_t i = 0; i < std::size(special); ++i) {
     EXPECT_EQ(bits.bit(i), !(special[i] < 0.0)) << "special value " << i;
-  }
-}
-
-TEST(BipolarHVTest, DefaultsToAllPlusOne) {
-  const BipolarHV v(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(v[i], 1);
-  }
-}
-
-TEST(BipolarHVTest, RejectsNonBipolarValues) {
-  EXPECT_THROW(BipolarHV(std::vector<std::int8_t>{1, 0, -1}), std::invalid_argument);
-  BipolarHV v(4);
-  EXPECT_THROW(v.set(0, 2), std::invalid_argument);
-  v.set(0, -1);
-  EXPECT_EQ(v[0], -1);
-}
-
-TEST(BipolarHVTest, PackUnpackRoundTrip) {
-  util::Rng rng(7);
-  const BipolarHV original = random_bipolar(200, rng);
-  EXPECT_EQ(original.pack().unpack(), original);
-}
-
-TEST(BipolarHVTest, ToRealWidensExactly) {
-  util::Rng rng(11);
-  const BipolarHV v = random_bipolar(64, rng);
-  const RealHV r = v.to_real();
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_DOUBLE_EQ(r[i], static_cast<double>(v[i]));
   }
 }
 
@@ -112,8 +86,8 @@ TEST(BinaryHVTest, PaddingBitsStayZeroThroughConversions) {
   const BinaryHV v = random_binary(70, rng);
   const auto words = v.words();
   EXPECT_EQ(words[1] >> 6, 0ULL);  // bits 70.. of word 1 are zero
-  const BinaryHV via_bipolar = v.unpack().pack();
-  EXPECT_EQ(via_bipolar, v);
+  const BinaryHV via_real = v.to_real().sign_packed();
+  EXPECT_EQ(via_real, v);
 }
 
 TEST(BinaryHVTest, ToRealIsPlusMinusOne) {
@@ -125,15 +99,15 @@ TEST(BinaryHVTest, ToRealIsPlusMinusOne) {
   }
 }
 
-TEST(ConversionTest, AllThreeRepresentationsAgreeOnSigns) {
+TEST(ConversionTest, BothRepresentationsAgreeOnSigns) {
   util::Rng rng(19);
   const RealHV real = random_gaussian(257, rng);
-  const BipolarHV bipolar = real.sign();
   const BinaryHV binary = real.sign_packed();
+  const RealHV widened = binary.to_real();
   for (std::size_t i = 0; i < real.dim(); ++i) {
     const int expected = real[i] >= 0.0 ? 1 : -1;
-    EXPECT_EQ(bipolar[i], expected);
     EXPECT_EQ(binary.bipolar(i), expected);
+    EXPECT_EQ(widened[i], static_cast<double>(expected));
   }
 }
 

@@ -43,7 +43,6 @@ void expect_close(double x, double y, double tol = 1e-9) {
 
 struct TestVectors {
   RealHV ra, rb;
-  BipolarHV pa;
   BinaryHV ba, bb, mask;
 };
 
@@ -52,7 +51,6 @@ TestVectors make_vectors(std::size_t dim, std::uint64_t seed) {
   TestVectors v;
   v.ra = random_gaussian(dim, rng);
   v.rb = random_gaussian(dim, rng);
-  v.pa = random_bipolar(dim, rng);
   v.ba = random_binary(dim, rng);
   v.bb = random_binary(dim, rng);
   v.mask = random_binary(dim, rng);
@@ -131,15 +129,11 @@ TEST_P(KernelBackendTest, ScalarMatchesNaiveReference) {
             ref_hamming(v.ba, v.bb));
 
   double ref_rr = 0.0;
-  double ref_rp = 0.0;
   for (std::size_t i = 0; i < dim; ++i) {
     ref_rr += v.ra[i] * v.rb[i];
-    ref_rp += v.ra[i] * static_cast<double>(v.pa[i]);
   }
   EXPECT_DOUBLE_EQ(kb.dot_real_real(v.ra.values().data(), v.rb.values().data(), dim),
                    ref_rr);
-  EXPECT_DOUBLE_EQ(kb.dot_real_bipolar(v.ra.values().data(), v.pa.values().data(), dim),
-                   ref_rp);
 }
 
 TEST_P(KernelBackendTest, SimdBackendsMatchScalar) {
@@ -160,8 +154,6 @@ TEST_P(KernelBackendTest, SimdBackendsMatchScalar) {
     // relative.
     expect_close(kb->dot_real_real(v.ra.values().data(), v.rb.values().data(), dim),
                  sc.dot_real_real(v.ra.values().data(), v.rb.values().data(), dim));
-    expect_close(kb->dot_real_bipolar(v.ra.values().data(), v.pa.values().data(), dim),
-                 sc.dot_real_bipolar(v.ra.values().data(), v.pa.values().data(), dim));
     expect_close(kb->dot_real_binary(v.ra.values().data(), v.ba.words().data(), dim),
                  sc.dot_real_binary(v.ra.values().data(), v.ba.words().data(), dim));
     expect_close(kb->masked_dot(v.ra.values().data(), v.ba.words().data(),
@@ -189,10 +181,6 @@ TEST_P(KernelBackendTest, AccumulationMatchesScalarBitExact) {
 
     sc.add_scaled_real(sc_buf.data(), v.rb.values().data(), c, dim);
     kb->add_scaled_real(vx_buf.data(), v.rb.values().data(), c, dim);
-    EXPECT_EQ(sc_buf, vx_buf) << kb->name;
-
-    sc.add_scaled_bipolar(sc_buf.data(), v.pa.values().data(), c, dim);
-    kb->add_scaled_bipolar(vx_buf.data(), v.pa.values().data(), c, dim);
     EXPECT_EQ(sc_buf, vx_buf) << kb->name;
 
     sc.add_scaled_binary(sc_buf.data(), v.ba.words().data(), c, dim);
@@ -296,143 +284,92 @@ TEST_P(KernelBackendTest, TrigMapMatchesScalarBitExact) {
   }
 }
 
-TEST_P(KernelBackendTest, GemmAccumulateMatchesAxpyChainBitExact) {
-  // gemm_accumulate is contracted to reproduce the per-row axpy chain of the
-  // RFF encoder (ascending k, separate multiply then add) bit-for-bit, on
-  // every backend — cache blocking may only reorder independent outputs,
-  // never a single reduction.
-  const std::size_t n = GetParam();
-  util::Rng rng(0x63E7 + n);
-  constexpr std::size_t kRows = 3;
-  constexpr std::size_t kInner = 5;
-  std::vector<double> a(kRows * kInner);
-  std::vector<double> b(kInner * n);
-  std::vector<double> c0(kRows * n);
+/// Checks rff_project_map on every table against its contract's
+/// definition: zero-fill each output row, add_scaled_real once per k in
+/// ascending order (the axpy chain), then rff_trig_map per row. ldb = n; C
+/// is m rows of `ldc` and arrives as garbage, and the columns beyond n must
+/// stay untouched. With `huge_feature`, one row's first feature is 1e10,
+/// which pushes most of its lanes (not all) into the std::sin fallback.
+void check_project_map(std::size_t k, std::size_t m, std::size_t n, std::size_t ldc,
+                       bool huge_feature, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> a(m * k);
+  std::vector<double> b(k * n);
+  std::vector<double> phase(n);
+  std::vector<double> sin_phase(n);
   for (double& x : a) {
     x = rng.normal(0.0, 1.0);
   }
   for (double& x : b) {
-    x = rng.normal(0.0, 1.0);
+    x = rng.normal(0.0, 0.2);
   }
-  for (double& x : c0) {
+  for (std::size_t j = 0; j < n; ++j) {
+    phase[j] = rng.phase();
+    sin_phase[j] = util::fast_sin(phase[j]);
+  }
+  if (huge_feature) {
+    a[(m / 2) * k] = 1.0e10;
+  }
+  std::vector<double> garbage(m * ldc);
+  for (double& x : garbage) {
     x = rng.normal(0.0, 1.0);
   }
 
   const KernelBackend& sc = scalar_backend();
-  std::vector<double> ref = c0;
-  for (std::size_t r = 0; r < kRows; ++r) {
-    for (std::size_t k = 0; k < kInner; ++k) {
-      sc.add_scaled_real(ref.data() + r * n, b.data() + k * n, a[r * kInner + k], n);
+  std::vector<double> ref = garbage;
+  for (std::size_t r = 0; r < m; ++r) {
+    double* row = ref.data() + r * ldc;
+    std::fill_n(row, n, 0.0);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      sc.add_scaled_real(row, b.data() + kk * n, a[r * k + kk], n);
     }
+    sc.rff_trig_map(row, phase.data(), sin_phase.data(), n);
   }
 
-  std::vector<double> out = c0;
-  sc.gemm_accumulate(a.data(), kInner, b.data(), n, out.data(), n, kRows, kInner, n);
-  EXPECT_EQ(out, ref);
-
-  for (const KernelBackend* kb : simd_backends()) {
-    std::vector<double> vx = c0;
-    kb->gemm_accumulate(a.data(), kInner, b.data(), n, vx.data(), n, kRows, kInner, n);
-    EXPECT_EQ(vx, ref) << kb->name;
+  for (const KernelBackend* kb : all_available()) {
+    std::vector<double> got = garbage;
+    kb->rff_project_map(a.data(), k, b.data(), n, phase.data(), sin_phase.data(),
+                        got.data(), ldc, m, k, n);
+    ASSERT_TRUE(same_bits(got, ref)) << kb->name << " k " << k << " m " << m << " n " << n
+                                     << " ldc " << ldc;
   }
 }
 
-TEST(GemmAccumulateTest, RematTileShapesMatchAxpyChainBitExact) {
-  // The rematerialized encoder's shape: B rows of F features against a
-  // feature-major weight tile a few vectors wide (ldb = n), accumulated into
-  // a slice of a wider arena row (ldc = 2048). Widths below and between the
-  // SIMD register blocks (8, 16, 24, 40, 48) and row counts 1, 3, 7, 15 and
-  // 130 leave every remainder of the 16/8/4/2/1-row register blocks; the
-  // columns beyond n must stay untouched.
-  constexpr std::size_t kLdc = 2048;
-  for (const std::size_t k : {5u, 32u}) {
-    for (const std::size_t m : {1u, 3u, 7u, 15u, 130u}) {
-      for (const std::size_t n : {8u, 16u, 24u, 40u, 48u}) {
-        util::Rng rng(0x71E5 + 131 * m + n + k);
-        std::vector<double> a(m * k);
-        std::vector<double> b(k * n);
-        std::vector<double> c0(m * kLdc);
-        for (double& x : a) {
-          x = rng.normal(0.0, 1.0);
-        }
-        for (double& x : b) {
-          x = rng.normal(0.0, 1.0);
-        }
-        for (double& x : c0) {
-          x = rng.normal(0.0, 1.0);
-        }
-        std::vector<double> ref = c0;
-        for (std::size_t r = 0; r < m; ++r) {
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            scalar_backend().add_scaled_real(ref.data() + r * kLdc, b.data() + kk * n,
-                                             a[r * k + kk], n);
-          }
-        }
-        for (const KernelBackend* kb : all_available()) {
-          std::vector<double> got = c0;
-          kb->gemm_accumulate(a.data(), k, b.data(), n, got.data(), kLdc, m, k, n);
-          ASSERT_EQ(got, ref) << kb->name << " k " << k << " m " << m << " n " << n;
-        }
-      }
-    }
-  }
-}
-
-TEST(RffProjectMapTest, MatchesZeroFillGemmThenTrigMapBitExact) {
-  // rff_project_map's contract: bit-identical to zero-filling C, running
-  // gemm_accumulate and then rff_trig_map per row — on every table, whether
-  // it composes those kernels or fuses the map into its GEMM's register
-  // blocks. Row counts leave every remainder of the 8/4/2/1-row blocks;
-  // widths cover the 32-, 16- and 8-column panels, the scalar column tail
-  // and a second 512-column tile. One row's huge feature pushes most of its
-  // lanes (not all) into the std::sin fallback. C arrives as garbage and the
-  // columns beyond n must stay untouched.
-  constexpr std::size_t kLdc = 700;
+TEST(RffProjectMapTest, MatchesZeroFillAxpyChainThenTrigMapBitExact) {
+  // Whether a table composes the accumulate and the map or fuses the map
+  // into its GEMM's register blocks, every output is the axpy chain then
+  // the trig map. Row counts leave every remainder of the 8/4/2/1-row
+  // blocks; widths cover the 32-, 16- and 8-column panels, the scalar
+  // column tail and a second 512-column tile.
   for (const std::size_t k : {5u, 32u}) {
     for (const std::size_t m : {1u, 3u, 7u, 8u, 9u, 17u, 130u}) {
       for (const std::size_t n : {1u, 7u, 8u, 16u, 24u, 40u, 48u, 100u, 600u}) {
-        util::Rng rng(0x9A0 + 131 * m + n + k);
-        std::vector<double> a(m * k);
-        std::vector<double> b(k * n);
-        std::vector<double> phase(n);
-        std::vector<double> sin_phase(n);
-        for (double& x : a) {
-          x = rng.normal(0.0, 1.0);
-        }
-        for (double& x : b) {
-          x = rng.normal(0.0, 0.2);
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          phase[j] = rng.phase();
-          sin_phase[j] = util::fast_sin(phase[j]);
-        }
-        a[(m / 2) * k] = 1.0e10;
-        std::vector<double> garbage(m * kLdc);
-        for (double& x : garbage) {
-          x = rng.normal(0.0, 1.0);
-        }
-
-        std::vector<double> ref = garbage;
-        for (std::size_t r = 0; r < m; ++r) {
-          std::fill_n(ref.begin() + static_cast<std::ptrdiff_t>(r * kLdc), n, 0.0);
-        }
-        scalar_backend().gemm_accumulate(a.data(), k, b.data(), n, ref.data(), kLdc, m,
-                                         k, n);
-        for (std::size_t r = 0; r < m; ++r) {
-          scalar_backend().rff_trig_map(ref.data() + r * kLdc, phase.data(),
-                                        sin_phase.data(), n);
-        }
-
-        for (const KernelBackend* kb : all_available()) {
-          std::vector<double> got = garbage;
-          kb->rff_project_map(a.data(), k, b.data(), n, phase.data(), sin_phase.data(),
-                              got.data(), kLdc, m, k, n);
-          ASSERT_TRUE(same_bits(got, ref))
-              << kb->name << " k " << k << " m " << m << " n " << n;
-        }
+        check_project_map(k, m, n, 700, true, 0x9A0 + 131 * m + n + k);
       }
     }
   }
+}
+
+TEST(RffProjectMapTest, RematTileShapesMatchAxpyChainBitExact) {
+  // The rematerialized encoder's shape: B rows of F features against a
+  // feature-major weight tile a few vectors wide (ldb = n), written into a
+  // slice of a wider arena row (ldc = 2048). Widths below and between the
+  // SIMD register blocks (8, 16, 24, 40, 48) and row counts 1, 3, 7, 15 and
+  // 130 leave every remainder of the 16/8/4/2/1-row register blocks.
+  for (const std::size_t k : {5u, 32u}) {
+    for (const std::size_t m : {1u, 3u, 7u, 15u, 130u}) {
+      for (const std::size_t n : {8u, 16u, 24u, 40u, 48u}) {
+        check_project_map(k, m, n, 2048, false, 0x71E5 + 131 * m + n + k);
+      }
+    }
+  }
+}
+
+TEST_P(KernelBackendTest, RffProjectMapMatchesAxpyChainBitExact) {
+  // Full-width rows (ldb = ldc = n) at the packing edge cases, up to eight
+  // 512-column tiles.
+  const std::size_t n = GetParam();
+  check_project_map(5, 3, n, n, false, 0x63E7 + n);
 }
 
 TEST_P(KernelBackendTest, DotRowsMatchesPerRowDotExactly) {
@@ -716,10 +653,9 @@ TEST_P(KernelBackendTest, DotRowsBinaryMatchesPerRowHammingChainExactly) {
   }
 }
 
-TEST_P(KernelBackendTest, SignEncodeMatchesSignThenPackBitExact) {
-  // sign_pack equals RealHV::sign() + BipolarHV::pack(): bit clear iff
-  // v < 0 (so ±0 and NaN set their bit) and zero padding bits. Must be
-  // bit-exact on every backend.
+TEST_P(KernelBackendTest, SignEncodeMatchesPerComponentSignBitExact) {
+  // sign_pack sets bit i iff !(v[i] < 0) (so ±0 and NaN set their bit) and
+  // zeroes the padding bits. Must be bit-exact on every backend.
   const std::size_t dim = GetParam();
   util::Rng rng(0x5167 + dim);
   RealHV v = random_gaussian(dim, rng);
@@ -731,7 +667,10 @@ TEST_P(KernelBackendTest, SignEncodeMatchesSignThenPackBitExact) {
     v[4] = -std::numeric_limits<double>::infinity();
     v[5] = -std::nan("");
   }
-  const BinaryHV expected = v.sign().pack();
+  BinaryHV expected(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    expected.set_bit(i, !(v[i] < 0.0));
+  }
 
   for (const KernelBackend* kb : all_available()) {
     // Poison the word buffer: sign_pack must fully overwrite every word,

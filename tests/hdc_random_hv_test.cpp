@@ -19,13 +19,26 @@ TEST(RandomBipolarTest, DeterministicForFixedSeed) {
 
 TEST(RandomBipolarTest, RoughlyBalanced) {
   util::Rng rng(7);
-  const BipolarHV v = random_bipolar(10000, rng);
+  const BinaryHV v = random_bipolar(10000, rng);
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < v.dim(); ++i) {
-    sum += v[i];
+    sum += v.bipolar(i);
   }
   // Sum of 10k ±1 has stddev 100; 5σ bound.
   EXPECT_LT(std::abs(sum), 500);
+}
+
+TEST(RandomBipolarTest, OneRademacherDrawPerComponent) {
+  // Component i is the i-th Rademacher draw (bit set ⇔ +1), and the padding
+  // bits of the final word stay zero.
+  util::Rng rng(9);
+  util::Rng twin(9);
+  const BinaryHV v = random_bipolar(130, rng);
+  for (std::size_t i = 0; i < v.dim(); ++i) {
+    EXPECT_EQ(v.bipolar(i), twin.rademacher()) << "component " << i;
+  }
+  EXPECT_EQ(v.words()[2] >> 2, 0ULL);
+  EXPECT_EQ(rng.bits(), twin.bits());  // both streams consumed alike
 }
 
 TEST(RandomBinaryTest, RoughlyHalfBitsSet) {
@@ -65,10 +78,9 @@ TEST_P(OrthogonalityTest, RandomBipolarPairsAreNearOrthogonal) {
   util::Rng rng(dim * 31 + 1);
   const double bound = 6.0 / std::sqrt(static_cast<double>(dim));  // 6σ
   for (int trial = 0; trial < 20; ++trial) {
-    const BipolarHV a = random_bipolar(dim, rng);
-    const BipolarHV b = random_bipolar(dim, rng);
-    const double cos_sim =
-        static_cast<double>(bipolar_dot(a.pack(), b.pack())) / static_cast<double>(dim);
+    const BinaryHV a = random_bipolar(dim, rng);
+    const BinaryHV b = random_bipolar(dim, rng);
+    const double cos_sim = static_cast<double>(bipolar_dot(a, b)) / static_cast<double>(dim);
     EXPECT_LT(std::abs(cos_sim), bound) << "dim=" << dim;
   }
 }
@@ -99,8 +111,7 @@ TEST(RandomBipolarSetTest, ProducesIndependentVectors) {
   ASSERT_EQ(set.size(), 5u);
   for (std::size_t i = 0; i < set.size(); ++i) {
     for (std::size_t j = i + 1; j < set.size(); ++j) {
-      const double cos_sim =
-          static_cast<double>(bipolar_dot(set[i].pack(), set[j].pack())) / 2048.0;
+      const double cos_sim = static_cast<double>(bipolar_dot(set[i], set[j])) / 2048.0;
       EXPECT_LT(std::abs(cos_sim), 0.15);
     }
   }
