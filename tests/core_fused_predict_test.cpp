@@ -33,6 +33,7 @@
 #include "core/online.hpp"
 #include "data/dataset.hpp"
 #include "hdc/encoding.hpp"
+#include "obs/telemetry.hpp"
 #include "util/random.hpp"
 
 namespace reghd::core {
@@ -350,6 +351,46 @@ TEST(FusedPredictTest, OnlinePredictRoutesThroughFusedPathUnchanged) {
       EXPECT_EQ(yf, yp) << "update reading " << i << " adaptive " << adaptive;
     }
   }
+}
+
+TEST(FusedPredictTest, OnlinePredictTakesTheFusedPathBitIdentically) {
+  // OnlineRegHD::predict in a fusable mode, through warmup, cold start and
+  // trained operation: equal to the materializing predict(encode(x)) of the
+  // standardized reading, and never counted as a fused-path fallback.
+  obs::set_enabled(true);
+  for (const bool adaptive : {true, false}) {
+    OnlineConfig cfg;
+    cfg.reghd.dim = 1100;
+    cfg.reghd.models = 4;
+    cfg.reghd.cluster_mode = ClusterMode::kQuantized;
+    cfg.reghd.query_precision = QueryPrecision::kBinary;
+    cfg.reghd.model_precision = ModelPrecision::kBinary;
+    cfg.adaptive_scaling = adaptive;
+    cfg.warmup = 4;
+
+    constexpr std::size_t kFeatures = 6;
+    OnlineRegHD learner(cfg, kFeatures);
+    const data::Dataset dataset = make_dataset(40, kFeatures, 0x0A71);
+    std::vector<double> scaled(kFeatures);
+    obs::reset();
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      double want = 0.0;
+      if (learner.cold()) {
+        want = learner.cold_prediction();
+      } else {
+        learner.standardize_rows_into(dataset.row(i), 1, scaled);
+        want = learner.unscale(learner.model().predict(learner.encoder().encode(scaled)));
+      }
+      EXPECT_EQ(learner.predict(dataset.row(i)), want)
+          << "reading " << i << " adaptive " << adaptive;
+      (void)learner.update(dataset.row(i), dataset.target(i));
+    }
+    const obs::TelemetrySnapshot snap = obs::snapshot();
+    EXPECT_GT(snap.counter(obs::Counter::kPredictFused), 0U) << "adaptive " << adaptive;
+    EXPECT_EQ(snap.counter(obs::Counter::kPredictFusedFallbacks), 0U)
+        << "adaptive " << adaptive;
+  }
+  obs::set_enabled(false);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/online.hpp"
@@ -133,6 +134,20 @@ TEST(ServeTenantStoreTest, TierDimsAscendFromCapacityModelAndClampToBase) {
   EXPECT_EQ(store.tier_of(63), 0U);
   EXPECT_EQ(store.tier_of(64), 1U);
   EXPECT_EQ(store.tier_of(100000), 2U);
+}
+
+TEST(ServeTenantStoreTest, TierDimsPinnedAtTheServingShapes) {
+  // The capacity query at T = 0.8, ε = 0.05 (Eqs. 3–4): 64 patterns need
+  // D = 271, rounded up to 320; 512 patterns need 2165, which every base
+  // below 2176 clamps. Base D = 512 is perfbench's serve_tenants shape.
+  for (const auto& [base, want] :
+       {std::pair<std::size_t, std::vector<std::size_t>>{512, {320, 512, 512}},
+        std::pair<std::size_t, std::vector<std::size_t>>{2048, {320, 2048, 2048}}}) {
+    TenantStoreConfig tc;
+    tc.tier_updates = {64, 512};
+    const TenantStore store(tc, base_online(base), 6);
+    EXPECT_EQ(store.tier_dims(), want) << "base D = " << base;
+  }
 }
 
 /// Bytes of every plane of `learner` that scales with D: the (2k)×D
