@@ -103,7 +103,7 @@ class JsonValue {
 bool write_json_file(const std::string& path, const JsonValue& value);
 
 // ---------------------------------------------------------------------------
-// Serving-load harness, shared by bench/serving and tools/load_generator.
+// Serving-load harness, shared by tools/load_generator and perfbench.
 // ---------------------------------------------------------------------------
 
 /// Zipf(s) sampler over {0, …, n−1}: P(k) ∝ 1/(k+1)^s. s = 0 is uniform;
@@ -114,7 +114,6 @@ class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s, std::uint64_t seed);
   [[nodiscard]] std::size_t next();
-  [[nodiscard]] std::size_t domain() const noexcept { return cdf_.size(); }
 
  private:
   std::vector<double> cdf_;  ///< cumulative P(0..k), cdf_.back() == 1.

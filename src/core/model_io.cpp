@@ -210,21 +210,6 @@ void read_model_section(std::istream& in, MultiModelRegressor& regressor) {
 
 }  // namespace io
 
-void save_pipeline_v1(std::ostream& out, const RegHDPipeline& pipeline) {
-  REGHD_CHECK(pipeline.fitted(), "cannot save an unfitted pipeline");
-  util::write_header(out, kModelMagic, 1);
-
-  const PipelineConfig& cfg = pipeline.config();
-  io::write_encoder_config(out, cfg.encoder);
-  io::write_reghd_config(out, cfg.reghd);
-  write_pipeline_flags(out, cfg);
-  write_scalers(out, pipeline);
-  io::write_model_section(out, pipeline.regressor());
-  if (!out.good()) {
-    throw std::runtime_error("model_io: stream error while saving pipeline");
-  }
-}
-
 void save_pipeline(std::ostream& out, const RegHDPipeline& pipeline) {
   REGHD_CHECK(pipeline.fitted(), "cannot save an unfitted pipeline");
   util::write_header(out, kModelMagic, kModelVersionLatest);

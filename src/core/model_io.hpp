@@ -6,8 +6,8 @@
 //  * v1 — the original fixed-layout stream: config, fitted scalers, then the
 //    learned accumulators. No integrity checking; a torn write is only
 //    caught if it happens to truncate a length field. Kept readable forever
-//    and writable via save_pipeline_v1 (golden-file regeneration, embedded
-//    readers that predate v2).
+//    but no longer written; the committed tests/golden/pipeline_v1.reghd
+//    pins the reader.
 //  * v2 — the default. The same logical content wrapped in the util/framing
 //    container: a file-kind FourCC, length-prefixed sections each carrying a
 //    CRC32C, and a trailer with a file-level CRC32C. Every corruption class
@@ -43,9 +43,6 @@ inline constexpr std::uint32_t kFileKindOnline = 0x4E4C4E4F;   // "ONLN"
 /// Writes a fitted pipeline in the current (v2) format. Throws
 /// std::invalid_argument if not fitted.
 void save_pipeline(std::ostream& out, const RegHDPipeline& pipeline);
-
-/// Legacy v1 writer, kept for format-compatibility tests and old readers.
-void save_pipeline_v1(std::ostream& out, const RegHDPipeline& pipeline);
 
 /// Atomic file variant: temp file + fsync + rename (util/atomic_file), so a
 /// crash mid-save can never destroy an existing model file.

@@ -1,11 +1,11 @@
 // Predict-path instrumentation seam for the no-allocation assertion.
 //
-// The serving bench replaces global operator new in its own translation
+// serve_alloc_test replaces global operator new in its own translation
 // unit and installs a probe here; the shard worker calls the probe with
 // entering=true/false around the drained-work section of every iteration.
 // In production no probe is installed and the cost is one relaxed load per
 // drain group. This keeps the assertion machinery out of the runtime while
-// letting the bench prove "predict path allocates nothing" on the real
+// letting the test prove "predict path allocates nothing" on the real
 // code, not a copy of it.
 #pragma once
 

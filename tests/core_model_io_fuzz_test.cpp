@@ -1,9 +1,10 @@
 // Corruption robustness of the model file format: a loader facing a
 // damaged file must throw a typed exception — never crash, hang, or return
 // a silently-wrong model. Both container versions are swept: the legacy v1
-// stream (structural validation only) and the v2 checksummed container
-// (every flip detected). Runs under ASan/UBSan in CI, so any
-// out-of-bounds read or overflow a corrupt file provokes is fatal.
+// stream (structural validation only; the committed golden blob, since
+// nothing writes v1 any more) and the v2 checksummed container (every flip
+// detected). Runs under ASan/UBSan in CI, so any out-of-bounds read or
+// overflow a corrupt file provokes is fatal.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -12,13 +13,21 @@
 
 #include "core/model_io.hpp"
 #include "data/synthetic.hpp"
+#include "util/atomic_file.hpp"
 #include "util/framing.hpp"
 #include "util/random.hpp"
+
+#ifndef REGHD_GOLDEN_DIR
+#error "REGHD_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace reghd::core {
 namespace {
 
 std::string serialized_model(std::uint32_t version) {
+  if (version == 1) {
+    return util::read_file_bytes(std::string(REGHD_GOLDEN_DIR) + "/pipeline_v1.reghd");
+  }
   static const RegHDPipeline* pipeline = [] {
     const data::Dataset d = data::make_friedman1(300, 5);
     PipelineConfig cfg;
@@ -30,11 +39,7 @@ std::string serialized_model(std::uint32_t version) {
     return p;
   }();
   std::stringstream buf;
-  if (version == 1) {
-    save_pipeline_v1(buf, *pipeline);
-  } else {
-    save_pipeline(buf, *pipeline);
-  }
+  save_pipeline(buf, *pipeline);
   return buf.str();
 }
 

@@ -1,7 +1,8 @@
 // Property round-trip layer: for EVERY encoder kind × cluster mode ×
 // prediction mode, serialize → deserialize must reproduce the model
-// exactly — 64 random queries predict bit-identically — in both the v2
-// (default) and legacy v1 container.
+// exactly — 64 random queries predict bit-identically — in the v2
+// container. The legacy v1 container is no longer written; its reader is
+// pinned by the committed golden blob (core_golden_model_test).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -72,23 +73,6 @@ TEST_P(RoundTripMatrix, V2BitIdentical) {
   save_pipeline(buffer, original);
   const RegHDPipeline restored = load_pipeline(buffer);
   expect_identical_predictions(original, restored);
-}
-
-TEST_P(RoundTripMatrix, V1BitIdentical) {
-  const RegHDPipeline original = fitted(GetParam());
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  save_pipeline_v1(buffer, original);
-  const RegHDPipeline restored = load_pipeline(buffer);
-  expect_identical_predictions(original, restored);
-}
-
-TEST_P(RoundTripMatrix, V1AndV2DecodeToTheSameModel) {
-  const RegHDPipeline original = fitted(GetParam());
-  std::stringstream v1(std::ios::in | std::ios::out | std::ios::binary);
-  std::stringstream v2(std::ios::in | std::ios::out | std::ios::binary);
-  save_pipeline_v1(v1, original);
-  save_pipeline(v2, original);
-  expect_identical_predictions(load_pipeline(v1), load_pipeline(v2));
 }
 
 INSTANTIATE_TEST_SUITE_P(

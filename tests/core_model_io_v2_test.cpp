@@ -12,7 +12,12 @@
 #include "core/online.hpp"
 #include "core/pipeline.hpp"
 #include "data/synthetic.hpp"
+#include "util/atomic_file.hpp"
 #include "util/framing.hpp"
+
+#ifndef REGHD_GOLDEN_DIR
+#error "REGHD_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace reghd::core {
 namespace {
@@ -153,20 +158,29 @@ TEST(ModelIoV2Test, CorruptFilesNeverYieldAModel) {
 
 // --- v1 hostile length regression ----------------------------------------
 
-TEST(ModelIoV1Test, HostileScalerLengthRejectedWithoutGiantAllocation) {
-  const RegHDPipeline& pipeline = fitted_pipeline();
-  std::ostringstream out(std::ios::binary);
-  save_pipeline_v1(out, pipeline);
-  std::string bytes = out.str();
+/// The committed v1 golden blob (nothing writes v1 any more).
+std::string v1_golden_bytes() {
+  return util::read_file_bytes(std::string(REGHD_GOLDEN_DIR) + "/pipeline_v1.reghd");
+}
 
-  // The first u64 length prefix of the v1 body is the feature-scaler means
-  // vector; compute its offset from the writers themselves so this test
-  // cannot drift from the layout.
+/// Offset of the v1 body's first u64 length prefix, the feature-scaler means
+/// vector: header, then the config blocks, then the pipeline flags. Computed
+/// from the loaded blob's own config through the shared config writers, so
+/// this cannot drift from the layout.
+std::size_t v1_scaler_length_offset(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  const RegHDPipeline pipeline = load_pipeline(in);
+  EXPECT_TRUE(pipeline.config().standardize_features);
   std::ostringstream cfg_bytes(std::ios::binary);
   io::write_encoder_config(cfg_bytes, pipeline.config().encoder);
   io::write_reghd_config(cfg_bytes, pipeline.config().reghd);
   const std::size_t flags_bytes = 1 + 1 + 8;  // standardize flags + validation_fraction
-  const std::size_t offset = 8 + cfg_bytes.str().size() + flags_bytes;
+  return 8 + cfg_bytes.str().size() + flags_bytes;
+}
+
+TEST(ModelIoV1Test, HostileScalerLengthRejectedWithoutGiantAllocation) {
+  std::string bytes = v1_golden_bytes();
+  const std::size_t offset = v1_scaler_length_offset(bytes);
 
   for (std::size_t i = 0; i < 8; ++i) {
     bytes.at(offset + i) = static_cast<char>(0xFF);  // length = 2^64 - 1
@@ -179,15 +193,8 @@ TEST(ModelIoV1Test, HostileScalerLengthRejectedWithoutGiantAllocation) {
 }
 
 TEST(ModelIoV1Test, ModerateHostileLengthClampedAgainstRemainingBytes) {
-  const RegHDPipeline& pipeline = fitted_pipeline();
-  std::ostringstream out(std::ios::binary);
-  save_pipeline_v1(out, pipeline);
-  std::string bytes = out.str();
-
-  std::ostringstream cfg_bytes(std::ios::binary);
-  io::write_encoder_config(cfg_bytes, pipeline.config().encoder);
-  io::write_reghd_config(cfg_bytes, pipeline.config().reghd);
-  const std::size_t offset = 8 + cfg_bytes.str().size() + 10;
+  std::string bytes = v1_golden_bytes();
+  const std::size_t offset = v1_scaler_length_offset(bytes);
 
   // 16 million doubles: passes the absolute payload cap but far exceeds the
   // bytes actually present — the remaining-stream clamp must reject it
