@@ -346,13 +346,11 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
       mode.query == QueryPrecision::kBinary &&
       (mode.model == ModelPrecision::kBinary ||
        mode.model == ModelPrecision::kTernary);
-  if (!config_.fused_predict || !encoder.supports_block_encode() ||
-      !(real_fusable || quantized_fusable)) {
+  if (!encoder.supports_block_encode() || !(real_fusable || quantized_fusable)) {
     // Materializing path: full encode, then the ordinary Eq. 5/6 predict.
-    // Covers encoders without block support, fused_predict = false, and the
-    // mode combinations whose model term is not fusable (e.g. ternary model
-    // with a real query — a sparse masked float dot that wants the whole
-    // query anyway).
+    // Covers encoders without block support and the mode combinations
+    // whose model term is not fusable (e.g. ternary model with a real
+    // query — a sparse masked float dot that wants the whole query anyway).
     obs::count(obs::Counter::kPredictFusedFallbacks);
     return predict(encoder.encode(features));
   }

@@ -136,9 +136,7 @@ class MultiModelRegressor {
   /// cluster/query/model combinations fuse (per row the same reductions as
   /// the scorer's dot_rows_multi / dot_rows_ternary sweeps, finished by the
   /// scorer's own last step), all others fall back to exactly that
-  /// materializing expression. config().
-  /// fused_predict = false forces the fallback. Thread-safe (thread_local
-  /// scratch).
+  /// materializing expression. Thread-safe (thread_local scratch).
   [[nodiscard]] double predict_one(const hdc::Encoder& encoder,
                                    std::span<const double> features) const;
 

@@ -15,6 +15,11 @@ namespace reghd::serve {
 
 namespace {
 
+/// Entries per ingest ring (each shard has a predict and a train ring).
+constexpr std::size_t kQueueCapacity = 4096;
+/// An idle consumer spin-yields this long before sleeping on the doorbell.
+constexpr std::uint64_t kIdleSpinNs = 50'000;
+
 [[nodiscard]] std::uint64_t steady_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -35,7 +40,7 @@ namespace {
                                                       std::size_t shard) {
   core::CheckpointConfig ck;
   ck.dir = config.checkpoint_dir + "/shard_" + std::to_string(shard);
-  ck.keep_last = config.checkpoint_keep_last;
+  ck.keep_last = 2;
   return ck;
 }
 
@@ -55,10 +60,9 @@ void check_finite(bool finite, const char* what) {
 
 }  // namespace
 
-Server::Shard::Shard(const ServeConfig& cfg, const core::OnlineConfig& online,
-                     std::size_t num_features)
-    : predict_ring(cfg.queue_capacity, num_features),
-      train_ring(cfg.queue_capacity, num_features),
+Server::Shard::Shard(const core::OnlineConfig& online, std::size_t num_features)
+    : predict_ring(kQueueCapacity, num_features),
+      train_ring(kQueueCapacity, num_features),
       learner(online, num_features) {}
 
 Server::Server(ServeConfig config, core::OnlineConfig online, std::size_t num_features)
@@ -68,7 +72,7 @@ Server::Server(ServeConfig config, core::OnlineConfig online, std::size_t num_fe
   REGHD_CHECK(config_.batch_threshold > 0, "batch_threshold must be at least 1");
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_, online_config_, nf_));
+    shards_.push_back(std::make_unique<Shard>(online_config_, nf_));
     if (config_.tenant) {
       TenantStoreConfig tc = *config_.tenant;
       if (!tc.spill_dir.empty()) {
@@ -351,9 +355,10 @@ void Server::worker_loop(Shard& shard) {
 
   maybe_swap();  // the initial snapshot was published before this thread ran
   obs::count(obs::Counter::kServeRequests, 0);  // register this thread's shard
-  if (config_.prewarm && snap) {
-    // Grow every lazily-sized buffer to steady-state capacity: one full-size
-    // batch through the encode + bank-scan path and one fused single query
+  if (snap) {
+    // Grow every lazily-sized buffer to steady-state capacity before the
+    // first query (and before the no-alloc probe arms): one full-size batch
+    // through the encode + bank-scan path and one fused single query
     // (predict_one's thread_local scratch) on an all-zero reading.
     snap->learner.standardize_rows_into({raw.data(), cap * nf}, cap,
                                         {scaled.data(), cap * nf});
@@ -448,8 +453,8 @@ void Server::trainer_loop(Shard& shard) {
     }
   };
 
-  if (config_.prewarm) {
-    // The worker's prewarm, for update()'s two encodes: one fused query and
+  {
+    // The worker's warm-up, for update()'s two encodes: one fused query and
     // one arena row of an all-zero reading grow this thread's thread_local
     // scratch — and fill a rematerialized projection's per-thread copy —
     // before the first drain, outside the no-alloc brackets. The learner's
@@ -507,13 +512,11 @@ void Server::tenant_loop(Shard& shard) {
   std::vector<double> train_row(nf, 0.0);
 
   obs::count(obs::Counter::kServeRequests, 0);  // register this thread's shard
-  if (config_.prewarm) {
-    // Grow the fused path's thread_local scratch to the *base* (largest)
-    // dimension before any probe can arm: tiered tenants step D upward, and
-    // the first full-D tenant on this thread would otherwise regrow it.
-    (void)shard.learner.model().predict_one(shard.learner.encoder(),
-                                            {train_row.data(), nf});
-  }
+  // Grow the fused path's thread_local scratch to the *base* (largest)
+  // dimension before any probe can arm: tiered tenants step D upward, and
+  // the first full-D tenant on this thread would otherwise regrow it.
+  (void)shard.learner.model().predict_one(shard.learner.encoder(),
+                                          {train_row.data(), nf});
 
   for (;;) {
     // Predicts first — they are latency-sensitive; training is deferrable.
@@ -625,14 +628,12 @@ void Server::idle_wait(Shard& shard) {
     return shard.predict_ring.can_pop() || (watch_train && shard.train_ring.can_pop()) ||
            draining_.load(order);
   };
-  if (config_.idle_spin_us > 0) {
-    const std::uint64_t deadline = steady_ns() + config_.idle_spin_us * 1000;
-    while (steady_ns() < deadline) {
-      if (has_work(std::memory_order_acquire)) {
-        return;
-      }
-      std::this_thread::yield();
+  const std::uint64_t deadline = steady_ns() + kIdleSpinNs;
+  while (steady_ns() < deadline) {
+    if (has_work(std::memory_order_acquire)) {
+      return;
     }
+    std::this_thread::yield();
   }
   // Eventcount sleep: announce, re-check the rings, then wait on the ticket
   // counter. A producer that missed the announcement raised the ticket

@@ -59,15 +59,11 @@ namespace reghd::serve {
 
 struct ServeConfig {
   std::size_t shards = 1;           ///< shard (≈ core) count.
-  /// Per-ring entries. Rounded up to a power of two AND clamped to a
-  /// minimum of 2 (a capacity of 0 or 1 silently becomes 2 — the ring's
-  /// sequence protocol needs at least two cells).
-  std::size_t queue_capacity = 4096;
 
   /// Admission batching: a drain group of at least this many queued queries
   /// runs the contiguous bank-scan batch path; smaller groups fall through
   /// to the fused single-query path. 1 forces always-batch, SIZE_MAX forces
-  /// always-single (the bench uses both to isolate the batching win).
+  /// always-single.
   std::size_t batch_threshold = 4;
   std::size_t max_batch = 64;  ///< drain-group cap (arena/staging size).
 
@@ -77,23 +73,11 @@ struct ServeConfig {
   /// comes first. 0 disables the timer.
   double publish_interval_ms = 100.0;
 
-  /// Worker idle policy: spin-yield this long before sleeping on the
-  /// doorbell (0 = sleep immediately).
-  std::size_t idle_spin_us = 50;
-
-  /// Run one full-size batch + one fused query through the worker, and one
-  /// fused query + one arena row through the trainer, at startup, so every
-  /// buffer — a rematerialized projection's per-thread copy included —
-  /// reaches steady-state capacity before the first real query or update
-  /// (and before the no-alloc probe arms).
-  bool prewarm = true;
-
   /// When nonempty: recover each shard from `<dir>/shard_<i>` at start()
   /// and persist its final state there at stop() through the checkpoint
-  /// container. (Ignored in tenant mode, whose persistence is the store's
-  /// spill_dir.)
+  /// container, keeping the newest two. (Ignored in tenant mode, whose
+  /// persistence is the store's spill_dir.)
   std::string checkpoint_dir;
-  std::size_t checkpoint_keep_last = 2;
 
   /// Engages per-tenant model-bank mode (see the header comment and
   /// tenant_store.hpp): every request key is a tenant id with its own
@@ -238,8 +222,7 @@ class Server {
   };
 
   struct Shard {
-    Shard(const ServeConfig& cfg, const core::OnlineConfig& online,
-          std::size_t num_features);
+    Shard(const core::OnlineConfig& online, std::size_t num_features);
 
     IngestRing<PredictHeader> predict_ring;
     IngestRing<TrainHeader> train_ring;

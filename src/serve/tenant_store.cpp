@@ -19,6 +19,11 @@ namespace {
 /// damaged metadata, not a tenant model.
 constexpr std::size_t kMaxSpillFileBytes = 1ull << 30;
 
+/// The capacity query behind the tier dims (Eqs. 3–4): normalized decision
+/// threshold T and tolerated false-positive probability ε.
+constexpr double kCapacityThreshold = 0.8;
+constexpr double kCapacityMaxError = 0.05;
+
 [[nodiscard]] std::size_t round_up_64(std::size_t d) noexcept {
   return (d + 63) / 64 * 64;
 }
@@ -41,17 +46,13 @@ TenantStore::TenantStore(TenantStoreConfig config, core::OnlineConfig online,
   // promotion never shrinks a model.
   const std::size_t base_dim = online_.reghd.dim;
   if (config_.tiered_dims) {
-    REGHD_CHECK(config_.capacity_threshold > 0.0 && config_.capacity_threshold < 1.0,
-                "capacity threshold must lie in (0,1)");
-    REGHD_CHECK(config_.capacity_max_error > 0.0 && config_.capacity_max_error < 0.5,
-                "capacity max error must lie in (0,0.5)");
     std::size_t prev_bound = 0;
     std::size_t prev_dim = 64;
     for (const std::size_t bound : config_.tier_updates) {
       REGHD_CHECK(bound > prev_bound, "tier update boundaries must strictly ascend");
       prev_bound = bound;
-      std::size_t d = round_up_64(hdc::min_dimension(bound, config_.capacity_threshold,
-                                                     config_.capacity_max_error));
+      std::size_t d =
+          round_up_64(hdc::min_dimension(bound, kCapacityThreshold, kCapacityMaxError));
       d = std::clamp<std::size_t>(d, prev_dim, base_dim);
       tier_dims_.push_back(d);
       prev_dim = d;

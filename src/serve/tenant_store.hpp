@@ -62,13 +62,11 @@ struct TenantStoreConfig {
   /// Maximum tenants holding live learners at once (≥ 1).
   std::size_t resident_budget = 1024;
 
-  /// Capacity-model tier sizing (Eqs. 3–4). When false every tenant gets the
-  /// base configuration's D and residency is the only compaction.
+  /// Capacity-model tier sizing (Eqs. 3–4, queried at decision threshold
+  /// T = 0.8 and false-positive probability ε = 0.05). When false every
+  /// tenant gets the base configuration's D and residency is the only
+  /// compaction.
   bool tiered_dims = true;
-  /// Normalized decision threshold T ∈ (0,1) for the capacity query.
-  double capacity_threshold = 0.8;
-  /// Tolerated false-positive probability ε ∈ (0, 0.5).
-  double capacity_max_error = 0.05;
   /// Ascending cumulative-update boundaries; tier t covers updates <
   /// tier_updates[t], the final tier (full base D) covers the rest.
   std::vector<std::size_t> tier_updates = {64, 512};

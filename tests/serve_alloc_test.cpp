@@ -6,10 +6,9 @@
 //   * the trainer drain (OnlineRegHD::update per sample) — the regression
 //     this pins: update() used to delegate to predict(), constructing a
 //     fresh standardization vector per sample on the trainer thread — and
-//     its very first drain, which only the trainer's prewarm keeps off the
-//     allocator;
-//   * the classic predict worker (both admission paths — already covered by
-//     bench/serving, re-asserted here as a test);
+//     its very first drain, which only the trainer's startup warm-up keeps
+//     off the allocator;
+//   * the classic predict worker (both admission paths);
 //   * the tenant-mode resident predict path (store active);
 //   * MultiModelRegressor::predict_batch_into itself, in every cluster ×
 //     query × model mode, with the model's packed bank valid and stale.
@@ -145,7 +144,7 @@ TEST(ServeAllocTest, TrainerFirstDrainIsAllocationFreeAfterPrewarm) {
   // A bootstrapped learner already holds update()'s member scratch, so only
   // thread_local state could allocate — the fused query's scratch, a
   // rematerialized projection's per-thread copy, or (over the copy's
-  // budget) the batch encode's tile scratch — and the trainer's prewarm
+  // budget) the batch encode's tile scratch — and the trainer's warm-up
   // must have grown all of them before its first drain.
   const data::Dataset d = data::make_friedman1(256, 8);
   const std::size_t over_budget_dim =
