@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -41,6 +42,16 @@ const std::optional<std::string>* Args::get(const std::string& key) const {
     return nullptr;
   }
   return &it->second;
+}
+
+std::optional<std::string> Args::first_unknown(
+    std::span<const std::string_view> known) const {
+  for (const auto& [key, value] : options_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return key;
+    }
+  }
+  return std::nullopt;
 }
 
 std::string Args::get_string(const std::string& key, std::string fallback) const {

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace reghd::util {
@@ -33,6 +35,12 @@ class Args {
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+
+  /// The first given option (in name order) that is not in `known`, or
+  /// nullopt when every option is known — lets a front end reject a
+  /// mistyped flag instead of silently keeping the default it meant to set.
+  [[nodiscard]] std::optional<std::string> first_unknown(
+      std::span<const std::string_view> known) const;
 
   /// Positional (non-option) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -47,4 +47,14 @@ if "$REGHD" eval --csv /nonexistent.csv --model "$MODEL" >/dev/null 2>&1; then
   echo "FAIL: missing CSV did not fail"; exit 1
 fi
 
+# An option the subcommand does not read is a usage error (exit 1) that
+# names the option, not a silent fallback to the default it meant to set.
+STATUS=0
+"$REGHD" train --csv "$CSV" --out "$WORKDIR/typo.bin" --encoder nonlinear \
+  >/dev/null 2>"$WORKDIR/typo.err" || STATUS=$?
+[ "$STATUS" -eq 1 ] || { echo "FAIL: unknown --encoder exited $STATUS, want 1"; exit 1; }
+grep -q -- "--encoder" "$WORKDIR/typo.err" \
+  || { echo "FAIL: unknown option not named on stderr"; cat "$WORKDIR/typo.err"; exit 1; }
+[ ! -e "$WORKDIR/typo.bin" ] || { echo "FAIL: train ran despite the unknown option"; exit 1; }
+
 echo "cli smoke OK"

@@ -35,6 +35,14 @@ TEST(ArgsTest, BareFlagIsTrue) {
   EXPECT_TRUE(args.get_bool("verbose", false));
 }
 
+TEST(ArgsTest, FirstUnknownNamesAnOptionOutsideTheKnownSet) {
+  const Args args = parse({"--dim", "64", "--quantized", "--encoder=nonlinear"});
+  const std::array<std::string_view, 2> known = {"dim", "quantized"};
+  EXPECT_EQ(args.first_unknown(known), "encoder");
+  const std::array<std::string_view, 3> all = {"dim", "quantized", "encoder"};
+  EXPECT_EQ(args.first_unknown(all), std::nullopt);
+}
+
 TEST(ArgsTest, MissingOptionFallsBack) {
   const Args args = parse({});
   EXPECT_EQ(args.get_int("dim", 42), 42);

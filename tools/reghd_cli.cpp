@@ -38,17 +38,20 @@
 //   reghd synth   --dataset boston --out boston.csv [--seed 1]
 //                 (writes one of the built-in synthetic workloads as CSV)
 //
-// train/eval/predict accept --threads N to cap the worker count of the
+// train/eval/predict/stream accept --threads N to cap the worker count of the
 // batched encode/predict paths and of the per-sample training team (default:
 // REGHD_THREADS environment variable, else hardware concurrency). Thread
 // count never changes results.
 //
-// train and stream accept --stats (print a per-stage counter/latency table),
-// --telemetry-json PATH and --telemetry-prom PATH (write the run's obs/
-// telemetry snapshot as JSON / Prometheus text exposition). Any of the three
-// enables the runtime telemetry layer for the run; it is off by default.
+// train, stream and serve accept --stats (print a per-stage counter/latency
+// table), --telemetry-json PATH and --telemetry-prom PATH (write the run's
+// obs/ telemetry snapshot as JSON / Prometheus text exposition). Any of the
+// three enables the runtime telemetry layer for the run; it is off by
+// default.
 //
-// Exit status: 0 on success, 1 on usage error, 2 on runtime failure.
+// Exit status: 0 on success, 1 on usage error (an unknown command or an
+// option the subcommand does not read), 2 on runtime failure.
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -56,7 +59,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "core/reghd.hpp"
 #include "serve/server.hpp"
@@ -110,9 +115,10 @@ int usage(const std::string& program) {
             << "  thread regenerates one copy when F·D·8 bytes fit 1 MiB, else\n"
             << "  16-row tiles on the fly; encodings are bit-identical either way)\n"
             << "common: --target-col N (negative counts from the end; default -1)\n"
-            << "  --threads N (batch encode/predict and training-team workers;\n"
-            << "  default REGHD_THREADS or hardware concurrency)\n"
-            << "telemetry (train/stream): --stats (per-stage counter/latency table)\n"
+            << "  --threads N (train/eval/predict/stream: batch encode/predict and\n"
+            << "  training-team workers; default REGHD_THREADS or hardware\n"
+            << "  concurrency)\n"
+            << "telemetry (train/stream/serve): --stats (per-stage counter/latency table)\n"
             << "  --telemetry-json PATH --telemetry-prom PATH (JSON / Prometheus\n"
             << "  text exposition of the run's counters and latency histograms)\n";
   return 1;
@@ -512,6 +518,41 @@ int cmd_synth(const util::Args& args) {
   return 0;
 }
 
+/// A subcommand and every option it reads. Any other option is a usage
+/// error: a mistyped or unsupported flag must not silently leave a default
+/// in place.
+struct Command {
+  std::string_view name;
+  int (*run)(const util::Args&);
+  std::vector<std::string_view> options;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"train", cmd_train,
+       {"csv", "out", "models", "dim", "alpha", "seed", "threads", "batch", "quantized",
+        "binary-query", "binary-model", "projection-storage", "test-fraction", "shards",
+        "refine-epochs", "checkpoint-dir", "checkpoint-every", "keep-last", "target-col",
+        "stats", "telemetry-json", "telemetry-prom"}},
+      {"eval", cmd_eval, {"csv", "model", "threads", "target-col"}},
+      {"predict", cmd_predict, {"csv", "model", "threads", "target-col"}},
+      {"stream", cmd_stream,
+       {"csv", "models", "dim", "alpha", "seed", "threads", "quantized", "decay",
+        "requantize-every", "projection-storage", "checkpoint-dir", "checkpoint-every",
+        "keep-last", "resume", "out", "target-col", "stats", "telemetry-json",
+        "telemetry-prom"}},
+      {"serve", cmd_serve,
+       {"csv", "models", "dim", "alpha", "seed", "quantized", "decay", "requantize-every",
+        "projection-storage", "shards", "batch-threshold", "max-batch",
+        "publish-interval-ms", "checkpoint-dir", "tenant-budget", "tenants",
+        "tenant-spill-dir", "train-every", "target-col", "stats", "telemetry-json",
+        "telemetry-prom"}},
+      {"info", cmd_info, {"model"}},
+      {"synth", cmd_synth, {"dataset", "out", "seed"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -520,30 +561,17 @@ int main(int argc, char** argv) {
     return usage(args.program());
   }
   const std::string& command = args.positional().front();
-  try {
-    if (command == "train") {
-      return cmd_train(args);
-    }
-    if (command == "eval") {
-      return cmd_eval(args);
-    }
-    if (command == "predict") {
-      return cmd_predict(args);
-    }
-    if (command == "stream") {
-      return cmd_stream(args);
-    }
-    if (command == "serve") {
-      return cmd_serve(args);
-    }
-    if (command == "info") {
-      return cmd_info(args);
-    }
-    if (command == "synth") {
-      return cmd_synth(args);
-    }
+  const auto it = std::ranges::find(commands(), command, &Command::name);
+  if (it == commands().end()) {
     std::cerr << "unknown command '" << command << "'\n";
     return usage(args.program());
+  }
+  if (const std::optional<std::string> unknown = args.first_unknown(it->options)) {
+    std::cerr << command << ": unknown option --" << *unknown << "\n";
+    return usage(args.program());
+  }
+  try {
+    return it->run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
