@@ -19,6 +19,8 @@ namespace {
 constexpr std::size_t kQueueCapacity = 4096;
 /// An idle consumer spin-yields this long before sleeping on the doorbell.
 constexpr std::uint64_t kIdleSpinNs = 50'000;
+/// Per-shard checkpoints kept under ServeConfig::checkpoint_dir.
+constexpr std::size_t kCheckpointKeepLast = 2;
 
 [[nodiscard]] std::uint64_t steady_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -40,7 +42,7 @@ constexpr std::uint64_t kIdleSpinNs = 50'000;
                                                       std::size_t shard) {
   core::CheckpointConfig ck;
   ck.dir = config.checkpoint_dir + "/shard_" + std::to_string(shard);
-  ck.keep_last = 2;
+  ck.keep_last = kCheckpointKeepLast;
   return ck;
 }
 
@@ -453,16 +455,14 @@ void Server::trainer_loop(Shard& shard) {
     }
   };
 
-  {
-    // The worker's warm-up, for update()'s two encodes: one fused query and
-    // one arena row of an all-zero reading grow this thread's thread_local
-    // scratch — and fill a rematerialized projection's per-thread copy —
-    // before the first drain, outside the no-alloc brackets. The learner's
-    // state is untouched.
-    (void)learner.model().predict_one(learner.encoder(), row);
-    core::EncodedDataset warm;
-    warm.assign_rows(learner.encoder(), row, 1, 1);
-  }
+  // The worker's warm-up, for update()'s two encodes: one fused query and
+  // one arena row of an all-zero reading grow this thread's thread_local
+  // scratch — and fill a rematerialized projection's per-thread copy —
+  // before the first drain, outside the no-alloc brackets. The learner's
+  // state is untouched.
+  (void)learner.model().predict_one(learner.encoder(), row);
+  core::EncodedDataset warm;
+  warm.assign_rows(learner.encoder(), row, 1, 1);
 
   for (;;) {
     // The drain is bracketed by the no-alloc probe: update() runs once per

@@ -47,7 +47,7 @@ const std::optional<std::string>* Args::get(const std::string& key) const {
 std::optional<std::string> Args::first_unknown(
     std::span<const std::string_view> known) const {
   for (const auto& [key, value] : options_) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
+    if (std::ranges::find(known, key) == known.end()) {
       return key;
     }
   }
