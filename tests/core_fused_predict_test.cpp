@@ -6,19 +6,23 @@
 //    arithmetic; the rest must fall back to exactly the materializing
 //    expression), at dims below and above the 1024-component fused block,
 //    for both RFF projection storages;
+//  * the encoder's block-encode flag off forces the counted fallback in
+//    every mode, with no result change;
 //  * a stale packed bank (mutable state access) must not change results —
 //    the quantized fused path rebuilds a per-call bank like predict_batch;
 //  * concurrent predict_one calls equal the serial results (thread_local
 //    scratch contract);
 //  * encoders without block support fall back, bit-identically;
-//  * OnlineRegHD::predict takes the fused path (no fallback counted) and
-//    equals the materializing predict of the standardized reading.
+//  * OnlineRegHD::predict routes through the fused path (no fallback
+//    counted) and equals the materializing predict of the standardized
+//    reading.
 //
 // The suite runs on whatever kernel backend is live; CI runs it under
 // default dispatch, REGHD_KERNEL=scalar, and the NEON cross job, which
 // covers the backend axis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <memory>
@@ -128,6 +132,24 @@ Harness make_harness(const ModeCase& mode, std::size_t dim,
   return h;
 }
 
+/// `inner` with its block-encode flag off: the same encoding, but
+/// supports_block_encode() keeps the base class's false, so predict_one
+/// must take the materializing fallback whatever the mode.
+class BlockFlagOffEncoder final : public hdc::Encoder {
+ public:
+  explicit BlockFlagOffEncoder(const hdc::Encoder& inner)
+      : Encoder(inner.config()), inner_(inner) {}
+
+ protected:
+  void encode_real_into(std::span<const double> features, double* out) const override {
+    const hdc::RealHV real = inner_.encode_real(features);
+    std::copy(real.values().begin(), real.values().end(), out);
+  }
+
+ private:
+  const hdc::Encoder& inner_;
+};
+
 class FusedPredictModeTest : public ::testing::TestWithParam<ModeCase> {};
 
 TEST_P(FusedPredictModeTest, FusedBitIdenticalToMaterializingPredict) {
@@ -149,6 +171,29 @@ TEST_P(FusedPredictModeTest, FusedBitIdenticalToMaterializingPredict) {
                              << hdc::to_string(storage);
       }
     }
+  }
+}
+
+TEST_P(FusedPredictModeTest, FusedPredictFlagOffFallsBackBitIdentically) {
+  const Harness h = make_harness(GetParam(), 200, hdc::ProjectionStorage::kResident);
+  ASSERT_TRUE(h.encoder->supports_block_encode());
+  const BlockFlagOffEncoder flag_off(*h.encoder);
+  ASSERT_FALSE(flag_off.supports_block_encode());
+  obs::set_enabled(true);
+  obs::reset();
+  std::vector<double> got(h.dataset.size());
+  for (std::size_t i = 0; i < h.dataset.size(); ++i) {
+    got[i] = h.model->predict_one(flag_off, h.dataset.row(i));
+  }
+#ifndef REGHD_NO_TELEMETRY
+  // Every flag-off call, fusable mode or not, is one counted fallback.
+  EXPECT_EQ(obs::snapshot().counter(obs::Counter::kPredictFusedFallbacks),
+            h.dataset.size());
+#endif
+  obs::set_enabled(false);
+  for (std::size_t i = 0; i < h.dataset.size(); ++i) {
+    EXPECT_EQ(got[i], h.model->predict(h.encoder->encode(h.dataset.row(i)))) << "row " << i;
+    EXPECT_EQ(got[i], h.model->predict_one(*h.encoder, h.dataset.row(i))) << "row " << i;
   }
 }
 
@@ -306,7 +351,7 @@ TEST(FusedPredictTest, RffEncodeRealBlockMatchesFullEncodeSlices) {
   }
 }
 
-TEST(FusedPredictTest, OnlinePredictTakesTheFusedPathBitIdentically) {
+TEST(FusedPredictTest, OnlinePredictRoutesThroughFusedPathUnchanged) {
   // OnlineRegHD::predict in a fusable mode, through warmup, cold start and
   // trained operation: equal to the materializing predict(encode(x)) of the
   // standardized reading, and never counted as a fused-path fallback.
@@ -338,10 +383,12 @@ TEST(FusedPredictTest, OnlinePredictTakesTheFusedPathBitIdentically) {
           << "reading " << i << " adaptive " << adaptive;
       (void)learner.update(dataset.row(i), dataset.target(i));
     }
+#ifndef REGHD_NO_TELEMETRY
     const obs::TelemetrySnapshot snap = obs::snapshot();
     EXPECT_GT(snap.counter(obs::Counter::kPredictFused), 0U) << "adaptive " << adaptive;
     EXPECT_EQ(snap.counter(obs::Counter::kPredictFusedFallbacks), 0U)
         << "adaptive " << adaptive;
+#endif
   }
   obs::set_enabled(false);
 }
