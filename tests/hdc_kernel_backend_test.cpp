@@ -370,6 +370,74 @@ TEST_P(KernelBackendTest, RffProjectMapMatchesAxpyChainBitExact) {
   // 512-column tiles.
   const std::size_t n = GetParam();
   check_project_map(5, 3, n, n, false, 0x63E7 + n);
+
+  // The trig map on its own: k = 1 with the one A entry 1.0, so each z is
+  // exactly its B entry and every output must be the plain fast_sin
+  // formula, bit for bit on every table — the encoder's binarization would
+  // otherwise flip sign bits between REGHD_KERNEL settings.
+  util::Rng rng(0x7816 + n);
+  std::vector<double> z(n);
+  std::vector<double> phase(n);
+  std::vector<double> sin_phase(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    z[j] = rng.normal(0.0, 3.0);
+    phase[j] = rng.phase();
+    sin_phase[j] = util::fast_sin(phase[j]);
+  }
+  if (n >= 64) {
+    // Poke lanes into the std::sin fallback path (|2z+b| ≥ 2^30), mixed into
+    // otherwise in-range groups: lanes 1 and 17 of 4-lane groups, the first
+    // and last lane (0 and 7) of the second 8-lane group, and NaN, +Inf and
+    // −Inf lanes, which fail the same range test.
+    z[1] = 3.0e9;
+    z[17] = -7.5e11;
+    z[8] = 6.0e10;
+    z[15] = -2.0e9;
+    z[33] = std::numeric_limits<double>::quiet_NaN();
+    z[42] = std::numeric_limits<double>::infinity();
+    z[47] = -std::numeric_limits<double>::infinity();
+  }
+  std::vector<double> want(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    want[j] = 0.5 * (util::fast_sin(2.0 * z[j] + phase[j]) - sin_phase[j]);
+  }
+  const double one = 1.0;
+  const auto map = [&](const KernelBackend& kb, std::size_t off, std::size_t len,
+                       std::vector<double>& out) {
+    kb.rff_project_map(&one, 1, z.data() + off, len, phase.data() + off,
+                       sin_phase.data() + off, out.data() + off, len, 1, 1, len);
+  };
+
+  for (const KernelBackend* kb : all_available()) {
+    std::vector<double> full(n);
+    map(*kb, 0, n, full);
+    EXPECT_TRUE(same_bits(full, want)) << kb->name;
+
+    // The encoder's weight-tile call shape: 16-element slices at offsets
+    // 16·t (the last one short when 16 does not divide n).
+    std::vector<double> tiled(n);
+    for (std::size_t j0 = 0; j0 < n; j0 += 16) {
+      map(*kb, j0, std::min<std::size_t>(16, n - j0), tiled);
+    }
+    EXPECT_TRUE(same_bits(tiled, want)) << kb->name << " 16-element slices";
+
+    // Lengths one either side of the 8-lane width, at an offset that is not
+    // a multiple of 8: each element's value may not depend on where the
+    // call's vector groups and scalar tail fall, and nothing outside the
+    // slice is written.
+    for (const std::size_t len : {7u, 9u, 15u, 17u, 23u, 25u}) {
+      const std::size_t off = 3;
+      if (off + len > n) {
+        continue;
+      }
+      std::vector<double> part = z;
+      map(*kb, off, len, part);
+      std::vector<double> expect = z;
+      std::copy_n(want.begin() + static_cast<std::ptrdiff_t>(off), len,
+                  expect.begin() + static_cast<std::ptrdiff_t>(off));
+      EXPECT_TRUE(same_bits(part, expect)) << kb->name << " len " << len;
+    }
+  }
 }
 
 TEST_P(KernelBackendTest, DotRowsMatchesPerRowDotExactly) {
