@@ -439,20 +439,6 @@ int run_kernel_json(const std::string& path) {
     ns = time_ns([&] { kb->scale_real(pacc, 0.999999, kDim); });
     report_backend(kernels["scale_real"], b.c_str(), 2.0 * kDim * 8, ns);
 
-    // In-place map keeps z in [−½, ½] after the first call — always the
-    // polynomial path, which is what the encoder hits in practice.
-    std::vector<double> trig_z(kDim);
-    std::vector<double> trig_phase(kDim);
-    std::vector<double> trig_sinp(kDim);
-    for (std::size_t j = 0; j < kDim; ++j) {
-      trig_z[j] = rng.normal();
-      trig_phase[j] = rng.phase();
-      trig_sinp[j] = util::fast_sin(trig_phase[j]);
-    }
-    ns = time_ns(
-        [&] { kb->rff_trig_map(trig_z.data(), trig_phase.data(), trig_sinp.data(), kDim); });
-    report_backend(kernels["rff_trig_map"], b.c_str(), 4.0 * kDim * 8, ns);
-
     // Resident encode block: 16 rows projected through the F×D weights and
     // trig-mapped in one cache-blocked pass (bytes = every operand once, C
     // written only).
@@ -634,7 +620,6 @@ int run_kernel_json(const std::string& path) {
       {"add_scaled_real", same_entries<&KB::add_scaled_real>},
       {"add_scaled_binary", same_entries<&KB::add_scaled_binary>},
       {"scale_real", same_entries<&KB::scale_real>},
-      {"rff_trig_map", same_entries<&KB::rff_trig_map>},
       {"project_map_encode", same_entries<&KB::rff_project_map>},
       {"dot_rows_block", same_entries<&KB::dot_rows_block>},
       {"update_dot_rows_composed",
@@ -727,16 +712,14 @@ int run_kernel_json(const std::string& path) {
         bench::JsonValue::number(remat_batch64_ns);
     ps["rematerialized"]["batch128_f32_d2048_encode_ns_per_row"] =
         bench::JsonValue::number(remat_batch128_ns);
-    // No matrix per encoder. Each encoding thread holds one regenerated
-    // copy when it fits the budget, else an O(tile) scratch.
+    // The encoder stores the matrix when it fits the budget; otherwise each
+    // encoding thread holds an O(tile) scratch instead.
     const std::size_t projection_bytes = kDim * kFeatures * 8;
-    const std::size_t per_thread_bytes =
-        projection_bytes <= hdc::RffProjectionEncoder::kRematCacheBytes
-            ? projection_bytes
-            : kFeatures * kRematTile * 8;
-    ps["rematerialized"]["projection_resident_bytes"] = bench::JsonValue::integer(0);
-    ps["rematerialized"]["scratch_bytes"] =
-        bench::JsonValue::integer(static_cast<std::int64_t>(per_thread_bytes));
+    const bool stored = projection_bytes <= hdc::RffProjectionEncoder::kRematCacheBytes;
+    ps["rematerialized"]["projection_resident_bytes"] =
+        bench::JsonValue::integer(static_cast<std::int64_t>(stored ? projection_bytes : 0));
+    ps["rematerialized"]["scratch_bytes"] = bench::JsonValue::integer(
+        static_cast<std::int64_t>(stored ? 0 : kFeatures * kRematTile * 8));
   }
 
   // Fused single-query latency: predict_one (encode→search→predict through

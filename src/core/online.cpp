@@ -17,7 +17,7 @@ OnlineRegHD::OnlineRegHD(OnlineConfig config, std::size_t num_features)
               "decay must lie in (0,1], got " << config_.decay);
   config_.encoder.input_dim = num_features;
   config_.encoder.dim = config_.reghd.dim;
-  encoder_ = hdc::make_encoder(config_.encoder);
+  encoder_ = hdc::shared_encoder(config_.encoder);
 }
 
 void OnlineRegHD::set_projection_storage(hdc::ProjectionStorage storage) {
@@ -25,9 +25,9 @@ void OnlineRegHD::set_projection_storage(hdc::ProjectionStorage storage) {
     return;
   }
   config_.encoder.projection_storage = storage;
-  // Rebuilding from the (updated) config reproduces the identical encoder —
-  // every weight derives from the counter-based kernel either way.
-  encoder_ = hdc::make_encoder(config_.encoder);
+  // The (updated) config's encoder encodes identically — every weight
+  // derives from the counter-based kernel either way.
+  encoder_ = hdc::shared_encoder(config_.encoder);
 }
 
 OnlineRegHD OnlineRegHD::merge_replicas(std::span<const OnlineShardReplica> replicas) {

@@ -18,6 +18,7 @@
 // A value type: a copy duplicates all mutable state and shares the one
 // immutable encoder (a pure function of its seed, encoded through const
 // methods), so copies may encode concurrently from different threads.
+// Learners built apart from equal configs share it too (hdc::shared_encoder).
 #pragma once
 
 #include <cstddef>
@@ -149,11 +150,13 @@ class OnlineRegHD {
 
   /// Encoder access for callers that drive the regressor's batch/fused
   /// kernels directly on standardized readings (serving runtime, benches).
-  /// Copies of a learner return the same object.
+  /// Copies of a learner, and learners built from an equal config, return the
+  /// same object.
   [[nodiscard]] const hdc::Encoder& encoder() const noexcept { return *encoder_; }
 
-  /// Re-applies a projection-storage deployment choice by rebuilding this
-  /// learner's encoder from its own config (copies keep the one they share).
+  /// Re-applies a projection-storage deployment choice by switching this
+  /// learner to the shared encoder of its updated config (copies keep the
+  /// one they shared).
   /// Storage is a runtime/footprint knob, not model identity — it is
   /// deliberately not serialized, so every checkpoint loads kResident;
   /// callers running rematerialized switch back here. Encodings are
@@ -191,7 +194,7 @@ class OnlineRegHD {
   [[nodiscard]] double unscale_target(double y_scaled) const;
 
   OnlineConfig config_;
-  std::shared_ptr<const hdc::Encoder> encoder_;  ///< immutable; shared by copies.
+  std::shared_ptr<const hdc::Encoder> encoder_;  ///< immutable; one per config.
   MultiModelRegressor model_;
   std::vector<util::RunningStats> feature_stats_;
   util::RunningStats target_stats_;

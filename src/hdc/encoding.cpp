@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "hdc/kernel_backend.hpp"
 #include "hdc/ops.hpp"
@@ -245,99 +248,66 @@ RffProjectionEncoder::RffProjectionEncoder(EncoderConfig config) : Encoder(confi
   stddev_ = stddev;
   // The weights are a pure function of (proj_seed_, row, feature) through
   // the counter-based rff_rematerialize kernel — never of a sequential
-  // generator — so any row tile can be regenerated independently. Resident
-  // mode materializes all D rows once, here; rematerialized mode stores
-  // nothing and regenerates them per encoding thread (weights()) or tile by
-  // tile inside the encode loops. Either way the phase stream below is
-  // untouched (phase_rng stays the second split).
+  // generator — so any row tile can be regenerated independently. The
+  // matrix is materialized here unless it is a rematerialized one over the
+  // budget, which project() regenerates tile by tile. Either way the phase
+  // stream below is untouched (phase_rng stays the second split).
   proj_seed_ = proj_rng.bits();
-  if (config_.projection_storage == ProjectionStorage::kResident) {
-    projection_t_.resize(config_.dim * config_.input_dim);
-    materialize_rows(0, config_.dim, projection_t_.data(), config_.dim);
+  const std::size_t d = config_.dim;
+  const std::size_t n = config_.input_dim;
+  if (config_.projection_storage == ProjectionStorage::kResident ||
+      n <= kRematCacheBytes / sizeof(double) / d) {
+    projection_t_.resize(d * n);
+    active_backend().rff_rematerialize(proj_seed_, stddev_, 0, d, n, projection_t_.data(),
+                                       d);
   }
-  phase_.resize(config_.dim);
-  sin_phase_.resize(config_.dim);
-  for (std::size_t j = 0; j < config_.dim; ++j) {
+  phase_.resize(d);
+  sin_phase_.resize(d);
+  for (std::size_t j = 0; j < d; ++j) {
     phase_[j] = phase_rng.phase();
     // fast_sin here too, so z = 0 gives sin(b_j) − sin_phase_[j] == 0 exactly.
     sin_phase_[j] = util::fast_sin(phase_[j]);
   }
 }
 
-void RffProjectionEncoder::materialize_rows(std::size_t row0, std::size_t rows,
-                                            double* out, std::size_t ld) const {
-  active_backend().rff_rematerialize(proj_seed_, stddev_, row0, rows,
-                                     config_.input_dim, out, ld);
-}
-
-const double* RffProjectionEncoder::weights() const {
-  if (config_.projection_storage == ProjectionStorage::kResident) {
-    return projection_t_.data();
-  }
+void RffProjectionEncoder::project(const double* x, std::size_t rows, std::size_t j0,
+                                   std::size_t len, double* out, std::size_t ldo) const {
+  // Every component through rff_project_map: z_j = Σ_k x_k · w_{j,k},
+  // accumulated from +0.0 with the feature index ascending, mul then add —
+  // the rounding sequence of a naive per-row dot, under every kernel
+  // backend — then the trig map: product-to-sum turns the paper's
+  // cos(z+b)·sin(z) into ½·(sin(2z+b) − sin(b)), one sine per component,
+  // evaluated with util::fast_sin (see fast_trig.hpp; identical values under
+  // every kernel backend). Each component depends only on its row and j, so
+  // neither the row blocking nor the column tiling below shows in any bit.
   const std::size_t d = config_.dim;
   const std::size_t n = config_.input_dim;
-  if (n > kRematCacheBytes / sizeof(double) / d) {
-    return nullptr;
+  const KernelBackend& kb = active_backend();
+  if (!projection_t_.empty()) {
+    kb.rff_project_map(x, n, projection_t_.data() + j0, d, phase_.data() + j0,
+                       sin_phase_.data() + j0, out, ldo, rows, n, len);
+    return;
   }
-  // One regenerated projection per thread. A serving worker or trainer
-  // encodes through one encoder for its whole life, so it regenerates the
-  // projection once instead of once per query, batch or update. d == 0 marks
-  // the empty cache (every encoder has D > 0). resize never shrinks
-  // capacity, so switching between budget-sized keys stays off the
-  // allocator once the largest has been seen.
-  struct Cache {
-    std::uint64_t seed = 0;
-    std::uint64_t stddev_bits = 0;
-    std::size_t n = 0;
-    std::size_t d = 0;
-    std::vector<double> weights;
-  };
-  thread_local Cache cache;
-  const auto stddev_bits = std::bit_cast<std::uint64_t>(stddev_);
-  if (cache.d != d || cache.n != n || cache.seed != proj_seed_ ||
-      cache.stddev_bits != stddev_bits) {
-    cache.d = 0;  // stays empty if the resize throws
-    cache.weights.resize(n * d);
-    materialize_rows(0, d, cache.weights.data(), d);
-    cache.seed = proj_seed_;
-    cache.stddev_bits = stddev_bits;
-    cache.n = n;
-    cache.d = d;
+  // A rematerialized projection over the budget: F×16 weight tiles live in
+  // a per-thread scratch (L1/L2-resident; e.g. 100 KB at F = 784) that the
+  // kernel consumes in place, each tile projected into every row — the
+  // matrix never exists in memory all at once. The scratch persists so the
+  // serving runtime's steady-state encodes never touch the allocator.
+  constexpr std::size_t kTile = 16;
+  thread_local std::vector<double> tile;
+  tile.resize(n * kTile);
+  for (std::size_t t0 = 0; t0 < len; t0 += kTile) {
+    const std::size_t width = std::min(kTile, len - t0);
+    kb.rff_rematerialize(proj_seed_, stddev_, j0 + t0, width, n, tile.data(), width);
+    kb.rff_project_map(x, n, tile.data(), width, phase_.data() + j0 + t0,
+                       sin_phase_.data() + j0 + t0, out + t0, ldo, rows, n, width);
   }
-  return cache.weights.data();
 }
 
 void RffProjectionEncoder::encode_real_into(std::span<const double> features,
                                             double* out) const {
-  // One row through rff_project_map: z_j = Σ_k x_k · w_{j,k}, accumulated
-  // from +0.0 with the feature index ascending, mul then add — the rounding
-  // sequence of a naive per-row dot, under every kernel backend — then the
-  // trig map: product-to-sum turns the paper's cos(z+b)·sin(z) into
-  // ½·(sin(2z+b) − sin(b)), one sine per component, evaluated with
-  // util::fast_sin (see fast_trig.hpp; identical values under every kernel
-  // backend). A 1-row batch of encode_batch_into, bit for bit.
-  const std::size_t d = config_.dim;
-  const std::size_t n = config_.input_dim;
-  const KernelBackend& kb = active_backend();
-  if (const double* w = weights()) {
-    kb.rff_project_map(features.data(), n, w, d, phase_.data(), sin_phase_.data(), out,
-                       d, 1, n, d);
-    return;
-  }
-  // A rematerialized projection over the budget: regenerate
-  // 16-hyperspace-row tiles of the weights and project each in place (a
-  // 1×n × n×tile projection).
-  constexpr std::size_t kTile = 16;
-  // Reused across calls (resize never shrinks capacity): the serving
-  // runtime's steady-state predict path must not touch the allocator.
-  thread_local std::vector<double> scratch;
-  scratch.resize(n * kTile);
-  for (std::size_t j0 = 0; j0 < d; j0 += kTile) {
-    const std::size_t tile = std::min(kTile, d - j0);
-    kb.rff_rematerialize(proj_seed_, stddev_, j0, tile, n, scratch.data(), tile);
-    kb.rff_project_map(features.data(), n, scratch.data(), tile, phase_.data() + j0,
-                       sin_phase_.data() + j0, out + j0, d, 1, n, tile);
-  }
+  // A 1-row batch of encode_batch_into, bit for bit.
+  project(features.data(), 1, 0, config_.dim, out, config_.dim);
 }
 
 void RffProjectionEncoder::encode_real_block(std::span<const double> features,
@@ -348,28 +318,7 @@ void RffProjectionEncoder::encode_real_block(std::span<const double> features,
   REGHD_CHECK(j0 <= d && len <= d - j0, "encode_real_block: slice ["
                                             << j0 << ", " << j0 + len
                                             << ") exceeds dim " << d);
-  if (len == 0) {
-    return;
-  }
-  const std::size_t n = config_.input_dim;
-  const KernelBackend& kb = active_backend();
-  if (const double* w = weights()) {
-    // Columns [j0, j0+len) of the full projection — identical per-component
-    // accumulation order to the full encode.
-    kb.rff_project_map(features.data(), n, w + j0, d, phase_.data() + j0,
-                       sin_phase_.data() + j0, out, len, 1, n, len);
-    return;
-  }
-  // A rematerialized projection over the budget. Fused
-  // regenerate-and-project: a single query gets nothing back for storing a
-  // weight tile (the batch arena amortizes the tile over its rows; B = 1
-  // cannot), so the block's pre-activation values come out of rff_remat_dot
-  // with the weights consumed in registers. The kernel's contract pins each
-  // component to the exact rematerialize + gemm chain, and each row's draw
-  // stream is keyed on its absolute index, so this block equals the same
-  // slice of the full encoding bit-for-bit.
-  kb.rff_remat_dot(proj_seed_, stddev_, j0, len, features.data(), n, out);
-  kb.rff_trig_map(out, phase_.data() + j0, sin_phase_.data() + j0, len);
+  project(features.data(), 1, j0, len, out, len);
 }
 
 void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
@@ -382,60 +331,31 @@ void RffProjectionEncoder::encode_batch_into(std::span<const double> rows_flat,
   obs::count(obs::Counter::kEncodeRows, num_rows);
   const std::size_t d = config_.dim;
   const std::size_t n = config_.input_dim;
-  // With the whole F×D transposed weight matrix in memory (resident, or
-  // this thread's rematerialized copy, resolved once here and read by every
-  // worker), row blocks share each cache tile of it — the GEMM streams W_t
-  // once per block of 16 rows instead of once per row, cutting projection
-  // memory traffic ~16×.
-  const double* w = weights();
-  // A rematerialized projection over the budget regenerates all F×D
-  // weights once per sample block, so each worker takes one block of
-  // ⌈rows / workers⌉ rows (at least 64): every weight tile is regenerated
-  // once per worker per batch. Legal because the projection's per-element
-  // rounding sequence (feature index ascending from +0.0, mul then add) is
-  // invariant to both the sample blocking and the hyperspace tiling; every
-  // row stays bit-identical to the per-row path, and to the resident path,
-  // for any thread count.
-  constexpr std::size_t kResidentRowBlock = 16;
+  // With the F×D weight matrix stored, row blocks share each cache tile of
+  // it — the GEMM streams it once per block of 16 rows instead of once per
+  // row, cutting projection memory traffic ~16×. Without it, all F×D
+  // weights are regenerated once per row block, so each worker takes one
+  // block of ⌈rows / workers⌉ rows (at least 64): every weight tile is
+  // regenerated once per worker per batch. Every row stays bit-identical to
+  // the per-row path for any thread count (see project()).
+  constexpr std::size_t kStoredRowBlock = 16;
   constexpr std::size_t kMinRematRowBlock = 64;
-  constexpr std::size_t kRematTile = 16;  // hyperspace rows per scratch tile
   const std::size_t workers = threads != 0 ? threads : util::default_thread_count();
   const std::size_t row_block =
-      w == nullptr ? std::max(kMinRematRowBlock, (num_rows + workers - 1) / workers)
-                   : kResidentRowBlock;
+      projection_t_.empty()
+          ? std::max(kMinRematRowBlock, (num_rows + workers - 1) / workers)
+          : kStoredRowBlock;
   const std::size_t blocks = (num_rows + row_block - 1) / row_block;
-  const KernelBackend& kb = active_backend();
   util::parallel_for(
       blocks,
       [&](std::size_t block) {
         const std::size_t r0 = block * row_block;
         const std::size_t rn = std::min(num_rows, r0 + row_block);
-        const double* x = rows_flat.data() + r0 * n;
         // rff_project_map writes each real component once — projection and
         // trig map fused, in the worker that owns the rows — so the raw
         // arena planes need no zero-fill and the first touch runs in
         // parallel.
-        if (w == nullptr) {
-          // F×16 weight tiles live in a worker-local scratch (L1/L2-resident;
-          // e.g. 100 KB at F = 784) that the kernel consumes in place — the
-          // projection matrix never exists in memory all at once. Each tile
-          // is projected into every row of the block. The scratch
-          // persists per thread so steady-state batches (the serving
-          // runtime's admission path) never touch the allocator.
-          thread_local std::vector<double> scratch;
-          scratch.resize(n * kRematTile);
-          for (std::size_t j0 = 0; j0 < d; j0 += kRematTile) {
-            const std::size_t tile = std::min(kRematTile, d - j0);
-            kb.rff_rematerialize(proj_seed_, stddev_, j0, tile, n, scratch.data(),
-                                 tile);
-            kb.rff_project_map(x, n, scratch.data(), tile, phase_.data() + j0,
-                               sin_phase_.data() + j0, out.real + r0 * d + j0, d,
-                               rn - r0, n, tile);
-          }
-        } else {
-          kb.rff_project_map(x, n, w, d, phase_.data(), sin_phase_.data(),
-                             out.real + r0 * d, d, rn - r0, n, d);
-        }
+        project(rows_flat.data() + r0 * n, rn - r0, 0, d, out.real + r0 * d, d);
         for (std::size_t r = r0; r < rn; ++r) {
           finalize_encoded_row(out, r);
         }
@@ -564,6 +484,37 @@ std::unique_ptr<Encoder> make_encoder(const EncoderConfig& config) {
   }
   throw std::invalid_argument("unknown EncoderKind value " +
                               std::to_string(static_cast<int>(config.kind)));
+}
+
+std::shared_ptr<const Encoder> shared_encoder(const EncoderConfig& config) {
+  // Every EncoderConfig field, doubles by their bits: configs that compare
+  // equal here build bit-identical encoders.
+  using Key = std::tuple<EncoderKind, std::size_t, std::size_t, std::uint64_t, std::uint64_t,
+                         ProjectionStorage, std::size_t, std::uint64_t, std::uint64_t>;
+  const Key key{config.kind,
+                config.input_dim,
+                config.dim,
+                config.seed,
+                std::bit_cast<std::uint64_t>(config.projection_stddev),
+                config.projection_storage,
+                config.levels,
+                std::bit_cast<std::uint64_t>(config.level_min),
+                std::bit_cast<std::uint64_t>(config.level_max)};
+  // Only weak references: the encoders keep their default deleter, so
+  // dropping the last holder never reaches back into the map, even during
+  // static destruction. An encoder is built under the lock, so concurrent
+  // callers of one config all get the first one built.
+  static std::mutex mutex;
+  static std::map<Key, std::weak_ptr<const Encoder>> encoders;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::weak_ptr<const Encoder>& slot = encoders[key];
+  if (std::shared_ptr<const Encoder> live = slot.lock()) {
+    return live;
+  }
+  std::shared_ptr<const Encoder> built = make_encoder(config);
+  slot = built;
+  std::erase_if(encoders, [](const auto& entry) { return entry.second.expired(); });
+  return built;
 }
 
 }  // namespace reghd::hdc

@@ -109,15 +109,14 @@ enum class EncoderKind : std::uint8_t {
 /// the encoded output is bit-identical either way — the choice only trades
 /// resident bytes against regeneration compute.
 enum class ProjectionStorage : std::uint8_t {
-  kResident = 0,        ///< Materialized F×D matrix: O(F·D) resident bytes,
-                        ///< the GEMM streams it from memory every batch.
-  kRematerialized = 1,  ///< No matrix per encoder. Each encoding thread keeps
-                        ///< one regenerated F×D copy when F·D·8 bytes fit
-                        ///< RffProjectionEncoder::kRematCacheBytes (refilled
-                        ///< only when it switches to an encoder with other
-                        ///< weights); above that budget, 16-row tiles are
-                        ///< regenerated into an O(F·tile) L1/L2 scratch
-                        ///< inside the GEMM on every encode.
+  kResident = 0,        ///< The encoder materializes the F×D matrix at any
+                        ///< size: O(F·D) bytes, streamed by every encode.
+  kRematerialized = 1,  ///< The encoder materializes the matrix only while
+                        ///< F·D·8 bytes fit
+                        ///< RffProjectionEncoder::kRematCacheBytes; above
+                        ///< that budget it stores none and regenerates
+                        ///< 16-row tiles into an O(F·tile) L1/L2 scratch on
+                        ///< every encode.
 };
 
 /// Returns a stable lowercase name ("resident", "rematerialized").
@@ -145,10 +144,11 @@ struct EncoderConfig {
   // RffProjection only: resident weight matrix vs counter-based
   // regeneration. A runtime/footprint knob, not part of the model identity —
   // the encoded output is bit-identical in both modes, so (like thread
-  // counts) it is not serialized with the encoder config. Rematerialized
-  // encoders hold no weights themselves: a projection within
-  // RffProjectionEncoder::kRematCacheBytes is regenerated once per encoding
-  // thread and kept there, a larger one tile by tile on every encode.
+  // counts) it is not serialized with the encoder config. A rematerialized
+  // projection within RffProjectionEncoder::kRematCacheBytes is still
+  // stored, once, in the encoder (shared_encoder() gives every learner of
+  // one config that one copy); a larger one is regenerated tile by tile on
+  // every encode.
   ProjectionStorage projection_storage = ProjectionStorage::kResident;
 
   // IdLevel only: number of quantization levels and the feature range the
@@ -268,49 +268,37 @@ class RffProjectionEncoder final : public Encoder {
                          std::size_t threads = 0) const override;
 
   /// RFF components are independent per j (projection + trig map), so any
-  /// slice can be produced in isolation: resident mode, and rematerialized
-  /// mode within kRematCacheBytes, project the slice's columns of the full
-  /// weight matrix; a larger rematerialized projection replays rows
-  /// [j0, j0+len) through the fused rff_remat_dot kernel — weights consumed
-  /// in registers, no scratch tile (the B = 1 latency kernel; bit-identical
-  /// to rematerialize + gemm by its contract). All are bit-identical to the
-  /// same slice of encode_real().
+  /// slice can be produced in isolation, through the same projection as
+  /// every other path: bit-identical to the same slice of encode_real().
   [[nodiscard]] bool supports_block_encode() const noexcept override { return true; }
   void encode_real_block(std::span<const double> features, std::size_t j0,
                          std::size_t len, double* out) const override;
 
-  /// Largest rematerialized projection, in bytes (F·D·8), that an encoding
-  /// thread regenerates once and keeps: 1 MiB, half of one core's L2 on the
-  /// AVX-512 reference host (the F = 32, D = 2048 serving shape is 512 KiB).
-  /// Larger projections are regenerated tile by tile on every encode.
+  /// Largest rematerialized projection, in bytes (F·D·8), that the encoder
+  /// still materializes: 1 MiB, half of one core's L2 on the AVX-512
+  /// reference host (the F = 32, D = 2048 serving shape is 512 KiB). Larger
+  /// projections are regenerated tile by tile on every encode.
   static constexpr std::size_t kRematCacheBytes = std::size_t{1} << 20;
 
  protected:
   void encode_real_into(std::span<const double> features, double* out) const override;
 
  private:
-  /// Fills `out` (leading dimension ld, feature-major) with hyperspace rows
-  /// [row0, row0 + rows) of the projection via the rematerialization kernel.
-  void materialize_rows(std::size_t row0, std::size_t rows, double* out,
-                        std::size_t ld) const;
-
-  /// The full feature-major projection (leading dimension D) this thread
-  /// encodes from: projection_t_ in resident mode; in rematerialized mode a
-  /// thread_local copy when it fits kRematCacheBytes, else nullptr (the
-  /// caller regenerates tiles). The copy is keyed on everything the weights
-  /// depend on — (proj_seed_, stddev_, F, D) — so encoders with equal keys
-  /// share it and any other key refills it. The pointer stays valid until
-  /// this thread next calls weights() on an encoder with another key.
-  [[nodiscard]] const double* weights() const;
+  /// The one projection loop of every encode path: maps `rows` feature rows
+  /// (x, row stride F) onto hyperspace components [j0, j0 + len), writing
+  /// row r's components to out[r·ldo, r·ldo + len). Reads the stored
+  /// projection's columns, or — when none is stored — regenerates 16-row
+  /// weight tiles into a per-thread scratch and projects each in place.
+  void project(const double* x, std::size_t rows, std::size_t j0, std::size_t len,
+               double* out, std::size_t ldo) const;
 
   // Projection stored transposed (feature-major): projection_t_[k*d + j] =
   // w_{j,k} — the B operand rff_project_map streams, unit-stride along the
-  // hyperspace axis for its SIMD column blocks. Empty when
-  // projection_storage is kRematerialized: the weights then exist only in
-  // weights()' per-thread copy or as O(F×tile) scratch tiles, both
-  // regenerated by KernelBackend::rff_rematerialize (from proj_seed_), which
-  // is also exactly how this matrix is filled in resident mode — the two
-  // storage modes are bit-identical by construction.
+  // hyperspace axis for its SIMD column blocks. Filled by
+  // KernelBackend::rff_rematerialize (from proj_seed_), the kernel that also
+  // regenerates the tiles when it is empty (rematerialized storage over
+  // kRematCacheBytes) — so stored and regenerated weights are bit-identical
+  // by construction.
   std::vector<double> projection_t_;
   std::uint64_t proj_seed_ = 0;  ///< Master seed of the weight streams.
   double stddev_ = 0.0;          ///< Resolved projection stddev.
@@ -362,5 +350,12 @@ class TemporalEncoder final : public Encoder {
 
 /// Factory: constructs the encoder named by config.kind.
 [[nodiscard]] std::unique_ptr<Encoder> make_encoder(const EncoderConfig& config);
+
+/// The process-wide encoder of `config`: every caller asking for an equal
+/// config (every field, doubles compared by bits) while one is alive gets
+/// that same immutable object, so learners built apart share one copy of
+/// its weights. The registry holds no ownership — an encoder dies with its
+/// last holder, and a later call rebuilds an identical one. Thread-safe.
+[[nodiscard]] std::shared_ptr<const Encoder> shared_encoder(const EncoderConfig& config);
 
 }  // namespace reghd::hdc

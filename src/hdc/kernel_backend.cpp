@@ -140,6 +140,7 @@ void scalar_scale_real(double* a, double c, std::size_t n) {
   }
 }
 
+/// rff_project_map's trig map step: the plain fast_sin expression.
 void scalar_rff_trig_map(double* z, const double* phase, const double* sin_phase,
                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -154,12 +155,6 @@ void scalar_rff_rematerialize(std::uint64_t seed, double stddev, std::size_t row
   // in rff_remat.hpp (shared with the AVX2 TU, which replays it four rows
   // per lane group and reuses it verbatim for row tails).
   detail::rff_rematerialize_rows(seed, stddev, row0, rows, n_features, out, ld);
-}
-
-void scalar_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
-                          std::size_t rows, const double* x, std::size_t n_features,
-                          double* out) {
-  detail::rff_remat_dot_rows(seed, stddev, row0, rows, x, n_features, out);
 }
 
 // Column tile of the blocked GEMM: 512 doubles (4 KB) per B-panel row keeps a
@@ -247,9 +242,7 @@ constexpr KernelBackend kScalarBackend{
     scalar_add_scaled_binary,
     scalar_merge_accumulate,
     scalar_scale_real,
-    scalar_rff_trig_map,
     scalar_rff_rematerialize,
-    scalar_rff_remat_dot,
     detail::rff_project_map_composed<scalar_gemm, scalar_rff_trig_map>,
     detail::dot_rows_multi_composed<scalar_dot_real_real>,
     detail::update_dot_rows_composed<scalar_add_scaled_real,

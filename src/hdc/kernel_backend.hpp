@@ -15,8 +15,8 @@
 //             multiple accumulators and therefore differ only by summation
 //             order (≤ a few ULP).
 //  * avx512 — AVX-512F/BW widening of the avx2 table (512-bit reductions,
-//             per-component kernels, the 8-lane RFF regenerators and trig
-//             map, and the fused projection + trig map encode kernel;
+//             per-component kernels, the 8-lane RFF regenerator, and the
+//             fused projection + trig map encode kernel;
 //             VPOPCNTDQ-vectorized popcount family when the CPU reports
 //             avx512_vpopcntdq). Kernels the wider ISA does not improve are
 //             inherited from the avx2 table.
@@ -89,16 +89,6 @@ struct KernelBackend {
                            std::size_t n);
   /// a[i] *= c.
   void (*scale_real)(double* a, double c, std::size_t n);
-  /// In-place RFF trig map: z[i] ← ½·(sin(2·z[i] + phase[i]) − sin_phase[i]),
-  /// with sine evaluated by util::fast_sin. The AVX2 and AVX-512 versions
-  /// replay fast_sin's exact per-element operation sequence 4 and 8 lanes at
-  /// a time (their TUs are built with -ffp-contract=off); a lane whose
-  /// argument fails |2·z + phase| < 2³⁰ (NaN and ±Inf included) is redone
-  /// with std::sin, the same escape fast_sin takes. Every element is
-  /// independent, so the result is bit-identical to scalar for any length
-  /// and offset.
-  void (*rff_trig_map)(double* z, const double* phase, const double* sin_phase,
-                       std::size_t n);
   /// Counter-based regeneration of Gaussian RFF projection rows — the
   /// memory-elision twin of a resident projection matrix. Writes the weights
   /// of hyperspace rows [row0, row0 + rows) in feature-major (transposed)
@@ -121,20 +111,6 @@ struct KernelBackend {
   void (*rff_rematerialize)(std::uint64_t seed, double stddev, std::size_t row0,
                             std::size_t rows, std::size_t n_features, double* out,
                             std::size_t ld);
-  /// Fused single-query projection: out[r] = Σ_k x[k] · w_{row0+r, k} for
-  /// r < rows, with the weights derived exactly as rff_rematerialize above
-  /// (same seed/counter scheme, same Box–Muller operation sequence) but
-  /// consumed in registers — the weight tile is never stored. Each out[r]
-  /// accumulates with k strictly ascending from 0.0, each contribution
-  /// rounded as a separate multiply then add (no FMA), so the result is
-  /// bit-identical to rff_rematerialize into a scratch tile followed by an
-  /// add_scaled_real chain — and bit-identical across
-  /// backends (per-component: each out[r] has one fixed scalar operation
-  /// sequence). This is the B = 1 latency kernel: a batch amortizes the
-  /// tile store over its rows, a single query gets nothing back for it.
-  void (*rff_remat_dot)(std::uint64_t seed, double stddev, std::size_t row0,
-                        std::size_t rows, const double* x, std::size_t n_features,
-                        double* out);
   /// The RFF encoder's projection and trig map in one pass (write-only C)
   /// over row-major operands:
   ///   c[r·ldc + j] = ½·(fast_sin(2·z + phase[j]) − sin_phase[j]),
@@ -142,19 +118,23 @@ struct KernelBackend {
   /// Contract: each z is the axpy chain — it starts at +0.0 and adds
   /// a[r·lda + k] · b[k·ldb + j] with k strictly ascending, each term rounded
   /// as a separate multiply then add (no FMA), exactly as zero-fill followed
-  /// by one add_scaled_real per k — and then takes rff_trig_map's
-  /// per-element sequence. So every table is bit-identical to that
-  /// composition; only the cache and register blocking differ. The scalar and
-  /// NEON tables zero C, run a blocked accumulate (NEON register-blocks 8
-  /// columns of one row) and map each row (detail::rff_project_map_composed).
+  /// by one add_scaled_real per k. The trig map then takes util::fast_sin's
+  /// per-element operation sequence; an element whose argument fails
+  /// |2·z + phase| < 2³⁰ (NaN and ±Inf included) is redone with std::sin,
+  /// the escape fast_sin itself takes. So every table is bit-identical to
+  /// that composition for any shape and offset; only the cache and register
+  /// blocking differ. The scalar and NEON tables zero C, run a blocked
+  /// accumulate (NEON register-blocks 8 columns of one row) and map each row
+  /// with the plain fast_sin expression (detail::rff_project_map_composed).
   /// The AVX2 table register-blocks 16 columns of one row; the AVX-512 table
   /// holds 16 accumulators across all of k in every panel (4 rows × 32,
   /// 8 rows × 16 or 16 rows × 8 columns), so the rematerialized encoder's
   /// 16-column weight tiles (ldb = 16, ldc = D) run at full vector width.
-  /// Both map each register block the moment its k loop ends: the
-  /// projection never makes a second pass over C, and C is never zero-filled
-  /// or reloaded. The RFF encoder's batch, per-row and resident-slice paths
-  /// all project through this one entry.
+  /// Both replay fast_sin 4 and 8 lanes wide (their TUs are built with
+  /// -ffp-contract=off) on each register block the moment its k loop ends:
+  /// the projection never makes a second pass over C, and C is never
+  /// zero-filled or reloaded. Every RFF encode — batch, row or slice, from
+  /// stored or regenerated weights — projects through this one entry.
   void (*rff_project_map)(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, const double* phase,
                           const double* sin_phase, double* c, std::size_t ldc,

@@ -397,18 +397,6 @@ inline __m256d trig4(__m256d z, __m256d phase, __m256d sin_phase) {
   return out;
 }
 
-void avx2_rff_trig_map(double* z, const double* phase, const double* sin_phase,
-                       std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(z + i, trig4(_mm256_loadu_pd(z + i), _mm256_loadu_pd(phase + i),
-                                  _mm256_loadu_pd(sin_phase + i)));
-  }
-  for (; i < n; ++i) {
-    z[i] = 0.5 * (util::fast_sin(2.0 * z[i] + phase[i]) - sin_phase[i]);
-  }
-}
-
 /// Low 64 bits of a 64×64 multiply per lane. AVX2 has no VPMULLQ, so the
 /// product is assembled from 32×32→64 pieces:
 ///   a·b mod 2⁶⁴ = lo(a)·lo(b) + ((lo(a)·hi(b) + hi(a)·lo(b)) « 32).
@@ -619,62 +607,6 @@ void avx2_rff_rematerialize(std::uint64_t seed, double stddev, std::size_t row0,
   if (r < rows) {
     detail::rff_rematerialize_rows(seed, stddev, row0 + r, rows - r, n_features,
                                    out + r, ld);
-  }
-}
-
-void avx2_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
-                        std::size_t rows, const double* x, std::size_t n_features,
-                        double* out) {
-  // The same lane walk (and therefore the same bit-identical weight draws) as
-  // avx2_rff_rematerialize, but the weight pair is consumed in registers the
-  // moment it exists: z ← z + x_k·w, mul then add with k ascending — the
-  // add_scaled_real per-element chain — so the single-query path never
-  // stores a weight tile. Row tails replay the scalar reference.
-  constexpr double kTwoPi = 2.0 * std::numbers::pi;
-  constexpr double kInv53 = 0x1.0p-53;
-  const __m256d stddev_v = _mm256_set1_pd(stddev);
-  const __m256d two_pi = _mm256_set1_pd(kTwoPi);
-  const __m256d inv53 = _mm256_set1_pd(kInv53);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d neg_two = _mm256_set1_pd(-2.0);
-  constexpr std::uint64_t kG = detail::kSmGamma;
-  const __m256i lane_gamma = _mm256_setr_epi64x(
-      0, static_cast<long long>(kG), static_cast<long long>(2 * kG),
-      static_cast<long long>(3 * kG));
-
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const std::uint64_t base =
-        seed + (static_cast<std::uint64_t>(row0 + r) + 1) * kG;
-    const __m256i row_seed = splitmix_mix(
-        _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(base)), lane_gamma));
-    __m256d z = _mm256_setzero_pd();
-    for (std::size_t k = 0; k < n_features; k += 2) {
-      const __m256i draw_a = splitmix_mix(_mm256_add_epi64(
-          row_seed, _mm256_set1_epi64x(static_cast<long long>(
-                        (static_cast<std::uint64_t>(k) + 1) * kG))));
-      const __m256i draw_b = splitmix_mix(_mm256_add_epi64(
-          row_seed, _mm256_set1_epi64x(static_cast<long long>(
-                        (static_cast<std::uint64_t>(k) + 2) * kG))));
-      const __m256d a = u64_to_double_53(_mm256_srli_epi64(draw_a, 11));
-      const __m256d b = u64_to_double_53(_mm256_srli_epi64(draw_b, 11));
-      const __m256d u1 = _mm256_mul_pd(_mm256_add_pd(a, one), inv53);
-      const __m256d u2 = _mm256_mul_pd(b, inv53);
-      const __m256d radius = _mm256_sqrt_pd(_mm256_mul_pd(neg_two, fast_log4(u1)));
-      const __m256d angle = _mm256_mul_pd(two_pi, u2);
-      const SinCos4 sc = fast_sincos4(angle);
-      const __m256d w_cos = _mm256_mul_pd(_mm256_mul_pd(radius, sc.cos), stddev_v);
-      z = _mm256_add_pd(z, _mm256_mul_pd(_mm256_set1_pd(x[k]), w_cos));
-      if (k + 1 < n_features) {
-        const __m256d w_sin = _mm256_mul_pd(_mm256_mul_pd(radius, sc.sin), stddev_v);
-        z = _mm256_add_pd(z, _mm256_mul_pd(_mm256_set1_pd(x[k + 1]), w_sin));
-      }
-    }
-    _mm256_storeu_pd(out + r, z);
-  }
-  if (r < rows) {
-    detail::rff_remat_dot_rows(seed, stddev, row0 + r, rows - r, x, n_features,
-                               out + r);
   }
 }
 
@@ -1057,9 +989,7 @@ constexpr KernelBackend kAvx2Backend{
     avx2_add_scaled_binary,
     avx2_merge_accumulate,
     avx2_scale_real,
-    avx2_rff_trig_map,
     avx2_rff_rematerialize,
-    avx2_rff_remat_dot,
     avx2_rff_project_map,
     avx2_dot_rows_multi,
     avx2_update_dot_rows,

@@ -14,18 +14,15 @@
 // popcount kernels for the packed bank scans (AVX2 has no vector popcount;
 // these are the popcount-throughput-bound kernels the quantized path lives
 // on). The RFF encode path is overridden end to end:
-//  * the two 8-lane regenerators (the fused rff_remat_dot and the
-//    tile-writing rff_rematerialize) — the Box–Muller pipeline is the whole
-//    cost of a rematerialized single query and the fixed cost of every
-//    rematerialized batch;
-//  * the trig map, util::fast_sin replayed 8 lanes wide (each lane runs
-//    only the polynomial fast_sin keeps for it; out-of-range and NaN lanes
-//    redone with std::sin), 1.9× as fast as the AVX2 4-lane kernel in
-//    microbench;
+//  * the 8-lane regenerator rff_rematerialize — its Box–Muller pipeline is
+//    the fixed cost of every encode of a rematerialized projection over the
+//    encoder's storage budget;
 //  * rff_project_map, a GEMM holding 16 accumulators in registers across
-//    all of k, with the trig map applied to each register block before its
-//    one store — the encoder's projection never zero-fills or reloads its
-//    output.
+//    all of k, with the trig map — util::fast_sin replayed 8 lanes wide,
+//    each lane running only the polynomial fast_sin keeps for it,
+//    out-of-range and NaN lanes redone with std::sin — applied to each
+//    register block before its one store: the encoder's projection never
+//    zero-fills or reloads its output.
 // Everything else (the bit-sign dot family) is inherited from the AVX2
 // table unchanged: those kernels are bound by shifts/blends, not by vector
 // width.
@@ -770,25 +767,6 @@ inline __m512d trig8(__m512d z, __m512d phase, __m512d sin_phase) {
   return out;
 }
 
-void avx512_rff_trig_map(double* z, const double* phase, const double* sin_phase,
-                         std::size_t n) {
-  // Every element is independent, so the 8-lane replay is bit-identical to
-  // the scalar kernel for any n and offset. The tail runs masked: its dead
-  // lanes load as 0 (in range, so never a fallback) and are not stored.
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(z + i, trig8(_mm512_loadu_pd(z + i), _mm512_loadu_pd(phase + i),
-                                  _mm512_loadu_pd(sin_phase + i)));
-  }
-  if (i < n) {
-    const auto live = static_cast<__mmask8>((1U << (n - i)) - 1U);
-    _mm512_mask_storeu_pd(z + i, live,
-                          trig8(_mm512_maskz_loadu_pd(live, z + i),
-                                _mm512_maskz_loadu_pd(live, phase + i),
-                                _mm512_maskz_loadu_pd(live, sin_phase + i)));
-  }
-}
-
 /// rff_project_map's register block: C[0..R) × [0..8·V) over A[0..R) × B,
 /// the R·V accumulators held in registers across the whole k loop. Per
 /// element: ascending k, mul then add — the scalar add_scaled_real chain's
@@ -953,33 +931,6 @@ void avx512_rff_rematerialize(std::uint64_t seed, double stddev, std::size_t row
   }
 }
 
-void avx512_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
-                          std::size_t rows, const double* x, std::size_t n_features,
-                          double* out) {
-  // The weight walk of avx512_rff_rematerialize, consumed in registers the
-  // moment each pair exists: z ← z + x_k·w with k ascending, mul then add —
-  // the add_scaled_real per-element chain — so the single-query path neither
-  // stores nor reloads a weight tile. Row tails replay the scalar reference.
-  const __m512d stddev_v = _mm512_set1_pd(stddev);
-  std::size_t r = 0;
-  for (; r + 8 <= rows; r += 8) {
-    const __m512i row_seed = row_seeds8(seed, row0 + r);
-    __m512d z = _mm512_setzero_pd();
-    for (std::size_t k = 0; k < n_features; k += 2) {
-      const WeightPair8 w = box_muller8(row_seed, k, stddev_v);
-      z = _mm512_add_pd(z, _mm512_mul_pd(_mm512_set1_pd(x[k]), w.even));
-      if (k + 1 < n_features) {
-        z = _mm512_add_pd(z, _mm512_mul_pd(_mm512_set1_pd(x[k + 1]), w.odd));
-      }
-    }
-    _mm512_storeu_pd(out + r, z);
-  }
-  if (r < rows) {
-    detail::rff_remat_dot_rows(seed, stddev, row0 + r, rows - r, x, n_features,
-                               out + r);
-  }
-}
-
 KernelBackend make_avx512_table(bool vpopcntdq) {
   KernelBackend table = *avx2_backend_table();
   table.name = "avx512";
@@ -989,12 +940,10 @@ KernelBackend make_avx512_table(bool vpopcntdq) {
   table.merge_accumulate = avx512_merge_accumulate;
   table.scale_real = avx512_scale_real;
   table.rff_rematerialize = avx512_rff_rematerialize;
-  table.rff_remat_dot = avx512_rff_remat_dot;
   table.dot_rows_multi = avx512_dot_rows_multi;
   table.update_dot_rows = avx512_update_dot_rows;
   table.dot_rows_block = avx512_dot_rows_block;
   table.sign_pack = avx512_sign_pack;
-  table.rff_trig_map = avx512_rff_trig_map;
   table.rff_project_map = avx512_rff_project_map;
   if (vpopcntdq) {
     table.hamming = vpop_hamming;

@@ -199,9 +199,10 @@ void neon_scale_real(double* a, double c, std::size_t n) {
 
 void neon_rff_trig_map(double* z, const double* phase, const double* sin_phase,
                        std::size_t n) {
-  // The exact scalar expression — util::fast_sin is branch-free with a fixed
-  // operation order, and this TU is compiled with -ffp-contract=off, so the
-  // result is bit-identical to the scalar kernel.
+  // rff_project_map's trig map step, the exact scalar expression —
+  // util::fast_sin is branch-free with a fixed operation order, and this TU
+  // is compiled with -ffp-contract=off, so the result is bit-identical to
+  // the scalar table's.
   for (std::size_t i = 0; i < n; ++i) {
     z[i] = 0.5 * (util::fast_sin(2.0 * z[i] + phase[i]) - sin_phase[i]);
   }
@@ -212,15 +213,6 @@ void neon_rff_rematerialize(std::uint64_t seed, double stddev, std::size_t row0,
                             std::size_t ld) {
   // The shared scalar core is the contract's reference operation sequence.
   detail::rff_rematerialize_rows(seed, stddev, row0, rows, n_features, out, ld);
-}
-
-void neon_rff_remat_dot(std::uint64_t seed, double stddev, std::size_t row0,
-                        std::size_t rows, const double* x, std::size_t n_features,
-                        double* out) {
-  // Same reference sequence, fused with the ascending-k accumulation chain —
-  // still skips the weight-tile stores the unfused pair would pay, which is
-  // the part an in-order embedded core feels most.
-  detail::rff_remat_dot_rows(seed, stddev, row0, rows, x, n_features, out);
 }
 
 /// rff_project_map's accumulate step, c[r·ldc + j] += Σ_k a[r·lda + k] ·
@@ -342,9 +334,7 @@ constexpr KernelBackend kNeonBackend{
     neon_add_scaled_binary,
     neon_merge_accumulate,
     neon_scale_real,
-    neon_rff_trig_map,
     neon_rff_rematerialize,
-    neon_rff_remat_dot,
     detail::rff_project_map_composed<neon_gemm, neon_rff_trig_map>,
     detail::dot_rows_multi_composed<neon_dot_real_real>,
     detail::update_dot_rows_composed<neon_add_scaled_real,

@@ -61,38 +61,10 @@ inline void rff_rematerialize_rows(std::uint64_t seed, double stddev, std::size_
   }
 }
 
-/// Reference implementation of KernelBackend::rff_remat_dot (see the
-/// contract there): out[r] = the ascending-k mul-then-add chain over row
-/// (row0+r)'s weights, each weight derived exactly as in
-/// rff_rematerialize_rows above — the weight expression and the axpy
-/// accumulation chain replayed back to back, with no tile in between.
-inline void rff_remat_dot_rows(std::uint64_t seed, double stddev, std::size_t row0,
-                               std::size_t rows, const double* x,
-                               std::size_t n_features, double* out) {
-  constexpr double kTwoPi = 2.0 * std::numbers::pi;
-  constexpr double kInv53 = 0x1.0p-53;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint64_t row_seed = splitmix_at(seed, row0 + r);
-    double z = 0.0;
-    for (std::size_t k = 0; k < n_features; k += 2) {
-      const double a = static_cast<double>(splitmix_at(row_seed, k) >> 11);
-      const double b = static_cast<double>(splitmix_at(row_seed, k + 1) >> 11);
-      const double u1 = (a + 1.0) * kInv53;  // (0, 1] — inside fast_log's domain
-      const double u2 = b * kInv53;          // [0, 1)
-      const double radius = std::sqrt(-2.0 * util::fast_log(u1));
-      const double angle = kTwoPi * u2;  // < 2π — fast_cos/sin stay branch-free
-      z += x[k] * ((radius * util::fast_cos(angle)) * stddev);
-      if (k + 1 < n_features) {
-        z += x[k + 1] * ((radius * util::fast_sin(angle)) * stddev);
-      }
-    }
-    out[r] = z;
-  }
-}
-
 /// KernelBackend::rff_project_map composed from a table's blocked Gemm
 /// accumulate (c += a·b, per element the add_scaled_real chain) and its
-/// TrigMap (rff_trig_map): zero C, accumulate, then map each row — the
+/// in-place TrigMap(z, phase, sin_phase, n) (z ← ½·(fast_sin(2z + phase) −
+/// sin_phase) per element): zero C, accumulate, then map each row — the
 /// contract's definition, and the whole kernel on every table without a
 /// fused one.
 template <auto Gemm, auto TrigMap>

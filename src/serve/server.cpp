@@ -457,9 +457,9 @@ void Server::trainer_loop(Shard& shard) {
 
   // The worker's warm-up, for update()'s two encodes: one fused query and
   // one arena row of an all-zero reading grow this thread's thread_local
-  // scratch — and fill a rematerialized projection's per-thread copy —
-  // before the first drain, outside the no-alloc brackets. The learner's
-  // state is untouched.
+  // scratch (the weight-tile scratch included, when a rematerialized
+  // projection is over the encoder's storage budget) before the first
+  // drain, outside the no-alloc brackets. The learner's state is untouched.
   (void)learner.model().predict_one(learner.encoder(), row);
   core::EncodedDataset warm;
   warm.assign_rows(learner.encoder(), row, 1, 1);

@@ -100,8 +100,9 @@ std::size_t TenantStore::approx_learner_bytes(std::size_t tier) const {
   // model's sign and ternary-mask snapshots and the cluster's sign
   // snapshot — of ⌈D/64⌉ words each; and the packed bank's sign + mask
   // planes for the cluster row, plus the model row when the models are
-  // binary or ternary. Then the Welford statistics and fixed overhead. With
-  // rematerialized projections nothing else scales with D.
+  // binary or ternary. Then the Welford statistics and fixed overhead. The
+  // encoder is not counted: every learner of a tier shares one
+  // (hdc::shared_encoder).
   const std::size_t d = tier_dims_[tier];
   const std::size_t plane = (d + 63) / 64 * sizeof(std::uint64_t);
   const core::ModelPrecision models = online_.reghd.model_precision;

@@ -58,9 +58,9 @@ data::Dataset make_dataset(std::size_t rows, std::size_t features, std::uint64_t
 }
 
 /// The smallest hyperspace dimension whose F×D projection exceeds the
-/// per-thread rematerialization budget, plus a ragged 100: the
-/// rematerialized encoder then runs its rff_remat_dot block path instead of
-/// slicing the cached copy.
+/// rematerialized encoder's storage budget, plus a ragged 100: the encoder
+/// then regenerates 16-row weight tiles for each block instead of slicing a
+/// stored projection.
 std::size_t over_budget_dim(std::size_t input_dim) {
   return hdc::RffProjectionEncoder::kRematCacheBytes / (sizeof(double) * input_dim) +
          100;
@@ -156,9 +156,8 @@ TEST_P(FusedPredictModeTest, FusedBitIdenticalToMaterializingPredict) {
   // 200 < one fused block (single ragged call); 1100 > the 1024 block (one
   // full carried block + ragged tail). Neither is a multiple of 64, so the
   // packed planes have padding bits in play. Both projection storages: the
-  // slices of the full projection (resident, or the cached remat copy) and,
-  // at the over-budget dim, the rff_remat_dot slices are distinct
-  // encode_real_block code paths.
+  // slices of the stored projection and, at the over-budget rematerialized
+  // dim, the regenerated tiles are distinct encode_real_block code paths.
   for (const std::size_t dim : {static_cast<std::size_t>(200),
                                 static_cast<std::size_t>(1100), over_budget_dim(6)}) {
     for (const hdc::ProjectionStorage storage :
@@ -255,7 +254,7 @@ TEST(FusedPredictTest, BenchShapeSpotCheck) {
   // The benchmark configuration the ≥1.5× latency claim is measured at:
   // D = 4096, F = 10, rematerialized projection, real/real mode (the
   // RegHDConfig default precisions) — and the same encoder over the
-  // per-thread cache budget, whose fused path runs rff_remat_dot.
+  // storage budget, whose fused path regenerates weight tiles.
   for (const std::size_t dim : {static_cast<std::size_t>(4096), over_budget_dim(10)}) {
     RegHDConfig cfg;
     cfg.dim = dim;
@@ -314,7 +313,7 @@ TEST(FusedPredictTest, NonBlockEncoderFallsBackBitIdentically) {
 TEST(FusedPredictTest, RffEncodeRealBlockMatchesFullEncodeSlices) {
   // The encoder-level contract underneath the fused path: any block split of
   // encode_real_block equals the same slice of the full encoding, for both
-  // projection storages, within and over the per-thread cache budget.
+  // projection storages, within and over the storage budget.
   for (const std::size_t dim : {static_cast<std::size_t>(1100), over_budget_dim(7)}) {
     for (const hdc::ProjectionStorage storage :
          {hdc::ProjectionStorage::kResident, hdc::ProjectionStorage::kRematerialized}) {

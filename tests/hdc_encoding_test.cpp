@@ -31,9 +31,9 @@ EncoderConfig base_config(EncoderKind kind, std::size_t input_dim = 6,
 }
 
 /// The smallest hyperspace dimension whose F×D projection exceeds the
-/// per-thread rematerialization budget, plus a ragged 100 — the shape that
-/// keeps tile regeneration and rff_remat_dot covered end to end (every
-/// smaller remat shape encodes from the cached copy).
+/// rematerialized encoder's storage budget, plus a ragged 100 — the shape
+/// that keeps tile regeneration covered end to end (every smaller remat
+/// encoder stores its projection).
 std::size_t over_budget_dim(std::size_t input_dim) {
   return RffProjectionEncoder::kRematCacheBytes / (sizeof(double) * input_dim) + 100;
 }
@@ -254,8 +254,8 @@ TEST(RffEncoderTest, RematerializedEncodingIsBitIdenticalToResident) {
   // The tentpole contract: rematerialized storage regenerates the projection
   // rows from the seed, yet every encoded component must equal the
   // resident-matrix path bit for bit, across odd/even feature counts and
-  // non-word-multiple dims. The last shape is over the per-thread cache
-  // budget, so it regenerates tiles inside the encode loop.
+  // non-word-multiple dims. The last shape is over the storage budget, so
+  // it regenerates tiles inside the encode loop.
   std::vector<std::pair<std::size_t, std::size_t>> shapes;
   for (const std::size_t input_dim : {1u, 5u, 10u}) {
     for (const std::size_t dim : {65u, 1000u, 2048u}) {
@@ -283,8 +283,8 @@ TEST(RffEncoderTest, RematerializedEncodingIsBitIdenticalToResident) {
 }
 
 TEST(RffEncoderTest, RematerializedBatchEncodeIsBitIdenticalAcrossThreads) {
-  // Within the cache budget the calling thread's regenerated projection is
-  // handed to every worker; over it (the second dim) the batch GEMM path
+  // Within the storage budget the encoder's projection is read by every
+  // worker; over it (the second dim) the batch GEMM path
   // tiles the hyperspace axis and regenerates each tile once per worker's
   // row block (at least 64 rows, else ⌈rows / threads⌉). Neither the
   // sharing, the tiling nor the worker count may perturb a single bit
@@ -347,9 +347,9 @@ TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
   // carries a huge feature, so most (not all) of its lanes take the trig
   // map's std::sin fallback in the middle of a tile. The arena planes start
   // as garbage: the encoder must overwrite every one. The last dim is over
-  // the per-thread cache budget, so its rematerialized batch and per-row
-  // encodes regenerate 16-row tiles, while the first two encode from the
-  // cached copy.
+  // the storage budget, so its rematerialized batch and per-row encodes
+  // regenerate 16-row tiles, while the first two encode from the stored
+  // projection.
   constexpr std::size_t kInput = 32;
   for (const std::size_t dim : {std::size_t{2048}, std::size_t{1000},
                                 over_budget_dim(kInput)}) {
@@ -408,13 +408,13 @@ TEST(RffEncoderTest, ServingShapeBatchMatchesResidentAndPerRowBitExact) {
   }
 }
 
-// The per-thread regenerated projection is keyed on (projection seed,
-// stddev bits, F, D). Up to "dim", each variant below differs from the one
-// before it in exactly one of those, so a key that ignored or rounded any
-// of them would hand an encoder another encoder's weights. The transposed
-// shape keeps F·D and changes both factors; the explicit-stddev twin of the
-// auto bandwidth returns to the base key, and the final repeat is a
-// separate encoder object with that same key, reading the same copy.
+// A rematerialized projection is a function of (projection seed, stddev
+// bits, F, D). Up to "dim", each variant below differs from the one before
+// it in exactly one of those, so an encoder that read weights keyed on less
+// would encode with another encoder's weights. The transposed shape keeps
+// F·D and changes both factors; the explicit-stddev twin of the auto
+// bandwidth returns to the base key, and the final repeat is a separate
+// encoder object with that same key.
 struct CacheVariant {
   const char* name;
   std::size_t input_dim;
@@ -472,8 +472,7 @@ std::string to_string(EncodePath path) {
 
 /// The real components of `num_rows` rows encoded through one path of
 /// `enc`: per-row encode_real, encode_real_block in 96-component slices, or
-/// a 2-worker encode_batch_into (the pointer the calling thread resolves is
-/// read by both workers).
+/// a 2-worker encode_batch_into (both workers read the one projection).
 std::vector<double> encode_via(const Encoder& enc, EncodePath path,
                                std::span<const double> rows, std::size_t num_rows) {
   const std::size_t n = enc.input_dim();
@@ -539,9 +538,8 @@ TEST(RffProjectionCacheTest, InterleavedEncodersMatchTheirResidentTwins) {
 
 TEST(RffProjectionCacheTest, ConcurrentThreadsThroughDifferentEncodersMatchResident) {
   // Two threads encode at once, each alternating between two encoders of
-  // its own, so both refill their copies concurrently while the batch path
-  // hands each thread's copy to pool workers. No thread may see another's
-  // weights.
+  // its own, while the batch path hands each encoder's projection to pool
+  // workers. No thread may see another encoder's weights.
   constexpr std::size_t kRows = 4;
   constexpr int kIterations = 12;
   const std::vector<std::vector<std::size_t>> owned = {{0, 4}, {1, 6}};

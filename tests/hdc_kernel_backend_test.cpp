@@ -215,78 +215,9 @@ TEST_P(KernelBackendTest, AccumulationMatchesScalarBitExact) {
   return ::testing::AssertionSuccess();
 }
 
-TEST_P(KernelBackendTest, TrigMapMatchesScalarBitExact) {
-  // The RFF trig map must be bit-identical across backends — the encoder's
-  // binarization would otherwise flip sign bits between REGHD_KERNEL
-  // settings. The scalar kernel itself must match the plain fast_sin formula.
-  const std::size_t dim = GetParam();
-  util::Rng rng(0x7816 + dim);
-  std::vector<double> z(dim);
-  std::vector<double> phase(dim);
-  std::vector<double> sin_phase(dim);
-  for (std::size_t j = 0; j < dim; ++j) {
-    z[j] = rng.normal(0.0, 3.0);
-    phase[j] = rng.phase();
-    sin_phase[j] = util::fast_sin(phase[j]);
-  }
-  if (dim >= 64) {
-    // Poke lanes into the std::sin fallback path (|2z+b| ≥ 2^30), mixed into
-    // otherwise in-range groups: lanes 1 and 17 of 4-lane groups, the first
-    // and last lane (0 and 7) of the second 8-lane group, and NaN, +Inf and
-    // −Inf lanes, which fail the same range test.
-    z[1] = 3.0e9;
-    z[17] = -7.5e11;
-    z[8] = 6.0e10;
-    z[15] = -2.0e9;
-    z[33] = std::numeric_limits<double>::quiet_NaN();
-    z[42] = std::numeric_limits<double>::infinity();
-    z[47] = -std::numeric_limits<double>::infinity();
-  }
-
-  std::vector<double> sc_buf = z;
-  scalar_backend().rff_trig_map(sc_buf.data(), phase.data(), sin_phase.data(), dim);
-  std::vector<double> formula(dim);
-  for (std::size_t j = 0; j < dim; ++j) {
-    formula[j] = 0.5 * (util::fast_sin(2.0 * z[j] + phase[j]) - sin_phase[j]);
-  }
-  EXPECT_TRUE(same_bits(sc_buf, formula));
-
-  for (const KernelBackend* kb : simd_backends()) {
-    std::vector<double> vx_buf = z;
-    kb->rff_trig_map(vx_buf.data(), phase.data(), sin_phase.data(), dim);
-    EXPECT_TRUE(same_bits(vx_buf, sc_buf)) << kb->name;
-
-    // The fused encode epilogue's call shape: 16-element slices at offsets
-    // 16·t (the last one short when 16 does not divide dim).
-    std::vector<double> tiled = z;
-    for (std::size_t j0 = 0; j0 < dim; j0 += 16) {
-      kb->rff_trig_map(tiled.data() + j0, phase.data() + j0, sin_phase.data() + j0,
-                       std::min<std::size_t>(16, dim - j0));
-    }
-    EXPECT_TRUE(same_bits(tiled, sc_buf)) << kb->name << " 16-element slices";
-
-    // Lengths one either side of the 8-lane width, at an offset that is not
-    // a multiple of 8: each element's value may not depend on where the
-    // call's vector groups and masked tail fall.
-    for (const std::size_t len : {7u, 9u, 15u, 17u, 23u, 25u}) {
-      const std::size_t off = 3;
-      if (off + len > dim) {
-        continue;
-      }
-      std::vector<double> part = z;
-      kb->rff_trig_map(part.data() + off, phase.data() + off, sin_phase.data() + off,
-                       len);
-      std::vector<double> want = z;
-      std::copy_n(sc_buf.begin() + static_cast<std::ptrdiff_t>(off), len,
-                  want.begin() + static_cast<std::ptrdiff_t>(off));
-      EXPECT_TRUE(same_bits(part, want)) << kb->name << " len " << len;
-    }
-  }
-}
-
 /// Checks rff_project_map on every table against its contract's
 /// definition: zero-fill each output row, add_scaled_real once per k in
-/// ascending order (the axpy chain), then rff_trig_map per row. ldb = n; C
+/// ascending order (the axpy chain), then the fast_sin trig map. ldb = n; C
 /// is m rows of `ldc` and arrives as garbage, and the columns beyond n must
 /// stay untouched. With `huge_feature`, one row's first feature is 1e10,
 /// which pushes most of its lanes (not all) into the std::sin fallback.
@@ -323,7 +254,9 @@ void check_project_map(std::size_t k, std::size_t m, std::size_t n, std::size_t 
     for (std::size_t kk = 0; kk < k; ++kk) {
       sc.add_scaled_real(row, b.data() + kk * n, a[r * k + kk], n);
     }
-    sc.rff_trig_map(row, phase.data(), sin_phase.data(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = 0.5 * (util::fast_sin(2.0 * row[j] + phase[j]) - sin_phase[j]);
+    }
   }
 
   for (const KernelBackend* kb : all_available()) {
@@ -853,49 +786,6 @@ TEST_P(KernelBackendTest, RffRematerializeMatchesScalarBitExact) {
         for (std::size_t i = 0; i < want.size(); ++i) {
           ASSERT_EQ(want[i], got[i]) << kb->name << " rows " << rows << " n_features "
                                      << n_features << " elem " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(RffRematDotTest, MatchesRematerializePlusDotBitExact) {
-  // The fused single-query kernel must produce the exact doubles of the
-  // unfused pair: rematerialize the weight tile, then reduce each row with an
-  // ascending-k mul-then-add chain from 0.0. That chain is the accumulation
-  // order encode_real_block's materializing path uses, so bit-equality here is
-  // what lets the encoder swap in the fused kernel without changing a single
-  // output bit. Row counts straddle the 4- and 8-lane vector tails, feature
-  // counts include the odd (unpaired Box–Muller) case, and row0 offsets prove
-  // the counter-seeking is absolute, not tile-relative.
-  constexpr std::uint64_t kSeed = 0xFACE5EED;
-  constexpr double kStddev = 0.479;
-  for (const std::size_t n_features : {1u, 2u, 7u, 10u}) {
-    std::vector<double> x(n_features);
-    for (std::size_t k = 0; k < n_features; ++k) {
-      x[k] = 0.25 * static_cast<double>(k + 1) - 1.0;
-    }
-    for (const std::size_t row0 : {0u, 3u, 128u}) {
-      for (const std::size_t rows : {1u, 5u, 8u, 16u, 37u, 64u}) {
-        // Reference: scalar tile + plain mul-then-add reduction.
-        std::vector<double> tile(n_features * rows);
-        scalar_backend().rff_rematerialize(kSeed, kStddev, row0, rows,
-                                           n_features, tile.data(), rows);
-        std::vector<double> want(rows, 0.0);
-        for (std::size_t k = 0; k < n_features; ++k) {
-          for (std::size_t r = 0; r < rows; ++r) {
-            want[r] += x[k] * tile[k * rows + r];
-          }
-        }
-        for (const KernelBackend* kb : all_available()) {
-          std::vector<double> got(rows, -99.0);
-          kb->rff_remat_dot(kSeed, kStddev, row0, rows, x.data(), n_features,
-                            got.data());
-          for (std::size_t r = 0; r < rows; ++r) {
-            ASSERT_EQ(want[r], got[r])
-                << kb->name << " n_features " << n_features << " row0 " << row0
-                << " rows " << rows << " row " << r;
-          }
         }
       }
     }

@@ -135,17 +135,17 @@ TEST(ServeAllocTest, TrainerDrainIsAllocationFreeAfterWarmup) {
 }
 
 TEST(ServeAllocTest, TrainerDrainIsAllocationFreeAfterWarmupRematerialized) {
-  // update() encodes through the trainer thread's regenerated projection.
+  // update() encodes through the shared encoder's stored projection.
   expect_trainer_drain_allocation_free(hdc::ProjectionStorage::kRematerialized);
 }
 
 TEST(ServeAllocTest, TrainerFirstDrainIsAllocationFreeAfterPrewarm) {
   // No warmup traffic: the probe is armed before the trainer's first drain.
   // A bootstrapped learner already holds update()'s member scratch, so only
-  // thread_local state could allocate — the fused query's scratch, a
-  // rematerialized projection's per-thread copy, or (over the copy's
-  // budget) the batch encode's tile scratch — and the trainer's warm-up
-  // must have grown all of them before its first drain.
+  // thread_local state could allocate — the fused query's scratch or, for
+  // a rematerialized projection over the encoder's storage budget, the
+  // encode's weight-tile scratch — and the trainer's warm-up must have grown
+  // all of them before its first drain.
   const data::Dataset d = data::make_friedman1(256, 8);
   const std::size_t over_budget_dim =
       hdc::RffProjectionEncoder::kRematCacheBytes / (sizeof(double) * d.num_features()) +
