@@ -26,13 +26,15 @@
 //   checkpoint_torture [--kills 10] [--rows 1200] [--every 64] [--seed 7]
 //                      [--dim 512] [--models 4] [--dir PATH]
 //
-// Exit status: 0 on success, 1 on any mismatch or undetected corruption.
+// Exit status: 0 on success, 1 on any mismatch or undetected corruption, or
+// on an option not listed above (named on stderr; nothing runs).
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/reghd.hpp"
 #include "data/synthetic.hpp"
@@ -53,6 +55,10 @@ std::string serialize(const core::OnlineRegHD& learner) {
   return out.str();
 }
 
+/// Every option main() reads; any other is a usage error.
+constexpr std::string_view kOptions[] = {"kills", "rows", "every", "seed",
+                                         "dim",   "models", "dir"};
+
 int fail(const std::string& message) {
   std::cerr << "checkpoint_torture: FAIL — " << message << "\n";
   return 1;
@@ -62,6 +68,10 @@ int fail(const std::string& message) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
+  if (const std::optional<std::string> unknown = args.first_unknown(kOptions)) {
+    std::cerr << "checkpoint_torture: unknown option --" << *unknown << "\n";
+    return 1;
+  }
   const auto kills = static_cast<std::size_t>(args.get_int("kills", 10));
   const auto rows = static_cast<std::size_t>(args.get_int("rows", 1200));
   const auto every = static_cast<std::size_t>(args.get_int("every", 64));

@@ -4,9 +4,13 @@
 //   load_generator [--shards N] [--rate QPS] [--concurrency C]
 //                  [--duration-s S] [--features F] [--dim D] [--models K]
 //                  [--keys N] [--zipf-s S] [--train-every N] [--pretrain N]
-//                  [--batch-threshold N] [--quantized] [--seed S]
+//                  [--batch-threshold N] [--max-batch N]
+//                  [--publish-interval-ms X] [--checkpoint-dir P]
+//                  [--quantized] [--seed S]
 //                  [--tenants N] [--resident-budget N] [--tenant-spill-dir P]
 //                  [--json PATH] [--assert-p99-ms X] [--assert-zero-errors]
+//
+// Any other option exits 1 naming it, before a server starts.
 //
 // Two driver modes:
 //   --rate 0  (default) closed loop: keep --concurrency requests in flight;
@@ -34,7 +38,9 @@
 #include <cstdint>
 #include <deque>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -176,6 +182,15 @@ RunResult drive_open(serve::Server& server, const data::Dataset& pool,
   r.seconds = static_cast<double>(now_ns() - t0) / 1e9;
   return r;
 }
+
+/// Every option run() reads. Any other is a usage error: a misspelt
+/// --assert-* flag must not silently turn its gate off.
+constexpr std::string_view kOptions[] = {
+    "shards", "rate", "concurrency", "duration-s", "features", "dim", "models", "keys",
+    "zipf-s", "train-every", "pretrain", "seed", "tenants", "quantized",
+    "batch-threshold", "max-batch", "publish-interval-ms", "checkpoint-dir",
+    "resident-budget", "tenant-spill-dir", "json", "assert-zero-errors",
+    "assert-p99-ms"};
 
 int run(const util::Args& args) {
   const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
@@ -388,6 +403,10 @@ int run(const util::Args& args) {
 int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv);
+    if (const std::optional<std::string> unknown = args.first_unknown(kOptions)) {
+      std::cerr << "load_generator: unknown option --" << *unknown << "\n";
+      return 1;
+    }
     return run(args);
   } catch (const std::exception& e) {
     std::cerr << "load_generator error: " << e.what() << "\n";
