@@ -71,21 +71,6 @@ hdc::BinaryHV read_binary_hv(std::istream& in, std::size_t dim) {
   return hv;
 }
 
-/// Parses one checksum-verified section payload; low-level failures surface
-/// as typed FormatErrors (mirrors model_io's section parsing).
-template <typename Fn>
-auto parse_payload(const util::Section& section, const char* what, Fn&& fn) {
-  std::istringstream in(section.payload, std::ios::binary);
-  try {
-    return fn(in);
-  } catch (const FormatError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw FormatError(FormatErrorKind::kBadValue,
-                      std::string("checkpoint: malformed ") + what + " section — " + e.what());
-  }
-}
-
 std::string checkpoint_filename(const char* prefix, std::uint64_t step) {
   char name[64];
   std::snprintf(name, sizeof(name), "%s%020llu%s", prefix,
@@ -239,8 +224,8 @@ OnlineRegHD load_online_checkpoint(std::istream& in,
     OnlineConfig config;
     std::uint64_t num_features = 0;
   };
-  const OnlineHeader header =
-      parse_payload(file.require(kSectionOnlineConfig), "config", [](auto& s) {
+  const OnlineHeader header = util::parse_payload(
+      file.require(kSectionOnlineConfig), "checkpoint", "config", [](auto& s) {
         OnlineHeader h;
         h.config.reghd = io::read_reghd_config(s);
         h.config.encoder = io::read_encoder_config(s);
@@ -269,12 +254,12 @@ OnlineRegHD load_online_checkpoint(std::istream& in,
   MultiModelRegressor& model = learner.mutable_model();
   const std::size_t dim = model.config().dim;
 
-  parse_payload(file.require(kSectionModels), "model", [&](auto& s) {
+  util::parse_payload(file.require(kSectionModels), "checkpoint", "model", [&](auto& s) {
     io::read_model_section(s, model);
     return 0;
   });
 
-  parse_payload(file.require(kSectionSnapshots), "snapshot", [&](auto& s) {
+  util::parse_payload(file.require(kSectionSnapshots), "checkpoint", "snapshot", [&](auto& s) {
     for (std::size_t i = 0; i < model.num_models(); ++i) {
       model.mutable_clusters()[i].binary = read_binary_hv(s, dim);
       model.mutable_clusters()[i].norm2 = util::read_scalar<double>(s);
@@ -293,7 +278,7 @@ OnlineRegHD load_online_checkpoint(std::istream& in,
   // stale; reload the saved one verbatim when present, else (files written
   // before the PBNK section existed) re-pack from the restored snapshots.
   if (const util::Section* pbnk = file.find(kSectionPackedBank)) {
-    parse_payload(*pbnk, "packed bank", [&](auto& s) {
+    util::parse_payload(*pbnk, "checkpoint", "packed bank", [&](auto& s) {
       PackedTernaryBank& bank = model.mutable_packed_bank();
       bank.rows = util::read_scalar<std::uint64_t>(s);
       bank.words = util::read_scalar<std::uint64_t>(s);
@@ -314,7 +299,7 @@ OnlineRegHD load_online_checkpoint(std::istream& in,
     model.rebuild_packed_bank();
   }
 
-  parse_payload(file.require(kSectionOnlineState), "state", [&](auto& s) {
+  util::parse_payload(file.require(kSectionOnlineState), "checkpoint", "state", [&](auto& s) {
     const auto seen = util::read_scalar<std::uint64_t>(s);
     const auto since_requantize = util::read_scalar<std::uint64_t>(s);
     const auto stat_count = util::read_scalar<std::uint64_t>(s);

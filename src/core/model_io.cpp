@@ -82,23 +82,6 @@ void read_scalers(std::istream& in, const PipelineConfig& cfg, RegHDPipeline& pi
   }
 }
 
-/// Parses one section payload with the v1 stream readers; any low-level
-/// failure inside a checksum-verified section is a structural defect of the
-/// payload and surfaces as a typed FormatError.
-template <typename Fn>
-auto parse_payload(const util::Section& section, const char* what, Fn&& fn) {
-  std::istringstream in(section.payload, std::ios::binary);
-  try {
-    auto result = fn(in);
-    return result;
-  } catch (const FormatError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw FormatError(FormatErrorKind::kBadValue,
-                      std::string("model_io: malformed ") + what + " section — " + e.what());
-  }
-}
-
 RegHDPipeline load_pipeline_v1_body(std::istream& in);
 RegHDPipeline load_pipeline_v2_body(std::istream& in);
 
@@ -278,27 +261,28 @@ RegHDPipeline load_pipeline_v2_body(std::istream& in) {
                       "online checkpoint?)");
   }
 
-  PipelineConfig cfg = parse_payload(file.require(kSectionConfig), "config", [](auto& s) {
-    PipelineConfig c;
-    c.encoder = io::read_encoder_config(s);
-    c.reghd = io::read_reghd_config(s);
-    const PipelineFlags flags = read_pipeline_flags(s);
-    c.standardize_features = flags.standardize_features;
-    c.standardize_target = flags.standardize_target;
-    c.validation_fraction = flags.validation_fraction;
-    return c;
-  });
+  PipelineConfig cfg =
+      util::parse_payload(file.require(kSectionConfig), "model_io", "config", [](auto& s) {
+        PipelineConfig c;
+        c.encoder = io::read_encoder_config(s);
+        c.reghd = io::read_reghd_config(s);
+        const PipelineFlags flags = read_pipeline_flags(s);
+        c.standardize_features = flags.standardize_features;
+        c.standardize_target = flags.standardize_target;
+        c.validation_fraction = flags.validation_fraction;
+        return c;
+      });
 
   RegHDPipeline pipeline(cfg);
   if (cfg.standardize_features || cfg.standardize_target) {
-    parse_payload(file.require(kSectionScalers), "scaler", [&](auto& s) {
+    util::parse_payload(file.require(kSectionScalers), "model_io", "scaler", [&](auto& s) {
       read_scalers(s, cfg, pipeline);
       return 0;
     });
   }
 
   auto regressor = std::make_unique<MultiModelRegressor>(cfg.reghd);
-  parse_payload(file.require(kSectionModels), "model", [&](auto& s) {
+  util::parse_payload(file.require(kSectionModels), "model_io", "model", [&](auto& s) {
     io::read_model_section(s, *regressor);
     return 0;
   });

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -113,5 +114,22 @@ struct ParsedFile {
 /// length must fail fast, not drive a giant allocation).
 [[nodiscard]] ParsedFile parse_sections(std::string_view body,
                                         std::size_t max_section_bytes = (1ULL << 28));
+
+/// Runs fn(std::istream&) over one section's payload and returns its result.
+/// Any low-level failure inside a checksum-verified section is a structural
+/// defect of the payload, so every exception but a FormatError is rethrown
+/// as FormatError{kBadValue}: "<prefix>: malformed <what> section — <why>".
+template <typename Fn>
+auto parse_payload(const Section& section, const char* prefix, const char* what, Fn&& fn) {
+  std::istringstream in(section.payload, std::ios::binary);
+  try {
+    return fn(in);
+  } catch (const FormatError&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw FormatError(FormatErrorKind::kBadValue, std::string(prefix) + ": malformed " +
+                                                      what + " section — " + e.what());
+  }
+}
 
 }  // namespace reghd::util
