@@ -255,8 +255,7 @@ RffProjectionEncoder::RffProjectionEncoder(EncoderConfig config) : Encoder(confi
   proj_seed_ = proj_rng.bits();
   const std::size_t d = config_.dim;
   const std::size_t n = config_.input_dim;
-  if (config_.projection_storage == ProjectionStorage::kResident ||
-      n <= kRematCacheBytes / sizeof(double) / d) {
+  if (stores_projection(config_)) {
     projection_t_.resize(d * n);
     active_backend().rff_rematerialize(proj_seed_, stddev_, 0, d, n, projection_t_.data(),
                                        d);
@@ -268,6 +267,12 @@ RffProjectionEncoder::RffProjectionEncoder(EncoderConfig config) : Encoder(confi
     // fast_sin here too, so z = 0 gives sin(b_j) − sin_phase_[j] == 0 exactly.
     sin_phase_[j] = util::fast_sin(phase_[j]);
   }
+}
+
+bool RffProjectionEncoder::stores_projection(const EncoderConfig& config) noexcept {
+  return config.projection_storage == ProjectionStorage::kResident ||
+         (config.dim != 0 &&
+          config.input_dim <= kRematCacheBytes / sizeof(double) / config.dim);
 }
 
 void RffProjectionEncoder::project(const double* x, std::size_t rows, std::size_t j0,
@@ -487,31 +492,47 @@ std::unique_ptr<Encoder> make_encoder(const EncoderConfig& config) {
 }
 
 std::shared_ptr<const Encoder> shared_encoder(const EncoderConfig& config) {
+  // A rematerialized projection the encoder stores anyway is a resident one:
+  // both storages of such a config share one encoder, hence one matrix.
+  EncoderConfig canonical = config;
+  if (canonical.kind == EncoderKind::kRffProjection &&
+      RffProjectionEncoder::stores_projection(canonical)) {
+    canonical.projection_storage = ProjectionStorage::kResident;
+  }
   // Every EncoderConfig field, doubles by their bits: configs that compare
   // equal here build bit-identical encoders.
   using Key = std::tuple<EncoderKind, std::size_t, std::size_t, std::uint64_t, std::uint64_t,
                          ProjectionStorage, std::size_t, std::uint64_t, std::uint64_t>;
-  const Key key{config.kind,
-                config.input_dim,
-                config.dim,
-                config.seed,
-                std::bit_cast<std::uint64_t>(config.projection_stddev),
-                config.projection_storage,
-                config.levels,
-                std::bit_cast<std::uint64_t>(config.level_min),
-                std::bit_cast<std::uint64_t>(config.level_max)};
+  const Key key{canonical.kind,
+                canonical.input_dim,
+                canonical.dim,
+                canonical.seed,
+                std::bit_cast<std::uint64_t>(canonical.projection_stddev),
+                canonical.projection_storage,
+                canonical.levels,
+                std::bit_cast<std::uint64_t>(canonical.level_min),
+                std::bit_cast<std::uint64_t>(canonical.level_max)};
   // Only weak references: the encoders keep their default deleter, so
   // dropping the last holder never reaches back into the map, even during
-  // static destruction. An encoder is built under the lock, so concurrent
-  // callers of one config all get the first one built.
+  // static destruction.
   static std::mutex mutex;
   static std::map<Key, std::weak_ptr<const Encoder>> encoders;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (std::shared_ptr<const Encoder> live = encoders[key].lock()) {
+      return live;
+    }
+  }
+  // Built outside the lock, so building one config never stalls a lookup
+  // of another. Callers that race on one config each build, and all but
+  // the first to publish drop theirs for the published one (after the lock
+  // is released: `built` outlives `lock`).
+  std::shared_ptr<const Encoder> built = make_encoder(canonical);
   const std::lock_guard<std::mutex> lock(mutex);
   std::weak_ptr<const Encoder>& slot = encoders[key];
   if (std::shared_ptr<const Encoder> live = slot.lock()) {
     return live;
   }
-  std::shared_ptr<const Encoder> built = make_encoder(config);
   slot = built;
   std::erase_if(encoders, [](const auto& entry) { return entry.second.expired(); });
   return built;

@@ -280,6 +280,10 @@ class RffProjectionEncoder final : public Encoder {
   /// projections are regenerated tile by tile on every encode.
   static constexpr std::size_t kRematCacheBytes = std::size_t{1} << 20;
 
+  /// Whether an encoder of `config` stores its projection: always when
+  /// resident, and when rematerialized while F·D·8 fits kRematCacheBytes.
+  [[nodiscard]] static bool stores_projection(const EncoderConfig& config) noexcept;
+
  protected:
   void encode_real_into(std::span<const double> features, double* out) const override;
 
@@ -354,8 +358,12 @@ class TemporalEncoder final : public Encoder {
 /// The process-wide encoder of `config`: every caller asking for an equal
 /// config (every field, doubles compared by bits) while one is alive gets
 /// that same immutable object, so learners built apart share one copy of
-/// its weights. The registry holds no ownership — an encoder dies with its
-/// last holder, and a later call rebuilds an identical one. Thread-safe.
+/// its weights. A rematerialized RFF config whose projection is stored
+/// anyway (RffProjectionEncoder::stores_projection) counts as resident: it
+/// gets the resident encoder, whose config() reports kResident. The
+/// registry holds no ownership — an encoder dies with its last holder, and
+/// a later call rebuilds an identical one. Thread-safe; the encoder is built
+/// outside the registry's lock.
 [[nodiscard]] std::shared_ptr<const Encoder> shared_encoder(const EncoderConfig& config);
 
 }  // namespace reghd::hdc

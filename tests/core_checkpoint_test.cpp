@@ -85,20 +85,20 @@ TEST_F(CheckpointManagerTest, LoadAppliesProjectionStorageOverride) {
   // Projection storage is a deployment knob, deliberately not serialized: a
   // plain load always comes back resident, and the override applies the
   // caller's mode at construction — same state, same bytes, bit-identical
-  // predictions, no resident F×D matrix ever built.
+  // predictions, and (over kRematCacheBytes) no F×D matrix ever built.
   const data::Dataset d = data::make_friedman1(64, 9);
   const OnlineRegHD learner = trained_learner(173);
   const std::string bytes = serialize(learner);
 
   std::istringstream plain_in(bytes, std::ios::binary);
   const OnlineRegHD plain = load_online_checkpoint(plain_in);
-  EXPECT_EQ(plain.encoder().config().projection_storage,
+  EXPECT_EQ(plain.config().encoder.projection_storage,
             hdc::ProjectionStorage::kResident);
 
   std::istringstream remat_in(bytes, std::ios::binary);
   const OnlineRegHD remat =
       load_online_checkpoint(remat_in, hdc::ProjectionStorage::kRematerialized);
-  EXPECT_EQ(remat.encoder().config().projection_storage,
+  EXPECT_EQ(remat.config().encoder.projection_storage,
             hdc::ProjectionStorage::kRematerialized);
   EXPECT_EQ(remat.samples_seen(), learner.samples_seen());
   for (std::size_t i = 0; i < 32; ++i) {

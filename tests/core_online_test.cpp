@@ -167,22 +167,34 @@ TEST(OnlineRegHDTest, UpdatingACopyLeavesTheOriginalUntouched) {
 
 TEST(OnlineRegHDTest, ProjectionStorageOnACopyLeavesTheOriginalAlone) {
   const data::Dataset stream = data::make_friedman1(200, 43);
-  auto cfg = small_config(512);
-  cfg.encoder.projection_storage = hdc::ProjectionStorage::kResident;
-  OnlineRegHD orig(cfg, stream.num_features());
-  for (std::size_t i = 0; i < 100; ++i) {
-    (void)orig.update(stream.row(i), stream.target(i));
-  }
+  // At D = 512 both storages keep the F×D projection, so they share the
+  // resident encoder; at D = 16384 (1.25 MiB > kRematCacheBytes) the
+  // rematerialized encoder stores none and is its own object.
+  for (const std::size_t dim : {512U, 16384U}) {
+    auto cfg = small_config(dim);
+    cfg.encoder.projection_storage = hdc::ProjectionStorage::kResident;
+    OnlineRegHD orig(cfg, stream.num_features());
+    for (std::size_t i = 0; i < 100; ++i) {
+      (void)orig.update(stream.row(i), stream.target(i));
+    }
 
-  OnlineRegHD copy = orig;
-  copy.set_projection_storage(hdc::ProjectionStorage::kRematerialized);
-  EXPECT_NE(&copy.encoder(), &orig.encoder());
-  EXPECT_EQ(copy.encoder().config().projection_storage,
-            hdc::ProjectionStorage::kRematerialized);
-  EXPECT_EQ(orig.encoder().config().projection_storage, hdc::ProjectionStorage::kResident);
-  EXPECT_EQ(orig.config().encoder.projection_storage, hdc::ProjectionStorage::kResident);
-  for (std::size_t i = 100; i < 140; ++i) {
-    EXPECT_EQ(copy.predict(stream.row(i)), orig.predict(stream.row(i))) << "row " << i;
+    OnlineRegHD copy = orig;
+    copy.set_projection_storage(hdc::ProjectionStorage::kRematerialized);
+    EXPECT_EQ(copy.config().encoder.projection_storage,
+              hdc::ProjectionStorage::kRematerialized);
+    if (dim == 512) {
+      EXPECT_EQ(&copy.encoder(), &orig.encoder());
+    } else {
+      EXPECT_NE(&copy.encoder(), &orig.encoder());
+      EXPECT_EQ(copy.encoder().config().projection_storage,
+                hdc::ProjectionStorage::kRematerialized);
+    }
+    EXPECT_EQ(orig.encoder().config().projection_storage, hdc::ProjectionStorage::kResident);
+    EXPECT_EQ(orig.config().encoder.projection_storage, hdc::ProjectionStorage::kResident);
+    for (std::size_t i = 100; i < 140; ++i) {
+      EXPECT_EQ(copy.predict(stream.row(i)), orig.predict(stream.row(i)))
+          << "dim " << dim << " row " << i;
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // One immutable encoder per configuration: learners built apart from one
 // OnlineConfig — by hand, by a TenantStore, from any thread — hold the same
-// hdc::Encoder object, any config difference gets its own, and an encoder
-// dies with its last holder and comes back bit-identical.
+// hdc::Encoder object, any config difference gets its own (storage only
+// where it changes what is stored), and an encoder dies with its last holder
+// and comes back bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,19 +44,43 @@ TEST(SharedEncoderTest, AnyConfigDifferenceGetsADistinctEncoder) {
   seed.encoder.seed += 1;
   OnlineConfig dim = cfg;
   dim.reghd.dim = 640;
-  OnlineConfig storage = cfg;
-  storage.encoder.projection_storage = hdc::ProjectionStorage::kResident;
-  for (const OnlineConfig& other : {seed, dim, storage}) {
+  OnlineConfig stddev = cfg;
+  stddev.encoder.projection_stddev = 0.5;
+  for (const OnlineConfig& other : {seed, dim, stddev}) {
     const OnlineRegHD learner(other, kFeatures);
     EXPECT_NE(&learner.encoder(), &base.encoder());
   }
   const OnlineRegHD narrower(cfg, kFeatures - 1);
   EXPECT_NE(&narrower.encoder(), &base.encoder());
+}
 
-  // Switching one learner's storage moves it to that storage's encoder and
-  // back to the shared one.
+TEST(SharedEncoderTest, StorageSplitsEncodersOnlyOverTheBudget) {
+  // D = 512: the rematerialized projection (40 KiB) is stored anyway, so
+  // both storages get the one resident encoder; the learner keeps its knob.
+  {
+    const OnlineConfig cfg = remat_config(512);
+    OnlineConfig resident_cfg = cfg;
+    resident_cfg.encoder.projection_storage = hdc::ProjectionStorage::kResident;
+    const OnlineRegHD remat(cfg, kFeatures);
+    const OnlineRegHD resident(resident_cfg, kFeatures);
+    EXPECT_EQ(&remat.encoder(), &resident.encoder());
+    EXPECT_EQ(remat.encoder().config().projection_storage,
+              hdc::ProjectionStorage::kResident);
+    EXPECT_EQ(remat.config().encoder.projection_storage,
+              hdc::ProjectionStorage::kRematerialized);
+  }
+  // D = 2^15: F·D·8 = 2.5 MiB is over kRematCacheBytes, so each storage is
+  // its own encoder, and switching one learner's storage moves it between
+  // them.
+  const OnlineConfig cfg = remat_config(1U << 15);
+  OnlineConfig resident_cfg = cfg;
+  resident_cfg.encoder.projection_storage = hdc::ProjectionStorage::kResident;
+  const OnlineRegHD base(cfg, kFeatures);
+  const OnlineRegHD resident(resident_cfg, kFeatures);
+  EXPECT_NE(&base.encoder(), &resident.encoder());
+  EXPECT_EQ(base.encoder().config().projection_storage,
+            hdc::ProjectionStorage::kRematerialized);
   OnlineRegHD switched(cfg, kFeatures);
-  const OnlineRegHD resident(storage, kFeatures);
   switched.set_projection_storage(hdc::ProjectionStorage::kResident);
   EXPECT_EQ(&switched.encoder(), &resident.encoder());
   switched.set_projection_storage(hdc::ProjectionStorage::kRematerialized);

@@ -324,13 +324,15 @@ TEST(ServeRuntimeTest, SnapshotsPreserveRematerializedProjectionStorage) {
   // so a recovered learner comes back resident, and a bootstrapped learner
   // arrives in whatever mode its caller built it with. The server must pin
   // its configured mode at every hop (bootstrap, each publish's copy,
-  // recovery) — a resident encoder would re-materialize the F×D matrix —
-  // with predictions bit-identical to the offline learner.
+  // recovery) — over kRematCacheBytes a resident encoder would materialize
+  // the F×D matrix — with predictions bit-identical to the offline learner.
+  // Each learner's encoder derives from its config's storage, so the config
+  // is what this checks.
   const data::Dataset d = data::make_friedman1(300, 9);
   core::OnlineConfig cfg = online_config();
   cfg.encoder.projection_storage = hdc::ProjectionStorage::kRematerialized;
   const core::OnlineRegHD learner = trained_learner(cfg, d, 200);
-  ASSERT_EQ(learner.encoder().config().projection_storage,
+  ASSERT_EQ(learner.config().encoder.projection_storage,
             hdc::ProjectionStorage::kRematerialized);
 
   ServeConfig sc;
@@ -352,7 +354,7 @@ TEST(ServeRuntimeTest, SnapshotsPreserveRematerializedProjectionStorage) {
   const std::shared_ptr<const ModelSnapshot> snap = server.snapshot(0);
   ASSERT_NE(snap, nullptr);
   EXPECT_GT(snap->epoch, 1U);  // at least one trainer publish happened
-  EXPECT_EQ(snap->learner.encoder().config().projection_storage,
+  EXPECT_EQ(snap->learner.config().encoder.projection_storage,
             hdc::ProjectionStorage::kRematerialized);
 
   core::OnlineRegHD offline = trained_learner(cfg, d, 200);
