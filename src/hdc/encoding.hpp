@@ -113,10 +113,11 @@ enum class ProjectionStorage : std::uint8_t {
                         ///< size: O(F·D) bytes, streamed by every encode.
   kRematerialized = 1,  ///< The encoder materializes the matrix only while
                         ///< F·D·8 bytes fit
-                        ///< RffProjectionEncoder::kRematCacheBytes; above
-                        ///< that budget it stores none and regenerates
-                        ///< 16-row tiles into an O(F·tile) L1/L2 scratch on
-                        ///< every encode.
+                        ///< RffProjectionEncoder::kRematCacheBytes (there
+                        ///< shared_encoder() hands out the resident
+                        ///< encoder); above that budget it stores none and
+                        ///< regenerates 16-row tiles into an O(F·tile)
+                        ///< L1/L2 scratch on every encode.
 };
 
 /// Returns a stable lowercase name ("resident", "rematerialized").
@@ -147,8 +148,8 @@ struct EncoderConfig {
   // counts) it is not serialized with the encoder config. A rematerialized
   // projection within RffProjectionEncoder::kRematCacheBytes is still
   // stored, once, in the encoder (shared_encoder() gives every learner of
-  // one config that one copy); a larger one is regenerated tile by tile on
-  // every encode.
+  // one config, of either storage, that one copy); a larger one is
+  // regenerated tile by tile on every encode.
   ProjectionStorage projection_storage = ProjectionStorage::kResident;
 
   // IdLevel only: number of quantization levels and the feature range the
