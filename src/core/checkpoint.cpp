@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <sstream>
@@ -167,20 +168,18 @@ void save_online_checkpoint(std::ostream& out, const OnlineRegHD& learner) {
   }
   writer.add(kSectionSnapshots, snap.str());
 
-  // Packed scan bank, saved verbatim like the snapshots: a resumed process
-  // must score through exactly the bytes the checkpointed one did. Optional
-  // section — readers predating it (and readers of files predating it)
-  // rebuild the bank from the snapshots instead.
+  // The packed scan bank, which is the packing of the snapshots above. The
+  // reader re-packs it from SNAP and refuses a file whose PBNK differs, so
+  // the section is a check on the snapshots. Files written before it
+  // existed omit it and load all the same.
   const PackedTernaryBank& bank = model.packed_bank();
-  if (bank.valid) {
-    std::ostringstream pbnk(std::ios::binary);
-    util::write_scalar<std::uint64_t>(pbnk, bank.rows);
-    util::write_scalar<std::uint64_t>(pbnk, bank.words);
-    util::write_vector<std::uint64_t>(pbnk, {bank.signs.data(), bank.signs.size()});
-    util::write_vector<std::uint64_t>(pbnk, {bank.masks.data(), bank.masks.size()});
-    util::write_vector<double>(pbnk, {bank.scale.data(), bank.scale.size()});
-    writer.add(kSectionPackedBank, pbnk.str());
-  }
+  std::ostringstream pbnk(std::ios::binary);
+  util::write_scalar<std::uint64_t>(pbnk, bank.rows);
+  util::write_scalar<std::uint64_t>(pbnk, bank.words);
+  util::write_vector<std::uint64_t>(pbnk, {bank.signs.data(), bank.signs.size()});
+  util::write_vector<std::uint64_t>(pbnk, {bank.masks.data(), bank.masks.size()});
+  util::write_vector<double>(pbnk, {bank.scale.data(), bank.scale.size()});
+  writer.add(kSectionPackedBank, pbnk.str());
 
   writer.finish();
   if (!out.good()) {
@@ -260,43 +259,46 @@ OnlineRegHD load_online_checkpoint(std::istream& in,
   });
 
   util::parse_payload(file.require(kSectionSnapshots), "checkpoint", "snapshot", [&](auto& s) {
-    for (std::size_t i = 0; i < model.num_models(); ++i) {
-      model.mutable_clusters()[i].binary = read_binary_hv(s, dim);
-      model.mutable_clusters()[i].norm2 = util::read_scalar<double>(s);
+    std::vector<ClusterCenter> clusters(model.num_models());
+    std::vector<RegressionModel> models(model.num_models());
+    for (ClusterCenter& c : clusters) {
+      c.binary = read_binary_hv(s, dim);
+      c.norm2 = util::read_scalar<double>(s);
     }
-    for (std::size_t i = 0; i < model.num_models(); ++i) {
-      RegressionModel& m = model.mutable_models()[i];
+    for (RegressionModel& m : models) {
       m.binary = read_binary_hv(s, dim);
       m.gamma = util::read_scalar<double>(s);
       m.ternary_mask = read_binary_hv(s, dim);
       m.gamma_ternary = util::read_scalar<double>(s);
     }
+    model.set_snapshots(std::move(clusters), std::move(models));
     return 0;
   });
 
-  // Snapshot restore went through the mutable accessors, so the bank is
-  // stale; reload the saved one verbatim when present, else (files written
-  // before the PBNK section existed) re-pack from the restored snapshots.
+  // set_snapshots re-packed the bank from SNAP. A saved bank (files written
+  // before the PBNK section existed have none) must equal it byte for byte:
+  // a mismatch means the two sections disagree, and the file is refused.
   if (const util::Section* pbnk = file.find(kSectionPackedBank)) {
     util::parse_payload(*pbnk, "checkpoint", "packed bank", [&](auto& s) {
-      PackedTernaryBank& bank = model.mutable_packed_bank();
-      bank.rows = util::read_scalar<std::uint64_t>(s);
-      bank.words = util::read_scalar<std::uint64_t>(s);
+      const auto rows = util::read_scalar<std::uint64_t>(s);
+      const auto words = util::read_scalar<std::uint64_t>(s);
       const auto signs = util::read_vector<std::uint64_t>(s);
       const auto masks = util::read_vector<std::uint64_t>(s);
       const auto scale = util::read_vector<double>(s);
-      if (bank.words != (dim + 63) / 64 || signs.size() != bank.rows * bank.words ||
-          masks.size() != signs.size() || scale.size() != bank.rows) {
+      if (words != (dim + 63) / 64 || signs.size() != rows * words ||
+          masks.size() != signs.size() || scale.size() != rows) {
         throw std::runtime_error("packed bank geometry does not match the model");
       }
-      bank.signs.assign(signs.begin(), signs.end());
-      bank.masks.assign(masks.begin(), masks.end());
-      bank.scale = scale;
-      bank.valid = true;
+      const PackedTernaryBank& bank = model.packed_bank();
+      const auto same = [](const auto& a, const auto& b) {
+        return a.size() == b.size() &&
+               (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+      };
+      if (!same(signs, bank.signs) || !same(masks, bank.masks) || !same(scale, bank.scale)) {
+        throw std::runtime_error("packed bank differs from the one the snapshots pack to");
+      }
       return 0;
     });
-  } else {
-    model.rebuild_packed_bank();
   }
 
   util::parse_payload(file.require(kSectionOnlineState), "checkpoint", "state", [&](auto& s) {

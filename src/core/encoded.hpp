@@ -42,7 +42,6 @@ struct PackedTernaryBank {
   util::AlignedVector<std::uint64_t> signs;  ///< rows × words sign bits.
   util::AlignedVector<std::uint64_t> masks;  ///< rows × words mask bits.
   std::vector<double> scale;                 ///< Per-row score scale.
-  bool valid = false;  ///< False ⇒ stale relative to the owner's snapshots.
 
   /// Resident bytes of the packed planes + scales (the footprint the bank
   /// trades against the f64 rows; reported by the microbench).

@@ -82,7 +82,25 @@ void MultiModelRegressor::restore(State state) {
   rebuild_packed_bank();
 }
 
-void MultiModelRegressor::build_packed_bank_into(PackedTernaryBank& bank) const {
+void MultiModelRegressor::set_snapshots(std::vector<ClusterCenter> clusters,
+                                        std::vector<RegressionModel> models) {
+  const std::size_t k = models_.size();
+  const std::size_t d = config_.dim;
+  REGHD_CHECK(clusters.size() == k && models.size() == k,
+              "expected " << k << " cluster and model snapshots, got " << clusters.size()
+                          << " and " << models.size());
+  for (std::size_t i = 0; i < k; ++i) {
+    REGHD_CHECK(clusters[i].binary.dim() == d && models[i].binary.dim() == d &&
+                    models[i].ternary_mask.dim() == d,
+                "snapshot " << i << " dims do not match the configured dim " << d);
+  }
+  clusters_ = std::move(clusters);
+  models_ = std::move(models);
+  rebuild_packed_bank();
+}
+
+void MultiModelRegressor::rebuild_packed_bank() {
+  PackedTernaryBank& bank = packed_bank_;
   const PredictionMode mode = config_.prediction_mode();
   const std::size_t d = config_.dim;
   const std::size_t words = (d + 63) / 64;
@@ -128,11 +146,6 @@ void MultiModelRegressor::build_packed_bank_into(PackedTernaryBank& bank) const 
       }
     }
   }
-  bank.valid = true;
-}
-
-void MultiModelRegressor::rebuild_packed_bank() {
-  build_packed_bank_into(packed_bank_);
 }
 
 std::size_t MultiModelRegressor::packed_rows_read(PredictionMode mode) const {
@@ -152,24 +165,10 @@ void MultiModelRegressor::size_scratch(PredictScratch& s) const {
   s.block.resize(kScanBlock * 2 * k);
 }
 
-MultiModelRegressor::PredictScratch& MultiModelRegressor::row_scratch(
-    PredictionMode mode) const {
+MultiModelRegressor::PredictScratch& MultiModelRegressor::row_scratch() const {
   thread_local PredictScratch s;
   size_scratch(s);
-  if (!packed_bank_.valid && packed_rows_read(mode) > 0) {
-    build_packed_bank_into(s.packed);
-  }
   return s;
-}
-
-const PackedTernaryBank& MultiModelRegressor::scan_bank(PredictionMode mode,
-                                                        const PredictScratch& s) const {
-  const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : s.packed;
-  const std::size_t rows = packed_rows_read(mode);
-  REGHD_CHECK(rows == 0 || (bank.rows >= rows && bank.words == (config_.dim + 63) / 64),
-              "packed bank " << bank.rows << "×" << bank.words << " does not cover the "
-                             << rows << " rows this mode scans (stale predict scratch?)");
-  return bank;
 }
 
 std::pair<std::size_t, std::size_t> MultiModelRegressor::real_rows(
@@ -184,7 +183,6 @@ std::pair<std::size_t, std::size_t> MultiModelRegressor::real_rows(
 }
 
 double MultiModelRegressor::score_row(const hdc::EncodedSampleView& q, PredictionMode mode,
-                                      const PackedTernaryBank& bank,
                                       PredictScratch& s) const {
   REGHD_CHECK(q.real.dim() == config_.dim,
               "sample dim " << q.real.dim() << " != configured dim " << config_.dim);
@@ -197,11 +195,10 @@ double MultiModelRegressor::score_row(const hdc::EncodedSampleView& q, Predictio
                                          q.real.values().data(), d, 1, d,
                                          s.scores.data() + lo);
   }
-  return finish_scan(q, mode, bank, s);
+  return finish_scan(q, mode, s);
 }
 
 double MultiModelRegressor::finish_scan(const hdc::EncodedSampleView& q, PredictionMode mode,
-                                        const PackedTernaryBank& bank,
                                         PredictScratch& s) const {
   const hdc::KernelBackend& kb = hdc::active_backend();
   const std::size_t d = config_.dim;
@@ -213,6 +210,7 @@ double MultiModelRegressor::finish_scan(const hdc::EncodedSampleView& q, Predict
   const std::size_t packed_lo = config_.cluster_mode == ClusterMode::kFullPrecision ? k : 0;
   const std::size_t packed_hi = packed_rows_read(mode);
   if (packed_lo < packed_hi) {
+    const PackedTernaryBank& bank = packed_bank_;
     const std::size_t w = bank.words;
     kb.dot_rows_ternary(q.binary.words().data(), bank.signs.data() + packed_lo * w,
                         bank.masks.data() + packed_lo * w, w, packed_hi - packed_lo, d,
@@ -312,16 +310,15 @@ double MultiModelRegressor::predict(const hdc::EncodedSampleView& sample) const 
   const obs::StageTimer timer(obs::Histo::kPredictNs);
   obs::count(obs::Counter::kPredicts);
   const PredictionMode mode = config_.prediction_mode();
-  PredictScratch& s = row_scratch(mode);
-  return score_row(sample, mode, scan_bank(mode, s), s);
+  return score_row(sample, mode, row_scratch());
 }
 
 PredictionDetail MultiModelRegressor::predict_detail(const hdc::EncodedSampleView& sample) const {
   const PredictionMode mode = config_.prediction_mode();
-  PredictScratch& s = row_scratch(mode);
+  PredictScratch& s = row_scratch();
   const auto k = static_cast<std::ptrdiff_t>(models_.size());
   PredictionDetail detail;
-  detail.prediction = score_row(sample, mode, scan_bank(mode, s), s);
+  detail.prediction = score_row(sample, mode, s);
   detail.similarities.assign(s.sims.begin(), s.sims.begin() + k);
   detail.confidences.assign(s.conf.begin(), s.conf.begin() + k);
   detail.model_outputs.assign(s.scores.begin() + k, s.scores.begin() + 2 * k);
@@ -377,7 +374,7 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   // state are cache-line aligned: the AVX-512 kernels read them 64 bytes at
   // a time, and with std::vector's 16-byte alignment every such load could
   // split two lines, depending only on what the heap handed out before.
-  PredictScratch& s = row_scratch(mode);
+  PredictScratch& s = row_scratch();
   thread_local util::AlignedVector<double> block;
   block.resize(kFusedBlock);
 
@@ -414,7 +411,7 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   // against the word-offset slice of the packed 2-bit-plane bank; the
   // per-block masked popcount scores are integers, summed exactly (far below
   // 2^53) into totals equal to the unblocked dot_rows_ternary.
-  const PackedTernaryBank& bank = scan_bank(mode, s);
+  const PackedTernaryBank& bank = packed_bank_;
   thread_local std::vector<std::uint64_t> qwords;
   qwords.resize(kFusedBlock / 64);
   std::fill(s.scores.begin(), s.scores.end(), 0.0);
@@ -445,7 +442,6 @@ void MultiModelRegressor::scan_rows(const EncodedDataset& dataset, std::size_t r
   REGHD_CHECK(dataset.dim() == config_.dim,
               "sample dim " << dataset.dim() << " != configured dim " << config_.dim);
   const PredictionMode mode = config_.prediction_mode();
-  const PackedTernaryBank& bank = scan_bank(mode, scratch);
   const auto [lo, hi] = real_rows(mode);
   const std::size_t rows = hi - lo;
   const std::size_t d = config_.dim;
@@ -462,7 +458,7 @@ void MultiModelRegressor::scan_rows(const EncodedDataset& dataset, std::size_t r
     }
     for (std::size_t j = 0; j < nb; ++j) {
       std::copy_n(scratch.block.data() + j * rows, rows, scratch.scores.data() + lo);
-      out[b0 + j] = finish_scan(dataset.sample(b0 + j), mode, bank, scratch);
+      out[b0 + j] = finish_scan(dataset.sample(b0 + j), mode, scratch);
     }
   }
 }
@@ -477,16 +473,13 @@ std::vector<double> MultiModelRegressor::predict_batch(const EncodedDataset& dat
       (dataset.size() + kChunk - 1) / kChunk,
       [&](std::size_t chunk) {
         scan_rows(dataset, chunk * kChunk, std::min(dataset.size(), (chunk + 1) * kChunk),
-                  out, row_scratch(config_.prediction_mode()));
+                  out, row_scratch());
       },
       threads != 0 ? threads : config_.threads);
   return out;
 }
 
 void MultiModelRegressor::prepare_predict_scratch(PredictScratch& scratch) const {
-  if (!packed_bank_.valid) {
-    build_packed_bank_into(scratch.packed);
-  }
   size_scratch(scratch);
   scratch.prepared = true;
 }
@@ -608,8 +601,8 @@ double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, dou
   const obs::StageTimer timer(obs::Histo::kTrainStepNs);
   obs::count(obs::Counter::kTrainSteps);
   const PredictionMode mode = train_mode();
-  PredictScratch& s = row_scratch(mode);
-  const double prediction = score_row(sample, mode, scan_bank(mode, s), s);
+  PredictScratch& s = row_scratch();
+  const double prediction = score_row(sample, mode, s);
   apply_update(sample, target, prediction, s);
   return prediction;
 }
@@ -644,10 +637,10 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   util::parallel_for(
       b,
       [&](std::size_t j) {
-        PredictScratch& s = row_scratch(mode);
+        PredictScratch& s = row_scratch();
         const std::size_t row = indices[j];
         const hdc::EncodedSampleView q = data.sample(row);
-        predictions[j] = score_row(q, mode, scan_bank(mode, s), s);
+        predictions[j] = score_row(q, mode, s);
         (void)plan_update(j, q, data.target(row), predictions[j], s);
       },
       use_threads);
@@ -854,13 +847,12 @@ void MultiModelRegressor::merge_accumulate_delta(const MultiModelRegressor& repl
                   << replica.models_.size() << "/" << base.models_.size() << " vs "
                   << models_.size());
   // One elementwise pass over the whole arena: each component rounds the
-  // same way whichever row it belongs to.
+  // same way whichever row it belongs to. The snapshots and ‖C‖² are now
+  // stale relative to the merged accumulators (the bank still packs the
+  // snapshots); requantize(), the caller's finalization step, recomputes
+  // them exactly.
   hdc::active_backend().merge_accumulate(arena_.data(), replica.arena_.data(),
                                          base.arena_.data(), arena_.size());
-  // Snapshots, ‖C‖² and the packed bank are now stale relative to the merged
-  // accumulators; requantize() (the caller's finalization step) recomputes
-  // all three exactly.
-  packed_bank_.valid = false;
 }
 
 void MultiModelRegressor::requantize() {
@@ -971,7 +963,7 @@ double MultiModelRegressor::fused_epoch(const EncodedDataset& train,
   const std::size_t d = config_.dim;
   const std::size_t k = models_.size();
   const PredictionMode mode = train_mode();
-  PredictScratch& s = row_scratch(mode);
+  PredictScratch& s = row_scratch();
   const hdc::KernelBackend& kb = hdc::active_backend();
   const auto real_row = [&](std::size_t t) {
     return train.sample(order[t]).real.values().data();
@@ -1016,7 +1008,7 @@ double MultiModelRegressor::fused_epoch(const EncodedDataset& train,
       {
         const obs::StageTimer timer(obs::Histo::kTrainStepNs);
         obs::count(obs::Counter::kTrainSteps);
-        before = t == 0 ? score_row(q, mode, scan_bank(mode, s), s)
+        before = t == 0 ? score_row(q, mode, s)
                         : finish_row(mode, query_norm2(q, mode.query), s);
         plan_step(q, y, before, s);
         if (team == nullptr) {

@@ -23,7 +23,10 @@
 // Storage: the 2k accumulators are one (2k)×D arena — rows 0…k−1 hold C_i,
 // rows k…2k−1 hold M_i — the bank layout the dot_rows_multi kernel takes; the
 // per-row ClusterCenter / RegressionModel structs hold only the snapshots,
-// and the PackedTernaryBank packs those snapshots in the same row order.
+// and the PackedTernaryBank packs those snapshots in the same row order. The
+// bank is derived state: every call that changes a snapshot re-packs it, so
+// it always equals the packing of the current snapshots and every predict
+// path scans the model's own bank in place.
 // Steps 1–3 are written once, as one private scorer that every predict and
 // train path calls (predict_one finishes its fused blockwise scores through
 // the scorer's last step): real rows against a real query are scanned in
@@ -147,15 +150,14 @@ class MultiModelRegressor {
                                                   std::size_t threads = 0) const;
 
   /// Caller-owned scratch for predict_batch_into: the scorer's per-query
-  /// buffers and its query-block score buffer, plus the packed bank rebuilt
-  /// from the snapshots when the model's own one is stale. Nothing in it mirrors the accumulators: the
-  /// scorer reads the model's arena in place. prepare_predict_scratch sizes
-  /// everything once; after that, predict_batch_into touches no allocator in
-  /// any mode — the invariant the serving runtime's admission batcher
-  /// asserts on its predict path. Reusable across calls and across
-  /// re-preparations (capacity is retained).
+  /// buffers and its query-block score buffer. Nothing in it mirrors the
+  /// model: the scorer reads the model's arena and packed bank in place.
+  /// prepare_predict_scratch sizes everything once; after that,
+  /// predict_batch_into touches no allocator in any mode — the invariant the
+  /// serving runtime's admission batcher asserts on its predict path.
+  /// Reusable across calls and across re-preparations (capacity is
+  /// retained).
   struct PredictScratch {
-    PackedTernaryBank packed;          ///< Stale-bank fallback.
     std::vector<double> scores;        ///< Raw scores by row (2k); then model outputs.
     std::vector<std::int64_t> qscores; ///< Popcount scores by bank row (2k).
     std::vector<double> sims;          ///< δ_i (k).
@@ -166,10 +168,9 @@ class MultiModelRegressor {
     bool prepared = false;
   };
 
-  /// Sizes `scratch` for the current model (and packs the fallback bank if
-  /// the model's own is stale). Must be re-run whenever the model changes
-  /// shape or its packed bank goes stale; the serving worker re-prepares
-  /// once per snapshot swap, which copies nothing of the accumulators.
+  /// Sizes `scratch` for the current model. Must be re-run whenever the
+  /// scratch is to serve a larger model; the serving worker re-prepares once
+  /// per snapshot swap, which copies nothing of the model.
   void prepare_predict_scratch(PredictScratch& scratch) const;
 
   /// Serial, allocation-free predict_batch: writes predict(sample(i)) into
@@ -212,18 +213,11 @@ class MultiModelRegressor {
     return arena_row(models_.size() + i);
   }
 
-  /// Mutable snapshot access for checkpoint restore and white-box tests.
-  /// Handing out mutable snapshots invalidates the packed bank — the caller
-  /// may rewrite the snapshots it was built from (requantize() or
-  /// rebuild_packed_bank() restores it).
-  [[nodiscard]] std::vector<RegressionModel>& mutable_models() noexcept {
-    packed_bank_.valid = false;
-    return models_;
-  }
-  [[nodiscard]] std::vector<ClusterCenter>& mutable_clusters() noexcept {
-    packed_bank_.valid = false;
-    return clusters_;
-  }
+  /// Replaces every snapshot (checkpoint restore, white-box tests) and
+  /// re-packs the scan bank from them. Throws std::invalid_argument, leaving
+  /// the model unchanged, unless there is one cluster and one model snapshot
+  /// per model and every snapshot plane has the configured dim.
+  void set_snapshots(std::vector<ClusterCenter> clusters, std::vector<RegressionModel> models);
 
   /// The whole trainable state by value: the accumulator arena plus the
   /// per-row snapshots. fit() and ShardedTrainer::refine keep their best
@@ -239,25 +233,11 @@ class MultiModelRegressor {
   /// its snapshots.
   void restore(State state);
 
-  /// The packed ternary/binary scan bank derived from the current snapshots
-  /// (see PackedTernaryBank). Invalid after mutable snapshot access until
-  /// the next requantize()/rebuild; the predict paths then score through a
-  /// bank packed into their scratch, so results never depend on validity.
+  /// The packed ternary/binary scan bank (see PackedTernaryBank): always the
+  /// packing of the current snapshots, which every predict path scans.
   [[nodiscard]] const PackedTernaryBank& packed_bank() const noexcept {
     return packed_bank_;
   }
-
-  /// Mutable bank access for checkpoint restore (core/checkpoint): a saved
-  /// bank is reloaded verbatim so a resumed process scores through exactly
-  /// the bytes the checkpointed one did.
-  [[nodiscard]] PackedTernaryBank& mutable_packed_bank() noexcept {
-    return packed_bank_;
-  }
-
-  /// Rebuilds the packed bank from the current binary/ternary snapshots (the
-  /// requantize-on-update policy re-packs through this; also the recovery
-  /// path for checkpoints predating the bank section).
-  void rebuild_packed_bank();
 
   /// Re-initializes clusters and models from the configured seed.
   void reset();
@@ -283,10 +263,10 @@ class MultiModelRegressor {
   /// (models zero, clusters as seeded from the replica's own shard), so the
   /// delta is exactly what the shard's training added. HD training is
   /// bundling — commutative, associative addition — which is why summed
-  /// deltas recover the joint model. Snapshots, cluster norms and the packed
-  /// bank are NOT refreshed here; the caller finalizes with requantize()
-  /// after the last replica (the exact ‖C‖² recompute and ternary-bank
-  /// rebuild).
+  /// deltas recover the joint model. Snapshots and cluster norms are NOT
+  /// refreshed here (so the packed bank still matches the snapshots); the
+  /// caller finalizes with requantize() after the last replica (the exact
+  /// ‖C‖² recompute and bank re-pack).
   void merge_accumulate_delta(const MultiModelRegressor& replica,
                               const MultiModelRegressor& base);
 
@@ -314,10 +294,10 @@ class MultiModelRegressor {
   void init_clusters_from_samples(const EncodedDataset& train,
                                   std::span<const std::size_t> rows);
 
-  /// Fills `bank` from the current snapshots at the configured model
-  /// precision (the allocation-reusing core of rebuild_packed_bank; also
-  /// builds the scratch's stale-bank fallback). Thread-safe.
-  void build_packed_bank_into(PackedTernaryBank& bank) const;
+  /// Re-packs packed_bank_ from the current snapshots at the configured
+  /// model precision, reusing its storage. Every call that changes a
+  /// snapshot ends with this.
+  void rebuild_packed_bank();
 
   /// The Eq. 5/6 scorer behind every predict and train path: scores query
   /// `q` against the k clusters and k models and returns the Eq. 6
@@ -327,18 +307,18 @@ class MultiModelRegressor {
   /// precision: real rows against a real query are one in-place
   /// dot_rows_multi sweep over the arena, packed rows (quantized clusters;
   /// snapshot models against a binary query) one dot_rows_ternary sweep over
-  /// `bank`, and the remaining combinations the per-row §3.2 kernels. `mode` is the
-  /// configured prediction mode, or training's {query, real model}.
-  /// Thread-safe for distinct scratches.
+  /// the packed bank, and the remaining combinations the per-row §3.2
+  /// kernels. `mode` is the configured prediction mode, or training's
+  /// {query, real model}. Thread-safe for distinct scratches.
   double score_row(const hdc::EncodedSampleView& q, PredictionMode mode,
-                   const PackedTernaryBank& bank, PredictScratch& s) const;
+                   PredictScratch& s) const;
 
   /// score_row after its real-row sweep, whose raw scores are already in
   /// s.scores[real_rows(mode)]: the packed and per-row terms, then
   /// finish_row. scan_rows sweeps a block of queries at once and finishes
   /// each query through this.
   double finish_scan(const hdc::EncodedSampleView& q, PredictionMode mode,
-                     const PackedTernaryBank& bank, PredictScratch& s) const;
+                     PredictScratch& s) const;
 
   /// The arena rows [first, second) that score_row sweeps in place in
   /// `mode` — real rows against a real query; empty when there are none.
@@ -361,15 +341,8 @@ class MultiModelRegressor {
   void size_scratch(PredictScratch& s) const;
 
   /// The calling thread's scorer scratch (one per thread, shared by every
-  /// model), sized for this model and holding the snapshots re-packed when
-  /// `mode` reads the bank and the model's own one is stale — the model's
-  /// own bank is never rebuilt from a predict or train path.
-  PredictScratch& row_scratch(PredictionMode mode) const;
-
-  /// The bank score_row reads: the model's own while it tracks the
-  /// snapshots, else the one packed into `s`. Throws if it cannot cover the
-  /// rows `mode` scans.
-  const PackedTernaryBank& scan_bank(PredictionMode mode, const PredictScratch& s) const;
+  /// model), sized for this model.
+  PredictScratch& row_scratch() const;
 
   /// The one row loop behind predict_batch and predict_batch_into: writes
   /// score_row(sample(i)) into out[i] for rows [r0, rn) of `dataset`, after

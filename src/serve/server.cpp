@@ -345,9 +345,9 @@ void Server::worker_loop(Shard& shard) {
     }
     snap = std::move(fresh);
     seen_epoch = snap->epoch;
-    // Bank copy / packed-bank build against the new state, off the per-query
-    // path. Buffer capacities are retained across swaps, so steady-state
-    // re-preparation allocates nothing either.
+    // Size the scorer's buffers for the new model, off the per-query path.
+    // Capacities are retained across swaps, so steady-state re-preparation
+    // allocates nothing.
     snap->learner.model().prepare_predict_scratch(scratch);
     obs::count(obs::Counter::kServeSnapshotSwaps);
     const std::uint64_t now = steady_ns();

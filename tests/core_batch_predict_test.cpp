@@ -160,9 +160,9 @@ TEST(RegressorBatchTest, PredictBatchIntoMatchesPredictBatchAcrossModes) {
     reg.predict_batch_into(enc, got, scratch);
     EXPECT_EQ(got, want) << "reused scratch";
 
-    // Train further without requantizing: the packed bank goes stale, so the
-    // re-prepared scratch must carry the fallback bank and still match the
-    // (equally fallback-scoring) predict_batch.
+    // Train further without requantizing: the accumulators move under the
+    // unchanged snapshots, and a scratch re-prepared for the trained model
+    // must still match predict_batch.
     for (std::size_t i = 0; i < 16; ++i) {
       reg.train_step(enc.sample(i), enc.target(i));
     }
@@ -170,7 +170,7 @@ TEST(RegressorBatchTest, PredictBatchIntoMatchesPredictBatchAcrossModes) {
     const std::vector<double> want2 = reg.predict_batch(enc);
     std::vector<double> got2(enc.size(), -1.0);
     reg.predict_batch_into(enc, got2, scratch);
-    EXPECT_EQ(got2, want2) << "stale-bank fallback";
+    EXPECT_EQ(got2, want2) << "re-prepared scratch after more training";
   }
 }
 

@@ -45,6 +45,77 @@ std::string serialize(const OnlineRegHD& learner) {
   return out.str();
 }
 
+/// A binary-query learner with ternary models, so its packed bank holds both
+/// the cluster and the model rows.
+OnlineRegHD ternary_learner() {
+  OnlineConfig cfg = small_config();
+  cfg.reghd.query_precision = QueryPrecision::kBinary;
+  cfg.reghd.model_precision = ModelPrecision::kTernary;
+  const data::Dataset d = data::make_friedman1(512, 9);
+  OnlineRegHD learner(cfg, d.num_features());
+  for (std::size_t i = 0; i < 173; ++i) {
+    learner.update(d.row(i), d.target(i));
+  }
+  return learner;
+}
+
+/// Re-frames a serialized checkpoint with fresh, valid CRCs. `edit` sees
+/// each section's tag and payload; it may rewrite the payload, or return
+/// false to drop the section.
+template <typename Edit>
+std::string reframe(const std::string& bytes, Edit&& edit) {
+  const util::ParsedFile file = util::parse_sections(bytes.substr(8));
+  std::ostringstream out(std::ios::binary);
+  util::write_scalar<std::uint32_t>(out, kModelMagic);
+  util::write_scalar<std::uint32_t>(out, kModelVersionLatest);
+  util::SectionWriter writer(out, file.kind);
+  for (const util::Section& s : file.sections) {
+    std::string payload = s.payload;
+    if (edit(s.tag, payload)) {
+      writer.add(s.tag, payload);
+    }
+  }
+  writer.finish();
+  return out.str();
+}
+
+/// `bytes` with its PBNK section dropped (the layout of files written before
+/// that section existed).
+std::string without_packed_bank(const std::string& bytes) {
+  bool dropped = false;
+  std::string out = reframe(bytes, [&](std::uint32_t tag, std::string&) {
+    dropped = dropped || tag == util::fourcc("PBNK");
+    return tag != util::fourcc("PBNK");
+  });
+  EXPECT_TRUE(dropped) << "expected the checkpoint to carry a PBNK section";
+  return out;
+}
+
+/// `bytes` with its PBNK section's planes and scales passed through `edit`
+/// and re-encoded (geometry fields included).
+template <typename Edit>
+std::string with_packed_bank(const std::string& bytes, Edit&& edit) {
+  return reframe(bytes, [&](std::uint32_t tag, std::string& payload) {
+    if (tag == util::fourcc("PBNK")) {
+      std::istringstream in(payload, std::ios::binary);
+      auto rows = util::read_scalar<std::uint64_t>(in);
+      const auto words = util::read_scalar<std::uint64_t>(in);
+      auto signs = util::read_vector<std::uint64_t>(in);
+      auto masks = util::read_vector<std::uint64_t>(in);
+      auto scale = util::read_vector<double>(in);
+      edit(rows, words, signs, masks, scale);
+      std::ostringstream out(std::ios::binary);
+      util::write_scalar<std::uint64_t>(out, rows);
+      util::write_scalar<std::uint64_t>(out, words);
+      util::write_vector<std::uint64_t>(out, signs);
+      util::write_vector<std::uint64_t>(out, masks);
+      util::write_vector<double>(out, scale);
+      payload = out.str();
+    }
+    return true;
+  });
+}
+
 class CheckpointManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -112,23 +183,13 @@ TEST_F(CheckpointManagerTest, LoadAppliesProjectionStorageOverride) {
 
 TEST_F(CheckpointManagerTest, PackedBankSectionRoundTripsVerbatim) {
   // Quantized model precision puts model rows in the packed scan bank; the
-  // PBNK section must restore the exact planes and scales the checkpointed
+  // restored learner must hold the exact planes and scales the checkpointed
   // process scored through.
-  OnlineConfig cfg = small_config();
-  cfg.reghd.query_precision = QueryPrecision::kBinary;
-  cfg.reghd.model_precision = ModelPrecision::kTernary;
-  const data::Dataset d = data::make_friedman1(512, 9);
-  OnlineRegHD learner(cfg, d.num_features());
-  for (std::size_t i = 0; i < 173; ++i) {
-    learner.update(d.row(i), d.target(i));
-  }
-  ASSERT_TRUE(learner.model().packed_bank().valid);
-
+  const OnlineRegHD learner = ternary_learner();
   std::istringstream in(serialize(learner), std::ios::binary);
   const OnlineRegHD restored = load_online_checkpoint(in);
   const PackedTernaryBank& want = learner.model().packed_bank();
   const PackedTernaryBank& got = restored.model().packed_bank();
-  ASSERT_TRUE(got.valid);
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_EQ(got.words, want.words);
   EXPECT_EQ(std::vector<std::uint64_t>(got.signs.begin(), got.signs.end()),
@@ -141,39 +202,47 @@ TEST_F(CheckpointManagerTest, PackedBankSectionRoundTripsVerbatim) {
 
 TEST_F(CheckpointManagerTest, CheckpointWithoutPackedBankSectionStillLoads) {
   // Files written before the PBNK section existed have no bank section; the
-  // loader must fall back to re-packing from the restored snapshots and end
-  // up in the identical state. Simulate one by re-framing the checkpoint
-  // with the PBNK section dropped.
-  OnlineConfig cfg = small_config();
-  cfg.reghd.query_precision = QueryPrecision::kBinary;
-  cfg.reghd.model_precision = ModelPrecision::kTernary;
-  const data::Dataset d = data::make_friedman1(512, 9);
-  OnlineRegHD learner(cfg, d.num_features());
-  for (std::size_t i = 0; i < 173; ++i) {
-    learner.update(d.row(i), d.target(i));
-  }
-
-  const std::string bytes = serialize(learner);
-  const util::ParsedFile file = util::parse_sections(bytes.substr(8));
-  std::ostringstream stripped(std::ios::binary);
-  util::write_scalar<std::uint32_t>(stripped, kModelMagic);
-  util::write_scalar<std::uint32_t>(stripped, kModelVersionLatest);
-  util::SectionWriter writer(stripped, file.kind);
-  bool dropped = false;
-  for (const util::Section& s : file.sections) {
-    if (s.tag == util::fourcc("PBNK")) {
-      dropped = true;
-      continue;
-    }
-    writer.add(s.tag, s.payload);
-  }
-  writer.finish();
-  ASSERT_TRUE(dropped) << "expected the checkpoint to carry a PBNK section";
-
-  std::istringstream in(stripped.str(), std::ios::binary);
+  // loader re-packs the bank from the restored snapshots and must end up in
+  // the identical state. Simulate one by re-framing the checkpoint with the
+  // PBNK section dropped.
+  const OnlineRegHD learner = ternary_learner();
+  std::istringstream in(without_packed_bank(serialize(learner)), std::ios::binary);
   const OnlineRegHD restored = load_online_checkpoint(in);
-  ASSERT_TRUE(restored.model().packed_bank().valid);
   EXPECT_EQ(serialize(restored), serialize(learner));
+}
+
+TEST_F(CheckpointManagerTest, PackedBankThatDiffersFromSnapshotsIsRefused) {
+  // The bank is the packing of the snapshots, so a PBNK section that does
+  // not equal the bank re-packed from SNAP is corrupt even when every CRC
+  // holds. Both edits below keep PBNK's own geometry consistent.
+  const std::string bytes = serialize(ternary_learner());
+  {
+    // Re-framing alone changes nothing.
+    std::istringstream in(with_packed_bank(bytes, [](auto&...) {}), std::ios::binary);
+    EXPECT_EQ(serialize(load_online_checkpoint(in)), bytes);
+  }
+  {
+    // One flipped sign bit: cluster row 0, component 0.
+    std::istringstream in(with_packed_bank(bytes,
+                                           [](auto&, auto&, auto& signs, auto&, auto&) {
+                                             signs[0] ^= 1ULL;
+                                           }),
+                          std::ios::binary);
+    EXPECT_THROW((void)load_online_checkpoint(in), util::FormatError);
+  }
+  {
+    // One row short: the last row's planes and scale dropped.
+    std::istringstream in(
+        with_packed_bank(bytes,
+                         [](auto& rows, auto& words, auto& signs, auto& masks, auto& scale) {
+                           --rows;
+                           signs.resize(rows * words);
+                           masks.resize(rows * words);
+                           scale.pop_back();
+                         }),
+        std::ios::binary);
+    EXPECT_THROW((void)load_online_checkpoint(in), util::FormatError);
+  }
 }
 
 TEST_F(CheckpointManagerTest, RecoverReturnsNewestValid) {
@@ -325,28 +394,10 @@ TEST_F(CheckpointManagerTest, ShardedMergedCheckpointWithoutPackedBankStillLoads
   scfg.shards = 3;
   const OnlineRegHD merged = train_online_sharded(cfg, d.features_flat(), d.targets(),
                                                   d.num_features(), scfg);
-  ASSERT_TRUE(merged.model().packed_bank().valid);
 
   const std::string bytes = serialize(merged);
-  const util::ParsedFile file = util::parse_sections(bytes.substr(8));
-  std::ostringstream stripped(std::ios::binary);
-  util::write_scalar<std::uint32_t>(stripped, kModelMagic);
-  util::write_scalar<std::uint32_t>(stripped, kModelVersionLatest);
-  util::SectionWriter writer(stripped, file.kind);
-  bool dropped = false;
-  for (const util::Section& s : file.sections) {
-    if (s.tag == util::fourcc("PBNK")) {
-      dropped = true;
-      continue;
-    }
-    writer.add(s.tag, s.payload);
-  }
-  writer.finish();
-  ASSERT_TRUE(dropped) << "expected the merged checkpoint to carry a PBNK section";
-
-  std::istringstream in(stripped.str(), std::ios::binary);
+  std::istringstream in(without_packed_bank(bytes), std::ios::binary);
   const OnlineRegHD restored = load_online_checkpoint(in);
-  ASSERT_TRUE(restored.model().packed_bank().valid);
   EXPECT_EQ(serialize(restored), bytes);
 }
 

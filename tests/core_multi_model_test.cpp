@@ -295,12 +295,14 @@ TEST(MultiModelTest, SimilarityNormalizationSharpensCompressedSimilarities) {
     // slightly, so the four cosine similarities differ by a few hundredths.
     util::Rng base_rng(5);
     const hdc::RealHV base = hdc::random_bipolar(512, base_rng).to_real();
+    std::vector<ClusterCenter> clusters(4);
     for (std::size_t i = 0; i < 4; ++i) {
       const std::span<double> acc = model.mutable_cluster_accumulator(i);
       std::copy(base.values().begin(), base.values().end(), acc.begin());
       hdc::add_scaled(acc, query.real, 0.03 * static_cast<double>(i));
-      model.mutable_clusters()[i].requantize(acc);  // binary snapshot + exact ‖C‖²
+      clusters[i].requantize(acc);  // binary snapshot + exact ‖C‖²
     }
+    model.set_snapshots(std::move(clusters), model.state().models);
     return model;
   };
 
@@ -346,7 +348,6 @@ TEST(PackedBankTest, BuiltAfterFitAndMatchesSnapshotGeometry) {
   model.fit(task.train, task.val);
 
   const PackedTernaryBank& bank = model.packed_bank();
-  ASSERT_TRUE(bank.valid);
   // k cluster rows + k model rows, one sign/mask word-row and one scale each.
   EXPECT_EQ(bank.rows, 2 * model.num_models());
   EXPECT_EQ(bank.words, (cfg.dim + 63) / 64);
@@ -393,25 +394,39 @@ TEST(PackedBankTest, PredictBatchMatchesPerSamplePredictExactly) {
   }
 }
 
-TEST(PackedBankTest, MutableAccessInvalidatesAndRebuildRestores) {
+TEST(PackedBankTest, SetSnapshotsRepacksTheBankAndRefusesMismatches) {
   const EncodedTask task = multimodal_task(107);
   RegHDConfig cfg = config_k(4);
   cfg.query_precision = QueryPrecision::kBinary;
-  cfg.model_precision = ModelPrecision::kBinary;
-  MultiModelRegressor model(cfg);
-  model.fit(task.train, task.val);
-  ASSERT_TRUE(model.packed_bank().valid);
-  const std::vector<double> before = model.predict_batch(task.test);
+  cfg.model_precision = ModelPrecision::kTernary;
+  MultiModelRegressor trained(cfg);
+  trained.fit(task.train, task.val);
+  const MultiModelRegressor::State state = trained.state();
 
-  // Touching mutable state marks the bank stale; predictions must not change
-  // (predict_batch falls back to building a per-call bank) and an explicit
-  // rebuild restores the cached one.
-  (void)model.mutable_models();
-  EXPECT_FALSE(model.packed_bank().valid);
-  EXPECT_EQ(model.predict_batch(task.test), before);
-  model.rebuild_packed_bank();
-  EXPECT_TRUE(model.packed_bank().valid);
-  EXPECT_EQ(model.predict_batch(task.test), before);
+  // A fresh model handed the trained snapshots packs the trained bank.
+  MultiModelRegressor model(cfg);
+  model.set_snapshots(state.clusters, state.models);
+  const auto expect_trained_bank = [&](const char* what) {
+    const PackedTernaryBank& got = model.packed_bank();
+    const PackedTernaryBank& want = trained.packed_bank();
+    EXPECT_EQ(got.rows, want.rows) << what;
+    EXPECT_EQ(got.signs, want.signs) << what;
+    EXPECT_EQ(got.masks, want.masks) << what;
+    EXPECT_EQ(got.scale, want.scale) << what;
+  };
+  expect_trained_bank("after set_snapshots");
+
+  // A short list or a plane of another dim is refused before anything moves.
+  std::vector<RegressionModel> short_models = state.models;
+  short_models.pop_back();
+  EXPECT_THROW(model.set_snapshots(state.clusters, short_models), std::invalid_argument);
+  std::vector<ClusterCenter> wide_clusters = state.clusters;
+  wide_clusters[1].binary = hdc::BinaryHV(cfg.dim + 64);
+  EXPECT_THROW(model.set_snapshots(wide_clusters, state.models), std::invalid_argument);
+  std::vector<RegressionModel> narrow_models = state.models;
+  narrow_models[2].ternary_mask = hdc::BinaryHV(cfg.dim - 1);
+  EXPECT_THROW(model.set_snapshots(state.clusters, narrow_models), std::invalid_argument);
+  expect_trained_bank("after refused set_snapshots");
 }
 
 // ---------------------------------------------------------------------------

@@ -110,19 +110,16 @@ std::string fingerprint(const MultiModelRegressor& reg) {
     util::write_scalar<double>(out, c.norm2);
   }
   const PackedTernaryBank& bank = reg.packed_bank();
-  util::write_scalar<std::uint8_t>(out, bank.valid ? 1 : 0);
-  if (bank.valid) {
-    util::write_scalar<std::uint64_t>(out, bank.rows);
-    util::write_scalar<std::uint64_t>(out, bank.words);
-    for (const std::uint64_t w : bank.signs) {
-      util::write_scalar<std::uint64_t>(out, w);
-    }
-    for (const std::uint64_t w : bank.masks) {
-      util::write_scalar<std::uint64_t>(out, w);
-    }
-    for (const double s : bank.scale) {
-      util::write_scalar<double>(out, s);
-    }
+  util::write_scalar<std::uint64_t>(out, bank.rows);
+  util::write_scalar<std::uint64_t>(out, bank.words);
+  for (const std::uint64_t w : bank.signs) {
+    util::write_scalar<std::uint64_t>(out, w);
+  }
+  for (const std::uint64_t w : bank.masks) {
+    util::write_scalar<std::uint64_t>(out, w);
+  }
+  for (const double s : bank.scale) {
+    util::write_scalar<double>(out, s);
   }
   return out.str();
 }

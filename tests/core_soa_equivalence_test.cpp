@@ -256,7 +256,7 @@ TEST_P(BatchPredictModeTest, MultiModelBatchPathsTrackInPlaceStateChanges) {
   for (std::size_t i = 40; i < enc.size(); ++i) {
     replica.train_step(enc.sample(i), enc.target(i));
   }
-  model.merge_accumulate_delta(replica, base);  // packed bank stale until requantize
+  model.merge_accumulate_delta(replica, base);  // snapshots stale until requantize
   expect_batch_paths_match_predict(model, enc, "merge_accumulate_delta");
   model.requantize();
   expect_batch_paths_match_predict(model, enc, "merge + requantize");

@@ -101,7 +101,6 @@ void expect_same_state(const MultiModelRegressor& a, const MultiModelRegressor& 
   }
   const PackedTernaryBank& pa = a.packed_bank();
   const PackedTernaryBank& pb = b.packed_bank();
-  EXPECT_EQ(pa.valid, pb.valid) << what;
   EXPECT_EQ(pa.signs, pb.signs) << what;
   EXPECT_EQ(pa.masks, pb.masks) << what;
   EXPECT_TRUE(same_row(pa.scale, pb.scale)) << what << " bank scales";

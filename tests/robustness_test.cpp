@@ -132,6 +132,7 @@ TEST(RobustnessTest, ModelComponentFaultsToleratedBetterAtHigherDimension) {
     Fixture fx = make_trained_fixture(dim, QueryPrecision::kReal);
     const double clean = fx.model->evaluate_mse(fx.test);
     util::Rng rng(dim);
+    std::vector<RegressionModel> models = fx.model->state().models;
     for (std::size_t i = 0; i < fx.model->num_models(); ++i) {
       const std::span<double> acc = fx.model->mutable_model_accumulator(i);
       for (std::size_t j = 0; j < dim; ++j) {
@@ -139,8 +140,9 @@ TEST(RobustnessTest, ModelComponentFaultsToleratedBetterAtHigherDimension) {
           acc[j] = 0.0;  // stuck-at-zero fault
         }
       }
-      fx.model->mutable_models()[i].requantize(acc);
+      models[i].requantize(acc);
     }
+    fx.model->set_snapshots(fx.model->state().clusters, std::move(models));
     const double faulty = fx.model->evaluate_mse(fx.test);
     return faulty - clean;
   };

@@ -11,7 +11,7 @@
 //   * the classic predict worker (both admission paths);
 //   * the tenant-mode resident predict path (store active);
 //   * MultiModelRegressor::predict_batch_into itself, in every cluster ×
-//     query × model mode, with the model's packed bank valid and stale.
+//     query × model mode.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -318,22 +318,16 @@ TEST(ServeAllocTest, PredictBatchIntoIsAllocationFreeInEveryMode) {
           reg.train_step(enc.sample(i), enc.target(i));
         }
         reg.requantize();
-        for (const bool stale_bank : {false, true}) {
-          if (stale_bank) {
-            (void)reg.mutable_models();  // invalidates the model's packed bank
-          }
-          core::MultiModelRegressor::PredictScratch scratch;
-          reg.prepare_predict_scratch(scratch);
-          arm();
-          predict_path_probe()(true);
-          for (const core::EncodedDataset& batch : batches) {
-            reg.predict_batch_into(batch, out, scratch);
-          }
-          predict_path_probe()(false);
-          EXPECT_EQ(disarm(), 0U) << to_string(cluster) << " "
-                                  << cfg.prediction_mode().to_string()
-                                  << (stale_bank ? " (stale bank)" : "");
+        core::MultiModelRegressor::PredictScratch scratch;
+        reg.prepare_predict_scratch(scratch);
+        arm();
+        predict_path_probe()(true);
+        for (const core::EncodedDataset& batch : batches) {
+          reg.predict_batch_into(batch, out, scratch);
         }
+        predict_path_probe()(false);
+        EXPECT_EQ(disarm(), 0U) << to_string(cluster) << " "
+                                << cfg.prediction_mode().to_string();
       }
     }
   }

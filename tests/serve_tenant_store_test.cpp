@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -17,8 +18,12 @@
 
 #include "core/online.hpp"
 #include "data/synthetic.hpp"
+#include "hdc/encoding.hpp"
+#include "hdc/kernel_backend.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/server.hpp"
+#include "util/fast_trig.hpp"
+#include "util/random.hpp"
 
 namespace reghd::serve {
 namespace {
@@ -147,6 +152,107 @@ TEST(ServeTenantStoreTest, TierDimsPinnedAtTheServingShapes) {
     tc.tier_updates = {64, 512};
     const TenantStore store(tc, base_online(base), 6);
     EXPECT_EQ(store.tier_dims(), want) << "base D = " << base;
+  }
+}
+
+// ROADMAP item 8(a): an RFF encoder at a tier's D_t is an exact prefix of
+// the encoder of the same seed and F at the base D. Weight rows are
+// counter-seeded per row and the phases are one sequential stream, so the
+// first D_t components of every encoding agree bit for bit.
+
+/// Tier dims of the two serving shapes (base D = 512 and 2048), each paired
+/// with its base D, plus ragged and word-sized D against 2048.
+std::vector<std::pair<std::size_t, std::size_t>> prefix_dims() {
+  std::vector<std::pair<std::size_t, std::size_t>> dims;
+  for (const std::size_t base : {512, 2048}) {
+    TenantStoreConfig tc;
+    tc.tier_updates = {64, 512};
+    const TenantStore store(tc, base_online(base), 6);
+    for (const std::size_t d : store.tier_dims()) {
+      dims.emplace_back(d, base);
+    }
+  }
+  for (const std::size_t d : {64, 1000, 1024, 2047}) {
+    dims.emplace_back(d, 2048);
+  }
+  return dims;
+}
+
+TEST(RffTierPrefixTest, TierEncoderIsAnExactPrefixOfTheBaseEncoder) {
+  // Through the encoder itself, on the active kernel table, with the auto
+  // bandwidth (1/√F, independent of D) and an explicit one.
+  const data::Dataset d = data::make_friedman1(16, 6);
+  for (const double stddev : {0.0, 0.7}) {
+    for (const auto& [dim, base] : prefix_dims()) {
+      hdc::EncoderConfig cfg = base_online().encoder;
+      cfg.input_dim = d.num_features();
+      cfg.projection_stddev = stddev;
+      cfg.dim = base;
+      const auto full = hdc::make_encoder(cfg);
+      cfg.dim = dim;
+      const auto tier = hdc::make_encoder(cfg);
+      for (std::size_t i = 0; i < d.size(); ++i) {
+        const hdc::EncodedSample a = tier->encode(d.row(i));
+        const hdc::EncodedSample b = full->encode(d.row(i));
+        std::size_t mismatches = 0;
+        for (std::size_t j = 0; j < dim; ++j) {
+          mismatches += std::bit_cast<std::uint64_t>(a.real[j]) !=
+                            std::bit_cast<std::uint64_t>(b.real[j]) ||
+                        a.binary.bit(j) != b.binary.bit(j);
+        }
+        EXPECT_EQ(mismatches, 0U) << "D = " << dim << " vs " << base << ", stddev "
+                                  << stddev << ", row " << i;
+      }
+    }
+  }
+}
+
+TEST(RffTierPrefixTest, WeightsAndProjectionArePrefixesOnEveryTable) {
+  // The two kernels under every RFF encode, through each table this host
+  // runs: the weights of hyperspace rows [0, D_t) and the projected, trig-
+  // mapped components of a row block at D_t equal the first D_t at D_max.
+  constexpr std::size_t kF = 6;
+  constexpr std::size_t kRows = 4;
+  constexpr std::uint64_t kSeed = 0x5EED;
+  constexpr double kStddev = 0.4;
+  util::Rng rng(11);
+  std::vector<double> x(kRows * kF);
+  for (double& v : x) {
+    v = rng.uniform(-2.0, 2.0);
+  }
+  std::vector<double> phase(2048);
+  std::vector<double> sin_phase(2048);
+  for (std::size_t j = 0; j < phase.size(); ++j) {
+    phase[j] = rng.phase();
+    sin_phase[j] = util::fast_sin(phase[j]);
+  }
+  const hdc::BackendList list = hdc::available_backends();
+  for (std::size_t t = 0; t < list.count; ++t) {
+    const hdc::KernelBackend& kb = *list.tables[t];
+    for (const auto& [dim, base] : prefix_dims()) {
+      std::vector<double> w_full(kF * base);
+      std::vector<double> w_tier(kF * dim);
+      kb.rff_rematerialize(kSeed, kStddev, 0, base, kF, w_full.data(), base);
+      kb.rff_rematerialize(kSeed, kStddev, 0, dim, kF, w_tier.data(), dim);
+      std::vector<double> c_full(kRows * base);
+      std::vector<double> c_tier(kRows * dim);
+      kb.rff_project_map(x.data(), kF, w_full.data(), base, phase.data(), sin_phase.data(),
+                         c_full.data(), base, kRows, kF, base);
+      kb.rff_project_map(x.data(), kF, w_tier.data(), dim, phase.data(), sin_phase.data(),
+                         c_tier.data(), dim, kRows, kF, dim);
+      std::size_t mismatches = 0;
+      for (std::size_t j = 0; j < dim; ++j) {
+        for (std::size_t k = 0; k < kF; ++k) {
+          mismatches += std::bit_cast<std::uint64_t>(w_tier[k * dim + j]) !=
+                        std::bit_cast<std::uint64_t>(w_full[k * base + j]);
+        }
+        for (std::size_t r = 0; r < kRows; ++r) {
+          mismatches += std::bit_cast<std::uint64_t>(c_tier[r * dim + j]) !=
+                        std::bit_cast<std::uint64_t>(c_full[r * base + j]);
+        }
+      }
+      EXPECT_EQ(mismatches, 0U) << kb.name << ": D = " << dim << " vs " << base;
+    }
   }
 }
 
